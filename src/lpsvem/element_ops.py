@@ -13,19 +13,24 @@ projection) makes all maps below computable from the DOFs alone:
 * ``P_grad_hi``    the same at degree k, used by the fluctuation operators
 * ``S``            dofi-dofi stabilizer of (I - Pi_nabla_k)
 * ``S_lo``         dofi-dofi stabilizer of (I - Pi_nabla_{k-1})
+
+``build_mesh_ops`` builds the operators one vertex-count group of cells at a
+time, on arrays stacked along the cells; each cell's ``ElementOps`` holds
+views into its group's arrays.  ``build_cell_ops`` is the one-cell case.
 """
 from __future__ import annotations
 
+import functools
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import ElementGeometry, PolyMesh
-from .polybasis import (ConditionWarning, MonomialBasis, PolygonQuadrature,
-                        build_quadrature, mass_matrix, monomial_exponents,
-                        poly_dim, stiffness_matrix)
+from .geometry import CellGroup, ElementGeometry, PolyMesh
+from .polybasis import (MonomialBasis, PolygonQuadrature, grad_coeff_ref,
+                        laplacian_ref, condition_warnings, group_mass_matrices,
+                        group_quadrature, group_stiffness_matrices,
+                        monomial_gradients, monomial_values, poly_dim)
 
 
 class ElementError(RuntimeError):
@@ -183,189 +188,210 @@ class ElementOps:
         return e11, e22, e12
 
 
+@functools.lru_cache(maxsize=None)
 def _edge_rule(k: int):
-    n = k + 2
-    x, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (x + 1.0), 0.5 * w
+    """Gauss rule with k + 2 points on (0, 1), read-only."""
+    x, w = np.polynomial.legendre.leggauss(k + 2)
+    t, wt = 0.5 * (x + 1.0), 0.5 * w
+    t.flags.writeable = wt.flags.writeable = False
+    return t, wt
 
 
-def build_cell_ops(geom: ElementGeometry, k: int, quad_degree: int | None = None) -> ElementOps:
-    """Assemble every projector, fluctuation map and stabilizer on one cell."""
+def _solve_energy(G: np.ndarray, B: np.ndarray, cell_ids) -> np.ndarray:
+    """Stacked solve of the energy projector systems; names a singular cell."""
+    try:
+        return np.linalg.solve(G, B)
+    except np.linalg.LinAlgError:
+        for j in range(len(G)):
+            try:
+                np.linalg.solve(G[j], B[j])
+            except np.linalg.LinAlgError as exc:
+                raise ElementError(
+                    f"cell {cell_ids[j]}: energy projector rank-deficient") from exc
+        raise
+
+
+def _build_group(group: CellGroup, k: int, quad_degree: int | None = None,
+                 geoms: list[ElementGeometry] | None = None) -> list[ElementOps]:
+    """Every projector, fluctuation map and stabilizer of a group of cells with
+    a common vertex count, computed on arrays stacked along the cells.
+
+    Each product is the stacked form of the one-cell product, and edge terms
+    are added edge by edge, so every cell's result repeats the rounding of a
+    cell-by-cell build.
+    """
+    params = edge_internal_params(k)
     if quad_degree is None:
         quad_degree = 2 * k + 2
-    nv = len(geom.vertices)
+    ids = group.cell_ids
+    m, nv = group.vertices.shape[:2]
     nk = poly_dim(k)
     nk1 = poly_dim(k - 1)
     nk2 = poly_dim(k - 2)
     n_dof = nv * k + nk2
-    quad = build_quadrature(geom, quad_degree)
-    basis = MonomialBasis(k, geom)
-    msgs: list[str] = []
+    moment_cols = nv * k + np.arange(nk2)
+    verts, cen, h = group.vertices, group.centroid, group.diameter
+    area = group.area[:, None, None]
 
-    with warnings.catch_warnings(record=True) as wrec:
-        warnings.simplefilter("always", ConditionWarning)
-        H = mass_matrix(basis, quad)
-    for w in wrec:
-        warnings.warn(w.message, ConditionWarning, stacklevel=2)
-        msgs.append(str(w.message))
-    Gt = stiffness_matrix(basis, quad)
-    Phi = basis.eval(quad.points)
-    Phi_lo = Phi[:, :nk1]
-    area = geom.area
+    def mT(a):
+        return a.transpose(0, 2, 1)
+
+    qpts, qw = group_quadrature(verts, group.triangles, quad_degree, ids)
+    Phi = monomial_values(k, qpts, cen, h)                  # (m, nq, nk)
+    H = group_mass_matrices(Phi, qw)
+    msgs: list[list[str]] = [[] for _ in range(m)]
+    for j, msg in condition_warnings(H, ids, stacklevel=3):
+        msgs[j].append(msg)
+    Gt = group_stiffness_matrices(monomial_gradients(k, qpts, cen, h), qw)
+    Phi_lo = Phi[..., :nk1]
 
     # --- boundary trace machinery -----------------------------------------
     tq, tw = _edge_rule(k)
-    params = edge_internal_params(k)
     nodes = np.array([0.0] + params + [1.0])
-    lag = _lagrange_values(nodes, tq)          # (nq_e, k+1)
+    lag = _lagrange_values(nodes, tq)                       # (nq_e, k+1)
+    a = verts[:, :, None, :]
+    ab = (np.roll(verts, -1, axis=1) - verts)[:, :, None, :]
+    epts = (a + tq[:, None] * ab).reshape(m, -1, 2)         # (m, nv * nq_e, 2)
+    ewts = tw * group.edge_lengths[..., None]               # (m, nv, nq_e)
+    wlag = ewts[..., None] * lag                            # (m, nv, nq_e, k+1)
+    Vb = monomial_values(k, epts, cen, h).reshape(m, nv, -1, nk)
+    Gb = monomial_gradients(k, epts, cen, h).reshape(m, nv, -1, nk, 2)
+    normals = group.edge_normals                            # (m, nv, 2)
+    perimeter = group.edge_lengths.sum(axis=1)[:, None]
     # local ids of the trace nodes on edge i: [v_i, edge block, v_{i+1}]
-    def edge_trace_dofs(i):
-        out = [i]
-        out.extend(nv + i * (k - 1) + np.arange(k - 1))
-        out.append((i + 1) % nv)
-        return np.array(out, dtype=int)
+    trace_dofs = [np.array([i, *(nv + i * (k - 1) + np.arange(k - 1)), (i + 1) % nv])
+                  for i in range(nv)]
 
-    perimeter = float(geom.edge_lengths.sum())
-    # boundary integrals: bmean[j] = (1/|dE|) * int_dE phi_j ds  and the flux
-    # tables used by the B matrices
-    bmean = np.zeros(n_dof)
-    edge_pts = []      # quadrature points per edge
-    edge_wts = []      # physical weights per edge
-    edge_dof_tab = []  # trace dof ids per edge
-    for i in range(nv):
-        a = geom.vertices[i]
-        b = geom.vertices[(i + 1) % nv]
-        pts = a[None, :] + tq[:, None] * (b - a)[None, :]
-        wts = tw * geom.edge_lengths[i]
-        dofs = edge_trace_dofs(i)
-        bmean[dofs] += lag.T @ wts / perimeter
-        edge_pts.append(pts)
-        edge_wts.append(wts)
-        edge_dof_tab.append(dofs)
+    # boundary integrals: bmean[j] = (1/|dE|) * int_dE phi_j ds
+    bmean = np.zeros((m, n_dof))
+    for i, dofs in enumerate(trace_dofs):
+        bmean[:, dofs] += (lag.T @ ewts[:, i, :, None])[..., 0] / perimeter
 
-    moment_cols = nv * k + np.arange(nk2)
-
-    def poly_boundary_mean(bas):
-        vals = np.zeros(bas.dim)
+    def poly_boundary_mean(nd: int) -> np.ndarray:
+        vals = np.zeros((m, nd))
         for i in range(nv):
-            vals += edge_wts[i] @ bas.eval(edge_pts[i])
+            # a contiguous table, as in the one-cell product: numpy takes
+            # another BLAS path for a column slice, which rounds differently
+            vals += (ewts[:, i, None, :] @ np.ascontiguousarray(Vb[:, i, :, :nd]))[:, 0]
         return vals / perimeter
 
-    def dof_matrix(bas) -> np.ndarray:
-        """dof_i(m_a) for the monomials of `bas`; shape (n_dof, bas.dim)."""
-        Dm = np.zeros((n_dof, bas.dim))
-        Dm[:nv, :] = bas.eval(geom.vertices)
-        if k > 1:
-            for i in range(nv):
-                a = geom.vertices[i]
-                b = geom.vertices[(i + 1) % nv]
-                pts = a[None, :] + np.asarray(params)[:, None] * (b - a)[None, :]
-                Dm[nv + i * (k - 1):nv + (i + 1) * (k - 1), :] = bas.eval(pts)
-        if nk2:
-            full = basis.eval(quad.points)
-            low = bas.eval(quad.points)
-            Dm[moment_cols, :] = (full[:, :nk2].T @ (quad.weights[:, None] * low)) / area
-        return Dm
+    # --- dof matrix: dof_i(m_a), shape (m, n_dof, nk) -------------------------
+    D = np.empty((m, n_dof, nk))
+    D[:, :nv] = monomial_values(k, verts, cen, h)
+    if k > 1:
+        ip = a + np.asarray(params)[:, None] * ab           # (m, nv, k-1, 2)
+        D[:, nv:nv * k] = monomial_values(k, ip.reshape(m, -1, 2), cen, h)
+    if nk2:
+        D[:, moment_cols] = (mT(Phi[..., :nk2]) @ (qw[..., None] * Phi)) / area
+
+    # h_E^2 by C pow, as MonomialBasis.laplacian_coeff_map squares a Python
+    # float; numpy's h ** 2 multiplies and can differ in the last bit
+    h2 = np.array([x ** 2 for x in h.tolist()])[:, None, None]
 
     def pi_nabla_matrix(deg: int) -> np.ndarray:
         """Energy projector onto P_deg (deg <= k) as a coeff map."""
         nd = poly_dim(deg)
-        bas = MonomialBasis(deg, geom)
-        G = Gt[:nd, :nd].copy()
-        B = np.zeros((nd, n_dof))
-        lap = bas.laplacian_coeff_map()          # (dim P_{deg-2}, nd)
+        G = Gt[:, :nd, :nd].copy()
+        B = np.zeros((m, nd, n_dof))
+        lap = laplacian_ref(deg)                           # (dim P_{deg-2}, nd)
         if lap.shape[0]:
-            B[:, moment_cols[:lap.shape[0]]] = -area * lap.T
-        for i in range(nv):
-            gm = bas.eval_grad(edge_pts[i])      # (nq_e, nd, 2)
-            flux = gm @ geom.edge_normals[i]     # (nq_e, nd)
-            B[:, edge_dof_tab[i]] += flux.T @ (edge_wts[i][:, None] * lag)
+            B[:, :, moment_cols[:lap.shape[0]]] = -area * mT(lap / h2)
+        for i, dofs in enumerate(trace_dofs):
+            flux = Gb[:, i, :, :nd, :] @ normals[:, i, None, :, None]   # (m, nq_e, nd, 1)
+            B[:, :, dofs] += mT(flux[..., 0]) @ wlag[:, i]
         # constant mode fixed by the boundary mean
-        G[0, :] = poly_boundary_mean(bas)
-        B[0, :] = bmean
-        try:
-            return np.linalg.solve(G, B)
-        except np.linalg.LinAlgError as exc:
-            raise ElementError(
-                f"cell {geom.cell_id}: energy projector rank-deficient") from exc
+        G[:, 0, :] = poly_boundary_mean(nd)
+        B[:, 0, :] = bmean
+        return _solve_energy(G, B, ids)
 
     P_nabla = pi_nabla_matrix(k)
     if k == 1:
         # energy projection onto constants is the boundary mean
-        P_nabla_lo = bmean[None, :].copy()
+        P_nabla_lo = bmean[:, None, :].copy()
     else:
         P_nabla_lo = pi_nabla_matrix(k - 1)
 
-    D = dof_matrix(basis)
-
     # --- computable moments up to degree k (enhancement) -------------------
-    moments = np.zeros((nk, n_dof))
+    moments = np.zeros((m, nk, n_dof))
     if nk2:
-        moments[:nk2, moment_cols] = area * np.eye(nk2)
+        moments[:, :nk2, moment_cols] = area * np.eye(nk2)
     HP = H @ P_nabla
-    moments[nk2:, :] = HP[nk2:, :]
+    moments[:, nk2:, :] = HP[:, nk2:, :]
     P_zero = np.linalg.solve(H, moments)
 
     # --- gradient projections ----------------------------------------------
     def grad_projection(deg: int):
         """L2 projection of the gradient onto [P_deg]^2, deg in {k-1, k}."""
-        bas = MonomialBasis(deg, geom)
         nd = poly_dim(deg)
-        Dx, Dy = bas.grad_coeff_maps()           # (dim P_{deg-1}, nd)
-        N = [np.zeros((nd, n_dof)), np.zeros((nd, n_dof))]
-        for comp, Dc in enumerate((Dx, Dy)):
-            if Dc.shape[0]:
+        out = []
+        for comp, Dref in enumerate(grad_coeff_ref(deg)):   # (dim P_{deg-1}, nd)
+            N = np.zeros((m, nd, n_dof))
+            if Dref.shape[0]:
                 # moments of w against M_{deg-1} are computable rows
-                N[comp] -= Dc.T @ moments[:Dc.shape[0], :]
-            for i in range(nv):
-                mv = bas.eval(edge_pts[i])       # (nq_e, nd)
-                nrm = geom.edge_normals[i][comp]
-                N[comp][:, edge_dof_tab[i]] += nrm * (mv.T @ (edge_wts[i][:, None] * lag))
-        Hd = H[:nd, :nd]
-        return tuple(np.linalg.solve(Hd, Nc) for Nc in N)
+                N -= mT(Dref / h[:, None, None]) @ moments[:, :Dref.shape[0], :]
+            for i, dofs in enumerate(trace_dofs):
+                nrm = normals[:, i, comp, None, None]
+                N[:, :, dofs] += nrm * (mT(Vb[:, i, :, :nd]) @ wlag[:, i])
+            out.append(np.linalg.solve(H[:, :nd, :nd], N))
+        return tuple(out)
 
     P_grad = grad_projection(k - 1)
     P_grad_hi = grad_projection(k)
-    pad = np.zeros((nk - nk1, n_dof))
-    R_grad = tuple(P_grad_hi[c] - np.vstack([P_grad[c], pad]) for c in (0, 1))
+    pad = np.zeros((m, nk - nk1, n_dof))
+    R_grad = tuple(P_grad_hi[c] - np.concatenate([P_grad[c], pad], axis=1) for c in (0, 1))
 
     # divergence of [u1; u2]: the moment equations add componentwise, so the
     # projected divergence is [d/dx block | d/dy block]
-    Div_lo = np.hstack([P_grad[0], P_grad[1]])
-    Div_hi = np.hstack([P_grad_hi[0], P_grad_hi[1]])
-    R_div = Div_hi - np.vstack([Div_lo, np.zeros((nk - nk1, 2 * n_dof))])
+    Div_lo = np.concatenate(P_grad, axis=2)
+    Div_hi = np.concatenate(P_grad_hi, axis=2)
+    R_div = Div_hi - np.concatenate([Div_lo, np.zeros((m, nk - nk1, 2 * n_dof))], axis=1)
 
     # --- stabilizers --------------------------------------------------------
-    Pdof = D @ P_nabla
-    S = (np.eye(n_dof) - Pdof).T @ (np.eye(n_dof) - Pdof)
-    Pdof_lo = D[:, :nk1] @ P_nabla_lo
-    S_lo = (np.eye(n_dof) - Pdof_lo).T @ (np.eye(n_dof) - Pdof_lo)
-    S = 0.5 * (S + S.T)
-    S_lo = 0.5 * (S_lo + S_lo.T)
+    def stabilizer(Pdof):
+        # two operands, as in the one-cell product: for a buffer times its
+        # own transpose numpy takes another BLAS path, which rounds differently
+        S = mT(np.eye(n_dof) - Pdof) @ (np.eye(n_dof) - Pdof)
+        return 0.5 * (S + mT(S))
+
+    S = stabilizer(D @ P_nabla)
+    S_lo = stabilizer(D[..., :nk1] @ P_nabla_lo)
 
     # --- phi-independent local matrices -------------------------------------
-    lps_press_unit = sum(R_grad[c].T @ H @ R_grad[c] for c in (0, 1)) + S_lo
-    lps_temp_unit = sum(R_grad[c].T @ H @ R_grad[c] for c in (0, 1)) + S
-    S2 = np.zeros((2 * n_dof, 2 * n_dof))
-    S2[:n_dof, :n_dof] = S
-    S2[n_dof:, n_dof:] = S
-    lps_div_unit = R_div.T @ H @ R_div + S2
-    diffusion_unit = sum(P_grad[c].T @ H[:nk1, :nk1] @ P_grad[c] for c in (0, 1)) + S
-    b_div = P_zero.T @ H[:nk1, :].T @ Div_lo
-    int_m = quad.weights @ Phi
-    mean_map = (int_m @ P_zero) / area
+    RHR = sum(mT(R_grad[c]) @ H @ R_grad[c] for c in (0, 1))
+    lps_press_unit = RHR + S_lo
+    lps_temp_unit = RHR + S
+    S2 = np.zeros((m, 2 * n_dof, 2 * n_dof))
+    S2[:, :n_dof, :n_dof] = S
+    S2[:, n_dof:, n_dof:] = S
+    lps_div_unit = mT(R_div) @ H @ R_div + S2
+    diffusion_unit = sum(mT(P_grad[c]) @ H[:, :nk1, :nk1] @ P_grad[c] for c in (0, 1)) + S
+    b_div = mT(P_zero) @ mT(H[:, :nk1, :]) @ Div_lo
+    int_m = (qw[:, None, :] @ Phi)[:, 0]
+    mean_map = (int_m[:, None, :] @ P_zero)[:, 0] / group.area[:, None]
     Pq = Phi @ P_zero
     Gq = tuple(Phi_lo @ P_grad[c] for c in (0, 1))
 
-    return ElementOps(
-        geom=geom, k=k, quad=quad, basis=basis, n_dof=n_dof, H=H, Gt=Gt, D=D,
-        P_nabla=P_nabla, P_nabla_lo=P_nabla_lo, P_zero=P_zero, moments=moments,
-        P_grad=P_grad, P_grad_hi=P_grad_hi, R_grad=R_grad, Div_lo=Div_lo,
-        Div_hi=Div_hi, R_div=R_div, S=S, S_lo=S_lo,
-        lps_div_unit=lps_div_unit, lps_press_unit=lps_press_unit,
-        lps_temp_unit=lps_temp_unit, diffusion_unit=diffusion_unit,
-        b_div=b_div, int_m=int_m, mean_map=mean_map, Phi=Phi, Phi_lo=Phi_lo,
-        Pq=Pq, Gq=Gq, warnings=msgs)
+    if geoms is None:
+        geoms = [ElementGeometry.from_group(group, j) for j in range(m)]
+    return [ElementOps(
+        geom=g, k=k, quad=PolygonQuadrature(qpts[j], qw[j], quad_degree),
+        basis=MonomialBasis(k, g), n_dof=n_dof, H=H[j], Gt=Gt[j], D=D[j],
+        P_nabla=P_nabla[j], P_nabla_lo=P_nabla_lo[j], P_zero=P_zero[j],
+        moments=moments[j], P_grad=(P_grad[0][j], P_grad[1][j]),
+        P_grad_hi=(P_grad_hi[0][j], P_grad_hi[1][j]),
+        R_grad=(R_grad[0][j], R_grad[1][j]), Div_lo=Div_lo[j], Div_hi=Div_hi[j],
+        R_div=R_div[j], S=S[j], S_lo=S_lo[j], lps_div_unit=lps_div_unit[j],
+        lps_press_unit=lps_press_unit[j], lps_temp_unit=lps_temp_unit[j],
+        diffusion_unit=diffusion_unit[j], b_div=b_div[j], int_m=int_m[j],
+        mean_map=mean_map[j], Phi=Phi[j], Phi_lo=Phi_lo[j], Pq=Pq[j],
+        Gq=(Gq[0][j], Gq[1][j]), warnings=msgs[j])
+        for j, g in enumerate(geoms)]
+
+
+def build_cell_ops(geom: ElementGeometry, k: int, quad_degree: int | None = None) -> ElementOps:
+    """Assemble every projector, fluctuation map and stabilizer on one cell."""
+    group = CellGroup(np.array([geom.cell_id]), geom.vertices[None])
+    return _build_group(group, k, quad_degree, geoms=[geom])[0]
 
 
 @dataclass
@@ -399,8 +425,12 @@ class MeshOps:
 
 
 def build_mesh_ops(mesh: PolyMesh, k: int, quad_degree: int | None = None) -> MeshOps:
+    """Element operators of every cell, built one vertex-count group at a time
+    and returned in mesh order."""
     layout = DofLayout(mesh, k)
-    cells = [build_cell_ops(mesh.cell_geometry(ci), k, quad_degree)
-             for ci in range(mesh.n_cells)]
+    cells: list[ElementOps] = [None] * mesh.n_cells
+    for group in mesh.cell_groups():
+        for ci, ops in zip(group.cell_ids, _build_group(group, k, quad_degree)):
+            cells[ci] = ops
     cell_dofs = [layout.cell_dofs(ci) for ci in range(mesh.n_cells)]
     return MeshOps(mesh, k, layout, cells, cell_dofs)

@@ -89,17 +89,6 @@ def polygon_signed_area(pts: np.ndarray) -> float:
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
 
-def polygon_centroid(pts: np.ndarray) -> np.ndarray:
-    origin = pts[0]
-    rel = pts - origin
-    x, y = rel[:, 0], rel[:, 1]
-    cross = x * np.roll(y, -1) - np.roll(x, -1) * y
-    a = 0.5 * np.sum(cross)
-    cx = np.sum((x + np.roll(x, -1)) * cross) / (6.0 * a)
-    cy = np.sum((y + np.roll(y, -1)) * cross) / (6.0 * a)
-    return origin + np.array([cx, cy])
-
-
 def polygon_diameter(pts: np.ndarray) -> float:
     d = pts[:, None, :] - pts[None, :, :]
     return float(np.sqrt((d ** 2).sum(-1)).max())
@@ -117,6 +106,8 @@ def ear_clip(pts: np.ndarray) -> list[tuple[int, int, int]]:
     n = len(pts)
     if n < 3:
         raise GeometryError("polygon with fewer than 3 vertices")
+    tol = 1e-14 * polygon_diameter(pts) ** 2
+    p = np.asarray(pts, dtype=float).tolist()
     idx = list(range(n))
     tris: list[tuple[int, int, int]] = []
     guard = 0
@@ -128,15 +119,15 @@ def ear_clip(pts: np.ndarray) -> list[tuple[int, int, int]]:
         clipped = False
         for k in range(m):
             i0, i1, i2 = idx[(k - 1) % m], idx[k], idx[(k + 1) % m]
-            a, b, c = pts[i0], pts[i1], pts[i2]
+            a, b, c = p[i0], p[i1], p[i2]
             cr = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-            if cr <= 1e-14 * polygon_diameter(pts) ** 2:
+            if cr <= tol:
                 continue  # reflex or degenerate corner, not an ear
             ok = True
             for j in idx:
                 if j in (i0, i1, i2):
                     continue
-                if _point_in_triangle(pts[j], a, b, c):
+                if _point_in_triangle(p[j], a, b, c):
                     ok = False
                     break
             if ok:
@@ -203,8 +194,87 @@ def chebyshev_radius(pts: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 @dataclass
+class CellGroup:
+    """Geometry of cells with a common vertex count, stacked along axis 0.
+
+    Every array has the cells on its first axis, in the order of
+    ``cell_ids``.  Construction runs the checks of ``ElementGeometry`` on every
+    cell and raises ``GeometryError`` for the lowest failing id, with the
+    message of the first check that this cell fails.
+    """
+    cell_ids: np.ndarray          # (m,)
+    vertices: np.ndarray          # (m, nv, 2) CCW
+    area: np.ndarray = field(init=False)           # (m,)
+    centroid: np.ndarray = field(init=False)       # (m, 2)
+    diameter: np.ndarray = field(init=False)       # (m,)
+    edge_lengths: np.ndarray = field(init=False)   # (m, nv)
+    edge_normals: np.ndarray = field(init=False)   # (m, nv, 2) outward unit normals
+    triangles: np.ndarray = field(init=False)      # (m, nv - 2, 3) ear-clip triples
+
+    def __post_init__(self):
+        ids = np.asarray(self.cell_ids, dtype=int).reshape(-1)
+        pts = np.asarray(self.vertices, dtype=float)
+        self.cell_ids, self.vertices = ids, pts
+        m, nv = pts.shape[:2]
+        failed: dict[int, str] = {}   # index in the group -> first failed check
+
+        def fail(mask, msg):
+            for j in np.flatnonzero(mask):
+                failed.setdefault(int(j), msg(int(j)))
+
+        # shoelace about the first vertex: raw coordinates far from the origin
+        # cancel catastrophically on small cells
+        rel = pts - pts[:, :1]
+        x, y = rel[..., 0], rel[..., 1]
+        xn, yn = np.roll(x, -1, axis=1), np.roll(y, -1, axis=1)
+        cross = x * yn - xn * y
+        area = 0.5 * np.sum(cross, axis=1)
+        fail(area <= 0.0, lambda j: f"cell {ids[j]}: non-positive area {area[j]:g}")
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cx = np.sum((x + xn) * cross, axis=1) / (6.0 * area)
+            cy = np.sum((y + yn) * cross, axis=1) / (6.0 * area)
+        self.area = area
+        self.centroid = pts[:, 0] + np.stack([cx, cy], axis=1)
+        d = pts[:, :, None, :] - pts[:, None, :, :]
+        self.diameter = np.sqrt((d ** 2).sum(-1)).max(axis=(1, 2))
+        e = np.roll(pts, -1, axis=1) - pts
+        self.edge_lengths = np.hypot(e[..., 0], e[..., 1])
+        fail(np.any(self.edge_lengths < 1e-14 * self.diameter[:, None], axis=1),
+             lambda j: f"cell {ids[j]}: degenerate edge")
+        with np.errstate(divide="ignore", invalid="ignore"):
+            self.edge_normals = (np.stack([e[..., 1], -e[..., 0]], axis=-1)
+                                 / self.edge_lengths[..., None])
+
+        tris = np.zeros((m, max(nv - 2, 0), 3), dtype=int)
+        if nv == 3:
+            tris[:] = (0, 1, 2)
+        else:
+            for j in range(m):
+                if j in failed:
+                    continue
+                try:
+                    tris[j] = ear_clip(pts[j])
+                except GeometryError as exc:
+                    failed[j] = str(exc)
+        self.triangles = tris
+        rows = np.arange(m)[:, None]
+        p0, p1, p2 = (pts[rows, tris[..., i]] for i in range(3))
+        u, v = p1 - p0, p2 - p0
+        sub = 0.5 * (u[..., 0] * v[..., 1] - v[..., 0] * u[..., 1])
+        fail(np.any(sub <= 1e-14 * area[:, None], axis=1),
+             lambda j: f"cell {ids[j]}: degenerate sub-triangle")
+        if failed:
+            j = min(failed, key=lambda j: ids[j])
+            raise GeometryError(failed[j])
+
+
+@dataclass
 class ElementGeometry:
-    """Geometric data of one polygonal cell used by quadrature and projectors."""
+    """Geometric data of one polygonal cell used by quadrature and projectors.
+
+    The one-cell case of ``CellGroup``; ``from_group`` gives a cell of a group
+    whose arrays are views into the group arrays.
+    """
     cell_id: int
     vertices: np.ndarray          # (nv, 2) CCW
     area: float = field(init=False)
@@ -212,27 +282,27 @@ class ElementGeometry:
     diameter: float = field(init=False)
     edge_lengths: np.ndarray = field(init=False)
     edge_normals: np.ndarray = field(init=False)   # outward unit normals
-    triangles: list[tuple[int, int, int]] = field(init=False)
+    triangles: np.ndarray = field(init=False)      # (nv - 2, 3) ear-clip triples
 
     def __post_init__(self):
         pts = np.asarray(self.vertices, dtype=float)
-        self.vertices = pts
-        a = polygon_signed_area(pts)
-        if a <= 0.0:
-            raise GeometryError(f"cell {self.cell_id}: non-positive area {a:g}")
-        self.area = a
-        self.centroid = polygon_centroid(pts)
-        self.diameter = polygon_diameter(pts)
-        d = np.roll(pts, -1, axis=0) - pts
-        self.edge_lengths = np.hypot(d[:, 0], d[:, 1])
-        if np.any(self.edge_lengths < 1e-14 * self.diameter):
-            raise GeometryError(f"cell {self.cell_id}: degenerate edge")
-        self.edge_normals = np.column_stack([d[:, 1], -d[:, 0]]) / self.edge_lengths[:, None]
-        self.triangles = ear_clip(pts)
-        for (i, j, k) in self.triangles:
-            ta = polygon_signed_area(pts[[i, j, k]])
-            if ta <= 1e-14 * self.area:
-                raise GeometryError(f"cell {self.cell_id}: degenerate sub-triangle")
+        self._take(CellGroup(np.array([self.cell_id]), pts[None]), 0)
+
+    @classmethod
+    def from_group(cls, group: CellGroup, j: int) -> ElementGeometry:
+        geom = cls.__new__(cls)
+        geom.cell_id = int(group.cell_ids[j])
+        geom._take(group, j)
+        return geom
+
+    def _take(self, group: CellGroup, j: int):
+        self.vertices = group.vertices[j]
+        self.area = float(group.area[j])
+        self.centroid = group.centroid[j]
+        self.diameter = float(group.diameter[j])
+        self.edge_lengths = group.edge_lengths[j]
+        self.edge_normals = group.edge_normals[j]
+        self.triangles = group.triangles[j]
 
 
 # ---------------------------------------------------------------------------
@@ -316,6 +386,17 @@ class PolyMesh:
 
     def cell_geometry(self, ci: int) -> ElementGeometry:
         return ElementGeometry(ci, self.vertices[self.cells[ci]])
+
+    def cell_groups(self) -> list[CellGroup]:
+        """Geometry of every cell, grouped by vertex count (ascending); each
+        group lists its cells in mesh order."""
+        counts = np.array([len(c) for c in self.cells])
+        groups = []
+        for nv in np.unique(counts):
+            ids = np.flatnonzero(counts == nv)
+            loops = np.stack([self.cells[ci] for ci in ids])
+            groups.append(CellGroup(ids, self.vertices[loops]))
+        return groups
 
     def cell_areas(self) -> np.ndarray:
         return np.array([polygon_signed_area(self.vertices[c]) for c in self.cells])
@@ -478,7 +559,9 @@ def _distorted_square(domain, h, seed):
     if isinstance(domain, CutoutRectangle):
         raise GeometryError("distorted_square cannot tile an L-shaped domain")
     # grid step h/1.8 makes the max cell diameter (diagonal stretched by the
-    # node shifts) land at ~h while halving h still exactly doubles the grid
+    # node shifts) land at ~h.  The grid has round(1.8/h) cells a side, so
+    # halving h need not double it: 1/9 and 1/18 give 16 and 32 cells, but
+    # 1/8 and 1/16 give 14 and 29
     nx, ny = _grid_counts(domain, h / 1.8)
     verts, cells, _, remap, vid = _quad_cells(domain, nx, ny)
     s = min(domain.width / nx, domain.height / ny)

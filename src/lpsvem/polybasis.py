@@ -4,9 +4,15 @@ Monomials are m_a(x) = ((x - x_E)/h_E)^a in graded lexicographic order
 (1, xi, eta, xi^2, xi*eta, eta^2, ...).  Quadrature is a composite rule over
 the ear-clip sub-triangulation using a collapsed (Duffy) tensor Gauss rule,
 which keeps every weight positive at any exactness degree.
+
+The ``group_*`` and ``monomial_*`` functions work on a stack of cells (first
+axis); the one-cell functions and ``MonomialBasis`` are their m = 1 case.
+Reference rules and coefficient maps depend only on the degree and are built
+once per degree; the cached arrays are read-only.
 """
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 
@@ -24,13 +30,80 @@ def poly_dim(k: int) -> int:
     return 0 if k < 0 else (k + 1) * (k + 2) // 2
 
 
+def _frozen(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays if len(arrays) > 1 else arrays[0]
+
+
+@functools.lru_cache(maxsize=None)
 def monomial_exponents(k: int) -> np.ndarray:
-    """Graded-lex exponent pairs (m1, m2) for all |m| <= k."""
+    """Graded-lex exponent pairs (m1, m2) for all |m| <= k (read-only)."""
     out = []
     for d in range(k + 1):
         for m2 in range(d + 1):
             out.append((d - m2, m2))
-    return np.asarray(out, dtype=int).reshape(-1, 2)
+    return _frozen(np.asarray(out, dtype=int).reshape(-1, 2))
+
+
+@functools.lru_cache(maxsize=None)
+def grad_coeff_ref(k: int):
+    """d/dxi and d/deta as coefficient maps P_k -> P_{k-1} for h_E = 1."""
+    e_lo = monomial_exponents(k - 1)
+    index_lo = {tuple(m): i for i, m in enumerate(e_lo.tolist())}
+    Dx = np.zeros((len(e_lo), poly_dim(k)))
+    Dy = np.zeros((len(e_lo), poly_dim(k)))
+    for j, (m1, m2) in enumerate(monomial_exponents(k).tolist()):
+        if m1 > 0:
+            Dx[index_lo[(m1 - 1, m2)], j] = m1
+        if m2 > 0:
+            Dy[index_lo[(m1, m2 - 1)], j] = m2
+    return _frozen(Dx, Dy)
+
+
+@functools.lru_cache(maxsize=None)
+def laplacian_ref(k: int) -> np.ndarray:
+    """The Laplacian as a coefficient map P_k -> P_{k-2} for h_E = 1."""
+    e_lo = monomial_exponents(k - 2)
+    index_lo = {tuple(m): i for i, m in enumerate(e_lo.tolist())}
+    L = np.zeros((len(e_lo), poly_dim(k)))
+    for j, (m1, m2) in enumerate(monomial_exponents(k).tolist()):
+        if m1 >= 2:
+            L[index_lo[(m1 - 2, m2)], j] += m1 * (m1 - 1)
+        if m2 >= 2:
+            L[index_lo[(m1, m2 - 2)], j] += m2 * (m2 - 1)
+    return _frozen(L)
+
+
+def _scaled_coords(points, centroid, diameter):
+    h = np.asarray(diameter, dtype=float)[:, None]
+    xi = (points[..., 0] - centroid[:, None, 0]) / h
+    eta = (points[..., 1] - centroid[:, None, 1]) / h
+    return xi, eta, h
+
+
+def monomial_values(degree: int, points, centroid, diameter) -> np.ndarray:
+    """Scaled monomials of degree <= `degree` on a stack of cells.
+
+    points (m, n, 2), centroid (m, 2), diameter (m,) -> values (m, n, dim).
+    """
+    xi, eta, _ = _scaled_coords(points, centroid, diameter)
+    e = monomial_exponents(degree)
+    return xi[..., None] ** e[:, 0] * eta[..., None] ** e[:, 1]
+
+
+def monomial_gradients(degree: int, points, centroid, diameter) -> np.ndarray:
+    """Gradients of the scaled monomials on a stack of cells; (m, n, dim, 2)."""
+    xi, eta, h = _scaled_coords(points, centroid, diameter)
+    e = monomial_exponents(degree)
+    out = np.zeros(xi.shape + (len(e), 2))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for j, (m1, m2) in enumerate(e.tolist()):
+            if m1 > 0:
+                out[..., j, 0] = m1 / h * xi ** (m1 - 1) * eta ** m2
+            if m2 > 0:
+                out[..., j, 1] = m2 / h * xi ** m1 * eta ** (m2 - 1)
+    return out
 
 
 @dataclass
@@ -47,30 +120,18 @@ class MonomialBasis:
     def dim(self) -> int:
         return poly_dim(self.degree)
 
+    def _one(self, fn, points):
+        g = self.geom
+        return fn(self.degree, np.atleast_2d(points)[None], g.centroid[None],
+                  [g.diameter])[0]
+
     def eval(self, points: np.ndarray) -> np.ndarray:
         """Values of all basis monomials at `points`; shape (npts, dim)."""
-        pts = np.atleast_2d(points)
-        xi = (pts[:, 0] - self.geom.centroid[0]) / self.geom.diameter
-        eta = (pts[:, 1] - self.geom.centroid[1]) / self.geom.diameter
-        e = self.exponents
-        return xi[:, None] ** e[None, :, 0] * eta[:, None] ** e[None, :, 1]
+        return self._one(monomial_values, points)
 
     def eval_grad(self, points: np.ndarray) -> np.ndarray:
         """Gradients at `points`; shape (npts, dim, 2)."""
-        pts = np.atleast_2d(points)
-        h = self.geom.diameter
-        xi = (pts[:, 0] - self.geom.centroid[0]) / h
-        eta = (pts[:, 1] - self.geom.centroid[1]) / h
-        e = self.exponents
-        n, nb = len(pts), len(e)
-        out = np.zeros((n, nb, 2))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for j, (m1, m2) in enumerate(e):
-                if m1 > 0:
-                    out[:, j, 0] = m1 / h * xi ** (m1 - 1) * eta ** m2
-                if m2 > 0:
-                    out[:, j, 1] = m2 / h * xi ** m1 * eta ** (m2 - 1)
-        return out
+        return self._one(monomial_gradients, points)
 
     def grad_coeff_maps(self):
         """Coefficient matrices of d/dx and d/dy: P_k -> P_{k-1}.
@@ -79,32 +140,13 @@ class MonomialBasis:
         gradient of sum c_a m_a has coefficients Dx @ c, Dy @ c in the
         degree-(k-1) basis.
         """
-        k = self.degree
-        e_lo = monomial_exponents(k - 1) if k >= 1 else np.zeros((0, 2), int)
-        index_lo = {tuple(m): i for i, m in enumerate(e_lo)}
-        Dx = np.zeros((len(e_lo), self.dim))
-        Dy = np.zeros((len(e_lo), self.dim))
+        Dx, Dy = grad_coeff_ref(self.degree)
         h = self.geom.diameter
-        for j, (m1, m2) in enumerate(self.exponents):
-            if m1 > 0:
-                Dx[index_lo[(m1 - 1, m2)], j] = m1 / h
-            if m2 > 0:
-                Dy[index_lo[(m1, m2 - 1)], j] = m2 / h
-        return Dx, Dy
+        return Dx / h, Dy / h
 
     def laplacian_coeff_map(self) -> np.ndarray:
         """Coefficient matrix of the Laplacian: P_k -> P_{k-2}."""
-        k = self.degree
-        e_lo = monomial_exponents(k - 2) if k >= 2 else np.zeros((0, 2), int)
-        index_lo = {tuple(m): i for i, m in enumerate(e_lo)}
-        L = np.zeros((len(e_lo), self.dim))
-        h2 = self.geom.diameter ** 2
-        for j, (m1, m2) in enumerate(self.exponents):
-            if m1 >= 2:
-                L[index_lo[(m1 - 2, m2)], j] += m1 * (m1 - 1) / h2
-            if m2 >= 2:
-                L[index_lo[(m1, m2 - 2)], j] += m2 * (m2 - 1) / h2
-        return L
+        return laplacian_ref(self.degree) / self.geom.diameter ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -118,6 +160,7 @@ class PolygonQuadrature:
     degree: int
 
 
+@functools.lru_cache(maxsize=None)
 def _duffy_triangle_rule(degree: int):
     """Rule on the reference triangle {x,y>=0, x+y<=1}, exact to `degree`.
 
@@ -132,40 +175,73 @@ def _duffy_triangle_rule(degree: int):
     WU, WV = np.meshgrid(w, w, indexing="ij")
     pts = np.column_stack([U.ravel(), (V * (1.0 - U)).ravel()])
     wts = (WU * WV * (1.0 - U)).ravel()
-    return pts, wts
+    return _frozen(pts, wts)
+
+
+def group_quadrature(vertices, triangles, degree: int, cell_ids):
+    """Composite positive-weight rule on a stack of cells.
+
+    vertices (m, nv, 2), triangles (m, nt, 3) -> points (m, nt * nr, 2) and
+    weights (m, nt * nr), sub-triangle by sub-triangle as listed.
+    """
+    if degree < 0:
+        raise ValueError("quadrature degree must be >= 0")
+    ref_pts, ref_w = _duffy_triangle_rule(degree)
+    rows = np.arange(len(vertices))[:, None]
+    a, b, c = (vertices[rows, triangles[..., i]] for i in range(3))   # (m, nt, 2)
+    e1, e2 = b - a, c - a
+    det = e1[..., 0] * e2[..., 1] - e2[..., 0] * e1[..., 1]
+    bad = np.flatnonzero(np.any(det <= 0, axis=1))
+    if bad.size:
+        raise GeometryError(f"cell {cell_ids[bad[0]]}: degenerate sub-triangle")
+    J = np.stack([e1, e2], axis=-1)
+    pts = ref_pts @ J.transpose(0, 1, 3, 2) + a[:, :, None, :]
+    wts = ref_w * det[..., None]
+    m = len(vertices)
+    return pts.reshape(m, -1, 2), wts.reshape(m, -1)
 
 
 def build_quadrature(geom: ElementGeometry, degree: int) -> PolygonQuadrature:
     """Composite positive-weight rule over the element sub-triangulation."""
-    if degree < 0:
-        raise ValueError("quadrature degree must be >= 0")
-    ref_pts, ref_w = _duffy_triangle_rule(degree)
-    pts_out, w_out = [], []
-    for (i, j, k) in geom.triangles:
-        a, b, c = geom.vertices[i], geom.vertices[j], geom.vertices[k]
-        J = np.column_stack([b - a, c - a])
-        det = J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]
-        if det <= 0:
-            raise GeometryError(f"cell {geom.cell_id}: degenerate sub-triangle")
-        pts_out.append(ref_pts @ J.T + a)
-        w_out.append(ref_w * det)
-    return PolygonQuadrature(np.vstack(pts_out), np.concatenate(w_out), degree)
+    tris = np.asarray(geom.triangles, dtype=int).reshape(-1, 3)
+    pts, wts = group_quadrature(geom.vertices[None], tris[None], degree, [geom.cell_id])
+    return PolygonQuadrature(pts[0], wts[0], degree)
+
+
+def group_mass_matrices(phi: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """H with H_ab = int_E m_a m_b from values phi (m, nq, dim) and weights
+    (m, nq); shape (m, dim, dim)."""
+    H = np.matmul(phi.transpose(0, 2, 1), weights[..., None] * phi)
+    return 0.5 * (H + H.transpose(0, 2, 1))
+
+
+def group_stiffness_matrices(dphi: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """G with G_ab = int_E grad m_a . grad m_b from gradients dphi
+    (m, nq, dim, 2); singular along constants."""
+    G = np.einsum("mqad,mq,mqbd->mab", dphi, weights, dphi)
+    return 0.5 * (G + G.transpose(0, 2, 1))
+
+
+def condition_warnings(H: np.ndarray, cell_ids, stacklevel: int = 2) -> list[tuple[int, str]]:
+    """Warn once for every mass matrix of a stack with cond > 1e12.
+
+    Returns (index in the stack, message) for each of them.
+    """
+    out = []
+    for j in np.flatnonzero(np.linalg.cond(H) > 1e12):
+        msg = f"cell {cell_ids[j]}: mass matrix condition number > 1e12"
+        warnings.warn(msg, ConditionWarning, stacklevel=stacklevel + 1)
+        out.append((int(j), msg))
+    return out
 
 
 def mass_matrix(basis: MonomialBasis, quad: PolygonQuadrature) -> np.ndarray:
     """H with H_ab = int_E m_a m_b; warns when badly conditioned."""
-    phi = basis.eval(quad.points)
-    H = phi.T @ (quad.weights[:, None] * phi)
-    H = 0.5 * (H + H.T)
-    if np.linalg.cond(H) > 1e12:
-        warnings.warn(
-            f"cell {basis.geom.cell_id}: mass matrix condition number > 1e12",
-            ConditionWarning, stacklevel=2)
-    return H
+    H = group_mass_matrices(basis.eval(quad.points)[None], quad.weights[None])
+    condition_warnings(H, [basis.geom.cell_id], stacklevel=2)
+    return H[0]
 
 
 def stiffness_matrix(basis: MonomialBasis, quad: PolygonQuadrature) -> np.ndarray:
     """G with G_ab = int_E grad m_a . grad m_b (singular along constants)."""
-    dphi = basis.eval_grad(quad.points)
-    G = np.einsum("qad,q,qbd->ab", dphi, quad.weights, dphi)
-    return 0.5 * (G + G.T)
+    return group_stiffness_matrices(basis.eval_grad(quad.points)[None], quad.weights[None])[0]

@@ -45,22 +45,24 @@ class _EliminatedSolve:
     """Direct solve of K x = b with prescribed values on `fixed` dofs."""
 
     def __init__(self, K: sp.spmatrix, fixed: np.ndarray, values: np.ndarray):
-        self.K = K.tocsr()
+        K = K.tocsr()
         self.n = K.shape[0]
         self.fixed = fixed
         self.free = np.setdiff1d(np.arange(self.n), fixed)
         self.xfix = np.zeros(self.n)
         self.xfix[fixed] = values[fixed] if len(values) == self.n else values
-        self.shift = self.K @ self.xfix
+        self.shift = K @ self.xfix
+        # the free-free block, factorized once and reused by every refinement
+        self.Kff = K[self.free][:, self.free]
         try:
-            self.lu = splu(self.K[self.free][:, self.free].tocsc())
+            self.lu = splu(self.Kff.tocsc())
         except RuntimeError as exc:
             raise SolverError(f"singular factorization: {exc}") from exc
 
     def solve(self, rhs: np.ndarray, refine_tol: float = 1e-15):
         """LU solve with iterative refinement down to the conditioning floor."""
         b = (rhs - self.shift)[self.free]
-        Kff = self.K[self.free][:, self.free]
+        Kff = self.Kff
         x = self.lu.solve(b)
         nb = np.linalg.norm(b)
         res = np.linalg.norm(b - Kff @ x) / nb if nb > 0 else 0.0

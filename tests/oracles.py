@@ -3,22 +3,27 @@
 Everything here recomputes quantities along a different numerical route than
 the library: exact closed-form monomial integrals, an independently built
 over-integrated quadrature, dense KKT/normal-equation projector solves, pure
-per-entry loops for the local forms, and a P1 finite element realizer that
+per-entry loops for the local forms, a P1 finite element realizer that
 solves the local defining problem of a virtual function on a refined
-sub-triangulation.
+sub-triangulation, and the cell-by-cell construction of the element operators
+that the grouped ``build_mesh_ops`` is checked against.
 """
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 from scipy.special import roots_legendre
 
+from lpsvem import element_ops as eo
 from lpsvem import forms
 from lpsvem.element_ops import edge_internal_params
 from lpsvem.geometry import ElementGeometry
 from lpsvem.geometry import ear_clip
-from lpsvem.polybasis import monomial_exponents, poly_dim
+from lpsvem.polybasis import (ConditionWarning, MonomialBasis, build_quadrature,
+                              mass_matrix, monomial_exponents, poly_dim,
+                              stiffness_matrix)
 
 # ---------------------------------------------------------------------------
 # exact monomial integrals over polygons (closed form, no quadrature)
@@ -657,3 +662,193 @@ def oracle_local_matrices(pts, k, spec, phi_coeffs, u_coeffs):
             "convection": conv, "lps1": l1, "lps2": l2, "lps3": l3}
 
 
+# ---------------------------------------------------------------------------
+# per-cell reference of the element operators
+# ---------------------------------------------------------------------------
+
+def _edge_rule(k: int):
+    n = k + 2
+    x, w = np.polynomial.legendre.leggauss(n)
+    return 0.5 * (x + 1.0), 0.5 * w
+
+
+def reference_cell_ops(geom: ElementGeometry, k: int,
+                       quad_degree: int | None = None) -> eo.ElementOps:
+    """Every projector, fluctuation map and stabilizer on one cell, built cell
+    by cell with the one-cell helpers of the library (the reference for the
+    grouped construction of ``build_mesh_ops``)."""
+    if quad_degree is None:
+        quad_degree = 2 * k + 2
+    nv = len(geom.vertices)
+    nk = poly_dim(k)
+    nk1 = poly_dim(k - 1)
+    nk2 = poly_dim(k - 2)
+    n_dof = nv * k + nk2
+    quad = build_quadrature(geom, quad_degree)
+    basis = MonomialBasis(k, geom)
+    msgs: list[str] = []
+
+    with warnings.catch_warnings(record=True) as wrec:
+        warnings.simplefilter("always", ConditionWarning)
+        H = mass_matrix(basis, quad)
+    for w in wrec:
+        warnings.warn(w.message, ConditionWarning, stacklevel=2)
+        msgs.append(str(w.message))
+    Gt = stiffness_matrix(basis, quad)
+    Phi = basis.eval(quad.points)
+    Phi_lo = Phi[:, :nk1]
+    area = geom.area
+
+    # --- boundary trace machinery -----------------------------------------
+    tq, tw = _edge_rule(k)
+    params = eo.edge_internal_params(k)
+    nodes = np.array([0.0] + params + [1.0])
+    lag = eo._lagrange_values(nodes, tq)          # (nq_e, k+1)
+    # local ids of the trace nodes on edge i: [v_i, edge block, v_{i+1}]
+    def edge_trace_dofs(i):
+        out = [i]
+        out.extend(nv + i * (k - 1) + np.arange(k - 1))
+        out.append((i + 1) % nv)
+        return np.array(out, dtype=int)
+
+    perimeter = float(geom.edge_lengths.sum())
+    # boundary integrals: bmean[j] = (1/|dE|) * int_dE phi_j ds  and the flux
+    # tables used by the B matrices
+    bmean = np.zeros(n_dof)
+    edge_pts = []      # quadrature points per edge
+    edge_wts = []      # physical weights per edge
+    edge_dof_tab = []  # trace dof ids per edge
+    for i in range(nv):
+        a = geom.vertices[i]
+        b = geom.vertices[(i + 1) % nv]
+        pts = a[None, :] + tq[:, None] * (b - a)[None, :]
+        wts = tw * geom.edge_lengths[i]
+        dofs = edge_trace_dofs(i)
+        bmean[dofs] += lag.T @ wts / perimeter
+        edge_pts.append(pts)
+        edge_wts.append(wts)
+        edge_dof_tab.append(dofs)
+
+    moment_cols = nv * k + np.arange(nk2)
+
+    def poly_boundary_mean(bas):
+        vals = np.zeros(bas.dim)
+        for i in range(nv):
+            vals += edge_wts[i] @ bas.eval(edge_pts[i])
+        return vals / perimeter
+
+    def dof_matrix(bas) -> np.ndarray:
+        """dof_i(m_a) for the monomials of `bas`; shape (n_dof, bas.dim)."""
+        Dm = np.zeros((n_dof, bas.dim))
+        Dm[:nv, :] = bas.eval(geom.vertices)
+        if k > 1:
+            for i in range(nv):
+                a = geom.vertices[i]
+                b = geom.vertices[(i + 1) % nv]
+                pts = a[None, :] + np.asarray(params)[:, None] * (b - a)[None, :]
+                Dm[nv + i * (k - 1):nv + (i + 1) * (k - 1), :] = bas.eval(pts)
+        if nk2:
+            full = basis.eval(quad.points)
+            low = bas.eval(quad.points)
+            Dm[moment_cols, :] = (full[:, :nk2].T @ (quad.weights[:, None] * low)) / area
+        return Dm
+
+    def pi_nabla_matrix(deg: int) -> np.ndarray:
+        """Energy projector onto P_deg (deg <= k) as a coeff map."""
+        nd = poly_dim(deg)
+        bas = MonomialBasis(deg, geom)
+        G = Gt[:nd, :nd].copy()
+        B = np.zeros((nd, n_dof))
+        lap = bas.laplacian_coeff_map()          # (dim P_{deg-2}, nd)
+        if lap.shape[0]:
+            B[:, moment_cols[:lap.shape[0]]] = -area * lap.T
+        for i in range(nv):
+            gm = bas.eval_grad(edge_pts[i])      # (nq_e, nd, 2)
+            flux = gm @ geom.edge_normals[i]     # (nq_e, nd)
+            B[:, edge_dof_tab[i]] += flux.T @ (edge_wts[i][:, None] * lag)
+        # constant mode fixed by the boundary mean
+        G[0, :] = poly_boundary_mean(bas)
+        B[0, :] = bmean
+        try:
+            return np.linalg.solve(G, B)
+        except np.linalg.LinAlgError as exc:
+            raise eo.ElementError(
+                f"cell {geom.cell_id}: energy projector rank-deficient") from exc
+
+    P_nabla = pi_nabla_matrix(k)
+    if k == 1:
+        # energy projection onto constants is the boundary mean
+        P_nabla_lo = bmean[None, :].copy()
+    else:
+        P_nabla_lo = pi_nabla_matrix(k - 1)
+
+    D = dof_matrix(basis)
+
+    # --- computable moments up to degree k (enhancement) -------------------
+    moments = np.zeros((nk, n_dof))
+    if nk2:
+        moments[:nk2, moment_cols] = area * np.eye(nk2)
+    HP = H @ P_nabla
+    moments[nk2:, :] = HP[nk2:, :]
+    P_zero = np.linalg.solve(H, moments)
+
+    # --- gradient projections ----------------------------------------------
+    def grad_projection(deg: int):
+        """L2 projection of the gradient onto [P_deg]^2, deg in {k-1, k}."""
+        bas = MonomialBasis(deg, geom)
+        nd = poly_dim(deg)
+        Dx, Dy = bas.grad_coeff_maps()           # (dim P_{deg-1}, nd)
+        N = [np.zeros((nd, n_dof)), np.zeros((nd, n_dof))]
+        for comp, Dc in enumerate((Dx, Dy)):
+            if Dc.shape[0]:
+                # moments of w against M_{deg-1} are computable rows
+                N[comp] -= Dc.T @ moments[:Dc.shape[0], :]
+            for i in range(nv):
+                mv = bas.eval(edge_pts[i])       # (nq_e, nd)
+                nrm = geom.edge_normals[i][comp]
+                N[comp][:, edge_dof_tab[i]] += nrm * (mv.T @ (edge_wts[i][:, None] * lag))
+        Hd = H[:nd, :nd]
+        return tuple(np.linalg.solve(Hd, Nc) for Nc in N)
+
+    P_grad = grad_projection(k - 1)
+    P_grad_hi = grad_projection(k)
+    pad = np.zeros((nk - nk1, n_dof))
+    R_grad = tuple(P_grad_hi[c] - np.vstack([P_grad[c], pad]) for c in (0, 1))
+
+    # divergence of [u1; u2]: the moment equations add componentwise, so the
+    # projected divergence is [d/dx block | d/dy block]
+    Div_lo = np.hstack([P_grad[0], P_grad[1]])
+    Div_hi = np.hstack([P_grad_hi[0], P_grad_hi[1]])
+    R_div = Div_hi - np.vstack([Div_lo, np.zeros((nk - nk1, 2 * n_dof))])
+
+    # --- stabilizers --------------------------------------------------------
+    Pdof = D @ P_nabla
+    S = (np.eye(n_dof) - Pdof).T @ (np.eye(n_dof) - Pdof)
+    Pdof_lo = D[:, :nk1] @ P_nabla_lo
+    S_lo = (np.eye(n_dof) - Pdof_lo).T @ (np.eye(n_dof) - Pdof_lo)
+    S = 0.5 * (S + S.T)
+    S_lo = 0.5 * (S_lo + S_lo.T)
+
+    # --- phi-independent local matrices -------------------------------------
+    lps_press_unit = sum(R_grad[c].T @ H @ R_grad[c] for c in (0, 1)) + S_lo
+    lps_temp_unit = sum(R_grad[c].T @ H @ R_grad[c] for c in (0, 1)) + S
+    S2 = np.zeros((2 * n_dof, 2 * n_dof))
+    S2[:n_dof, :n_dof] = S
+    S2[n_dof:, n_dof:] = S
+    lps_div_unit = R_div.T @ H @ R_div + S2
+    diffusion_unit = sum(P_grad[c].T @ H[:nk1, :nk1] @ P_grad[c] for c in (0, 1)) + S
+    b_div = P_zero.T @ H[:nk1, :].T @ Div_lo
+    int_m = quad.weights @ Phi
+    mean_map = (int_m @ P_zero) / area
+    Pq = Phi @ P_zero
+    Gq = tuple(Phi_lo @ P_grad[c] for c in (0, 1))
+
+    return eo.ElementOps(
+        geom=geom, k=k, quad=quad, basis=basis, n_dof=n_dof, H=H, Gt=Gt, D=D,
+        P_nabla=P_nabla, P_nabla_lo=P_nabla_lo, P_zero=P_zero, moments=moments,
+        P_grad=P_grad, P_grad_hi=P_grad_hi, R_grad=R_grad, Div_lo=Div_lo,
+        Div_hi=Div_hi, R_div=R_div, S=S, S_lo=S_lo,
+        lps_div_unit=lps_div_unit, lps_press_unit=lps_press_unit,
+        lps_temp_unit=lps_temp_unit, diffusion_unit=diffusion_unit,
+        b_div=b_div, int_m=int_m, mean_map=mean_map, Phi=Phi, Phi_lo=Phi_lo,
+        Pq=Pq, Gq=Gq, warnings=msgs)

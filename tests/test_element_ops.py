@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from lpsvem import element_ops as eo
-from lpsvem.geometry import ElementGeometry, UNIT_SQUARE, generate_mesh
+from lpsvem.geometry import (MESH_FAMILIES, ElementGeometry, GeometryError, PolyMesh,
+                             UNIT_SQUARE, generate_mesh)
 from lpsvem.polybasis import ConditionWarning, poly_dim
-from oracles import FemRealizer, OracleElement
+from oracles import FemRealizer, OracleElement, reference_cell_ops
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 # asymmetric, with a reflex vertex at (0.5, 0.45)
@@ -254,3 +255,79 @@ def test_condition_warning_recorded_on_sliver():
 def test_unsupported_order():
     with pytest.raises(ValueError):
         eo.build_cell_ops(ElementGeometry(0, SQUARE), 4)
+
+
+def _array_fields(obj, prefix=""):
+    """(name, array) for every array field of an operator bundle, its
+    geometry and its quadrature; tuples give one entry per component."""
+    out = []
+    for name, val in vars(obj).items():
+        if isinstance(val, (eo.ElementGeometry, eo.PolygonQuadrature)):
+            out.extend(_array_fields(val, f"{prefix}{name}."))
+        elif isinstance(val, tuple):
+            out.extend((f"{prefix}{name}[{c}]", np.asarray(v)) for c, v in enumerate(val))
+        elif isinstance(val, (np.ndarray, float)) or name == "triangles":
+            out.append((prefix + name, np.asarray(val)))
+    return out
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("fam", MESH_FAMILIES)
+def test_grouped_build_matches_per_cell_reference(fam, k):
+    """Every field of every cell equals the cell-by-cell construction to
+    1e-10 * max(1, max|ref|); voronoi meshes mix vertex counts, so this also
+    covers the grouping and the restored cell order."""
+    mesh = generate_mesh(fam, UNIT_SQUARE, 1 / 5)
+    mops = eo.build_mesh_ops(mesh, k)
+    assert len(mops.cells) == mesh.n_cells
+    for ci, ops in enumerate(mops.cells):
+        ref = reference_cell_ops(mesh.cell_geometry(ci), k)
+        assert ops.geom.cell_id == ci
+        assert np.array_equal(ops.geom.vertices, mesh.vertices[mesh.cells[ci]])
+        assert (ops.n_dof, ops.k, ops.basis.degree, ops.quad.degree, ops.warnings) == \
+            (ref.n_dof, ref.k, ref.basis.degree, ref.quad.degree, ref.warnings)
+        got = dict(_array_fields(ops))
+        want = _array_fields(ref)
+        assert set(got) == {name for name, _ in want}
+        for name, r in want:
+            g = got[name]
+            assert g.shape == r.shape, f"cell {ci} {name}"
+            tol = 1e-10 * max(1.0, float(np.abs(r).max(initial=0.0)))
+            assert np.abs(g - r).max(initial=0.0) <= tol, f"cell {ci} {name}"
+
+
+def _strip_mesh(xs):
+    """A row of quadrilaterals [xs[i], xs[i+1]] x [0, 1]."""
+    n = len(xs)
+    verts = np.array([(x, 0.0) for x in xs] + [(x, 1.0) for x in xs])
+    cells = [np.array([i, i + 1, n + i + 1, n + i]) for i in range(n - 1)]
+    return PolyMesh(verts, cells, {})
+
+
+def test_condition_warning_names_only_the_sliver_cell():
+    mesh = _strip_mesh([0.0, 1.0, 2.0, 2.0 + 2e-7, 3.0, 4.0])    # cell 2 is a sliver
+    with pytest.warns(ConditionWarning) as rec:
+        mops = eo.build_mesh_ops(mesh, 2)
+    msgs = [str(w.message) for w in rec if issubclass(w.category, ConditionWarning)]
+    assert msgs == ["cell 2: mass matrix condition number > 1e12"]
+    assert [bool(ops.warnings) for ops in mops.cells] == [False, False, True, False, False]
+    assert mops.cells[2].warnings == msgs
+
+
+def test_degenerate_cell_error_names_its_id():
+    mesh = generate_mesh("voronoi", UNIT_SQUARE, 1 / 5)
+    counts = np.array([len(c) for c in mesh.cells])
+    # a cell behind at least one other cell of its vertex-count group
+    ci = next(i for i in range(mesh.n_cells) if np.sum(counts[:i] == counts[i]) >= 2)
+    cells = [c.copy() for c in mesh.cells]
+    cells[ci] = cells[ci][::-1]                  # clockwise: non-positive area
+    bad = PolyMesh(mesh.vertices, cells, {})
+    with pytest.raises(GeometryError, match=rf"^cell {ci}: non-positive area"):
+        eo.build_mesh_ops(bad, 1)
+
+
+def test_singular_energy_system_names_its_cell():
+    G = np.stack([np.eye(3), np.diag([1.0, 1.0, 0.0]), np.eye(3)])
+    B = np.ones((3, 3, 4))
+    with pytest.raises(eo.ElementError, match=r"^cell 17: energy projector rank-deficient"):
+        eo._solve_energy(G, B, np.array([5, 17, 30]))

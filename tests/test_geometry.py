@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lpsvem.geometry import (CutoutRectangle, ElementGeometry, GeometryError,
@@ -116,6 +116,11 @@ def test_element_geometry_invariants(n, r, seed):
     ang = np.sort(rng.uniform(0, 2 * np.pi, size=n))
     if np.min(np.diff(ang)) < 1e-2:
         return
+    # a gap of pi or more between neighbouring angles (the wrap-around gap
+    # included) leaves the origin outside the polygon, which may then be
+    # clockwise or self-intersecting: keep only star-shaped CCW polygons
+    gaps = np.append(np.diff(ang), 2 * np.pi - (ang[-1] - ang[0]))
+    assume(gaps.max() < np.pi)
     rad = r * (1.0 + 0.2 * rng.uniform(-1, 1, size=n))
     pts = np.column_stack([rad * np.cos(ang), rad * np.sin(ang)])
     geom = ElementGeometry(0, pts)
