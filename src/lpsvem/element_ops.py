@@ -88,24 +88,28 @@ class DofLayout:
         base = self.mesh.n_vertices + eid * (k - 1)
         return np.arange(base, base + (k - 1))
 
-    def cell_moment_dofs(self, ci: int) -> np.ndarray:
-        base = self.n_point + ci * self.n_moment_per_cell
-        return np.arange(base, base + self.n_moment_per_cell)
+    def group_dofs(self, cell_ids) -> np.ndarray:
+        """Global ids of cells with a common vertex count, one row per cell, in
+        local order: vertices, edge nodes (traversal order), internal moments."""
+        mesh, k = self.mesh, self.k
+        ids = np.asarray(cell_ids, dtype=int).reshape(-1)
+        loops = np.stack([mesh.cells[ci] for ci in ids])            # (m, nv)
+        cols = [loops]
+        if k > 1:
+            eids = np.stack([mesh.cell_edges[ci] for ci in ids])
+            base = (mesh.n_vertices + eids * (k - 1))[..., None]
+            step = np.arange(k - 1)
+            # an edge traversed against its canonical order lists its nodes reversed
+            forward = (mesh.edges[eids, 0] == loops)[..., None]
+            cols.append(np.where(forward, base + step, base + (k - 2 - step))
+                        .reshape(len(ids), -1))
+        nmom = self.n_moment_per_cell
+        cols.append(self.n_point + ids[:, None] * nmom + np.arange(nmom))
+        return np.concatenate(cols, axis=1)
 
     def cell_dofs(self, ci: int) -> np.ndarray:
-        """Global ids in local order: vertices, edge nodes (traversal order),
-        internal moments."""
-        mesh, k = self.mesh, self.k
-        cell = mesh.cells[ci]
-        ids = [cell]
-        for loc, eid in enumerate(mesh.cell_edges[ci]):
-            ed = self.edge_dofs(eid)
-            v0 = cell[loc]
-            if mesh.edges[eid, 0] != v0:  # traversed against canonical order
-                ed = ed[::-1]
-            ids.append(ed)
-        ids.append(self.cell_moment_dofs(ci))
-        return np.concatenate(ids)
+        """Global ids of one cell in local order (the one-cell ``group_dofs``)."""
+        return self.group_dofs([ci])[0]
 
     def point_dof_coords(self) -> np.ndarray:
         """Coordinates of all point-valued dofs (vertex + edge nodes)."""
@@ -175,17 +179,97 @@ class ElementOps:
     Gq: tuple[np.ndarray, np.ndarray]
     warnings: list[str]
 
-    @property
+    @functools.cached_property
     def eps_maps(self):
         """Coefficient maps of the projected symmetric gradient components
         (e11, e22, e12) acting on stacked [u1; u2] dof vectors."""
-        n = self.n_dof
-        gx, gy = self.P_grad
-        z = np.zeros_like(gx)
-        e11 = np.hstack([gx, z])
-        e22 = np.hstack([z, gy])
-        e12 = 0.5 * np.hstack([gy, gx])
-        return e11, e22, e12
+        return tuple(e[0] for e in _eps_maps(self.P_grad[0][None], self.P_grad[1][None]))
+
+
+def _eps_maps(gx: np.ndarray, gy: np.ndarray):
+    """(e11, e22, e12) of stacked gradient projections, shape (m, nk1, 2 n_dof)."""
+    z = np.zeros_like(gx)
+    return (np.concatenate([gx, z], axis=2), np.concatenate([z, gy], axis=2),
+            0.5 * np.concatenate([gy, gx], axis=2))
+
+
+# ElementOps array fields; GroupOps stacks each along the cells
+_STACKED = ("H", "Gt", "D", "P_nabla", "P_nabla_lo", "P_zero", "moments", "P_grad",
+            "P_grad_hi", "R_grad", "Div_lo", "Div_hi", "R_div", "S", "S_lo",
+            "lps_div_unit", "lps_press_unit", "lps_temp_unit", "diffusion_unit",
+            "b_div", "int_m", "mean_map", "Phi", "Phi_lo", "Pq", "Gq")
+
+
+def _take(a, key):
+    """``a[key]`` of an array or of each array of a tuple; the key None adds
+    a leading cell axis."""
+    return tuple(x[key] for x in a) if isinstance(a, tuple) else a[key]
+
+
+@dataclass
+class GroupOps:
+    """Operators of a group of cells with a common vertex count, stacked along
+    axis 0 in the order of ``cell_ids``.
+
+    Every array field of ``ElementOps`` appears here with the cells on its
+    first axis, and each cell's ``ElementOps`` holds views into these arrays.
+    ``dofs`` holds the global scalar dofs of each cell in local order.
+    """
+    cell_ids: np.ndarray            # (m,)
+    area: np.ndarray                # (m,)
+    diameter: np.ndarray            # (m,)
+    k: int
+    n_dof: int
+    qpts: np.ndarray                # (m, nq, 2)
+    qw: np.ndarray                  # (m, nq)
+    H: np.ndarray
+    Gt: np.ndarray
+    D: np.ndarray
+    P_nabla: np.ndarray
+    P_nabla_lo: np.ndarray
+    P_zero: np.ndarray
+    moments: np.ndarray
+    P_grad: tuple[np.ndarray, np.ndarray]
+    P_grad_hi: tuple[np.ndarray, np.ndarray]
+    R_grad: tuple[np.ndarray, np.ndarray]
+    Div_lo: np.ndarray
+    Div_hi: np.ndarray
+    R_div: np.ndarray
+    S: np.ndarray
+    S_lo: np.ndarray
+    lps_div_unit: np.ndarray
+    lps_press_unit: np.ndarray
+    lps_temp_unit: np.ndarray
+    diffusion_unit: np.ndarray
+    b_div: np.ndarray
+    int_m: np.ndarray
+    mean_map: np.ndarray
+    Phi: np.ndarray
+    Phi_lo: np.ndarray
+    Pq: np.ndarray
+    Gq: tuple[np.ndarray, np.ndarray]
+    dofs: np.ndarray | None = None  # (m, n_dof)
+
+    @functools.cached_property
+    def eps_maps(self):
+        """Stacked ``ElementOps.eps_maps``, built once per group."""
+        return _eps_maps(*self.P_grad)
+
+    @classmethod
+    def of_cell(cls, ops: ElementOps) -> GroupOps:
+        """The one-cell group of ``ops``; its arrays are views into those of ``ops``."""
+        stacked = {name: _take(getattr(ops, name), None) for name in _STACKED}
+        return cls(cell_ids=np.array([ops.geom.cell_id]), area=np.array([ops.geom.area]),
+                   diameter=np.array([ops.geom.diameter]), k=ops.k, n_dof=ops.n_dof,
+                   qpts=ops.quad.points[None], qw=ops.quad.weights[None], **stacked)
+
+    def element(self, j: int, geom: ElementGeometry, quad_degree: int,
+                warnings: list[str]) -> ElementOps:
+        """The ``ElementOps`` of the group's j-th cell, made of views."""
+        return ElementOps(
+            geom=geom, k=self.k, quad=PolygonQuadrature(self.qpts[j], self.qw[j], quad_degree),
+            basis=MonomialBasis(self.k, geom), n_dof=self.n_dof, warnings=warnings,
+            **{name: _take(getattr(self, name), j) for name in _STACKED})
 
 
 @functools.lru_cache(maxsize=None)
@@ -212,9 +296,11 @@ def _solve_energy(G: np.ndarray, B: np.ndarray, cell_ids) -> np.ndarray:
 
 
 def _build_group(group: CellGroup, k: int, quad_degree: int | None = None,
-                 geoms: list[ElementGeometry] | None = None) -> list[ElementOps]:
+                 geoms: list[ElementGeometry] | None = None
+                 ) -> tuple[GroupOps, list[ElementOps]]:
     """Every projector, fluctuation map and stabilizer of a group of cells with
-    a common vertex count, computed on arrays stacked along the cells.
+    a common vertex count, computed on arrays stacked along the cells; returns
+    the stacked operators and each cell's ``ElementOps`` of views into them.
 
     Each product is the stacked form of the one-cell product, and edge terms
     are added edge by edge, so every cell's result repeats the rounding of a
@@ -371,53 +457,58 @@ def _build_group(group: CellGroup, k: int, quad_degree: int | None = None,
     Pq = Phi @ P_zero
     Gq = tuple(Phi_lo @ P_grad[c] for c in (0, 1))
 
+    ops = GroupOps(
+        cell_ids=ids, area=group.area, diameter=group.diameter, k=k, n_dof=n_dof,
+        qpts=qpts, qw=qw, H=H, Gt=Gt, D=D, P_nabla=P_nabla, P_nabla_lo=P_nabla_lo,
+        P_zero=P_zero, moments=moments, P_grad=P_grad, P_grad_hi=P_grad_hi,
+        R_grad=R_grad, Div_lo=Div_lo, Div_hi=Div_hi, R_div=R_div, S=S, S_lo=S_lo,
+        lps_div_unit=lps_div_unit, lps_press_unit=lps_press_unit,
+        lps_temp_unit=lps_temp_unit, diffusion_unit=diffusion_unit, b_div=b_div,
+        int_m=int_m, mean_map=mean_map, Phi=Phi, Phi_lo=Phi_lo, Pq=Pq, Gq=Gq)
     if geoms is None:
         geoms = [ElementGeometry.from_group(group, j) for j in range(m)]
-    return [ElementOps(
-        geom=g, k=k, quad=PolygonQuadrature(qpts[j], qw[j], quad_degree),
-        basis=MonomialBasis(k, g), n_dof=n_dof, H=H[j], Gt=Gt[j], D=D[j],
-        P_nabla=P_nabla[j], P_nabla_lo=P_nabla_lo[j], P_zero=P_zero[j],
-        moments=moments[j], P_grad=(P_grad[0][j], P_grad[1][j]),
-        P_grad_hi=(P_grad_hi[0][j], P_grad_hi[1][j]),
-        R_grad=(R_grad[0][j], R_grad[1][j]), Div_lo=Div_lo[j], Div_hi=Div_hi[j],
-        R_div=R_div[j], S=S[j], S_lo=S_lo[j], lps_div_unit=lps_div_unit[j],
-        lps_press_unit=lps_press_unit[j], lps_temp_unit=lps_temp_unit[j],
-        diffusion_unit=diffusion_unit[j], b_div=b_div[j], int_m=int_m[j],
-        mean_map=mean_map[j], Phi=Phi[j], Phi_lo=Phi_lo[j], Pq=Pq[j],
-        Gq=(Gq[0][j], Gq[1][j]), warnings=msgs[j])
-        for j, g in enumerate(geoms)]
+    return ops, [ops.element(j, g, quad_degree, msgs[j]) for j, g in enumerate(geoms)]
 
 
 def build_cell_ops(geom: ElementGeometry, k: int, quad_degree: int | None = None) -> ElementOps:
     """Assemble every projector, fluctuation map and stabilizer on one cell."""
     group = CellGroup(np.array([geom.cell_id]), geom.vertices[None])
-    return _build_group(group, k, quad_degree, geoms=[geom])[0]
+    return _build_group(group, k, quad_degree, geoms=[geom])[1][0]
 
 
 @dataclass
 class MeshOps:
-    """Element operators for every cell plus the global dof layout."""
+    """Element operators for every cell plus the global dof layout.
+
+    ``groups`` holds the operators stacked per vertex-count group (ascending
+    vertex count); ``cells`` and ``cell_dofs`` list the same data per cell in
+    mesh order, as views into the group arrays.
+    """
     mesh: PolyMesh
     k: int
     layout: DofLayout
     cells: list[ElementOps]
     cell_dofs: list[np.ndarray]
+    groups: list[GroupOps]
 
     @property
     def n_scalar(self) -> int:
         return self.layout.n_scalar
 
     def interpolate_scalar(self, f) -> np.ndarray:
-        """Dof vector of a smooth function (point values + scaled moments)."""
+        """Dof vector of a smooth function (point values + scaled moments);
+        ``f`` is called once for the point dofs and once per group."""
         lay = self.layout
         out = np.zeros(lay.n_scalar)
         pts = lay.point_dof_coords()
         out[:lay.n_point] = f(pts[:, 0], pts[:, 1])
-        for ci, ops in enumerate(self.cells):
-            if lay.n_moment_per_cell:
-                vals = f(ops.quad.points[:, 0], ops.quad.points[:, 1])
-                mom = (ops.quad.weights * vals) @ ops.Phi[:, :lay.n_moment_per_cell]
-                out[lay.cell_moment_dofs(ci)] = mom / ops.geom.area
+        nmom = lay.n_moment_per_cell
+        if nmom:
+            for g in self.groups:
+                x, y = g.qpts[..., 0].ravel(), g.qpts[..., 1].ravel()
+                vals = np.broadcast_to(np.asarray(f(x, y), dtype=float), x.shape)
+                mom = ((g.qw * vals.reshape(g.qw.shape))[:, None, :] @ g.Phi[..., :nmom])[:, 0]
+                out[g.dofs[:, -nmom:]] = mom / g.area[:, None]
         return out
 
     def interpolate_vector(self, f1, f2) -> np.ndarray:
@@ -429,8 +520,13 @@ def build_mesh_ops(mesh: PolyMesh, k: int, quad_degree: int | None = None) -> Me
     and returned in mesh order."""
     layout = DofLayout(mesh, k)
     cells: list[ElementOps] = [None] * mesh.n_cells
+    cell_dofs: list[np.ndarray] = [None] * mesh.n_cells
+    groups = []
     for group in mesh.cell_groups():
-        for ci, ops in zip(group.cell_ids, _build_group(group, k, quad_degree)):
-            cells[ci] = ops
-    cell_dofs = [layout.cell_dofs(ci) for ci in range(mesh.n_cells)]
-    return MeshOps(mesh, k, layout, cells, cell_dofs)
+        gops, group_cells = _build_group(group, k, quad_degree)
+        gops.dofs = layout.group_dofs(group.cell_ids)
+        groups.append(gops)
+        for j, ci in enumerate(group.cell_ids):
+            cells[ci] = group_cells[j]
+            cell_dofs[ci] = gops.dofs[j]
+    return MeshOps(mesh, k, layout, cells, cell_dofs, groups)

@@ -3,6 +3,15 @@
 Local matrices act on local dof vectors (scalar fields) or on stacked
 [u1; u2] vectors (velocity).  Stabilization parameters scale per element as
 tau1 = c1, tau2 = c2*h_E^2 and tau3 = c3*h_E.
+
+Forms are assembled one vertex-count group of cells at a time: the
+``group_*`` kernels work on the stacked operators of ``element_ops.GroupOps``
+(arrays of shape (cells, ...)), and mu, kappa, the sources and the buoyancy
+field are called once per group on all of its quadrature points.  The
+``local_*`` functions are their one-cell case.  ``Assembler`` puts the local
+blocks back into mesh cell order before the sparse conversion, so shared
+entries are summed in the order of a cell-by-cell assembly and every global
+block equals that assembly bit for bit.
 """
 from __future__ import annotations
 
@@ -11,11 +20,18 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .element_ops import ElementOps, MeshOps
+from .element_ops import ElementOps, GroupOps, MeshOps
 
 
 class ConfigurationError(ValueError):
-    """Problem description inconsistent with the mesh or with itself."""
+    """Problem description inconsistent with the mesh or with itself.
+
+    ``cell_id`` names the cell the inconsistency was found on, if any.
+    """
+
+    def __init__(self, message: str, cell_id: int | None = None):
+        super().__init__(message)
+        self.cell_id = cell_id
 
 
 # ---------------------------------------------------------------------------
@@ -116,34 +132,159 @@ class ProblemSpec:
 
 
 # ---------------------------------------------------------------------------
-# local forms
+# group kernels and their one-cell cases
 # ---------------------------------------------------------------------------
+# Every product below is the stacked form of the one-cell product, with the
+# same operand layout, so each cell's result repeats the rounding of a
+# cell-by-cell evaluation.
 
-def _mu_values(ops: ElementOps, spec: ProblemSpec, phi_coeffs: np.ndarray):
-    """Viscosity at the quadrature points and at the cell mean temperature."""
+def _mT(a: np.ndarray) -> np.ndarray:
+    return a.transpose(0, 2, 1)
+
+
+def _coefficient(func, g: GroupOps, phi_coeffs: np.ndarray):
+    """``func`` at the quadrature points, (m, nq), and at the cell means, (m,),
+    of the temperature with Pi0_k coefficients ``phi_coeffs`` (m, nk); one call."""
+    vals = (g.Phi @ phi_coeffs[..., None])[..., 0]
+    means = (phi_coeffs[:, None, :] @ g.int_m[..., None])[:, 0, 0] / g.area
+    out = np.asarray(func(np.concatenate([vals.ravel(), means])), dtype=float)
+    return out[:vals.size].reshape(vals.shape), out[vals.size:]
+
+
+def group_viscous(g: GroupOps, spec: ProblemSpec, phi_coeffs: np.ndarray) -> np.ndarray:
+    """mu-weighted consistency term on projected strains plus VEM stabilizer,
+    (m, 2n, 2n); raises for the lowest cell whose mu leaves its bounds."""
     mu = spec.viscosity
-    vals = np.asarray(mu(ops.Phi @ phi_coeffs), dtype=float)
-    mu0 = float(mu(np.array([phi_coeffs @ ops.int_m / ops.geom.area]))[0])
+    mu_q, mu0 = _coefficient(mu, g, phi_coeffs)
     lo, hi = mu.mu_min * (1 - 1e-9), mu.mu_max * (1 + 1e-9)
-    if vals.min() < lo or vals.max() > hi or not (lo <= mu0 <= hi):
-        bad = float(vals.min() if vals.min() < lo else vals.max())
+    qmin, qmax = mu_q.min(axis=1), mu_q.max(axis=1)
+    bad = (qmin < lo) | (qmax > hi) | ~((lo <= mu0) & (mu0 <= hi))
+    if bad.any():
+        j = int(np.flatnonzero(bad)[0])
+        value = float(qmin[j] if qmin[j] < lo else qmax[j])
+        cell = int(g.cell_ids[j])
         raise ConfigurationError(
-            f"cell {ops.geom.cell_id}: viscosity value {bad:g} outside "
-            f"declared bounds [{mu.mu_min:g}, {mu.mu_max:g}]")
-    return vals, mu0
+            f"cell {cell}: viscosity value {value:g} outside "
+            f"declared bounds [{mu.mu_min:g}, {mu.mu_max:g}]", cell_id=cell)
+    w = g.qw * mu_q
+    Hmu = _mT(g.Phi_lo) @ (w[..., None] * g.Phi_lo)
+    e11, e22, e12 = g.eps_maps
+    A = _mT(e11) @ Hmu @ e11 + _mT(e22) @ Hmu @ e22 + 2.0 * (_mT(e12) @ Hmu @ e12)
+    n = g.n_dof
+    mu0S = mu0[:, None, None] * g.S
+    A[:, :n, :n] += mu0S
+    A[:, n:, n:] += mu0S
+    return 0.5 * (A + _mT(A))
+
+
+def group_temperature(g: GroupOps, spec: ProblemSpec,
+                      phi_coeffs: np.ndarray | None = None) -> np.ndarray:
+    """Diffusion on projected gradients plus kappa-scaled VEM stabilizer, (m, n, n)."""
+    kappa = spec.conductivity
+    if not isinstance(kappa, Conductivity):
+        return float(kappa) * g.diffusion_unit
+    if phi_coeffs is None:
+        raise ConfigurationError("nonlinear conductivity needs a temperature iterate")
+    k_q, k0 = _coefficient(kappa, g, phi_coeffs)
+    w = g.qw * k_q
+    Hk = _mT(g.Phi_lo) @ (w[..., None] * g.Phi_lo)
+    gx, gy = g.P_grad
+    A = _mT(gx) @ Hk @ gx + _mT(gy) @ Hk @ gy + k0[:, None, None] * g.S
+    return 0.5 * (A + _mT(A))
+
+
+def group_convection(g: GroupOps, u_coeffs: np.ndarray, form: str = "skew") -> np.ndarray:
+    """Convection matrices tested with Pi0_k psi, (m, n, n); rows psi, columns phi.
+
+    ``u_coeffs`` holds the Pi0_k coefficients of both velocity components,
+    shape (m, 2, dim P_k).  The skew variant returns (c - c^T)/2 exactly.
+    """
+    V1 = (g.Phi @ u_coeffs[:, 0, :, None])[..., 0]
+    V2 = (g.Phi @ u_coeffs[:, 1, :, None])[..., 0]
+    w = g.qw
+    conv = _mT(g.Pq) @ ((w * V1)[..., None] * g.Gq[0] + (w * V2)[..., None] * g.Gq[1])
+    if form == "convective":
+        return conv
+    return 0.5 * (conv - _mT(conv))
+
+
+def group_lps_terms(g: GroupOps, spec: ProblemSpec):
+    """(L1, L2, L3) of a group with the tau scalings applied."""
+    # taus of Python floats, as in the one-cell call spec.taus(geom.diameter)
+    taus = np.array([spec.taus(h) for h in g.diameter.tolist()])[:, :, None, None]
+    return (taus[:, 0] * g.lps_div_unit, taus[:, 1] * g.lps_press_unit,
+            taus[:, 2] * g.lps_temp_unit)
+
+
+def _field_values(g: GroupOps, fields) -> list[np.ndarray]:
+    """Evaluate each ``(name, func, components)`` on all quadrature points of
+    the group, as (m, nq) or (components, m, nq).  A non-finite value raises
+    for the lowest such cell, naming its first bad quadrature point; within a
+    cell the earlier field in ``fields`` is named."""
+    x, y = g.qpts[..., 0].ravel(), g.qpts[..., 1].ravel()
+    out, first = [], None
+    for what, func, ncomp in fields:
+        shape = g.qw.shape if ncomp == 1 else (ncomp, *g.qw.shape)
+        flat = (x.size,) if ncomp == 1 else (ncomp, x.size)
+        vals = np.broadcast_to(np.asarray(func(x, y), dtype=float), flat).reshape(shape)
+        finite = np.isfinite(vals)
+        if ncomp > 1:
+            finite = finite.all(axis=0)
+        bad = np.flatnonzero(~finite.all(axis=1))
+        if len(bad) and (first is None or bad[0] < first[0]):
+            j = int(bad[0])
+            pt = g.qpts[j, np.flatnonzero(~finite[j])[0]]
+            first = (j, f"{what} is not finite near ({pt[0]:.6g}, {pt[1]:.6g})")
+        out.append(vals)
+    if first is not None:
+        raise ConfigurationError(first[1], cell_id=int(g.cell_ids[first[0]]))
+    return out
+
+
+def _test_with_Pq(g: GroupOps, vals: np.ndarray) -> np.ndarray:
+    """int_E vals * Pi0_k psi for every local dof psi: (m, nq) -> (m, n)."""
+    return (_mT(g.Pq) @ vals[..., None])[..., 0]
+
+
+def _buoyancy_load(g: GroupOps, spec: ProblemSpec, fb: np.ndarray,
+                   phi_coeffs: np.ndarray | None) -> np.ndarray:
+    """alpha * phi * f_b tested with Pi0_k v, (m, 2n)."""
+    phi_vals = (np.zeros(g.qw.shape) if phi_coeffs is None
+                else (g.Phi @ phi_coeffs[..., None])[..., 0])
+    w = g.qw
+    return np.concatenate([_test_with_Pq(g, w * spec.alpha * fb[0] * phi_vals),
+                           _test_with_Pq(g, w * spec.alpha * fb[1] * phi_vals)], axis=1)
+
+
+def group_loads(g: GroupOps, spec: ProblemSpec, phi_coeffs: np.ndarray | None = None):
+    """(momentum rhs (m, 2n), heat rhs (m, n)) of a group of cells."""
+    m, n = len(g.cell_ids), g.n_dof
+    has_buoyancy = spec.buoyancy is not None and spec.alpha != 0.0
+    fields = [f for f in (("momentum source", spec.fixed_source, 2),
+                          ("buoyancy field", spec.buoyancy if has_buoyancy else None, 2),
+                          ("heat source", spec.heat_source, 1)) if f[1] is not None]
+    vals = dict(zip((f[0] for f in fields), _field_values(g, fields)))
+    w = g.qw
+    rhs_m = np.zeros((m, 2 * n))
+    if "momentum source" in vals:
+        F = vals["momentum source"]
+        rhs_m[:, :n] += _test_with_Pq(g, w * F[0])
+        rhs_m[:, n:] += _test_with_Pq(g, w * F[1])
+    if has_buoyancy:
+        rhs_m += _buoyancy_load(g, spec, vals["buoyancy field"], phi_coeffs)
+    rhs_h = np.zeros((m, n))
+    if "heat source" in vals:
+        rhs_h = _test_with_Pq(g, w * vals["heat source"])
+    return rhs_m, rhs_h
+
+
+def _one_cell(coeffs):
+    return None if coeffs is None else np.asarray(coeffs, dtype=float)[None]
 
 
 def local_viscous(ops: ElementOps, spec: ProblemSpec, phi_coeffs: np.ndarray) -> np.ndarray:
     """mu-weighted consistency term on projected strains plus VEM stabilizer."""
-    mu_q, mu0 = _mu_values(ops, spec, phi_coeffs)
-    w = ops.quad.weights * mu_q
-    Hmu = ops.Phi_lo.T @ (w[:, None] * ops.Phi_lo)
-    e11, e22, e12 = ops.eps_maps
-    A = e11.T @ Hmu @ e11 + e22.T @ Hmu @ e22 + 2.0 * (e12.T @ Hmu @ e12)
-    n = ops.n_dof
-    A[:n, :n] += mu0 * ops.S
-    A[n:, n:] += mu0 * ops.S
-    return 0.5 * (A + A.T)
+    return group_viscous(GroupOps.of_cell(ops), spec, _one_cell(phi_coeffs))[0]
 
 
 def local_divergence(ops: ElementOps) -> np.ndarray:
@@ -154,18 +295,7 @@ def local_divergence(ops: ElementOps) -> np.ndarray:
 def local_temperature(ops: ElementOps, spec: ProblemSpec,
                       phi_coeffs: np.ndarray | None = None) -> np.ndarray:
     """Diffusion on projected gradients plus kappa-scaled VEM stabilizer."""
-    kappa = spec.conductivity
-    if not isinstance(kappa, Conductivity):
-        return float(kappa) * ops.diffusion_unit
-    if phi_coeffs is None:
-        raise ConfigurationError("nonlinear conductivity needs a temperature iterate")
-    k_q = np.asarray(kappa(ops.Phi @ phi_coeffs), dtype=float)
-    k0 = float(kappa(np.array([phi_coeffs @ ops.int_m / ops.geom.area]))[0])
-    w = ops.quad.weights * k_q
-    Hk = ops.Phi_lo.T @ (w[:, None] * ops.Phi_lo)
-    gx, gy = ops.P_grad
-    A = gx.T @ Hk @ gx + gy.T @ Hk @ gy + k0 * ops.S
-    return 0.5 * (A + A.T)
+    return group_temperature(GroupOps.of_cell(ops), spec, _one_cell(phi_coeffs))[0]
 
 
 def local_convection(ops: ElementOps, u_coeffs: np.ndarray, form: str = "skew") -> np.ndarray:
@@ -174,51 +304,19 @@ def local_convection(ops: ElementOps, u_coeffs: np.ndarray, form: str = "skew") 
     ``u_coeffs`` holds the Pi0_k coefficients of both velocity components,
     shape (2, dim P_k).  The skew variant returns (c - c^T)/2 exactly.
     """
-    V1 = ops.Phi @ u_coeffs[0]
-    V2 = ops.Phi @ u_coeffs[1]
-    w = ops.quad.weights
-    conv = ops.Pq.T @ ((w * V1)[:, None] * ops.Gq[0] + (w * V2)[:, None] * ops.Gq[1])
-    if form == "convective":
-        return conv
-    return 0.5 * (conv - conv.T)
+    return group_convection(GroupOps.of_cell(ops), _one_cell(u_coeffs), form)[0]
 
 
 def local_lps_terms(ops: ElementOps, spec: ProblemSpec):
     """(L1, L2, L3) on one element with the tau scalings applied."""
-    t1, t2, t3 = spec.taus(ops.geom.diameter)
-    return t1 * ops.lps_div_unit, t2 * ops.lps_press_unit, t3 * ops.lps_temp_unit
-
-
-def _check_finite(vals, ops, what):
-    vals = np.asarray(vals, dtype=float)
-    if not np.all(np.isfinite(vals)):
-        bad = ops.quad.points[~np.isfinite(vals.reshape(len(ops.quad.points), -1)).all(axis=1)][0]
-        raise ConfigurationError(
-            f"{what} is not finite near ({bad[0]:.6g}, {bad[1]:.6g})")
-    return vals
+    return tuple(L[0] for L in group_lps_terms(GroupOps.of_cell(ops), spec))
 
 
 def local_loads(ops: ElementOps, spec: ProblemSpec,
                 phi_coeffs: np.ndarray | None = None):
     """(momentum rhs (2n,), heat rhs (n,)) for one element."""
-    x, y = ops.quad.points[:, 0], ops.quad.points[:, 1]
-    w = ops.quad.weights
-    n = ops.n_dof
-    rhs_m = np.zeros(2 * n)
-    if spec.fixed_source is not None:
-        F = _check_finite(spec.fixed_source(x, y), ops, "momentum source")
-        rhs_m[:n] += ops.Pq.T @ (w * F[0])
-        rhs_m[n:] += ops.Pq.T @ (w * F[1])
-    if spec.buoyancy is not None and spec.alpha != 0.0:
-        fb = _check_finite(spec.buoyancy(x, y), ops, "buoyancy field")
-        phi_vals = np.zeros(len(w)) if phi_coeffs is None else ops.Phi @ phi_coeffs
-        rhs_m[:n] += ops.Pq.T @ (w * spec.alpha * fb[0] * phi_vals)
-        rhs_m[n:] += ops.Pq.T @ (w * spec.alpha * fb[1] * phi_vals)
-    rhs_h = np.zeros(n)
-    if spec.heat_source is not None:
-        gv = _check_finite(spec.heat_source(x, y), ops, "heat source")
-        rhs_h = ops.Pq.T @ (w * gv)
-    return rhs_m, rhs_h
+    rhs_m, rhs_h = group_loads(GroupOps.of_cell(ops), spec, _one_cell(phi_coeffs))
+    return rhs_m[0], rhs_h[0]
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +383,68 @@ class AssembledSystem:
                                self.dirichlet_phi)
 
 
+class _CellOrder:
+    """Concatenates per-group arrays with s entries per cell, cell by cell in
+    mesh order."""
+
+    def __init__(self, cell_ids: list[np.ndarray], sizes: list[int]):
+        if len(cell_ids) == 1:
+            # one group holds every cell in mesh order
+            self._pos = None
+            return
+        size = np.empty(sum(len(ids) for ids in cell_ids), dtype=int)
+        for ids, s in zip(cell_ids, sizes):
+            size[ids] = s
+        start = np.cumsum(size) - size
+        self._total = int(size.sum())
+        self._pos = [start[ids][:, None] + np.arange(s) for ids, s in zip(cell_ids, sizes)]
+
+    def __call__(self, arrays: list[np.ndarray]) -> np.ndarray:
+        if self._pos is None:
+            return arrays[0].reshape(-1)
+        out = np.empty(self._total, dtype=arrays[0].dtype)
+        for pos, a in zip(self._pos, arrays):
+            out[pos] = a.reshape(pos.shape)
+        return out
+
+
+class _BlockPattern:
+    """COO pattern of local blocks (row dofs x column dofs of each cell) in
+    mesh cell order, so that the CSR conversion sums duplicates in the order
+    of a cell-by-cell assembly."""
+
+    def __init__(self, cell_ids, row_dofs, col_dofs, shape):
+        self.shape = shape
+        self.order = _CellOrder(cell_ids, [r.shape[1] * c.shape[1]
+                                           for r, c in zip(row_dofs, col_dofs)])
+        self.rows = self.order([np.repeat(r, c.shape[1], axis=1)
+                                for r, c in zip(row_dofs, col_dofs)])
+        self.cols = self.order([np.tile(c, (1, r.shape[1]))
+                                for r, c in zip(row_dofs, col_dofs)])
+
+    def assemble(self, local: list[np.ndarray]) -> sp.csr_matrix:
+        """Global matrix of per-group stacked local matrices."""
+        return sp.coo_matrix((self.order(local), (self.rows, self.cols)),
+                             shape=self.shape).tocsr()
+
+
+class _VectorPattern:
+    """Global rows of per-cell local vectors in mesh cell order, so that the
+    scatter-add sums shared dofs in the order of a cell-by-cell assembly."""
+
+    def __init__(self, cell_ids, dofs):
+        self.order = _CellOrder(cell_ids, [d.shape[1] for d in dofs])
+        self.rows = self.order(dofs)
+
+    def add(self, out: np.ndarray, local: list[np.ndarray]) -> np.ndarray:
+        """Add per-group stacked local vectors into ``out``."""
+        np.add.at(out, self.rows, self.order(local))
+        return out
+
+
 class Assembler:
-    """Scatter-add assembly with precomputed sparsity and static blocks."""
+    """Scatter-add assembly with precomputed sparsity and static blocks; every
+    local form is computed one vertex-count group at a time."""
 
     def __init__(self, mops: MeshOps, spec: ProblemSpec):
         self.mops = mops
@@ -302,6 +460,7 @@ class Assembler:
         if missing:
             raise ConfigurationError(f"velocity Dirichlet data missing on markers {missing}")
         self.N = mops.n_scalar
+        self.groups = mops.groups
         self._index_arrays()
         self._static_blocks()
         self._dirichlet()
@@ -311,63 +470,46 @@ class Assembler:
 
     def _index_arrays(self):
         N = self.N
-        rows_s, cols_s = [], []       # scalar x scalar blocks
-        rows_v, cols_v = [], []       # vector x vector blocks
-        rows_b, cols_b = [], []       # pressure x vector block
-        self.vec_dofs = []
-        for cd in self.mops.cell_dofs:
-            vd = np.concatenate([cd, cd + N])
-            self.vec_dofs.append(vd)
-            rows_s.append(np.repeat(cd, len(cd)))
-            cols_s.append(np.tile(cd, len(cd)))
-            rows_v.append(np.repeat(vd, len(vd)))
-            cols_v.append(np.tile(vd, len(vd)))
-            rows_b.append(np.repeat(cd, len(vd)))
-            cols_b.append(np.tile(vd, len(cd)))
-        self._rs = np.concatenate(rows_s)
-        self._cs = np.concatenate(cols_s)
-        self._rv = np.concatenate(rows_v)
-        self._cv = np.concatenate(cols_v)
-        self._rb = np.concatenate(rows_b)
-        self._cb = np.concatenate(cols_b)
+        ids = [g.cell_ids for g in self.groups]
+        sdofs = [g.dofs for g in self.groups]
+        vdofs = [np.concatenate([d, d + N], axis=1) for d in sdofs]
+        self._scalar = _BlockPattern(ids, sdofs, sdofs, (N, N))
+        self._vector = _BlockPattern(ids, vdofs, vdofs, (2 * N, 2 * N))
+        self._pv = _BlockPattern(ids, sdofs, vdofs, (N, 2 * N))
+        self._scalar_rhs = _VectorPattern(ids, sdofs)
+        self._vector_rhs = _VectorPattern(ids, vdofs)
 
-    def _scalar_block(self, vals_per_cell) -> sp.csr_matrix:
-        vals = np.concatenate([v.ravel() for v in vals_per_cell])
-        return sp.coo_matrix((vals, (self._rs, self._cs)), shape=(self.N, self.N)).tocsr()
-
-    def _vector_block(self, vals_per_cell) -> sp.csr_matrix:
-        vals = np.concatenate([v.ravel() for v in vals_per_cell])
-        return sp.coo_matrix((vals, (self._rv, self._cv)), shape=(2 * self.N, 2 * self.N)).tocsr()
-
-    def _pv_block(self, vals_per_cell) -> sp.csr_matrix:
-        vals = np.concatenate([v.ravel() for v in vals_per_cell])
-        return sp.coo_matrix((vals, (self._rb, self._cb)), shape=(self.N, 2 * self.N)).tocsr()
+    def _per_group(self, kernel, *per_group_args) -> list:
+        """``kernel(g, *args)`` on every group; of the errors that name a cell,
+        the one naming the lowest cell id is raised."""
+        out, first = [], None
+        for g, *args in zip(self.groups, *per_group_args):
+            try:
+                out.append(kernel(g, *args))
+            except ConfigurationError as exc:
+                if exc.cell_id is None:
+                    raise
+                if first is None or exc.cell_id < first.cell_id:
+                    first = exc
+        if first is not None:
+            raise first
+        return out
 
     # -- static pieces ---------------------------------------------------------
 
     def _static_blocks(self):
-        spec, mops = self.spec, self.mops
-        l1, l2, l3, bdiv, hsurr, m0 = [], [], [], [], [], []
-        mean = np.zeros(self.N)
-        for ops, cd in zip(mops.cells, mops.cell_dofs):
-            t1, t2, t3 = spec.taus(ops.geom.diameter)
-            l1.append(t1 * ops.lps_div_unit)
-            l2.append(t2 * ops.lps_press_unit)
-            l3.append(t3 * ops.lps_temp_unit)
-            bdiv.append(ops.b_div)
-            hsurr.append(ops.diffusion_unit)
-            m0.append(ops.P_zero.T @ ops.H @ ops.P_zero)
-            mean[cd] += ops.P_zero.T @ ops.int_m
-        self.L1 = self._vector_block(l1)
-        self.L2 = self._scalar_block(l2)
-        self.L3 = self._scalar_block(l3)
-        self.B = self._pv_block(bdiv)
-        self.h1_surrogate = self._scalar_block(hsurr)
-        self.mass0 = self._scalar_block(m0)
-        self.mean_row = mean
+        spec, groups = self.spec, self.groups
+        lps = [group_lps_terms(g, spec) for g in groups]
+        self.L1 = self._vector.assemble([L[0] for L in lps])
+        self.L2 = self._scalar.assemble([L[1] for L in lps])
+        self.L3 = self._scalar.assemble([L[2] for L in lps])
+        self.B = self._pv.assemble([g.b_div for g in groups])
+        self.h1_surrogate = self._scalar.assemble([g.diffusion_unit for g in groups])
+        self.mass0 = self._scalar.assemble([_mT(g.P_zero) @ g.H @ g.P_zero for g in groups])
+        self.mean_row = self._scalar_rhs.add(
+            np.zeros(self.N), [(_mT(g.P_zero) @ g.int_m[..., None])[..., 0] for g in groups])
         if not isinstance(spec.conductivity, Conductivity):
-            self.A_TT_const = self._scalar_block(
-                [float(spec.conductivity) * ops.diffusion_unit for ops in mops.cells])
+            self.A_TT_const = self._scalar.assemble([group_temperature(g, spec) for g in groups])
         else:
             self.A_TT_const = None
 
@@ -399,33 +541,30 @@ class Assembler:
 
     def _static_rhs(self):
         """Heat source and fixed momentum source do not depend on the iterate."""
-        spec, mops = self.spec, self.mops
-        rhs_m = np.zeros(2 * self.N)
-        rhs_h = np.zeros(self.N)
+        spec = self.spec
         static = ProblemSpec(
             k=spec.k, viscosity=spec.viscosity, conductivity=spec.conductivity,
             bcs=spec.bcs, alpha=0.0, buoyancy=None, fixed_source=spec.fixed_source,
             heat_source=spec.heat_source, c1=spec.c1, c2=spec.c2, c3=spec.c3,
             convection_form=spec.convection_form)
-        for ops, cd, vd in zip(mops.cells, mops.cell_dofs, self.vec_dofs):
-            rm, rh = local_loads(ops, static, None)
-            rhs_m[vd] += rm
-            rhs_h[cd] += rh
-        self._rhs_m_static = rhs_m
-        self._rhs_h_static = rhs_h
+        loads = self._per_group(lambda g: group_loads(g, static))
+        self._rhs_m_static = self._vector_rhs.add(np.zeros(2 * self.N), [rm for rm, _ in loads])
+        self._rhs_h_static = self._scalar_rhs.add(np.zeros(self.N), [rh for _, rh in loads])
         self._has_buoyancy = spec.buoyancy is not None and spec.alpha != 0.0
 
     # -- per-iterate assembly -------------------------------------------------
 
     def phi_cell_coeffs(self, phi: np.ndarray) -> list[np.ndarray]:
-        return [ops.P_zero @ phi[cd] for ops, cd in zip(self.mops.cells, self.mops.cell_dofs)]
+        """Pi0_k coefficients of phi on every cell, one (m, dim P_k) array per group."""
+        return [(g.P_zero @ phi[g.dofs][..., None])[..., 0] for g in self.groups]
 
     def u_cell_coeffs(self, u: np.ndarray) -> list[np.ndarray]:
+        """Pi0_k coefficients of both velocity components, one (m, 2, dim P_k)
+        array per group."""
         N = self.N
-        out = []
-        for ops, cd in zip(self.mops.cells, self.mops.cell_dofs):
-            out.append(np.vstack([ops.P_zero @ u[cd], ops.P_zero @ u[cd + N]]))
-        return out
+        return [np.stack([(g.P_zero @ u[g.dofs][..., None])[..., 0],
+                          (g.P_zero @ u[g.dofs + N][..., None])[..., 0]], axis=1)
+                for g in self.groups]
 
     def build_stokes(self, phi: np.ndarray) -> StokesSystem:
         return StokesSystem(
@@ -454,49 +593,42 @@ class Assembler:
             rhs_heat=tr.rhs_heat, mean_row=self.mean_row,
             dirichlet_u=self.dirichlet_u, dirichlet_phi=self.dirichlet_phi)
 
-
     # -- split assembly used by the Picard sweep -------------------------------
 
     def viscous_block(self, phi: np.ndarray) -> sp.csr_matrix:
         spec = self.spec
         if spec.viscosity.mu_min == spec.viscosity.mu_max:
             if not hasattr(self, "_visc_const"):
-                phi_c = self.phi_cell_coeffs(np.zeros(self.N))
-                self._visc_const = self._vector_block(
-                    [local_viscous(o, spec, c) for o, c in zip(self.mops.cells, phi_c)])
+                self._visc_const = self._viscous(np.zeros(self.N))
             return self._visc_const
-        phi_c = self.phi_cell_coeffs(phi)
-        return self._vector_block(
-            [local_viscous(o, spec, c) for o, c in zip(self.mops.cells, phi_c)])
+        return self._viscous(phi)
+
+    def _viscous(self, phi: np.ndarray) -> sp.csr_matrix:
+        return self._vector.assemble(self._per_group(
+            lambda g, pc: group_viscous(g, self.spec, pc), self.phi_cell_coeffs(phi)))
 
     def convection_block(self, u: np.ndarray) -> sp.csr_matrix:
-        u_c = self.u_cell_coeffs(u)
-        return self._scalar_block(
-            [local_convection(o, c, self.spec.convection_form)
-             for o, c in zip(self.mops.cells, u_c)])
+        form = self.spec.convection_form
+        return self._scalar.assemble(
+            [group_convection(g, uc, form) for g, uc in zip(self.groups, self.u_cell_coeffs(u))])
 
     def diffusion_block(self, phi: np.ndarray) -> sp.csr_matrix:
         if self.A_TT_const is not None:
             return self.A_TT_const
-        phi_c = self.phi_cell_coeffs(phi)
-        return self._scalar_block(
-            [local_temperature(o, self.spec, c) for o, c in zip(self.mops.cells, phi_c)])
+        return self._scalar.assemble(
+            [group_temperature(g, self.spec, pc)
+             for g, pc in zip(self.groups, self.phi_cell_coeffs(phi))])
 
     def momentum_rhs(self, phi: np.ndarray) -> np.ndarray:
         rhs = self._rhs_m_static.copy()
         if not self._has_buoyancy:
             return rhs
         spec = self.spec
-        phi_c = self.phi_cell_coeffs(phi)
-        for ops, vd, pc in zip(self.mops.cells, self.vec_dofs, phi_c):
-            x, y = ops.quad.points[:, 0], ops.quad.points[:, 1]
-            w = ops.quad.weights
-            fb = _check_finite(spec.buoyancy(x, y), ops, "buoyancy field")
-            phi_vals = ops.Phi @ pc
-            rhs[vd] += np.concatenate([
-                ops.Pq.T @ (w * spec.alpha * fb[0] * phi_vals),
-                ops.Pq.T @ (w * spec.alpha * fb[1] * phi_vals)])
-        return rhs
+
+        def load(g, pc):
+            fb, = _field_values(g, [("buoyancy field", spec.buoyancy, 2)])
+            return _buoyancy_load(g, spec, fb, pc)
+        return self._vector_rhs.add(rhs, self._per_group(load, self.phi_cell_coeffs(phi)))
 
 
 def assemble_global(mops: MeshOps, spec: ProblemSpec,

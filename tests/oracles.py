@@ -5,8 +5,9 @@ the library: exact closed-form monomial integrals, an independently built
 over-integrated quadrature, dense KKT/normal-equation projector solves, pure
 per-entry loops for the local forms, a P1 finite element realizer that
 solves the local defining problem of a virtual function on a refined
-sub-triangulation, and the cell-by-cell construction of the element operators
-that the grouped ``build_mesh_ops`` is checked against.
+sub-triangulation, and the cell-by-cell constructions of the element operators
+and of the global assembly that the grouped ``build_mesh_ops`` and
+``forms.Assembler`` are checked against.
 """
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ import math
 import warnings
 
 import numpy as np
+import scipy.sparse as sparse
 from scipy.special import roots_legendre
 
 from lpsvem import element_ops as eo
@@ -852,3 +854,163 @@ def reference_cell_ops(geom: ElementGeometry, k: int,
         lps_temp_unit=lps_temp_unit, diffusion_unit=diffusion_unit,
         b_div=b_div, int_m=int_m, mean_map=mean_map, Phi=Phi, Phi_lo=Phi_lo,
         Pq=Pq, Gq=Gq, warnings=msgs)
+
+
+# ---------------------------------------------------------------------------
+# cell-by-cell reference of the global assembly
+# ---------------------------------------------------------------------------
+
+def _reference_mu_values(ops, spec, phi_coeffs):
+    mu = spec.viscosity
+    vals = np.asarray(mu(ops.Phi @ phi_coeffs), dtype=float)
+    mu0 = float(mu(np.array([phi_coeffs @ ops.int_m / ops.geom.area]))[0])
+    lo, hi = mu.mu_min * (1 - 1e-9), mu.mu_max * (1 + 1e-9)
+    if vals.min() < lo or vals.max() > hi or not (lo <= mu0 <= hi):
+        bad = float(vals.min() if vals.min() < lo else vals.max())
+        raise forms.ConfigurationError(
+            f"cell {ops.geom.cell_id}: viscosity value {bad:g} outside "
+            f"declared bounds [{mu.mu_min:g}, {mu.mu_max:g}]")
+    return vals, mu0
+
+
+def reference_local_viscous(ops, spec, phi_coeffs):
+    mu_q, mu0 = _reference_mu_values(ops, spec, phi_coeffs)
+    w = ops.quad.weights * mu_q
+    Hmu = ops.Phi_lo.T @ (w[:, None] * ops.Phi_lo)
+    gx, gy = ops.P_grad
+    z = np.zeros_like(gx)
+    e11, e22, e12 = np.hstack([gx, z]), np.hstack([z, gy]), 0.5 * np.hstack([gy, gx])
+    A = e11.T @ Hmu @ e11 + e22.T @ Hmu @ e22 + 2.0 * (e12.T @ Hmu @ e12)
+    n = ops.n_dof
+    A[:n, :n] += mu0 * ops.S
+    A[n:, n:] += mu0 * ops.S
+    return 0.5 * (A + A.T)
+
+
+def reference_local_temperature(ops, spec, phi_coeffs=None):
+    kappa = spec.conductivity
+    if not isinstance(kappa, forms.Conductivity):
+        return float(kappa) * ops.diffusion_unit
+    if phi_coeffs is None:
+        raise forms.ConfigurationError("nonlinear conductivity needs a temperature iterate")
+    k_q = np.asarray(kappa(ops.Phi @ phi_coeffs), dtype=float)
+    k0 = float(kappa(np.array([phi_coeffs @ ops.int_m / ops.geom.area]))[0])
+    w = ops.quad.weights * k_q
+    Hk = ops.Phi_lo.T @ (w[:, None] * ops.Phi_lo)
+    gx, gy = ops.P_grad
+    A = gx.T @ Hk @ gx + gy.T @ Hk @ gy + k0 * ops.S
+    return 0.5 * (A + A.T)
+
+
+def reference_local_convection(ops, u_coeffs, form="skew"):
+    V1 = ops.Phi @ u_coeffs[0]
+    V2 = ops.Phi @ u_coeffs[1]
+    w = ops.quad.weights
+    conv = ops.Pq.T @ ((w * V1)[:, None] * ops.Gq[0] + (w * V2)[:, None] * ops.Gq[1])
+    if form == "convective":
+        return conv
+    return 0.5 * (conv - conv.T)
+
+
+def _reference_check_finite(vals, ops, what):
+    """A quadrature point is bad when any component of the field is not finite."""
+    vals = np.asarray(vals, dtype=float)
+    finite = np.isfinite(vals.reshape(-1, len(ops.quad.points))).all(axis=0)
+    if not finite.all():
+        bad = ops.quad.points[~finite][0]
+        raise forms.ConfigurationError(
+            f"{what} is not finite near ({bad[0]:.6g}, {bad[1]:.6g})")
+    return vals
+
+
+def reference_local_loads(ops, spec, phi_coeffs=None):
+    x, y = ops.quad.points[:, 0], ops.quad.points[:, 1]
+    w = ops.quad.weights
+    n = ops.n_dof
+    rhs_m = np.zeros(2 * n)
+    if spec.fixed_source is not None:
+        F = _reference_check_finite(spec.fixed_source(x, y), ops, "momentum source")
+        rhs_m[:n] += ops.Pq.T @ (w * F[0])
+        rhs_m[n:] += ops.Pq.T @ (w * F[1])
+    if spec.buoyancy is not None and spec.alpha != 0.0:
+        fb = _reference_check_finite(spec.buoyancy(x, y), ops, "buoyancy field")
+        phi_vals = np.zeros(len(w)) if phi_coeffs is None else ops.Phi @ phi_coeffs
+        rhs_m[:n] += ops.Pq.T @ (w * spec.alpha * fb[0] * phi_vals)
+        rhs_m[n:] += ops.Pq.T @ (w * spec.alpha * fb[1] * phi_vals)
+    rhs_h = np.zeros(n)
+    if spec.heat_source is not None:
+        gv = _reference_check_finite(spec.heat_source(x, y), ops, "heat source")
+        rhs_h = ops.Pq.T @ (w * gv)
+    return rhs_m, rhs_h
+
+
+def reference_assembly(mops, spec, u=None, phi=None) -> dict:
+    """Every global block and right-hand side of ``forms.Assembler`` for the
+    iterate (u, phi), assembled cell by cell in mesh order (the reference for
+    the grouped assembly)."""
+    N = mops.n_scalar
+    u = np.zeros(2 * N) if u is None else u
+    phi = np.zeros(N) if phi is None else phi
+    cells, cdofs = mops.cells, mops.cell_dofs
+    vdofs = [np.concatenate([cd, cd + N]) for cd in cdofs]
+
+    def block(vals, rows, cols, shape):
+        r = np.concatenate([np.repeat(rd, len(cd)) for rd, cd in zip(rows, cols)])
+        c = np.concatenate([np.tile(cd, len(rd)) for rd, cd in zip(rows, cols)])
+        v = np.concatenate([a.ravel() for a in vals])
+        return sparse.coo_matrix((v, (r, c)), shape=shape).tocsr()
+
+    def scalar(vals):
+        return block(vals, cdofs, cdofs, (N, N))
+
+    def vector(vals):
+        return block(vals, vdofs, vdofs, (2 * N, 2 * N))
+
+    phi_c = [ops.P_zero @ phi[cd] for ops, cd in zip(cells, cdofs)]
+    u_c = [np.vstack([ops.P_zero @ u[cd], ops.P_zero @ u[cd + N]])
+           for ops, cd in zip(cells, cdofs)]
+    taus = [spec.taus(ops.geom.diameter) for ops in cells]
+    mean = np.zeros(N)
+    for ops, cd in zip(cells, cdofs):
+        mean[cd] += ops.P_zero.T @ ops.int_m
+    if spec.viscosity.mu_min == spec.viscosity.mu_max:
+        visc_c = [ops.P_zero @ np.zeros(len(cd)) for ops, cd in zip(cells, cdofs)]
+    else:
+        visc_c = phi_c
+    L1 = vector([t[0] * ops.lps_div_unit for ops, t in zip(cells, taus)])
+    out = {
+        "L1": L1,
+        "L2": scalar([t[1] * ops.lps_press_unit for ops, t in zip(cells, taus)]),
+        "L3": scalar([t[2] * ops.lps_temp_unit for ops, t in zip(cells, taus)]),
+        "B": block([ops.b_div for ops in cells], cdofs, vdofs, (N, 2 * N)),
+        "h1_surrogate": scalar([ops.diffusion_unit for ops in cells]),
+        "mass0": scalar([ops.P_zero.T @ ops.H @ ops.P_zero for ops in cells]),
+        "mean_row": mean,
+        "A_uu": (vector([reference_local_viscous(o, spec, c)
+                         for o, c in zip(cells, visc_c)]) + L1).tocsr(),
+        "A_TT": scalar([reference_local_temperature(o, spec, c)
+                        for o, c in zip(cells, phi_c)]),
+        "C": scalar([reference_local_convection(o, c, spec.convection_form)
+                     for o, c in zip(cells, u_c)]),
+    }
+    static = forms.ProblemSpec(
+        k=spec.k, viscosity=spec.viscosity, conductivity=spec.conductivity,
+        bcs=spec.bcs, alpha=0.0, buoyancy=None, fixed_source=spec.fixed_source,
+        heat_source=spec.heat_source, c1=spec.c1, c2=spec.c2, c3=spec.c3,
+        convection_form=spec.convection_form)
+    rhs_m, rhs_h = np.zeros(2 * N), np.zeros(N)
+    for ops, cd, vd in zip(cells, cdofs, vdofs):
+        rm, rh = reference_local_loads(ops, static, None)
+        rhs_m[vd] += rm
+        rhs_h[cd] += rh
+    if spec.buoyancy is not None and spec.alpha != 0.0:
+        for ops, vd, pc in zip(cells, vdofs, phi_c):
+            x, y = ops.quad.points[:, 0], ops.quad.points[:, 1]
+            w = ops.quad.weights
+            fb = _reference_check_finite(spec.buoyancy(x, y), ops, "buoyancy field")
+            phi_vals = ops.Phi @ pc
+            rhs_m[vd] += np.concatenate([
+                ops.Pq.T @ (w * spec.alpha * fb[0] * phi_vals),
+                ops.Pq.T @ (w * spec.alpha * fb[1] * phi_vals)])
+    out["rhs_momentum"], out["rhs_heat"] = rhs_m, rhs_h
+    return out

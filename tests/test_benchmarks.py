@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -89,6 +91,27 @@ def test_records_to_csv_layout():
     assert first[2] == "--"               # no rate at the coarsest level
     second = lines[2].split(",")
     assert float(second[2]) != 0.0        # realised rate in the second row
+
+
+def test_records_to_csv_rates_use_realized_refinement():
+    """distorted_square puts round(1.8/h) cells on a side: 14 and 29 at h=1/8
+    and 1/16, so the rate divides by log(29/14), not log 2."""
+    recs = bm.run_case("ex1", {"h_list": [1 / 8, 1 / 16], "orders": [1],
+                               "mesh_families": ["distorted_square"]})
+    assert [r.n_cells for r in recs] == [14 ** 2, 29 ** 2]
+    assert [r.h for r in recs] == [1 / 8, 1 / 16]
+    lines = bm.records_to_csv(recs).strip().splitlines()
+    assert [float(line.split(",")[0]) for line in lines[1:]] == [0.125, 0.0625]
+    second = lines[2].split(",")
+    for col, name in enumerate(("e_u_h1", "e_u_l2", "e_p_l2", "e_phi_h1", "e_phi_l2")):
+        e1, e2 = (getattr(r.errors, name) for r in recs)
+        assert second[2 + 2 * col] == f"{math.log(e1 / e2) / math.log(29 / 14):.2f}", name
+    # records without a cell count fall back to the nominal h
+    for r in recs:
+        r.n_cells = None
+    e1, e2 = (r.errors.e_u_h1 for r in recs)
+    assert bm.records_to_csv(recs).splitlines()[2].split(",")[2] == \
+        f"{math.log(e1 / e2) / math.log(2):.2f}"
 
 
 def test_viscosity_metadata():

@@ -245,6 +245,56 @@ def test_dof_layout_counts_and_edge_orientation():
         assert np.abs(vals - ref).max() <= 1e-11
 
 
+def _per_cell_dofs(mesh, lay, ci):
+    """Global dofs of one cell, edge by edge: vertices, edge nodes in traversal
+    order, internal moments."""
+    cell = mesh.cells[ci]
+    ids = [cell]
+    for loc, eid in enumerate(mesh.cell_edges[ci]):
+        ed = lay.edge_dofs(eid)
+        ids.append(ed if mesh.edges[eid, 0] == cell[loc] else ed[::-1])
+    base = lay.n_point + ci * lay.n_moment_per_cell
+    ids.append(np.arange(base, base + lay.n_moment_per_cell))
+    return np.concatenate(ids)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_group_dofs_match_per_cell_layout(k):
+    mesh = generate_mesh("voronoi", UNIT_SQUARE, 1 / 5)
+    mops = eo.build_mesh_ops(mesh, k)
+    assert len(mops.groups) > 1
+    for g in mops.groups:
+        for j, ci in enumerate(g.cell_ids):
+            ref = _per_cell_dofs(mesh, mops.layout, ci)
+            assert np.array_equal(g.dofs[j], ref)
+            assert np.array_equal(mops.cell_dofs[ci], ref)
+            assert np.array_equal(mops.layout.cell_dofs(ci), ref)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_interpolate_scalar_one_call_per_group(k):
+    """f is called once for the point dofs and once per group; the moments
+    equal the cell-by-cell formula bit for bit."""
+    mesh = generate_mesh("voronoi", UNIT_SQUARE, 1 / 5)
+    mops = eo.build_mesh_ops(mesh, k)
+    calls = []
+
+    def f(x, y):
+        calls.append(len(x))
+        return np.exp(x) * np.sin(3 * y)
+    d = mops.interpolate_scalar(f)
+    lay = mops.layout
+    nmom = lay.n_moment_per_cell
+    assert len(calls) == 1 + (len(mops.groups) if nmom else 0)
+    pts = lay.point_dof_coords()
+    assert np.array_equal(d[:lay.n_point], f(pts[:, 0], pts[:, 1]))
+    for ci, ops in enumerate(mops.cells):
+        if nmom:
+            q = ops.quad.points
+            mom = (ops.quad.weights * f(q[:, 0], q[:, 1])) @ ops.Phi[:, :nmom]
+            assert np.array_equal(d[mops.cell_dofs[ci][-nmom:]], mom / ops.geom.area)
+
+
 def test_condition_warning_recorded_on_sliver():
     sliver = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 2e-7], [0.0, 1e-7]])
     with pytest.warns(ConditionWarning):

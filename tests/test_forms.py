@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from conftest import make_spec, zero_velocity
 from lpsvem import element_ops as eo
 from lpsvem import forms
-from lpsvem.geometry import ElementGeometry, UNIT_SQUARE, generate_mesh
+from lpsvem.geometry import MESH_FAMILIES, ElementGeometry, UNIT_SQUARE, generate_mesh
 from lpsvem.polybasis import poly_dim
 from oracles import (OracleElement, alt_polygon_quadrature,
-                     oracle_local_matrices)
+                     oracle_local_matrices, reference_assembly)
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 rng = np.random.default_rng(11)
@@ -369,3 +370,118 @@ def test_negative_stabilization_constant_rejected(meshes_h5):
     mesh = meshes_h5["uniform_square"]
     with pytest.raises(forms.ConfigurationError):
         _const_spec_for(mesh, 1, c2=-1.0)
+
+
+# ---------------------------------------------------------------------------
+# grouped assembly against the cell-by-cell reference
+# ---------------------------------------------------------------------------
+
+def _reference_spec(mesh, k, nonlinear, form, buoyancy):
+    kw = dict(fixed_source=lambda x, y: np.stack([np.sin(3 * x) * y, np.cos(2 * y) + x]),
+              heat_source=lambda x, y: np.exp(x * y), convection_form=form)
+    if buoyancy:
+        kw.update(buoyancy=lambda x, y: np.stack([np.cos(x), np.sin(y) + 1.0]), alpha=2.0)
+    if nonlinear:
+        mu = forms.Viscosity(func=lambda r: 1.0 + 0.5 * np.sin(r), mu_min=0.4,
+                             mu_max=1.6, temp_range=(-4, 4))
+        kappa = forms.Conductivity(func=lambda r: np.exp(0.3 * r), kappa_ref=1.0,
+                                   temp_range=(-4, 4))
+        return make_spec(mesh, k, viscosity=mu, conductivity=kappa, **kw)
+    return _const_spec_for(mesh, k, mu=1.3, kappa=0.8, **kw)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("fam", MESH_FAMILIES)
+def test_grouped_assembly_matches_per_cell_reference(fam, k):
+    """Every global block and right-hand side equals the cell-by-cell assembly
+    to 1e-12 * max(1, max|ref|), sparsity included; voronoi meshes mix vertex
+    counts, so this also covers putting the groups back into mesh order."""
+    mesh = generate_mesh(fam, UNIT_SQUARE, 1 / 5)
+    mops = eo.build_mesh_ops(mesh, k)
+    gen = np.random.default_rng(5)
+    N = mops.n_scalar
+    for cfg in [(False, "skew", False), (True, "convective", True), (True, "skew", False),
+                (False, "convective", True)]:
+        spec = _reference_spec(mesh, k, *cfg)
+        u, phi = gen.normal(size=2 * N), gen.normal(size=N)
+        asm = forms.Assembler(mops, spec)
+        st, tr = asm.build_stokes(phi), asm.build_transport(u, phi)
+        got = {"A_uu": st.A_uu, "B": st.B, "L1": asm.L1, "L2": st.L2, "L3": tr.L3,
+               "A_TT": tr.A_TT, "C": tr.C, "mass0": asm.mass0,
+               "h1_surrogate": asm.h1_surrogate, "mean_row": st.mean_row,
+               "rhs_momentum": st.rhs_momentum, "rhs_heat": tr.rhs_heat}
+        ref = reference_assembly(mops, spec, u, phi)
+        assert set(got) == set(ref)
+        for name, r in ref.items():
+            g = got[name]
+            if sp.issparse(r):
+                assert np.array_equal(g.indptr, r.indptr), f"{name} {cfg}"
+                assert np.array_equal(g.indices, r.indices), f"{name} {cfg}"
+                g, r = g.data, r.data
+            tol = 1e-12 * max(1.0, float(np.abs(r).max(initial=0.0)))
+            assert np.abs(g - r).max(initial=0.0) <= tol, f"{name} {cfg}"
+
+
+def _voronoi_k2():
+    mesh = generate_mesh("voronoi", UNIT_SQUARE, 1 / 5)
+    return mesh, eo.build_mesh_ops(mesh, 2)
+
+
+def test_viscosity_bounds_error_names_lowest_cell():
+    mesh, mops = _voronoi_k2()
+    groups = mops.groups
+    # a: not the first cell of a later group; b: a higher id in the first group;
+    # c: a higher id in a's group
+    g = next(g for g in groups[1:] if len(g.cell_ids) >= 3)
+    a, c = int(g.cell_ids[1]), int(g.cell_ids[-1])
+    b = next(int(ci) for ci in groups[0].cell_ids if ci > a)
+    phi = np.zeros(mops.n_scalar)
+    for ci in (a, b, c):
+        phi[mops.cell_dofs[ci][-1]] = 10.0      # the cell mean: touches one cell only
+    mu = forms.Viscosity(func=lambda r: 1.0 + 0.01 * r, mu_min=0.5, mu_max=1.05)
+    asm = forms.Assembler(mops, make_spec(mesh, 2, viscosity=mu))
+    asm.build_stokes(np.zeros(mops.n_scalar))
+    with pytest.raises(forms.ConfigurationError, match=rf"^cell {a}: viscosity value") as exc:
+        asm.build_stokes(phi)
+    assert exc.value.cell_id == a
+
+
+@pytest.mark.parametrize("field", ["heat_source", "fixed_source", "buoyancy"])
+def test_nonfinite_source_names_first_point_in_mesh_order(field):
+    mesh, mops = _voronoi_k2()
+    later = [g for g in mops.groups[1:]]
+    # bad points around the centroids of two cells: one of a later group with a
+    # lower id, one of the first group with a higher id
+    a = int(later[0].cell_ids[1])
+    b = next(int(ci) for ci in mops.groups[0].cell_ids if ci > a)
+    centres = [mops.cells[ci].geom.centroid for ci in (b, a)]
+    radius = 0.3 * min(mops.cells[ci].geom.diameter for ci in (a, b))
+
+    def bad(x, y):
+        return np.any([np.hypot(x - c[0], y - c[1]) < radius for c in centres], axis=0)
+
+    if field == "heat_source":
+        f = lambda x, y: np.where(bad(x, y), np.nan, 1.0)
+        what = "heat source"
+    else:
+        # only the second component is bad
+        f = lambda x, y: np.stack([np.ones_like(x), np.where(bad(x, y), np.inf, 1.0)])
+        what = "momentum source" if field == "fixed_source" else "buoyancy field"
+    pts = mops.cells[a].quad.points
+    x0, y0 = pts[bad(pts[:, 0], pts[:, 1])][0]
+    kw = {field: f, "alpha": 1.0} if field == "buoyancy" else {field: f}
+    spec = _const_spec_for(mesh, 2, **kw)
+    with pytest.raises(forms.ConfigurationError,
+                       match=rf"^{what} is not finite near \({x0:.6g}, {y0:.6g}\)$") as exc:
+        forms.Assembler(mops, spec).build_stokes(np.zeros(mops.n_scalar))
+    assert exc.value.cell_id == a
+
+
+def test_nonlinear_kappa_without_iterate_raises():
+    mesh, mops = _voronoi_k2()
+    cond = forms.Conductivity(func=lambda r: np.exp(r), kappa_ref=1.0)
+    spec = make_spec(mesh, 2, conductivity=cond)
+    with pytest.raises(forms.ConfigurationError, match="needs a temperature iterate"):
+        forms.local_temperature(mops.cells[0], spec)
+    with pytest.raises(forms.ConfigurationError, match="needs a temperature iterate"):
+        forms.group_temperature(mops.groups[0], spec)
