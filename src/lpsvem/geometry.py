@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
 from scipy.spatial import KDTree, Voronoi
 
 
@@ -172,6 +171,7 @@ def polygon_kernel(pts: np.ndarray) -> np.ndarray | None:
 
 def chebyshev_radius(pts: np.ndarray) -> float:
     """Radius of the largest ball inscribed in a convex polygon (via an LP)."""
+    from scipy.optimize import linprog   # about 0.1 s to import; only checks use it
     n = len(pts)
     A, b = [], []
     for i in range(n):

@@ -41,11 +41,20 @@ class PicardReport:
     heat_residual: float = 0.0
 
 
+# A solve whose final relative residual lies above this floor has failed: a
+# factorization of a numerically singular matrix can return garbage without
+# raising (relative residual 4.8 on an unstabilized k=2 saddle), while healthy
+# solves stay at or below 1.5e-11.
+RESIDUAL_FLOOR = 1e-8
+
+
 class _EliminatedSolve:
     """Direct solve of K x = b with prescribed values on `fixed` dofs."""
 
-    def __init__(self, K: sp.spmatrix, fixed: np.ndarray, values: np.ndarray):
+    def __init__(self, K: sp.spmatrix, fixed: np.ndarray, values: np.ndarray,
+                 system: str):
         K = K.tocsr()
+        self.system = system
         self.n = K.shape[0]
         self.fixed = fixed
         self.free = np.setdiff1d(np.arange(self.n), fixed)
@@ -57,10 +66,14 @@ class _EliminatedSolve:
         try:
             self.lu = splu(self.Kff.tocsc())
         except RuntimeError as exc:
-            raise SolverError(f"singular factorization: {exc}") from exc
+            raise SolverError(f"{system} system: singular factorization: {exc}") from exc
 
     def solve(self, rhs: np.ndarray, refine_tol: float = 1e-15):
-        """LU solve with iterative refinement down to the conditioning floor."""
+        """LU solve with iterative refinement down to the conditioning floor.
+
+        Raises SolverError when the result is non-finite or its relative
+        residual stays above ``RESIDUAL_FLOOR``.
+        """
         b = (rhs - self.shift)[self.free]
         Kff = self.Kff
         x = self.lu.solve(b)
@@ -76,7 +89,10 @@ class _EliminatedSolve:
         full = self.xfix.copy()
         full[self.free] = x
         if not np.all(np.isfinite(full)):
-            raise SolverError("non-finite values in the linear solve")
+            raise SolverError(f"{self.system} system: non-finite values in the linear solve")
+        if not res <= RESIDUAL_FLOOR:
+            raise SolverError(f"{self.system} system: relative residual {res:.3e} "
+                              f"above the floor {RESIDUAL_FLOOR:g}")
         return full, res
 
 
@@ -85,6 +101,25 @@ def _stokes_matrix(system) -> sp.csr_matrix:
         [system.A_uu, -system.B.T],
         [system.B, system.L2],
     ], format="csr")
+
+
+def _stokes_solver(system, N: int, regularize: bool) -> _EliminatedSolve:
+    K = _stokes_matrix(system)
+    if regularize:
+        # without pressure stabilization the equal-order saddle matrix has
+        # spurious pressure modes (B^T z = 0): regularize only the pressure
+        # block to pick a representative; the velocity is unaffected
+        eps = 1e-10 * max(1.0, abs(system.A_uu).max())
+        K = K + sp.bmat([[sp.csr_matrix((2 * N, 2 * N)), None],
+                         [None, sp.identity(N, format="csr") * eps]], format="csr")
+        warnings.warn("singular unstabilized saddle system; pressure block "
+                      "regularized to obtain a representative solution")
+    du = system.dirichlet_u
+    fixed = np.concatenate([du.fixed, [2 * N]])  # pin pressure dof 0
+    vals = np.zeros(K.shape[0])
+    vals[du.fixed] = du.values[du.fixed]
+    return _EliminatedSolve(K, fixed, vals,
+                            "regularized Stokes" if regularize else "Stokes")
 
 
 def solve_stokes(system, N: int, cache: dict | None = None):
@@ -96,38 +131,29 @@ def solve_stokes(system, N: int, cache: dict | None = None):
     yields a consistent, fully sparse system: one pressure dof is pinned for
     the factorization and the pressure is shifted to exact zero mean, which
     reproduces the bordered multiplier solution without the dense row.
+    A singular factorization or a failed solve falls back to the
+    pressure-regularized system; a failure there raises SolverError.
     Returns (u, p, lam, relative residual).
     """
     omega = float(system.mean_row.sum())   # = sum of cell areas
-    if cache is not None and "stokes" in cache:
-        elim = cache["stokes"]
-    else:
-        K = _stokes_matrix(system)
-        du = system.dirichlet_u
-        fixed = np.concatenate([du.fixed, [2 * N]])  # pin pressure dof 0
-        vals = np.zeros(K.shape[0])
-        vals[du.fixed] = du.values[du.fixed]
-        try:
-            elim = _EliminatedSolve(K, fixed, vals)
-        except SolverError:
-            # without pressure stabilization the equal-order saddle matrix has
-            # spurious pressure modes (B^T z = 0): regularize only the pressure
-            # block to pick a representative; the velocity is unaffected
-            eps = 1e-10 * max(1.0, abs(system.A_uu).max())
-            reg = sp.bmat([[sp.csr_matrix((2 * N, 2 * N)), None],
-                           [None, sp.identity(N, format="csr") * eps]], format="csr")
-            warnings.warn("singular unstabilized saddle system; pressure block "
-                          "regularized to obtain a representative solution")
-            elim = _EliminatedSolve(K + reg, fixed, vals)
-        if cache is not None:
-            cache["stokes"] = elim
     rhs = np.concatenate([system.rhs_momentum, np.zeros(N)])
     # continuity rhs after elimination sums to -inflow/outflow imbalance
     du = system.dirichlet_u
     delta = -float(np.sum(system.B[:, du.fixed] @ du.values[du.fixed]))
     lam = delta / omega
     rhs[2 * N:] -= lam * system.mean_row
-    x, res = elim.solve(rhs)
+    elim = cache.get("stokes") if cache is not None else None
+    if elim is not None:
+        x, res = elim.solve(rhs)
+    else:
+        try:
+            elim = _stokes_solver(system, N, regularize=False)
+            x, res = elim.solve(rhs)
+        except SolverError:
+            elim = _stokes_solver(system, N, regularize=True)
+            x, res = elim.solve(rhs)
+        if cache is not None:
+            cache["stokes"] = elim
     u = x[:2 * N]
     p = x[2 * N:]
     p = p - (float(system.mean_row @ p) / omega)
@@ -141,7 +167,7 @@ def solve_temperature(system):
     """
     K = (system.A_TT + system.C + system.L3).tocsr()
     dphi = system.dirichlet_phi
-    elim = _EliminatedSolve(K, dphi.fixed, dphi.values)
+    elim = _EliminatedSolve(K, dphi.fixed, dphi.values, "temperature")
     phi, res = elim.solve(system.rhs_heat)
     return phi, res
 

@@ -523,7 +523,7 @@ def strong_residual_mp(case, x0: float, y0: float, dps: int = 30):
     differentiation)."""
     import mpmath as mp
     import sympy as sp
-    from lpsvem.benchmarks import _R, _X, _Y
+    from lpsvem.manufactured import _R, _X, _Y
 
     f = case.fields
     u1 = sp.lambdify((_X, _Y), f.u1, modules="mpmath")

@@ -295,6 +295,27 @@ def test_criterion_9_stabilization_effect():
         f"({'larger' if dev_ok else 'NOT larger'})")
 
 
+def test_stabilization_damps_convective_temperature_layer():
+    """Stabilization effect measured on discretization error, not rounding.
+
+    ``ex2_convective`` (kappa = 1e-6) on distorted squares, k=1, h=1/8: the
+    exact temperature is not in the discrete space, so the unstabilized run
+    overshoots it.  Measured: max |phi_h - phi| over the dof points 0.0173
+    against 0.152, e_phi_h1 0.054 against 0.355; both converge in 3 sweeps.
+    """
+    import warnings
+    recs = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for label, ov in (("stab", {}), ("nostab", {"no_stab": True})):
+            (recs[label],) = bm.run_case("ex2_convective", dict(
+                ov, h_list=[1 / 8], orders=[1], mesh_families=["distorted_square"]))
+    assert recs["stab"].converged and recs["nostab"].converged
+    s, n = recs["stab"].errors, recs["nostab"].errors
+    assert n.phi_dev_absmax >= 3 * s.phi_dev_absmax, (s.phi_dev_absmax, n.phi_dev_absmax)
+    assert n.e_phi_h1 >= 3 * s.e_phi_h1, (s.e_phi_h1, n.e_phi_h1)
+
+
 def test_criterion_10_invariant_suite(meshes_h5, mops_h5):
     mesh = meshes_h5["distorted_square"]
     mops = mops_h5[("distorted_square", 1)]

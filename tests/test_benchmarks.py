@@ -1,9 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from lpsvem import benchmarks as bm
+from lpsvem import manufactured as mf
 from lpsvem.forms import ConfigurationError
 from oracles import strong_residual_mp
 
@@ -23,8 +29,8 @@ def test_exact_velocity_divergence_free(cid):
     import sympy as sp
     case = bm.make_case(cid)
     f = case.fields
-    div = sp.simplify(sp.diff(f.u1, bm._X) + sp.diff(f.u2, bm._Y))
-    fn = sp.lambdify((bm._X, bm._Y), div, modules="numpy")
+    div = sp.simplify(sp.diff(f.u1, mf._X) + sp.diff(f.u2, mf._Y))
+    fn = sp.lambdify((mf._X, mf._Y), div, modules="numpy")
     pts = rng.uniform(0.05, 0.95, size=(20, 2))
     vals = np.array([float(fn(x, y)) for x, y in pts])
     assert np.abs(vals).max() <= 1e-12
@@ -34,7 +40,7 @@ def test_exact_velocity_divergence_free(cid):
 def test_exact_pressure_zero_mean(cid):
     import sympy as sp
     case = bm.make_case(cid)
-    mean = sp.integrate(sp.integrate(case.fields.p, (bm._X, 0, 1)), (bm._Y, 0, 1))
+    mean = sp.integrate(sp.integrate(case.fields.p, (mf._X, 0, 1)), (mf._Y, 0, 1))
     assert abs(float(mean)) <= 1e-12
 
 
@@ -66,6 +72,36 @@ def test_ex4_sources_identically_zero():
         y = rng.uniform(0, 2, size=8)
         assert np.abs(F(x, y)).max() == 0.0
         assert np.abs(g(x, y)).max() == 0.0
+
+
+def test_channel_case_loads_neither_sympy_nor_scipy_optimize():
+    """The package import plus the ex4 cases stay off sympy and scipy.optimize
+    (about 0.3 s and 0.1 s of import time); a manufactured case still works."""
+    code = textwrap.dedent("""
+        import sys
+        import lpsvem.benchmarks as bm
+        import lpsvem.cli
+        bm.make_case("ex4_mild")
+        bm.make_case("ex4_strong")
+        print([m for m in ("sympy", "scipy.optimize") if m in sys.modules])
+        case = bm.make_case("ex3")
+        print(case.fields is not None, "sympy" in sys.modules)
+    """)
+    src = str(Path(bm.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "True True"]
+
+
+def test_manufactured_fields_compile_once():
+    f = bm.make_case("ex1").fields
+    assert f._exact is None and f._sources is None    # nothing compiled in make_case
+    exact, sources = f.exact(), f.sources()
+    assert f.exact() is exact and f.sources() is sources
+    assert bm.make_sources(bm.make_case("ex1")) is not sources   # one cache per case
 
 
 def test_run_case_single_record():

@@ -19,6 +19,13 @@ def mops5(mesh5):
     return eo.build_mesh_ops(mesh5, 1)
 
 
+def _cold_walls(mesh):
+    """No-slip walls held at temperature 0."""
+    zero = lambda x, y: np.zeros_like(x)
+    return {m: forms.BoundaryCondition(velocity=zero_velocity, temperature=zero)
+            for m in mesh.boundary_markers}
+
+
 def test_zero_data_zero_solution(mesh5, mops5):
     spec = make_spec(mesh5, 1)
     state, rep = solver.picard_solve(spec, mesh5, mops=mops5)
@@ -84,7 +91,7 @@ def test_max_iter_reached_reports_not_raises(mesh5, mops5):
     mu = forms.Viscosity(func=lambda r: 1.0 + 0.9 * np.tanh(r), mu_min=0.05,
                          mu_max=2.0, temp_range=(-3, 3))
     g = lambda x, y: np.ones_like(x)
-    spec = make_spec(mesh5, 1, viscosity=mu, heat_source=g,
+    spec = make_spec(mesh5, 1, viscosity=mu, heat_source=g, bcs=_cold_walls(mesh5),
                      fixed_source=lambda x, y: np.stack([np.ones_like(x), x]))
     # an unreachable tolerance exercises the max_iter path
     state, rep = solver.picard_solve(spec, mesh5, tol=-1.0, max_iter=3, mops=mops5)
@@ -102,13 +109,24 @@ def test_nan_source_raises(mesh5, mops5):
 
 def test_determinism_bitwise(mesh5, mops5):
     spec = make_spec(mesh5, 1, fixed_source=lambda x, y: np.stack([y, -x]),
-                     heat_source=lambda x, y: x)
+                     heat_source=lambda x, y: x, bcs=_cold_walls(mesh5))
     s1, r1 = solver.picard_solve(spec, mesh5, mops=mops5)
     s2, r2 = solver.picard_solve(spec, mesh5, mops=mops5)
     assert np.array_equal(s1.u, s2.u)
     assert np.array_equal(s1.p, s2.p)
     assert np.array_equal(s1.phi, s2.phi)
     assert r1.residual_history == r2.residual_history
+
+
+def test_heat_source_without_temperature_data_raises(mesh5, mops5):
+    """Without Dirichlet temperature data a heat source with nonzero mean has
+    no solution: the temperature system is nearly singular (condition number
+    4.5e10), and its solve leaves a relative residual of 2.8e-6 with
+    |phi| = 4e7."""
+    spec = make_spec(mesh5, 1, fixed_source=lambda x, y: np.stack([y, -x]),
+                     heat_source=lambda x, y: x)
+    with pytest.raises(solver.SolverError, match=r"^temperature system: relative residual"):
+        solver.picard_solve(spec, mesh5, mops=mops5)
 
 
 def test_energy_norms_zero_and_homogeneous(mesh5, mops5):
@@ -153,3 +171,73 @@ def test_picard_residual_monotone_tail():
     assert rep.converged and rep.iterations <= 30
     hist = rep.residual_history
     assert all(h <= hist[0] for h in hist[3:])
+
+
+@pytest.fixture(scope="module")
+def unstabilized_saddle():
+    """First-sweep Stokes system of ex2_convective without stabilization on
+    Voronoi cells, k=2, h=1/8: SuperLU factors its saddle matrix without
+    complaint, and the solve comes back with a relative residual of 0.35."""
+    from lpsvem import benchmarks as bm
+    case = bm.make_case("ex2_convective")
+    mesh = generate_mesh("voronoi", case.domain, 1 / 8, seed=42)
+    spec = case.problem_spec(mesh, 2, c1=0.0, c2=0.0, c3=0.0)
+    asm = forms.Assembler(eo.build_mesh_ops(mesh, 2), spec)
+    return asm.build_stokes(np.zeros(asm.N)), asm.N
+
+
+def test_failed_stokes_solve_falls_back_to_regularized_system(unstabilized_saddle):
+    system, N = unstabilized_saddle
+    rhs = np.concatenate([system.rhs_momentum, np.zeros(N)])
+    plain = solver._stokes_solver(system, N, regularize=False)
+    with pytest.raises(solver.SolverError, match=r"^Stokes system: relative residual"):
+        plain.solve(rhs)
+    with pytest.warns(UserWarning, match="pressure block regularized"):
+        u, p, _, res = solver.solve_stokes(system, N)
+    assert res <= solver.RESIDUAL_FLOOR
+    assert np.all(np.isfinite(u)) and np.all(np.isfinite(p))
+
+
+def test_failed_regularized_stokes_solve_raises(unstabilized_saddle, monkeypatch):
+    system, N = unstabilized_saddle
+    monkeypatch.setattr(solver, "RESIDUAL_FLOOR", 0.0)
+    with pytest.warns(UserWarning, match="pressure block regularized"):
+        with pytest.raises(solver.SolverError,
+                           match=r"^regularized Stokes system: relative residual \S+ above"):
+            solver.solve_stokes(system, N)
+
+
+def test_unstabilized_run_no_longer_fails_silently():
+    """The same configuration end to end. Accepting the failed solves
+    (relative residual up to 4.8) keeps Picard from converging in 50 sweeps;
+    with the fallback it converges."""
+    from lpsvem import benchmarks as bm
+    case = bm.make_case("ex2_convective")
+    with pytest.warns(UserWarning, match="pressure block regularized"):
+        rec, state, mops = bm.run_point(case, "voronoi", 2, 1 / 8, c1=0.0, c2=0.0, c3=0.0)
+    assert rec.converged
+    assert np.isfinite(rec.errors.div_violation)
+
+
+def _transport(K, fixed, values, rhs):
+    from types import SimpleNamespace
+    zero = 0.0 * K
+    return SimpleNamespace(A_TT=K, C=zero, L3=zero, rhs_heat=rhs,
+                           dirichlet_phi=SimpleNamespace(fixed=fixed, values=values))
+
+
+def test_temperature_solve_failures_name_the_system(monkeypatch):
+    import scipy.sparse as sps
+    no_fixed = np.array([], dtype=int)
+    # a subnormal pivot: the factorization succeeds, the solution overflows
+    tiny = _transport(sps.diags([1e-320, 1.0]).tocsr(), no_fixed, np.zeros(2), np.ones(2))
+    with pytest.raises(solver.SolverError, match=r"^temperature system: non-finite"), \
+            np.errstate(all="ignore"):
+        solver.solve_temperature(tiny)
+    healthy = _transport(sps.diags([2.0, 3.0]).tocsr() + sps.csr_matrix(np.ones((2, 2))),
+                         no_fixed, np.zeros(2), np.array([1.0, 0.3]))
+    phi, res = solver.solve_temperature(healthy)
+    assert res <= solver.RESIDUAL_FLOOR
+    monkeypatch.setattr(solver, "RESIDUAL_FLOOR", -1.0)
+    with pytest.raises(solver.SolverError, match=r"^temperature system: relative residual"):
+        solver.solve_temperature(healthy)
