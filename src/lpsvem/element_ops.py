@@ -15,8 +15,8 @@ projection) makes all maps below computable from the DOFs alone:
 * ``S_lo``         dofi-dofi stabilizer of (I - Pi_nabla_{k-1})
 
 ``build_mesh_ops`` builds the operators one vertex-count group of cells at a
-time, on arrays stacked along the cells; each cell's ``ElementOps`` holds
-views into its group's arrays.  ``build_cell_ops`` is the one-cell case.
+time, on arrays stacked along the cells (``GroupOps``); this is the only
+representation of the element operators.
 """
 from __future__ import annotations
 
@@ -26,10 +26,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import CellGroup, ElementGeometry, PolyMesh
-from .polybasis import (MonomialBasis, PolygonQuadrature, grad_coeff_ref,
-                        laplacian_ref, condition_warnings, group_mass_matrices,
-                        group_quadrature, group_stiffness_matrices,
+from .geometry import CellGroup, PolyMesh
+from .polybasis import (grad_coeff_ref, laplacian_ref, condition_warnings,
+                        group_mass_matrices, group_quadrature, group_stiffness_matrices,
                         monomial_gradients, monomial_values, poly_dim)
 
 
@@ -107,10 +106,6 @@ class DofLayout:
         cols.append(self.n_point + ids[:, None] * nmom + np.arange(nmom))
         return np.concatenate(cols, axis=1)
 
-    def cell_dofs(self, ci: int) -> np.ndarray:
-        """Global ids of one cell in local order (the one-cell ``group_dofs``)."""
-        return self.group_dofs([ci])[0]
-
     def point_dof_coords(self) -> np.ndarray:
         """Coordinates of all point-valued dofs (vertex + edge nodes)."""
         mesh, k = self.mesh, self.k
@@ -136,20 +131,28 @@ class DofLayout:
 
 
 # ---------------------------------------------------------------------------
-# per-element operator bundle
+# stacked operators of a vertex-count group
 # ---------------------------------------------------------------------------
 
 @dataclass
-class ElementOps:
-    geom: ElementGeometry
+class GroupOps:
+    """Operators of a group of cells with a common vertex count, stacked along
+    axis 0 in the order of ``cell_ids``.
+
+    ``dofs`` holds the global scalar dofs of each cell in local order, the
+    vertex ids first; ``qpts``/``qw`` are the quadrature rule of each cell.
+    """
+    cell_ids: np.ndarray            # (m,)
+    area: np.ndarray                # (m,)
+    diameter: np.ndarray            # (m,)
     k: int
-    quad: PolygonQuadrature
-    basis: MonomialBasis
     n_dof: int
+    qpts: np.ndarray                # (m, nq, 2)
+    qw: np.ndarray                  # (m, nq)
     # mass/stiffness of the monomial basis
     H: np.ndarray
     Gt: np.ndarray
-    # projector matrices (dofs -> coefficients)
+    # dof matrix and projector matrices (dofs -> coefficients)
     D: np.ndarray
     P_nabla: np.ndarray
     P_nabla_lo: np.ndarray
@@ -164,7 +167,7 @@ class ElementOps:
     # stabilizers (dofs x dofs)
     S: np.ndarray
     S_lo: np.ndarray
-    # phi-independent local form matrices (unit parameters)
+    # phi-independent element form matrices (unit parameters)
     lps_div_unit: np.ndarray
     lps_press_unit: np.ndarray
     lps_temp_unit: np.ndarray
@@ -172,104 +175,22 @@ class ElementOps:
     b_div: np.ndarray
     int_m: np.ndarray
     mean_map: np.ndarray
-    # cached value tables on the quadrature points
+    # value tables on the quadrature points
     Phi: np.ndarray
     Phi_lo: np.ndarray
     Pq: np.ndarray
     Gq: tuple[np.ndarray, np.ndarray]
-    warnings: list[str]
+    dofs: np.ndarray                # (m, n_dof)
 
     @functools.cached_property
     def eps_maps(self):
         """Coefficient maps of the projected symmetric gradient components
-        (e11, e22, e12) acting on stacked [u1; u2] dof vectors."""
-        return tuple(e[0] for e in _eps_maps(self.P_grad[0][None], self.P_grad[1][None]))
-
-
-def _eps_maps(gx: np.ndarray, gy: np.ndarray):
-    """(e11, e22, e12) of stacked gradient projections, shape (m, nk1, 2 n_dof)."""
-    z = np.zeros_like(gx)
-    return (np.concatenate([gx, z], axis=2), np.concatenate([z, gy], axis=2),
-            0.5 * np.concatenate([gy, gx], axis=2))
-
-
-# ElementOps array fields; GroupOps stacks each along the cells
-_STACKED = ("H", "Gt", "D", "P_nabla", "P_nabla_lo", "P_zero", "moments", "P_grad",
-            "P_grad_hi", "R_grad", "Div_lo", "Div_hi", "R_div", "S", "S_lo",
-            "lps_div_unit", "lps_press_unit", "lps_temp_unit", "diffusion_unit",
-            "b_div", "int_m", "mean_map", "Phi", "Phi_lo", "Pq", "Gq")
-
-
-def _take(a, key):
-    """``a[key]`` of an array or of each array of a tuple; the key None adds
-    a leading cell axis."""
-    return tuple(x[key] for x in a) if isinstance(a, tuple) else a[key]
-
-
-@dataclass
-class GroupOps:
-    """Operators of a group of cells with a common vertex count, stacked along
-    axis 0 in the order of ``cell_ids``.
-
-    Every array field of ``ElementOps`` appears here with the cells on its
-    first axis, and each cell's ``ElementOps`` holds views into these arrays.
-    ``dofs`` holds the global scalar dofs of each cell in local order.
-    """
-    cell_ids: np.ndarray            # (m,)
-    area: np.ndarray                # (m,)
-    diameter: np.ndarray            # (m,)
-    k: int
-    n_dof: int
-    qpts: np.ndarray                # (m, nq, 2)
-    qw: np.ndarray                  # (m, nq)
-    H: np.ndarray
-    Gt: np.ndarray
-    D: np.ndarray
-    P_nabla: np.ndarray
-    P_nabla_lo: np.ndarray
-    P_zero: np.ndarray
-    moments: np.ndarray
-    P_grad: tuple[np.ndarray, np.ndarray]
-    P_grad_hi: tuple[np.ndarray, np.ndarray]
-    R_grad: tuple[np.ndarray, np.ndarray]
-    Div_lo: np.ndarray
-    Div_hi: np.ndarray
-    R_div: np.ndarray
-    S: np.ndarray
-    S_lo: np.ndarray
-    lps_div_unit: np.ndarray
-    lps_press_unit: np.ndarray
-    lps_temp_unit: np.ndarray
-    diffusion_unit: np.ndarray
-    b_div: np.ndarray
-    int_m: np.ndarray
-    mean_map: np.ndarray
-    Phi: np.ndarray
-    Phi_lo: np.ndarray
-    Pq: np.ndarray
-    Gq: tuple[np.ndarray, np.ndarray]
-    dofs: np.ndarray | None = None  # (m, n_dof)
-
-    @functools.cached_property
-    def eps_maps(self):
-        """Stacked ``ElementOps.eps_maps``, built once per group."""
-        return _eps_maps(*self.P_grad)
-
-    @classmethod
-    def of_cell(cls, ops: ElementOps) -> GroupOps:
-        """The one-cell group of ``ops``; its arrays are views into those of ``ops``."""
-        stacked = {name: _take(getattr(ops, name), None) for name in _STACKED}
-        return cls(cell_ids=np.array([ops.geom.cell_id]), area=np.array([ops.geom.area]),
-                   diameter=np.array([ops.geom.diameter]), k=ops.k, n_dof=ops.n_dof,
-                   qpts=ops.quad.points[None], qw=ops.quad.weights[None], **stacked)
-
-    def element(self, j: int, geom: ElementGeometry, quad_degree: int,
-                warnings: list[str]) -> ElementOps:
-        """The ``ElementOps`` of the group's j-th cell, made of views."""
-        return ElementOps(
-            geom=geom, k=self.k, quad=PolygonQuadrature(self.qpts[j], self.qw[j], quad_degree),
-            basis=MonomialBasis(self.k, geom), n_dof=self.n_dof, warnings=warnings,
-            **{name: _take(getattr(self, name), j) for name in _STACKED})
+        (e11, e22, e12) acting on stacked [u1; u2] dof vectors, shape
+        (m, dim P_{k-1}, 2 n_dof); built once per group."""
+        gx, gy = self.P_grad
+        z = np.zeros_like(gx)
+        return (np.concatenate([gx, z], axis=2), np.concatenate([z, gy], axis=2),
+                0.5 * np.concatenate([gy, gx], axis=2))
 
 
 @functools.lru_cache(maxsize=None)
@@ -295,12 +216,11 @@ def _solve_energy(G: np.ndarray, B: np.ndarray, cell_ids) -> np.ndarray:
         raise
 
 
-def _build_group(group: CellGroup, k: int, quad_degree: int | None = None,
-                 geoms: list[ElementGeometry] | None = None
-                 ) -> tuple[GroupOps, list[ElementOps]]:
+def _build_group(group: CellGroup, k: int, quad_degree: int | None,
+                 global_dofs: np.ndarray) -> GroupOps:
     """Every projector, fluctuation map and stabilizer of a group of cells with
-    a common vertex count, computed on arrays stacked along the cells; returns
-    the stacked operators and each cell's ``ElementOps`` of views into them.
+    a common vertex count, computed on arrays stacked along the cells;
+    ``global_dofs`` are the cells' global dofs in local order.
 
     Each product is the stacked form of the one-cell product, and edge terms
     are added edge by edge, so every cell's result repeats the rounding of a
@@ -325,9 +245,7 @@ def _build_group(group: CellGroup, k: int, quad_degree: int | None = None,
     qpts, qw = group_quadrature(verts, group.triangles, quad_degree, ids)
     Phi = monomial_values(k, qpts, cen, h)                  # (m, nq, nk)
     H = group_mass_matrices(Phi, qw)
-    msgs: list[list[str]] = [[] for _ in range(m)]
-    for j, msg in condition_warnings(H, ids, stacklevel=3):
-        msgs[j].append(msg)
+    condition_warnings(H, ids, stacklevel=3)
     Gt = group_stiffness_matrices(monomial_gradients(k, qpts, cen, h), qw)
     Phi_lo = Phi[..., :nk1]
 
@@ -370,8 +288,8 @@ def _build_group(group: CellGroup, k: int, quad_degree: int | None = None,
     if nk2:
         D[:, moment_cols] = (mT(Phi[..., :nk2]) @ (qw[..., None] * Phi)) / area
 
-    # h_E^2 by C pow, as MonomialBasis.laplacian_coeff_map squares a Python
-    # float; numpy's h ** 2 multiplies and can differ in the last bit
+    # h_E^2 by C pow of a Python float, as the cell-by-cell build squares it;
+    # numpy's h ** 2 multiplies and can differ in the last bit
     h2 = np.array([x ** 2 for x in h.tolist()])[:, None, None]
 
     def pi_nabla_matrix(deg: int) -> np.ndarray:
@@ -457,23 +375,15 @@ def _build_group(group: CellGroup, k: int, quad_degree: int | None = None,
     Pq = Phi @ P_zero
     Gq = tuple(Phi_lo @ P_grad[c] for c in (0, 1))
 
-    ops = GroupOps(
+    return GroupOps(
         cell_ids=ids, area=group.area, diameter=group.diameter, k=k, n_dof=n_dof,
         qpts=qpts, qw=qw, H=H, Gt=Gt, D=D, P_nabla=P_nabla, P_nabla_lo=P_nabla_lo,
         P_zero=P_zero, moments=moments, P_grad=P_grad, P_grad_hi=P_grad_hi,
         R_grad=R_grad, Div_lo=Div_lo, Div_hi=Div_hi, R_div=R_div, S=S, S_lo=S_lo,
         lps_div_unit=lps_div_unit, lps_press_unit=lps_press_unit,
         lps_temp_unit=lps_temp_unit, diffusion_unit=diffusion_unit, b_div=b_div,
-        int_m=int_m, mean_map=mean_map, Phi=Phi, Phi_lo=Phi_lo, Pq=Pq, Gq=Gq)
-    if geoms is None:
-        geoms = [ElementGeometry.from_group(group, j) for j in range(m)]
-    return ops, [ops.element(j, g, quad_degree, msgs[j]) for j, g in enumerate(geoms)]
-
-
-def build_cell_ops(geom: ElementGeometry, k: int, quad_degree: int | None = None) -> ElementOps:
-    """Assemble every projector, fluctuation map and stabilizer on one cell."""
-    group = CellGroup(np.array([geom.cell_id]), geom.vertices[None])
-    return _build_group(group, k, quad_degree, geoms=[geom])[1][0]
+        int_m=int_m, mean_map=mean_map, Phi=Phi, Phi_lo=Phi_lo, Pq=Pq, Gq=Gq,
+        dofs=global_dofs)
 
 
 @dataclass
@@ -481,14 +391,11 @@ class MeshOps:
     """Element operators for every cell plus the global dof layout.
 
     ``groups`` holds the operators stacked per vertex-count group (ascending
-    vertex count); ``cells`` and ``cell_dofs`` list the same data per cell in
-    mesh order, as views into the group arrays.
+    vertex count), each group listing its cells in mesh order.
     """
     mesh: PolyMesh
     k: int
     layout: DofLayout
-    cells: list[ElementOps]
-    cell_dofs: list[np.ndarray]
     groups: list[GroupOps]
 
     @property
@@ -516,17 +423,8 @@ class MeshOps:
 
 
 def build_mesh_ops(mesh: PolyMesh, k: int, quad_degree: int | None = None) -> MeshOps:
-    """Element operators of every cell, built one vertex-count group at a time
-    and returned in mesh order."""
+    """Element operators of every cell, built one vertex-count group at a time."""
     layout = DofLayout(mesh, k)
-    cells: list[ElementOps] = [None] * mesh.n_cells
-    cell_dofs: list[np.ndarray] = [None] * mesh.n_cells
-    groups = []
-    for group in mesh.cell_groups():
-        gops, group_cells = _build_group(group, k, quad_degree)
-        gops.dofs = layout.group_dofs(group.cell_ids)
-        groups.append(gops)
-        for j, ci in enumerate(group.cell_ids):
-            cells[ci] = group_cells[j]
-            cell_dofs[ci] = gops.dofs[j]
-    return MeshOps(mesh, k, layout, cells, cell_dofs, groups)
+    groups = [_build_group(group, k, quad_degree, layout.group_dofs(group.cell_ids))
+              for group in mesh.cell_groups()]
+    return MeshOps(mesh, k, layout, groups)

@@ -1,17 +1,17 @@
 """Discrete bilinear/trilinear forms, LPS stabilization and global assembly.
 
-Local matrices act on local dof vectors (scalar fields) or on stacked
+Element matrices act on element dof vectors (scalar fields) or on stacked
 [u1; u2] vectors (velocity).  Stabilization parameters scale per element as
 tau1 = c1, tau2 = c2*h_E^2 and tau3 = c3*h_E.
 
 Forms are assembled one vertex-count group of cells at a time: the
 ``group_*`` kernels work on the stacked operators of ``element_ops.GroupOps``
 (arrays of shape (cells, ...)), and mu, kappa, the sources and the buoyancy
-field are called once per group on all of its quadrature points.  The
-``local_*`` functions are their one-cell case.  ``Assembler`` puts the local
-blocks back into mesh cell order before the sparse conversion, so shared
-entries are summed in the order of a cell-by-cell assembly and every global
-block equals that assembly bit for bit.
+field are called once per group on all of its quadrature points.
+``Assembler`` puts the element blocks back into mesh cell order before the
+sparse conversion, so shared entries are summed in the order of a
+cell-by-cell assembly and every global block equals that assembly bit for
+bit.
 """
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .element_ops import ElementOps, GroupOps, MeshOps
+from .element_ops import GroupOps, MeshOps
 
 
 class ConfigurationError(ValueError):
@@ -132,7 +132,7 @@ class ProblemSpec:
 
 
 # ---------------------------------------------------------------------------
-# group kernels and their one-cell cases
+# group kernels
 # ---------------------------------------------------------------------------
 # Every product below is the stacked form of the one-cell product, with the
 # same operand layout, so each cell's result repeats the rounding of a
@@ -210,7 +210,7 @@ def group_convection(g: GroupOps, u_coeffs: np.ndarray, form: str = "skew") -> n
 
 def group_lps_terms(g: GroupOps, spec: ProblemSpec):
     """(L1, L2, L3) of a group with the tau scalings applied."""
-    # taus of Python floats, as in the one-cell call spec.taus(geom.diameter)
+    # taus of Python floats, as in a cell-by-cell call spec.taus(h_E)
     taus = np.array([spec.taus(h) for h in g.diameter.tolist()])[:, :, None, None]
     return (taus[:, 0] * g.lps_div_unit, taus[:, 1] * g.lps_press_unit,
             taus[:, 2] * g.lps_temp_unit)
@@ -278,45 +278,21 @@ def group_loads(g: GroupOps, spec: ProblemSpec, phi_coeffs: np.ndarray | None = 
     return rhs_m, rhs_h
 
 
-def _one_cell(coeffs):
-    return None if coeffs is None else np.asarray(coeffs, dtype=float)[None]
-
-
-def local_viscous(ops: ElementOps, spec: ProblemSpec, phi_coeffs: np.ndarray) -> np.ndarray:
-    """mu-weighted consistency term on projected strains plus VEM stabilizer."""
-    return group_viscous(GroupOps.of_cell(ops), spec, _one_cell(phi_coeffs))[0]
-
-
-def local_divergence(ops: ElementOps) -> np.ndarray:
-    """b^E(v, q) = int_E (Pi0_{k-1} div v)(Pi0_k q); rows q, columns v."""
-    return ops.b_div
-
-
-def local_temperature(ops: ElementOps, spec: ProblemSpec,
-                      phi_coeffs: np.ndarray | None = None) -> np.ndarray:
-    """Diffusion on projected gradients plus kappa-scaled VEM stabilizer."""
-    return group_temperature(GroupOps.of_cell(ops), spec, _one_cell(phi_coeffs))[0]
-
-
-def local_convection(ops: ElementOps, u_coeffs: np.ndarray, form: str = "skew") -> np.ndarray:
-    """Convection matrix tested with Pi0_k psi; rows psi, columns phi.
-
-    ``u_coeffs`` holds the Pi0_k coefficients of both velocity components,
-    shape (2, dim P_k).  The skew variant returns (c - c^T)/2 exactly.
-    """
-    return group_convection(GroupOps.of_cell(ops), _one_cell(u_coeffs), form)[0]
-
-
-def local_lps_terms(ops: ElementOps, spec: ProblemSpec):
-    """(L1, L2, L3) on one element with the tau scalings applied."""
-    return tuple(L[0] for L in group_lps_terms(GroupOps.of_cell(ops), spec))
-
-
-def local_loads(ops: ElementOps, spec: ProblemSpec,
-                phi_coeffs: np.ndarray | None = None):
-    """(momentum rhs (2n,), heat rhs (n,)) for one element."""
-    rhs_m, rhs_h = group_loads(GroupOps.of_cell(ops), spec, _one_cell(phi_coeffs))
-    return rhs_m[0], rhs_h[0]
+def per_group(groups: list[GroupOps], kernel, *per_group_args) -> list:
+    """``kernel(g, *args)`` on every group; of the errors that name a cell,
+    the one naming the lowest cell id is raised."""
+    out, first = [], None
+    for g, *args in zip(groups, *per_group_args):
+        try:
+            out.append(kernel(g, *args))
+        except ConfigurationError as exc:
+            if exc.cell_id is None:
+                raise
+            if first is None or exc.cell_id < first.cell_id:
+                first = exc
+    if first is not None:
+        raise first
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -356,31 +332,6 @@ class TransportSystem:
     L3: sp.csr_matrix
     rhs_heat: np.ndarray
     dirichlet_phi: DirichletData
-
-
-@dataclass
-class AssembledSystem:
-    """Global sparse blocks of the stabilized coupled problem."""
-    A_uu: sp.csr_matrix          # viscous + L1, (2N, 2N)
-    B: sp.csr_matrix             # divergence coupling, (N, 2N)
-    L1: sp.csr_matrix
-    L2: sp.csr_matrix
-    A_TT: sp.csr_matrix          # diffusion (+ stabilizer)
-    C: sp.csr_matrix             # convection (skew or one-sided)
-    L3: sp.csr_matrix
-    rhs_momentum: np.ndarray
-    rhs_heat: np.ndarray
-    mean_row: np.ndarray         # integral of Pi0_k p over the domain
-    dirichlet_u: DirichletData
-    dirichlet_phi: DirichletData
-
-    def stokes(self) -> StokesSystem:
-        return StokesSystem(self.A_uu, self.B, self.L2, self.rhs_momentum,
-                            self.mean_row, self.dirichlet_u)
-
-    def transport(self) -> TransportSystem:
-        return TransportSystem(self.A_TT, self.C, self.L3, self.rhs_heat,
-                               self.dirichlet_phi)
 
 
 class _CellOrder:
@@ -479,22 +430,6 @@ class Assembler:
         self._scalar_rhs = _VectorPattern(ids, sdofs)
         self._vector_rhs = _VectorPattern(ids, vdofs)
 
-    def _per_group(self, kernel, *per_group_args) -> list:
-        """``kernel(g, *args)`` on every group; of the errors that name a cell,
-        the one naming the lowest cell id is raised."""
-        out, first = [], None
-        for g, *args in zip(self.groups, *per_group_args):
-            try:
-                out.append(kernel(g, *args))
-            except ConfigurationError as exc:
-                if exc.cell_id is None:
-                    raise
-                if first is None or exc.cell_id < first.cell_id:
-                    first = exc
-        if first is not None:
-            raise first
-        return out
-
     # -- static pieces ---------------------------------------------------------
 
     def _static_blocks(self):
@@ -547,7 +482,7 @@ class Assembler:
             bcs=spec.bcs, alpha=0.0, buoyancy=None, fixed_source=spec.fixed_source,
             heat_source=spec.heat_source, c1=spec.c1, c2=spec.c2, c3=spec.c3,
             convection_form=spec.convection_form)
-        loads = self._per_group(lambda g: group_loads(g, static))
+        loads = per_group(self.groups, lambda g: group_loads(g, static))
         self._rhs_m_static = self._vector_rhs.add(np.zeros(2 * self.N), [rm for rm, _ in loads])
         self._rhs_h_static = self._scalar_rhs.add(np.zeros(self.N), [rh for _, rh in loads])
         self._has_buoyancy = spec.buoyancy is not None and spec.alpha != 0.0
@@ -577,22 +512,6 @@ class Assembler:
             A_TT=self.diffusion_block(phi), C=self.convection_block(u), L3=self.L3,
             rhs_heat=self._rhs_h_static.copy(), dirichlet_phi=self.dirichlet_phi)
 
-    def assemble(self, u: np.ndarray | None = None,
-                 phi: np.ndarray | None = None) -> AssembledSystem:
-        """Build every global block for the given previous iterate."""
-        N = self.N
-        if phi is None:
-            phi = np.zeros(N)
-        if u is None:
-            u = np.zeros(2 * N)
-        st = self.build_stokes(phi)
-        tr = self.build_transport(u, phi)
-        return AssembledSystem(
-            A_uu=st.A_uu, B=self.B, L1=self.L1, L2=self.L2,
-            A_TT=tr.A_TT, C=tr.C, L3=self.L3, rhs_momentum=st.rhs_momentum,
-            rhs_heat=tr.rhs_heat, mean_row=self.mean_row,
-            dirichlet_u=self.dirichlet_u, dirichlet_phi=self.dirichlet_phi)
-
     # -- split assembly used by the Picard sweep -------------------------------
 
     def viscous_block(self, phi: np.ndarray) -> sp.csr_matrix:
@@ -604,8 +523,9 @@ class Assembler:
         return self._viscous(phi)
 
     def _viscous(self, phi: np.ndarray) -> sp.csr_matrix:
-        return self._vector.assemble(self._per_group(
-            lambda g, pc: group_viscous(g, self.spec, pc), self.phi_cell_coeffs(phi)))
+        return self._vector.assemble(per_group(
+            self.groups, lambda g, pc: group_viscous(g, self.spec, pc),
+            self.phi_cell_coeffs(phi)))
 
     def convection_block(self, u: np.ndarray) -> sp.csr_matrix:
         form = self.spec.convection_form
@@ -628,11 +548,4 @@ class Assembler:
         def load(g, pc):
             fb, = _field_values(g, [("buoyancy field", spec.buoyancy, 2)])
             return _buoyancy_load(g, spec, fb, pc)
-        return self._vector_rhs.add(rhs, self._per_group(load, self.phi_cell_coeffs(phi)))
-
-
-def assemble_global(mops: MeshOps, spec: ProblemSpec,
-                    u: np.ndarray | None = None,
-                    phi: np.ndarray | None = None) -> AssembledSystem:
-    """One-shot assembly of all blocks for a given previous iterate."""
-    return Assembler(mops, spec).assemble(u=u, phi=phi)
+        return self._vector_rhs.add(rhs, per_group(self.groups, load, self.phi_cell_coeffs(phi)))

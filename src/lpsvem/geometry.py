@@ -198,9 +198,11 @@ class CellGroup:
     """Geometry of cells with a common vertex count, stacked along axis 0.
 
     Every array has the cells on its first axis, in the order of
-    ``cell_ids``.  Construction runs the checks of ``ElementGeometry`` on every
-    cell and raises ``GeometryError`` for the lowest failing id, with the
-    message of the first check that this cell fails.
+    ``cell_ids``; a single cell is the group of one.  Construction checks
+    every cell for a positive area, edges that are not degenerate and an
+    ear-clip sub-triangulation without degenerate triangles, and raises
+    ``GeometryError`` for the lowest failing id, with the message of the
+    first check that this cell fails.
     """
     cell_ids: np.ndarray          # (m,)
     vertices: np.ndarray          # (m, nv, 2) CCW
@@ -266,43 +268,6 @@ class CellGroup:
         if failed:
             j = min(failed, key=lambda j: ids[j])
             raise GeometryError(failed[j])
-
-
-@dataclass
-class ElementGeometry:
-    """Geometric data of one polygonal cell used by quadrature and projectors.
-
-    The one-cell case of ``CellGroup``; ``from_group`` gives a cell of a group
-    whose arrays are views into the group arrays.
-    """
-    cell_id: int
-    vertices: np.ndarray          # (nv, 2) CCW
-    area: float = field(init=False)
-    centroid: np.ndarray = field(init=False)
-    diameter: float = field(init=False)
-    edge_lengths: np.ndarray = field(init=False)
-    edge_normals: np.ndarray = field(init=False)   # outward unit normals
-    triangles: np.ndarray = field(init=False)      # (nv - 2, 3) ear-clip triples
-
-    def __post_init__(self):
-        pts = np.asarray(self.vertices, dtype=float)
-        self._take(CellGroup(np.array([self.cell_id]), pts[None]), 0)
-
-    @classmethod
-    def from_group(cls, group: CellGroup, j: int) -> ElementGeometry:
-        geom = cls.__new__(cls)
-        geom.cell_id = int(group.cell_ids[j])
-        geom._take(group, j)
-        return geom
-
-    def _take(self, group: CellGroup, j: int):
-        self.vertices = group.vertices[j]
-        self.area = float(group.area[j])
-        self.centroid = group.centroid[j]
-        self.diameter = float(group.diameter[j])
-        self.edge_lengths = group.edge_lengths[j]
-        self.edge_normals = group.edge_normals[j]
-        self.triangles = group.triangles[j]
 
 
 # ---------------------------------------------------------------------------
@@ -383,9 +348,6 @@ class PolyMesh:
 
     def boundary_edge_ids(self) -> np.ndarray:
         return np.where(self.edge_cells[:, 1] < 0)[0]
-
-    def cell_geometry(self, ci: int) -> ElementGeometry:
-        return ElementGeometry(ci, self.vertices[self.cells[ci]])
 
     def cell_groups(self) -> list[CellGroup]:
         """Geometry of every cell, grouped by vertex count (ascending); each

@@ -5,20 +5,17 @@ Monomials are m_a(x) = ((x - x_E)/h_E)^a in graded lexicographic order
 the ear-clip sub-triangulation using a collapsed (Duffy) tensor Gauss rule,
 which keeps every weight positive at any exactness degree.
 
-The ``group_*`` and ``monomial_*`` functions work on a stack of cells (first
-axis); the one-cell functions and ``MonomialBasis`` are their m = 1 case.
-Reference rules and coefficient maps depend only on the degree and are built
-once per degree; the cached arrays are read-only.
+Every ``group_*`` and ``monomial_*`` function works on a stack of cells
+(first axis).  Reference rules and coefficient maps depend only on the
+degree and are built once per degree; the cached arrays are read-only.
 """
 from __future__ import annotations
 
 import functools
 import warnings
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .geometry import ElementGeometry, GeometryError
+from .geometry import GeometryError
 
 
 class ConditionWarning(UserWarning):
@@ -106,59 +103,9 @@ def monomial_gradients(degree: int, points, centroid, diameter) -> np.ndarray:
     return out
 
 
-@dataclass
-class MonomialBasis:
-    """Scaled monomials of degree <= k on one element."""
-    degree: int
-    geom: ElementGeometry
-    exponents: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        self.exponents = monomial_exponents(self.degree)
-
-    @property
-    def dim(self) -> int:
-        return poly_dim(self.degree)
-
-    def _one(self, fn, points):
-        g = self.geom
-        return fn(self.degree, np.atleast_2d(points)[None], g.centroid[None],
-                  [g.diameter])[0]
-
-    def eval(self, points: np.ndarray) -> np.ndarray:
-        """Values of all basis monomials at `points`; shape (npts, dim)."""
-        return self._one(monomial_values, points)
-
-    def eval_grad(self, points: np.ndarray) -> np.ndarray:
-        """Gradients at `points`; shape (npts, dim, 2)."""
-        return self._one(monomial_gradients, points)
-
-    def grad_coeff_maps(self):
-        """Coefficient matrices of d/dx and d/dy: P_k -> P_{k-1}.
-
-        Returns (Dx, Dy) with shape (dim P_{k-1}, dim P_k) so that the
-        gradient of sum c_a m_a has coefficients Dx @ c, Dy @ c in the
-        degree-(k-1) basis.
-        """
-        Dx, Dy = grad_coeff_ref(self.degree)
-        h = self.geom.diameter
-        return Dx / h, Dy / h
-
-    def laplacian_coeff_map(self) -> np.ndarray:
-        """Coefficient matrix of the Laplacian: P_k -> P_{k-2}."""
-        return laplacian_ref(self.degree) / self.geom.diameter ** 2
-
-
 # ---------------------------------------------------------------------------
 # quadrature
 # ---------------------------------------------------------------------------
-
-@dataclass
-class PolygonQuadrature:
-    points: np.ndarray  # (n, 2)
-    weights: np.ndarray  # (n,), positive, summing to |E|
-    degree: int
-
 
 @functools.lru_cache(maxsize=None)
 def _duffy_triangle_rule(degree: int):
@@ -201,13 +148,6 @@ def group_quadrature(vertices, triangles, degree: int, cell_ids):
     return pts.reshape(m, -1, 2), wts.reshape(m, -1)
 
 
-def build_quadrature(geom: ElementGeometry, degree: int) -> PolygonQuadrature:
-    """Composite positive-weight rule over the element sub-triangulation."""
-    tris = np.asarray(geom.triangles, dtype=int).reshape(-1, 3)
-    pts, wts = group_quadrature(geom.vertices[None], tris[None], degree, [geom.cell_id])
-    return PolygonQuadrature(pts[0], wts[0], degree)
-
-
 def group_mass_matrices(phi: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """H with H_ab = int_E m_a m_b from values phi (m, nq, dim) and weights
     (m, nq); shape (m, dim, dim)."""
@@ -222,26 +162,8 @@ def group_stiffness_matrices(dphi: np.ndarray, weights: np.ndarray) -> np.ndarra
     return 0.5 * (G + G.transpose(0, 2, 1))
 
 
-def condition_warnings(H: np.ndarray, cell_ids, stacklevel: int = 2) -> list[tuple[int, str]]:
-    """Warn once for every mass matrix of a stack with cond > 1e12.
-
-    Returns (index in the stack, message) for each of them.
-    """
-    out = []
+def condition_warnings(H: np.ndarray, cell_ids, stacklevel: int = 2) -> None:
+    """Warn once for every mass matrix of a stack with cond > 1e12."""
     for j in np.flatnonzero(np.linalg.cond(H) > 1e12):
-        msg = f"cell {cell_ids[j]}: mass matrix condition number > 1e12"
-        warnings.warn(msg, ConditionWarning, stacklevel=stacklevel + 1)
-        out.append((int(j), msg))
-    return out
-
-
-def mass_matrix(basis: MonomialBasis, quad: PolygonQuadrature) -> np.ndarray:
-    """H with H_ab = int_E m_a m_b; warns when badly conditioned."""
-    H = group_mass_matrices(basis.eval(quad.points)[None], quad.weights[None])
-    condition_warnings(H, [basis.geom.cell_id], stacklevel=2)
-    return H[0]
-
-
-def stiffness_matrix(basis: MonomialBasis, quad: PolygonQuadrature) -> np.ndarray:
-    """G with G_ab = int_E grad m_a . grad m_b (singular along constants)."""
-    return group_stiffness_matrices(basis.eval_grad(quad.points)[None], quad.weights[None])[0]
+        warnings.warn(f"cell {cell_ids[j]}: mass matrix condition number > 1e12",
+                      ConditionWarning, stacklevel=stacklevel + 1)

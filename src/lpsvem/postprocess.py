@@ -3,7 +3,8 @@
 H1-type errors compare exact gradients with gradients of the elementwise
 energy projection; L2-type errors use the L2 projection, both integrated with
 the element quadrature.  The pressure error is taken against the zero-mean
-shift of the exact pressure.
+shift of the exact pressure.  Everything is computed one vertex-count group of
+cells at a time, and each exact field is called once per group.
 """
 from __future__ import annotations
 
@@ -14,7 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .element_ops import MeshOps
+from .element_ops import GroupOps, MeshOps
+from .forms import _field_values, per_group
+from .polybasis import grad_coeff_ref, poly_dim
+
+_NORMS = ("e_u_h1", "e_u_l2", "e_p_l2", "e_phi_h1", "e_phi_l2")
 
 
 @dataclass
@@ -44,24 +49,64 @@ class ExactFields:
         self.grad_phi = grad_phi  # (x, y) -> (2, n)
 
 
-def _finite(vals, where):
-    a = np.asarray(vals, dtype=float)
-    if not np.all(np.isfinite(a)):
-        flat = a.reshape(-1, a.shape[-1])
-        bad = np.where(~np.isfinite(flat).all(axis=0))[0][0]
-        raise ValueError(f"exact-field provider returned a non-finite value at "
-                         f"quadrature point #{bad} in {where}")
-    return a
+def _exact_values(g: GroupOps, exact: ExactFields) -> dict[str, np.ndarray]:
+    """The given exact fields on the quadrature points of a group, one call
+    each; a non-finite value raises ``forms.ConfigurationError`` (a
+    ``ValueError``) naming the lowest such cell of the group."""
+    fields = []
+    if exact.u is not None:
+        grad_u = exact.grad_u
+        fields += [("velocity", exact.u, 2),
+                   ("velocity gradient", lambda x, y: np.reshape(grad_u(x, y), (4, -1)), 4)]
+    if exact.p is not None:
+        fields.append(("pressure", exact.p, 1))
+    if exact.phi is not None:
+        fields += [("temperature gradient", exact.grad_phi, 2), ("temperature", exact.phi, 1)]
+    return dict(zip((f[0] for f in fields), _field_values(g, fields)))
+
+
+def _mean(groups: list[GroupOps], vals: list[np.ndarray]) -> float:
+    """Domain mean of a field given by its values on each group's quadrature points."""
+    total = sum(float(np.sum(g.qw * v)) for g, v in zip(groups, vals))
+    return total / sum(float(g.area.sum()) for g in groups)
 
 
 def exact_pressure_mean(exact: ExactFields, mops: MeshOps) -> float:
-    total = 0.0
-    area = 0.0
-    for ops in mops.cells:
-        x, y = ops.quad.points[:, 0], ops.quad.points[:, 1]
-        total += float(ops.quad.weights @ _finite(exact.p(x, y), "pressure mean"))
-        area += ops.geom.area
-    return total / area
+    groups = mops.groups
+    return _mean(groups, per_group(
+        groups, lambda g: _field_values(g, [("pressure", exact.p, 1)])[0]))
+
+
+def _squared_errors(g: GroupOps, state, N: int, exact: dict, p_shift: float) -> dict:
+    """Squared error norms and divergence violation summed over a group."""
+    w = g.qw
+    u = (state.u[g.dofs], state.u[g.dofs + N])                  # (m, n) each
+    dcoef = g.Div_lo @ np.concatenate(u, axis=1)[..., None]      # (m, nk1, 1)
+    nk1 = dcoef.shape[1]
+    out = {"div": float(np.sum(dcoef * (g.H[:, :nk1, :nk1] @ dcoef)))}
+
+    def l2(dof, ref):
+        return float(np.sum(w * (ref - (g.Pq @ dof[..., None])[..., 0]) ** 2))
+
+    def h1(dof, ref_x, ref_y):
+        # the gradient of Pi_nabla dof = sum c_a m_a has the coefficients
+        # (grad_coeff_ref(k) / h_E) @ c in the degree-(k-1) monomials
+        c = g.P_nabla @ dof[..., None]                          # (m, nk, 1)
+        h = g.diameter[:, None, None]
+        gx, gy = ((g.Phi_lo @ ((D / h) @ c))[..., 0] for D in grad_coeff_ref(g.k))
+        return float(np.sum(w * ((ref_x - gx) ** 2 + (ref_y - gy) ** 2)))
+
+    if "velocity" in exact:
+        gue = exact["velocity gradient"]                        # (4, m, nq)
+        out["e_u_h1"] = sum(h1(u[c], gue[2 * c], gue[2 * c + 1]) for c in (0, 1))
+        out["e_u_l2"] = sum(l2(u[c], exact["velocity"][c]) for c in (0, 1))
+    if "pressure" in exact:
+        out["e_p_l2"] = l2(state.p[g.dofs], exact["pressure"] - p_shift)
+    if "temperature" in exact:
+        phi = state.phi[g.dofs]
+        out["e_phi_h1"] = h1(phi, *exact["temperature gradient"])
+        out["e_phi_l2"] = l2(phi, exact["temperature"])
+    return out
 
 
 def compute_errors(state, exact: ExactFields | None, mops: MeshOps,
@@ -69,43 +114,18 @@ def compute_errors(state, exact: ExactFields | None, mops: MeshOps,
     """Error norms of a coupled state against analytic fields.
 
     ``phi_reference`` (callable or constant) feeds the dof-point extremes of
-    phi_h - reference; it defaults to the exact temperature.
+    phi_h - reference; it defaults to the exact temperature.  A non-finite
+    exact field raises a ``ValueError`` naming the lowest cell it occurs on.
     """
-    N = mops.n_scalar
+    groups = mops.groups
     lay = mops.layout
-    eu1 = eu0 = ep = et1 = et0 = 0.0
-    div2 = 0.0
-    p_shift = exact_pressure_mean(exact, mops) if exact is not None and exact.p else 0.0
-    for ops, cd in zip(mops.cells, mops.cell_dofs):
-        pts, w = ops.quad.points, ops.quad.weights
-        x, y = pts[:, 0], pts[:, 1]
-        u_loc = np.concatenate([state.u[cd], state.u[cd + N]])
-        dcoef = ops.Div_lo @ u_loc
-        div2 += float(dcoef @ ops.H[:len(dcoef), :len(dcoef)] @ dcoef)
-        if exact is None:
-            continue
-        dphi_tab = ops.basis.eval_grad(pts)           # (nq, nk, 2)
-        if exact.u is not None:
-            ue = _finite(exact.u(x, y), "velocity")
-            gue = _finite(exact.grad_u(x, y), "velocity gradient")
-            for comp, dof in enumerate((state.u[cd], state.u[cd + N])):
-                cnab = ops.P_nabla @ dof
-                gh = np.einsum("qad,a->qd", dphi_tab, cnab)
-                eu1 += float(w @ ((gue[comp, 0] - gh[:, 0]) ** 2
-                                  + (gue[comp, 1] - gh[:, 1]) ** 2))
-                vh = ops.Pq @ dof
-                eu0 += float(w @ (ue[comp] - vh) ** 2)
-        if exact.p is not None:
-            ph = ops.Pq @ state.p[cd]
-            pe = _finite(exact.p(x, y), "pressure") - p_shift
-            ep += float(w @ (pe - ph) ** 2)
-        if exact.phi is not None:
-            cnab = ops.P_nabla @ state.phi[cd]
-            gh = np.einsum("qad,a->qd", dphi_tab, cnab)
-            gte = _finite(exact.grad_phi(x, y), "temperature gradient")
-            et1 += float(w @ ((gte[0] - gh[:, 0]) ** 2 + (gte[1] - gh[:, 1]) ** 2))
-            th = ops.Pq @ state.phi[cd]
-            et0 += float(w @ (_finite(exact.phi(x, y), "temperature") - th) ** 2)
+    vals = ([{}] * len(groups) if exact is None
+            else per_group(groups, lambda g: _exact_values(g, exact)))
+    p_shift = _mean(groups, [v["pressure"] for v in vals]) if "pressure" in vals[0] else 0.0
+    sq: dict[str, float] = {}
+    for g, v in zip(groups, vals):
+        for name, val in _squared_errors(g, state, mops.n_scalar, v, p_shift).items():
+            sq[name] = sq.get(name, 0.0) + val
 
     ref = phi_reference if phi_reference is not None else (exact.phi if exact else None)
     if ref is None:
@@ -117,14 +137,9 @@ def compute_errors(state, exact: ExactFields | None, mops: MeshOps,
         dev = state.phi[:lay.n_point] - ref_vals
         dev_min, dev_max = float(dev.min()), float(dev.max())
 
-    have = exact is not None
     return ErrorBundle(
-        e_u_h1=math.sqrt(eu1) if have and exact.u else None,
-        e_u_l2=math.sqrt(eu0) if have and exact.u else None,
-        e_p_l2=math.sqrt(ep) if have and exact.p else None,
-        e_phi_h1=math.sqrt(et1) if have and exact.phi else None,
-        e_phi_l2=math.sqrt(et0) if have and exact.phi else None,
-        div_violation=math.sqrt(div2), phi_dev_min=dev_min, phi_dev_max=dev_max)
+        **{name: math.sqrt(sq[name]) if name in sq else None for name in _NORMS},
+        div_violation=math.sqrt(sq["div"]), phi_dev_min=dev_min, phi_dev_max=dev_max)
 
 
 def observed_rates(hs, errors):
@@ -150,20 +165,21 @@ def observed_rates(hs, errors):
 
 def _vertex_fields(state, mops: MeshOps):
     """Average the projected fields over cells incident to each vertex."""
-    mesh = mops.mesh
     N = mops.n_scalar
-    nv = mesh.n_vertices
+    nv = mops.mesh.n_vertices
     acc = np.zeros((nv, 4))
     cnt = np.zeros(nv)
-    for ci, (ops, cd) in enumerate(zip(mops.cells, mops.cell_dofs)):
-        cell = mesh.cells[ci]
-        vals = ops.basis.eval(mesh.vertices[cell])    # (nvc, nk)
-        u1 = vals @ (ops.P_nabla @ state.u[cd])
-        u2 = vals @ (ops.P_nabla @ state.u[cd + N])
-        pv = vals @ (ops.P_zero @ state.p[cd])
-        tv = vals @ (ops.P_zero @ state.phi[cd])
-        acc[cell] += np.column_stack([u1, u2, pv, tv])
-        cnt[cell] += 1.0
+    for g in mops.groups:
+        d = g.dofs
+        nvc = (g.n_dof - poly_dim(g.k - 2)) // g.k
+        verts = d[:, :nvc].ravel()          # the vertex dofs are the vertex ids
+        coeffs = np.concatenate([g.P_nabla @ state.u[d][..., None],
+                                 g.P_nabla @ state.u[d + N][..., None],
+                                 g.P_zero @ state.p[d][..., None],
+                                 g.P_zero @ state.phi[d][..., None]], axis=2)
+        # the first rows of D are the monomials at the cell's vertices
+        np.add.at(acc, verts, (g.D[:, :nvc] @ coeffs).reshape(-1, 4))
+        np.add.at(cnt, verts, 1.0)
     return acc / cnt[:, None]
 
 

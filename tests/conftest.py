@@ -8,7 +8,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from lpsvem import element_ops as eo
 from lpsvem import forms
-from lpsvem.geometry import UNIT_SQUARE, generate_mesh
+from lpsvem.geometry import UNIT_SQUARE, PolyMesh, generate_mesh
 
 FAMILIES = ("voronoi", "distorted_square", "uniform_square", "nonconvex")
 
@@ -24,6 +24,13 @@ def mops_h5(meshes_h5):
     """Element operators for every family at h = 1/5, orders 1 and 2."""
     return {(fam, k): eo.build_mesh_ops(mesh, k)
             for fam, mesh in meshes_h5.items() for k in (1, 2)}
+
+
+def one_cell_group(pts, k, quad_degree=None):
+    """Operators of the single counter-clockwise cell ``pts`` (cell id 0), built
+    by ``build_mesh_ops`` on a one-cell mesh: a ``GroupOps`` of one cell."""
+    pts = np.asarray(pts, dtype=float)
+    return eo.build_mesh_ops(PolyMesh(pts, [np.arange(len(pts))], {}), k, quad_degree).groups[0]
 
 
 def zero_velocity(x, y):

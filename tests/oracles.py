@@ -11,8 +11,9 @@ and of the global assembly that the grouped ``build_mesh_ops`` and
 """
 from __future__ import annotations
 
+import dataclasses
 import math
-import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse as sparse
@@ -21,11 +22,10 @@ from scipy.special import roots_legendre
 from lpsvem import element_ops as eo
 from lpsvem import forms
 from lpsvem.element_ops import edge_internal_params
-from lpsvem.geometry import ElementGeometry
-from lpsvem.geometry import ear_clip
-from lpsvem.polybasis import (ConditionWarning, MonomialBasis, build_quadrature,
-                              mass_matrix, monomial_exponents, poly_dim,
-                              stiffness_matrix)
+from lpsvem.geometry import CellGroup, ear_clip
+from lpsvem.polybasis import (grad_coeff_ref, group_mass_matrices, group_quadrature,
+                              group_stiffness_matrices, laplacian_ref, monomial_exponents,
+                              monomial_gradients, monomial_values, poly_dim)
 
 # ---------------------------------------------------------------------------
 # exact monomial integrals over polygons (closed form, no quadrature)
@@ -587,7 +587,6 @@ def strong_residual_mp(case, x0: float, y0: float, dps: int = 30):
 def oracle_local_matrices(pts, k, spec, phi_coeffs, u_coeffs):
     """Brute-force local matrices from independently built projectors."""
     el = OracleElement(pts, k)
-    geom = ElementGeometry(0, pts)
     n = el.n_dof
     qp, qw = el.qp, el.qw
     # dense projectors, one dof at a time
@@ -649,7 +648,7 @@ def oracle_local_matrices(pts, k, spec, phi_coeffs, u_coeffs):
     conv1 = (qvals * qw[:, None]).T @ ((V1[:, None] * gxv) + (V2[:, None] * gyv))
     conv = conv1 if spec.convection_form == "convective" else 0.5 * (conv1 - conv1.T)
 
-    t1, t2, t3 = spec.taus(geom.diameter)
+    t1, t2, t3 = spec.taus(el.diam)
     fx = mono_k @ G_hi[0] - mono_lo @ G_lo[0]
     fy = mono_k @ G_hi[1] - mono_lo @ G_lo[1]
     l2 = t2 * ((fx * qw[:, None]).T @ fx + (fy * qw[:, None]).T @ fy + S_lo)
@@ -674,32 +673,40 @@ def _edge_rule(k: int):
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-def reference_cell_ops(geom: ElementGeometry, k: int,
-                       quad_degree: int | None = None) -> eo.ElementOps:
+def reference_cell_ops(pts, k: int, quad_degree: int | None = None,
+                       cell_id: int = 0) -> SimpleNamespace:
     """Every projector, fluctuation map and stabilizer on one cell, built cell
-    by cell with the one-cell helpers of the library (the reference for the
-    grouped construction of ``build_mesh_ops``)."""
+    by cell from the stacked library helpers with a stack of one (the
+    reference for the grouped construction of ``build_mesh_ops``).
+
+    The array fields are those of ``GroupOps`` without the cell axis;
+    ``geom`` is the one-cell ``CellGroup``, and ``mono``/``mono_grad`` evaluate
+    the cell's scaled monomials of a given degree at points (n, 2).
+    """
     if quad_degree is None:
         quad_degree = 2 * k + 2
-    nv = len(geom.vertices)
+    geom = CellGroup(np.array([cell_id]), np.asarray(pts, dtype=float)[None])
+    verts = geom.vertices[0]
+    edge_lengths, edge_normals = geom.edge_lengths[0], geom.edge_normals[0]
+    area, diameter = float(geom.area[0]), float(geom.diameter[0])
+    nv = len(verts)
     nk = poly_dim(k)
     nk1 = poly_dim(k - 1)
     nk2 = poly_dim(k - 2)
     n_dof = nv * k + nk2
-    quad = build_quadrature(geom, quad_degree)
-    basis = MonomialBasis(k, geom)
-    msgs: list[str] = []
 
-    with warnings.catch_warnings(record=True) as wrec:
-        warnings.simplefilter("always", ConditionWarning)
-        H = mass_matrix(basis, quad)
-    for w in wrec:
-        warnings.warn(w.message, ConditionWarning, stacklevel=2)
-        msgs.append(str(w.message))
-    Gt = stiffness_matrix(basis, quad)
-    Phi = basis.eval(quad.points)
+    def mono(deg, x):
+        return monomial_values(deg, np.atleast_2d(x)[None], geom.centroid, [diameter])[0]
+
+    def mono_grad(deg, x):
+        return monomial_gradients(deg, np.atleast_2d(x)[None], geom.centroid, [diameter])[0]
+
+    qpts, qw = (a[0] for a in group_quadrature(geom.vertices, geom.triangles, quad_degree,
+                                               geom.cell_ids))
+    Phi = mono(k, qpts)
+    H = group_mass_matrices(Phi[None], qw[None])[0]
+    Gt = group_stiffness_matrices(mono_grad(k, qpts)[None], qw[None])[0]
     Phi_lo = Phi[:, :nk1]
-    area = geom.area
 
     # --- boundary trace machinery -----------------------------------------
     tq, tw = _edge_rule(k)
@@ -713,7 +720,7 @@ def reference_cell_ops(geom: ElementGeometry, k: int,
         out.append((i + 1) % nv)
         return np.array(out, dtype=int)
 
-    perimeter = float(geom.edge_lengths.sum())
+    perimeter = float(edge_lengths.sum())
     # boundary integrals: bmean[j] = (1/|dE|) * int_dE phi_j ds  and the flux
     # tables used by the B matrices
     bmean = np.zeros(n_dof)
@@ -721,61 +728,56 @@ def reference_cell_ops(geom: ElementGeometry, k: int,
     edge_wts = []      # physical weights per edge
     edge_dof_tab = []  # trace dof ids per edge
     for i in range(nv):
-        a = geom.vertices[i]
-        b = geom.vertices[(i + 1) % nv]
-        pts = a[None, :] + tq[:, None] * (b - a)[None, :]
-        wts = tw * geom.edge_lengths[i]
+        a = verts[i]
+        b = verts[(i + 1) % nv]
+        epts = a[None, :] + tq[:, None] * (b - a)[None, :]
+        wts = tw * edge_lengths[i]
         dofs = edge_trace_dofs(i)
         bmean[dofs] += lag.T @ wts / perimeter
-        edge_pts.append(pts)
+        edge_pts.append(epts)
         edge_wts.append(wts)
         edge_dof_tab.append(dofs)
 
     moment_cols = nv * k + np.arange(nk2)
 
-    def poly_boundary_mean(bas):
-        vals = np.zeros(bas.dim)
+    def poly_boundary_mean(deg):
+        vals = np.zeros(poly_dim(deg))
         for i in range(nv):
-            vals += edge_wts[i] @ bas.eval(edge_pts[i])
+            vals += edge_wts[i] @ mono(deg, edge_pts[i])
         return vals / perimeter
 
-    def dof_matrix(bas) -> np.ndarray:
-        """dof_i(m_a) for the monomials of `bas`; shape (n_dof, bas.dim)."""
-        Dm = np.zeros((n_dof, bas.dim))
-        Dm[:nv, :] = bas.eval(geom.vertices)
-        if k > 1:
-            for i in range(nv):
-                a = geom.vertices[i]
-                b = geom.vertices[(i + 1) % nv]
-                pts = a[None, :] + np.asarray(params)[:, None] * (b - a)[None, :]
-                Dm[nv + i * (k - 1):nv + (i + 1) * (k - 1), :] = bas.eval(pts)
-        if nk2:
-            full = basis.eval(quad.points)
-            low = bas.eval(quad.points)
-            Dm[moment_cols, :] = (full[:, :nk2].T @ (quad.weights[:, None] * low)) / area
-        return Dm
+    # --- dof matrix: dof_i(m_a), shape (n_dof, nk) ----------------------------
+    D = np.zeros((n_dof, nk))
+    D[:nv, :] = mono(k, verts)
+    if k > 1:
+        for i in range(nv):
+            a = verts[i]
+            b = verts[(i + 1) % nv]
+            ipts = a[None, :] + np.asarray(params)[:, None] * (b - a)[None, :]
+            D[nv + i * (k - 1):nv + (i + 1) * (k - 1), :] = mono(k, ipts)
+    if nk2:
+        D[moment_cols, :] = (Phi[:, :nk2].T @ (qw[:, None] * Phi)) / area
 
     def pi_nabla_matrix(deg: int) -> np.ndarray:
         """Energy projector onto P_deg (deg <= k) as a coeff map."""
         nd = poly_dim(deg)
-        bas = MonomialBasis(deg, geom)
         G = Gt[:nd, :nd].copy()
         B = np.zeros((nd, n_dof))
-        lap = bas.laplacian_coeff_map()          # (dim P_{deg-2}, nd)
+        lap = laplacian_ref(deg) / diameter ** 2          # (dim P_{deg-2}, nd)
         if lap.shape[0]:
             B[:, moment_cols[:lap.shape[0]]] = -area * lap.T
         for i in range(nv):
-            gm = bas.eval_grad(edge_pts[i])      # (nq_e, nd, 2)
-            flux = gm @ geom.edge_normals[i]     # (nq_e, nd)
+            gm = mono_grad(deg, edge_pts[i])             # (nq_e, nd, 2)
+            flux = gm @ edge_normals[i]                  # (nq_e, nd)
             B[:, edge_dof_tab[i]] += flux.T @ (edge_wts[i][:, None] * lag)
         # constant mode fixed by the boundary mean
-        G[0, :] = poly_boundary_mean(bas)
+        G[0, :] = poly_boundary_mean(deg)
         B[0, :] = bmean
         try:
             return np.linalg.solve(G, B)
         except np.linalg.LinAlgError as exc:
             raise eo.ElementError(
-                f"cell {geom.cell_id}: energy projector rank-deficient") from exc
+                f"cell {cell_id}: energy projector rank-deficient") from exc
 
     P_nabla = pi_nabla_matrix(k)
     if k == 1:
@@ -783,8 +785,6 @@ def reference_cell_ops(geom: ElementGeometry, k: int,
         P_nabla_lo = bmean[None, :].copy()
     else:
         P_nabla_lo = pi_nabla_matrix(k - 1)
-
-    D = dof_matrix(basis)
 
     # --- computable moments up to degree k (enhancement) -------------------
     moments = np.zeros((nk, n_dof))
@@ -797,17 +797,16 @@ def reference_cell_ops(geom: ElementGeometry, k: int,
     # --- gradient projections ----------------------------------------------
     def grad_projection(deg: int):
         """L2 projection of the gradient onto [P_deg]^2, deg in {k-1, k}."""
-        bas = MonomialBasis(deg, geom)
         nd = poly_dim(deg)
-        Dx, Dy = bas.grad_coeff_maps()           # (dim P_{deg-1}, nd)
         N = [np.zeros((nd, n_dof)), np.zeros((nd, n_dof))]
-        for comp, Dc in enumerate((Dx, Dy)):
+        for comp, Dref in enumerate(grad_coeff_ref(deg)):   # (dim P_{deg-1}, nd)
+            Dc = Dref / diameter
             if Dc.shape[0]:
                 # moments of w against M_{deg-1} are computable rows
                 N[comp] -= Dc.T @ moments[:Dc.shape[0], :]
             for i in range(nv):
-                mv = bas.eval(edge_pts[i])       # (nq_e, nd)
-                nrm = geom.edge_normals[i][comp]
+                mv = mono(deg, edge_pts[i])              # (nq_e, nd)
+                nrm = edge_normals[i][comp]
                 N[comp][:, edge_dof_tab[i]] += nrm * (mv.T @ (edge_wts[i][:, None] * lag))
         Hd = H[:nd, :nd]
         return tuple(np.linalg.solve(Hd, Nc) for Nc in N)
@@ -840,20 +839,42 @@ def reference_cell_ops(geom: ElementGeometry, k: int,
     lps_div_unit = R_div.T @ H @ R_div + S2
     diffusion_unit = sum(P_grad[c].T @ H[:nk1, :nk1] @ P_grad[c] for c in (0, 1)) + S
     b_div = P_zero.T @ H[:nk1, :].T @ Div_lo
-    int_m = quad.weights @ Phi
+    int_m = qw @ Phi
     mean_map = (int_m @ P_zero) / area
     Pq = Phi @ P_zero
     Gq = tuple(Phi_lo @ P_grad[c] for c in (0, 1))
 
-    return eo.ElementOps(
-        geom=geom, k=k, quad=quad, basis=basis, n_dof=n_dof, H=H, Gt=Gt, D=D,
+    return SimpleNamespace(
+        geom=geom, mono=mono, mono_grad=mono_grad, cell_id=cell_id, k=k, n_dof=n_dof,
+        area=area, diameter=diameter, qpts=qpts, qw=qw, H=H, Gt=Gt, D=D,
         P_nabla=P_nabla, P_nabla_lo=P_nabla_lo, P_zero=P_zero, moments=moments,
         P_grad=P_grad, P_grad_hi=P_grad_hi, R_grad=R_grad, Div_lo=Div_lo,
         Div_hi=Div_hi, R_div=R_div, S=S, S_lo=S_lo,
         lps_div_unit=lps_div_unit, lps_press_unit=lps_press_unit,
         lps_temp_unit=lps_temp_unit, diffusion_unit=diffusion_unit,
         b_div=b_div, int_m=int_m, mean_map=mean_map, Phi=Phi, Phi_lo=Phi_lo,
-        Pq=Pq, Gq=Gq, warnings=msgs)
+        Pq=Pq, Gq=Gq)
+
+
+def cell_views(mops) -> list[SimpleNamespace]:
+    """Every cell's operators in mesh order, as views into its group's
+    arrays: each ``GroupOps`` field without the cell axis, with ``cell_id``
+    for ``cell_ids`` and Python floats for ``area`` and ``diameter``."""
+    out = [None] * mops.mesh.n_cells
+    for g in mops.groups:
+        for j, ci in enumerate(g.cell_ids.tolist()):
+            view = SimpleNamespace(cell_id=ci)
+            for f in dataclasses.fields(g):
+                val = getattr(g, f.name)
+                if f.name == "cell_ids":
+                    continue
+                if isinstance(val, tuple):
+                    val = tuple(v[j] for v in val)
+                elif isinstance(val, np.ndarray):
+                    val = val[j].item() if val.ndim == 1 else val[j]
+                setattr(view, f.name, val)
+            out[ci] = view
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -863,19 +884,19 @@ def reference_cell_ops(geom: ElementGeometry, k: int,
 def _reference_mu_values(ops, spec, phi_coeffs):
     mu = spec.viscosity
     vals = np.asarray(mu(ops.Phi @ phi_coeffs), dtype=float)
-    mu0 = float(mu(np.array([phi_coeffs @ ops.int_m / ops.geom.area]))[0])
+    mu0 = float(mu(np.array([phi_coeffs @ ops.int_m / ops.area]))[0])
     lo, hi = mu.mu_min * (1 - 1e-9), mu.mu_max * (1 + 1e-9)
     if vals.min() < lo or vals.max() > hi or not (lo <= mu0 <= hi):
         bad = float(vals.min() if vals.min() < lo else vals.max())
         raise forms.ConfigurationError(
-            f"cell {ops.geom.cell_id}: viscosity value {bad:g} outside "
+            f"cell {ops.cell_id}: viscosity value {bad:g} outside "
             f"declared bounds [{mu.mu_min:g}, {mu.mu_max:g}]")
     return vals, mu0
 
 
 def reference_local_viscous(ops, spec, phi_coeffs):
     mu_q, mu0 = _reference_mu_values(ops, spec, phi_coeffs)
-    w = ops.quad.weights * mu_q
+    w = ops.qw * mu_q
     Hmu = ops.Phi_lo.T @ (w[:, None] * ops.Phi_lo)
     gx, gy = ops.P_grad
     z = np.zeros_like(gx)
@@ -894,8 +915,8 @@ def reference_local_temperature(ops, spec, phi_coeffs=None):
     if phi_coeffs is None:
         raise forms.ConfigurationError("nonlinear conductivity needs a temperature iterate")
     k_q = np.asarray(kappa(ops.Phi @ phi_coeffs), dtype=float)
-    k0 = float(kappa(np.array([phi_coeffs @ ops.int_m / ops.geom.area]))[0])
-    w = ops.quad.weights * k_q
+    k0 = float(kappa(np.array([phi_coeffs @ ops.int_m / ops.area]))[0])
+    w = ops.qw * k_q
     Hk = ops.Phi_lo.T @ (w[:, None] * ops.Phi_lo)
     gx, gy = ops.P_grad
     A = gx.T @ Hk @ gx + gy.T @ Hk @ gy + k0 * ops.S
@@ -905,7 +926,7 @@ def reference_local_temperature(ops, spec, phi_coeffs=None):
 def reference_local_convection(ops, u_coeffs, form="skew"):
     V1 = ops.Phi @ u_coeffs[0]
     V2 = ops.Phi @ u_coeffs[1]
-    w = ops.quad.weights
+    w = ops.qw
     conv = ops.Pq.T @ ((w * V1)[:, None] * ops.Gq[0] + (w * V2)[:, None] * ops.Gq[1])
     if form == "convective":
         return conv
@@ -915,17 +936,17 @@ def reference_local_convection(ops, u_coeffs, form="skew"):
 def _reference_check_finite(vals, ops, what):
     """A quadrature point is bad when any component of the field is not finite."""
     vals = np.asarray(vals, dtype=float)
-    finite = np.isfinite(vals.reshape(-1, len(ops.quad.points))).all(axis=0)
+    finite = np.isfinite(vals.reshape(-1, len(ops.qpts))).all(axis=0)
     if not finite.all():
-        bad = ops.quad.points[~finite][0]
+        bad = ops.qpts[~finite][0]
         raise forms.ConfigurationError(
             f"{what} is not finite near ({bad[0]:.6g}, {bad[1]:.6g})")
     return vals
 
 
 def reference_local_loads(ops, spec, phi_coeffs=None):
-    x, y = ops.quad.points[:, 0], ops.quad.points[:, 1]
-    w = ops.quad.weights
+    x, y = ops.qpts[:, 0], ops.qpts[:, 1]
+    w = ops.qw
     n = ops.n_dof
     rhs_m = np.zeros(2 * n)
     if spec.fixed_source is not None:
@@ -951,7 +972,8 @@ def reference_assembly(mops, spec, u=None, phi=None) -> dict:
     N = mops.n_scalar
     u = np.zeros(2 * N) if u is None else u
     phi = np.zeros(N) if phi is None else phi
-    cells, cdofs = mops.cells, mops.cell_dofs
+    cells = cell_views(mops)
+    cdofs = [ops.dofs for ops in cells]
     vdofs = [np.concatenate([cd, cd + N]) for cd in cdofs]
 
     def block(vals, rows, cols, shape):
@@ -969,7 +991,7 @@ def reference_assembly(mops, spec, u=None, phi=None) -> dict:
     phi_c = [ops.P_zero @ phi[cd] for ops, cd in zip(cells, cdofs)]
     u_c = [np.vstack([ops.P_zero @ u[cd], ops.P_zero @ u[cd + N]])
            for ops, cd in zip(cells, cdofs)]
-    taus = [spec.taus(ops.geom.diameter) for ops in cells]
+    taus = [spec.taus(ops.diameter) for ops in cells]
     mean = np.zeros(N)
     for ops, cd in zip(cells, cdofs):
         mean[cd] += ops.P_zero.T @ ops.int_m
@@ -1005,8 +1027,8 @@ def reference_assembly(mops, spec, u=None, phi=None) -> dict:
         rhs_h[cd] += rh
     if spec.buoyancy is not None and spec.alpha != 0.0:
         for ops, vd, pc in zip(cells, vdofs, phi_c):
-            x, y = ops.quad.points[:, 0], ops.quad.points[:, 1]
-            w = ops.quad.weights
+            x, y = ops.qpts[:, 0], ops.qpts[:, 1]
+            w = ops.qw
             fb = _reference_check_finite(spec.buoyancy(x, y), ops, "buoyancy field")
             phi_vals = ops.Phi @ pc
             rhs_m[vd] += np.concatenate([
@@ -1014,3 +1036,86 @@ def reference_assembly(mops, spec, u=None, phi=None) -> dict:
                 ops.Pq.T @ (w * spec.alpha * fb[1] * phi_vals)])
     out["rhs_momentum"], out["rhs_heat"] = rhs_m, rhs_h
     return out
+
+
+# ---------------------------------------------------------------------------
+# cell-by-cell reference of the error norms and the exported vertex fields
+# ---------------------------------------------------------------------------
+
+def reference_errors(state, exact, mops, phi_reference=None):
+    """(``ErrorBundle`` fields as a dict, vertex fields (n_vertices, 4)) of
+    ``postprocess.compute_errors`` and ``postprocess._vertex_fields``,
+    computed cell by cell in mesh order on ``reference_cell_ops``, with the
+    gradients of the energy projection taken from the monomial gradients."""
+    mesh, lay, N = mops.mesh, mops.layout, mops.n_scalar
+    cells = [reference_cell_ops(mesh.vertices[c], mops.k, cell_id=ci)
+             for ci, c in enumerate(mesh.cells)]
+    cdofs = [lay.group_dofs([ci])[0] for ci in range(mesh.n_cells)]
+    have = exact is not None
+    p_shift = 0.0
+    if have and exact.p is not None:
+        total = area = 0.0
+        for ops in cells:
+            total += float(ops.qw @ exact.p(ops.qpts[:, 0], ops.qpts[:, 1]))
+            area += ops.area
+        p_shift = total / area
+    eu1 = eu0 = ep = et1 = et0 = div2 = 0.0
+    for ops, cd in zip(cells, cdofs):
+        w = ops.qw
+        x, y = ops.qpts[:, 0], ops.qpts[:, 1]
+        u_loc = np.concatenate([state.u[cd], state.u[cd + N]])
+        dcoef = ops.Div_lo @ u_loc
+        div2 += float(dcoef @ ops.H[:len(dcoef), :len(dcoef)] @ dcoef)
+        if not have:
+            continue
+        dphi_tab = ops.mono_grad(mops.k, ops.qpts)          # (nq, nk, 2)
+        if exact.u is not None:
+            ue = np.asarray(exact.u(x, y), dtype=float)
+            gue = np.asarray(exact.grad_u(x, y), dtype=float)
+            for comp, dof in enumerate((state.u[cd], state.u[cd + N])):
+                gh = np.einsum("qad,a->qd", dphi_tab, ops.P_nabla @ dof)
+                eu1 += float(w @ ((gue[comp, 0] - gh[:, 0]) ** 2
+                                  + (gue[comp, 1] - gh[:, 1]) ** 2))
+                eu0 += float(w @ (ue[comp] - ops.Pq @ dof) ** 2)
+        if exact.p is not None:
+            pe = np.asarray(exact.p(x, y), dtype=float) - p_shift
+            ep += float(w @ (pe - ops.Pq @ state.p[cd]) ** 2)
+        if exact.phi is not None:
+            gh = np.einsum("qad,a->qd", dphi_tab, ops.P_nabla @ state.phi[cd])
+            gte = np.asarray(exact.grad_phi(x, y), dtype=float)
+            et1 += float(w @ ((gte[0] - gh[:, 0]) ** 2 + (gte[1] - gh[:, 1]) ** 2))
+            te = np.asarray(exact.phi(x, y), dtype=float)
+            et0 += float(w @ (te - ops.Pq @ state.phi[cd]) ** 2)
+
+    ref = phi_reference if phi_reference is not None else (exact.phi if have else None)
+    if ref is None:
+        dev_min = dev_max = 0.0
+    else:
+        coords = lay.point_dof_coords()
+        ref_vals = (np.full(len(coords), float(ref)) if np.isscalar(ref)
+                    else np.asarray(ref(coords[:, 0], coords[:, 1]), dtype=float))
+        dev = state.phi[:lay.n_point] - ref_vals
+        dev_min, dev_max = float(dev.min()), float(dev.max())
+    has_u = have and exact.u is not None
+    has_p = have and exact.p is not None
+    has_phi = have and exact.phi is not None
+    errors = {"e_u_h1": math.sqrt(eu1) if has_u else None,
+              "e_u_l2": math.sqrt(eu0) if has_u else None,
+              "e_p_l2": math.sqrt(ep) if has_p else None,
+              "e_phi_h1": math.sqrt(et1) if has_phi else None,
+              "e_phi_l2": math.sqrt(et0) if has_phi else None,
+              "div_violation": math.sqrt(div2), "phi_dev_min": dev_min,
+              "phi_dev_max": dev_max}
+
+    acc = np.zeros((mesh.n_vertices, 4))
+    cnt = np.zeros(mesh.n_vertices)
+    for ci, (ops, cd) in enumerate(zip(cells, cdofs)):
+        cell = mesh.cells[ci]
+        vals = ops.mono(mops.k, mesh.vertices[cell])       # (nvc, nk)
+        u1 = vals @ (ops.P_nabla @ state.u[cd])
+        u2 = vals @ (ops.P_nabla @ state.u[cd + N])
+        pv = vals @ (ops.P_zero @ state.p[cd])
+        tv = vals @ (ops.P_zero @ state.phi[cd])
+        acc[cell] += np.column_stack([u1, u2, pv, tv])
+        cnt[cell] += 1.0
+    return errors, acc / cnt[:, None]

@@ -11,12 +11,12 @@ import time
 import numpy as np
 import pytest
 
-from conftest import make_spec
+from conftest import make_spec, one_cell_group
 from lpsvem import benchmarks as bm
 from lpsvem import element_ops as eo
 from lpsvem import forms, solver
-from lpsvem.polybasis import poly_dim
-from oracles import oracle_local_matrices
+from lpsvem.polybasis import grad_coeff_ref, poly_dim
+from oracles import cell_views, oracle_local_matrices
 
 rng = np.random.default_rng(2024)
 
@@ -81,20 +81,20 @@ def test_criterion_1_projector_consistency(mops_h5):
             mops = mops_h5[(fam, k)]
             C = rng.normal(size=(poly_dim(k), 100))
             Cg = rng.normal(size=(poly_dim(k - 1), 100))
-            for ops in mops.cells:
-                D = ops.D @ C
-                worst = max(worst, np.abs(ops.P_nabla @ D - C).max())
-                worst = max(worst, np.abs(ops.P_zero @ D - C).max())
-                Dx, Dy = ops.basis.grad_coeff_maps()
-                worst = max(worst, np.abs(ops.P_grad[0] @ D - Dx @ C).max(),
-                            np.abs(ops.P_grad[1] @ D - Dy @ C).max())
+            for g in mops.groups:
+                D = g.D @ C
+                worst = max(worst, np.abs(g.P_nabla @ D - C).max())
+                worst = max(worst, np.abs(g.P_zero @ D - C).max())
+                Dx, Dy = (Dc / g.diameter[:, None, None] for Dc in grad_coeff_ref(k))
+                worst = max(worst, np.abs(g.P_grad[0] @ D - Dx @ C).max(),
+                            np.abs(g.P_grad[1] @ D - Dy @ C).max())
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-10 and elapsed < 10.0
     assert _report(1, "projector consistency", ok,
                    f"max coeff error {worst:.2e}, {elapsed:.1f}s")
 
 
-def test_criterion_2_dense_oracle_equivalence(meshes_h5, mops_h5):
+def test_criterion_2_dense_oracle_equivalence(meshes_h5):
     t0 = time.perf_counter()
     picks = []
     for fam in FAMS:
@@ -106,19 +106,18 @@ def test_criterion_2_dense_oracle_equivalence(meshes_h5, mops_h5):
     worst = 0.0
     for fam, ci, k in picks:
         mesh = meshes_h5[fam]
-        mops = mops_h5[(fam, k)]
         spec = make_spec(mesh, k, viscosity=forms.Viscosity.constant(1.3),
                          conductivity=0.8)
         pts = mesh.vertices[mesh.cells[ci]]
-        ops = mops.cells[ci]
+        g = one_cell_group(pts, k)
         pc = 0.4 * rng.normal(size=poly_dim(k))
         uc = rng.normal(size=(2, poly_dim(k)))
         ref = oracle_local_matrices(pts, k, spec, pc, uc)
-        L1, L2, L3 = forms.local_lps_terms(ops, spec)
-        got = {"viscous": forms.local_viscous(ops, spec, pc),
-               "divergence": forms.local_divergence(ops),
-               "temperature": forms.local_temperature(ops, spec, pc),
-               "convection": forms.local_convection(ops, uc, spec.convection_form),
+        L1, L2, L3 = (L[0] for L in forms.group_lps_terms(g, spec))
+        got = {"viscous": forms.group_viscous(g, spec, pc[None])[0],
+               "divergence": g.b_div[0],
+               "temperature": forms.group_temperature(g, spec, pc[None])[0],
+               "convection": forms.group_convection(g, uc[None], spec.convection_form)[0],
                "lps1": L1, "lps2": L2, "lps3": L3}
         for name in got:
             rel = (np.linalg.norm(got[name] - ref[name])
@@ -340,7 +339,7 @@ def test_criterion_10_invariant_suite(meshes_h5, mops_h5):
             rq = float(v @ (L @ v)) / max(scale * float(v @ v), 1e-30)
             worst_rq = min(worst_rq, rq)
     # PSD of the per-element VEM stabilizers
-    for ops in mops.cells[::7]:
+    for ops in cell_views(mops)[::7]:
         for v in rng.normal(size=(10, ops.n_dof)):
             rq = float(v @ ops.S @ v) / max(abs(ops.S).max() * float(v @ v), 1e-30)
             worst_rq = min(worst_rq, rq)

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from conftest import make_spec, zero_velocity
+from conftest import make_spec, one_cell_group, zero_velocity
 from lpsvem import element_ops as eo
 from lpsvem import forms
-from lpsvem.geometry import MESH_FAMILIES, ElementGeometry, UNIT_SQUARE, generate_mesh
+from lpsvem.geometry import MESH_FAMILIES, UNIT_SQUARE, generate_mesh
 from lpsvem.polybasis import poly_dim
-from oracles import (OracleElement, alt_polygon_quadrature,
+from oracles import (OracleElement, alt_polygon_quadrature, cell_views,
                      oracle_local_matrices, reference_assembly)
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
@@ -20,7 +20,19 @@ def _const_spec_for(mesh, k, mu=1.0, kappa=1.0, **kw):
 
 
 def _square_ops(k):
-    return eo.build_cell_ops(ElementGeometry(0, SQUARE), k)
+    return one_cell_group(SQUARE, k)
+
+
+def _one_cell_matrices(g, spec, pc, uc):
+    """Every element matrix of the one-cell group ``g`` for the Pi0_k
+    coefficients ``pc`` of the temperature and ``uc`` (2, dim P_k) of the
+    velocity, from the group kernels."""
+    L1, L2, L3 = (L[0] for L in forms.group_lps_terms(g, spec))
+    return {"viscous": forms.group_viscous(g, spec, pc[None])[0],
+            "divergence": g.b_div[0],
+            "temperature": forms.group_temperature(g, spec, pc[None])[0],
+            "convection": forms.group_convection(g, uc[None], spec.convection_form)[0],
+            "lps1": L1, "lps2": L2, "lps3": L3}
 
 
 def _square_spec(k, mu=1.0, kappa=1.0):
@@ -50,7 +62,7 @@ def test_local_viscous_out_of_bounds_value_names_cell():
     spec = make_spec(generate_mesh("uniform_square", UNIT_SQUARE, 1.0), 1,
                      viscosity=bad_mu)
     with pytest.raises(forms.ConfigurationError, match="cell 0"):
-        forms.local_viscous(ops, spec, np.zeros(poly_dim(1)))
+        forms.group_viscous(ops, spec, np.zeros((1, poly_dim(1))))
 
 
 # ---------------------------------------------------------------------------
@@ -61,18 +73,19 @@ def test_local_viscous_out_of_bounds_value_names_cell():
 def test_local_viscous_rigid_motions(k):
     ops = _square_ops(k)
     spec = _square_spec(k)
-    A = forms.local_viscous(ops, spec, np.zeros(poly_dim(k)))
+    A = forms.group_viscous(ops, spec, np.zeros((1, poly_dim(k))))[0]
+    D = ops.D[0]
     assert np.abs(A - A.T).max() <= 1e-13 * max(1.0, np.abs(A).max())
     nk = poly_dim(k)
     for cu, cv in (((1.0, 0.0), (0.0, 0.0)), ((0.0, 0.0), (1.0, 0.0))):
         c1 = np.zeros(nk); c1[0] = cu[0]; c1[2] = cu[1]
         c2 = np.zeros(nk); c2[0] = cv[0]
-        d = np.concatenate([ops.D @ c1, ops.D @ c2])
+        d = np.concatenate([D @ c1, D @ c2])
         assert abs(d @ A @ d) <= 1e-12
     # rigid rotation (-eta, xi)
     c1 = np.zeros(nk); c1[2] = -1.0
     c2 = np.zeros(nk); c2[1] = 1.0
-    d = np.concatenate([ops.D @ c1, ops.D @ c2])
+    d = np.concatenate([D @ c1, D @ c2])
     assert abs(d @ A @ d) <= 1e-12
 
 
@@ -80,7 +93,7 @@ def test_local_viscous_linear_shear_value():
     # v = (x, 0): eps = diag(1, 0), integral of eps:eps over the unit square = 1
     ops = _square_ops(1)
     spec = _square_spec(1)
-    A = forms.local_viscous(ops, spec, np.zeros(3))
+    A = forms.group_viscous(ops, spec, np.zeros((1, 3)))[0]
     x = SQUARE[:, 0]
     d = np.concatenate([x, np.zeros(4)])
     assert abs(d @ A @ d - 1.0) <= 1e-11
@@ -88,7 +101,7 @@ def test_local_viscous_linear_shear_value():
 
 def test_local_divergence_values():
     ops = _square_ops(1)
-    B = forms.local_divergence(ops)
+    B = ops.b_div[0]
     x, y = SQUARE[:, 0], SQUARE[:, 1]
     expand = np.concatenate([x, y])          # div = 2
     ones = np.ones(4)                        # q = 1
@@ -101,11 +114,11 @@ def test_local_divergence_values():
 def test_local_temperature_constants_and_linear(k):
     ops = _square_ops(k)
     spec = _square_spec(k)
-    A = forms.local_temperature(ops, spec)
-    const = ops.D @ np.eye(poly_dim(k))[0]
+    A = forms.group_temperature(ops, spec)[0]
+    const = ops.D[0] @ np.eye(poly_dim(k))[0]
     assert np.abs(A @ const).max() <= 1e-12
-    x = np.zeros(poly_dim(k)); x[1] = ops.geom.diameter  # the monomial xi*h = x-xc
-    d = ops.D @ x
+    x = np.zeros(poly_dim(k)); x[1] = ops.diameter[0]  # the monomial xi*h = x-xc
+    d = ops.D[0] @ x
     assert abs(d @ A @ d - 1.0) <= 1e-11     # kappa=1, grad = e_x, |E| = 1
 
 
@@ -118,28 +131,28 @@ def test_local_temperature_nonlinear_kappa_against_oracle():
     spec = make_spec(mesh, 2, conductivity=cond)
     phi_fun = lambda x, y: x ** 2 + y ** 4
     phi = mops.interpolate_scalar(phi_fun)
-    ci = len(mops.cells) // 2
-    ops = mops.cells[ci]
+    ci = mesh.n_cells // 2
     pts = mesh.vertices[mesh.cells[ci]]
-    pc = ops.P_zero @ phi[mops.cell_dofs[ci]]
-    A = forms.local_temperature(ops, spec, pc)
+    g = one_cell_group(pts, 2, quad_degree=2 * 2 + 6)
+    pc = g.P_zero[0] @ phi[mops.layout.group_dofs([ci])[0]]
+    A = forms.group_temperature(g, spec, pc[None])[0]
     # oracle: per-entry integration with an over-integrated independent rule
     qp, qw = alt_polygon_quadrature(pts, 2 * 2 + 6)
     el = OracleElement(pts, 2)
     kq = np.exp(el.mono(qp) @ pc)
-    gx = el.mono(qp, 1) @ ops.P_grad[0]
-    gy = el.mono(qp, 1) @ ops.P_grad[1]
-    k0 = np.exp(float(pc @ ops.int_m / ops.geom.area))
-    A_ref = (gx * (qw * kq)[:, None]).T @ gx + (gy * (qw * kq)[:, None]).T @ gy + k0 * ops.S
+    gx = el.mono(qp, 1) @ g.P_grad[0][0]
+    gy = el.mono(qp, 1) @ g.P_grad[1][0]
+    k0 = np.exp(float(pc @ g.int_m[0] / g.area[0]))
+    A_ref = (gx * (qw * kq)[:, None]).T @ gx + (gy * (qw * kq)[:, None]).T @ gy + k0 * g.S[0]
     assert np.abs(A - A_ref).max() <= 1e-9 * max(1.0, np.abs(A_ref).max())
 
 
 def test_local_convection_skew_and_zero():
     ops = _square_ops(1)
-    u0 = np.zeros((2, 3))
-    assert np.abs(forms.local_convection(ops, u0)).max() == 0.0
+    u0 = np.zeros((1, 2, 3))
+    assert np.abs(forms.group_convection(ops, u0)[0]).max() == 0.0
     uc = rng.normal(size=(2, 3))
-    M = forms.local_convection(ops, uc, "skew")
+    M = forms.group_convection(ops, uc[None], "skew")[0]
     assert np.abs(M + M.T).max() <= 1e-15
     for _ in range(5):
         psi = rng.normal(size=4)
@@ -149,12 +162,12 @@ def test_local_convection_skew_and_zero():
 def test_local_convection_unit_value():
     # u=(1,0), phi=x, psi=1: one-sided form equals |E| = 1; skew = 1/2
     ops = _square_ops(1)
-    uc = np.zeros((2, 3)); uc[0, 0] = 1.0
-    C1 = forms.local_convection(ops, uc, "convective")
+    uc = np.zeros((1, 2, 3)); uc[0, 0, 0] = 1.0
+    C1 = forms.group_convection(ops, uc, "convective")[0]
     x = SQUARE[:, 0]
     ones = np.ones(4)
     assert abs(ones @ C1 @ x - 1.0) <= 1e-12
-    Cs = forms.local_convection(ops, uc, "skew")
+    Cs = forms.group_convection(ops, uc, "skew")[0]
     assert abs(ones @ Cs @ x - 0.5) <= 1e-12
 
 
@@ -162,15 +175,16 @@ def test_local_convection_unit_value():
 def test_local_lps_annihilation(k):
     ops = _square_ops(k)
     spec = _square_spec(k)
-    L1, L2, L3 = forms.local_lps_terms(ops, spec)
+    L1, L2, L3 = (L[0] for L in forms.group_lps_terms(ops, spec))
+    D = ops.D[0]
     nk = poly_dim(k)
     cv = rng.normal(size=nk)
     cw = rng.normal(size=nk)
-    dv = np.concatenate([ops.D @ cv, ops.D @ cw])
+    dv = np.concatenate([D @ cv, D @ cw])
     assert abs(dv @ L1 @ dv) <= 1e-11 * max(1.0, dv @ dv)
     cp = np.zeros(nk)
     cp[:poly_dim(k - 1)] = rng.normal(size=poly_dim(k - 1))
-    dp = ops.D @ cp
+    dp = D @ cp
     assert abs(dp @ L2 @ dp) <= 1e-11 * max(1.0, dp @ dp)
     for L in (L1, L2, L3):
         assert np.abs(L - L.T).max() <= 1e-13 * max(1.0, np.abs(L).max())
@@ -181,9 +195,9 @@ def test_lps_tau_scaling_with_h():
     spec = _square_spec(1)
     small = SQUARE * 0.5
     ops1 = _square_ops(1)
-    ops2 = eo.build_cell_ops(ElementGeometry(0, small), 1)
-    t1a, t2a, t3a = spec.taus(ops1.geom.diameter)
-    t1b, t2b, t3b = spec.taus(ops2.geom.diameter)
+    ops2 = one_cell_group(small, 1)
+    t1a, t2a, t3a = spec.taus(float(ops1.diameter[0]))
+    t1b, t2b, t3b = spec.taus(float(ops2.diameter[0]))
     assert t1a == t1b                       # tau1 constant
     assert abs(t2a / t2b - 4.0) <= 1e-12    # tau2 ~ h^2
     assert abs(t3a / t3b - 2.0) <= 1e-12    # tau3 ~ h
@@ -193,11 +207,11 @@ def test_local_loads_unit_and_zero():
     ops = _square_ops(1)
     mesh = generate_mesh("uniform_square", UNIT_SQUARE, 1.0)
     spec = _const_spec_for(mesh, 1, heat_source=lambda x, y: np.ones_like(x))
-    rm, rh = forms.local_loads(ops, spec)
+    rm, rh = (r[0] for r in forms.group_loads(ops, spec))
     assert np.abs(rm).max() == 0.0           # alpha=0, no fixed source
     assert abs(np.ones(4) @ rh - 1.0) <= 1e-12
     spec0 = _const_spec_for(mesh, 1)
-    rm0, rh0 = forms.local_loads(ops, spec0)
+    rm0, rh0 = (r[0] for r in forms.group_loads(ops, spec0))
     assert np.abs(rm0).max() == 0.0 and np.abs(rh0).max() == 0.0
 
 
@@ -206,7 +220,7 @@ def test_local_loads_nonfinite_source_error():
     mesh = generate_mesh("uniform_square", UNIT_SQUARE, 1.0)
     spec = _const_spec_for(mesh, 1, heat_source=lambda x, y: np.where(x > 0.2, np.nan, 1.0))
     with pytest.raises(forms.ConfigurationError, match="near"):
-        forms.local_loads(ops, spec)
+        forms.group_loads(ops, spec)
 
 
 def test_buoyancy_load_couples_temperature():
@@ -216,7 +230,7 @@ def test_buoyancy_load_couples_temperature():
     spec = _const_spec_for(mesh, 1, buoyancy=f, alpha=2.0)
     # phi == 3: the load on v = e_y is alpha * 3 * |E| = 6
     pc = np.zeros(3); pc[0] = 3.0
-    rm, _ = forms.local_loads(ops, spec, pc)
+    rm = forms.group_loads(ops, spec, pc[None])[0][0]
     ones_y = np.concatenate([np.zeros(4), np.ones(4)])
     assert abs(ones_y @ rm - 6.0) <= 1e-12
 
@@ -242,20 +256,13 @@ def test_local_matrices_match_dense_oracle(k, coeffs):
         spec = make_spec(mesh, k, viscosity=mu,
                          conductivity=forms.Conductivity(func=lambda r: np.exp(0.3 * r),
                                                          kappa_ref=1.0, temp_range=(-4, 4)))
-    for ci in (0, len(mops.cells) // 2):
-        ops = mops.cells[ci]
+    for ci in (0, mesh.n_cells // 2):
         pts = mesh.vertices[mesh.cells[ci]]
+        g = one_cell_group(pts, k, quad_degree=None if coeffs == "constant" else 2 * k + 6)
         pc = 0.4 * rng.normal(size=poly_dim(k))
         uc = rng.normal(size=(2, poly_dim(k)))
         ref = oracle_local_matrices(pts, k, spec, pc, uc)
-        got = {
-            "viscous": forms.local_viscous(ops, spec, pc),
-            "divergence": forms.local_divergence(ops),
-            "temperature": forms.local_temperature(ops, spec, pc),
-            "convection": forms.local_convection(ops, uc, spec.convection_form),
-        }
-        L1, L2, L3 = forms.local_lps_terms(ops, spec)
-        got.update({"lps1": L1, "lps2": L2, "lps3": L3})
+        got = _one_cell_matrices(g, spec, pc, uc)
         for name in got:
             a, b = got[name], ref[name]
             denom = max(np.linalg.norm(b), 1e-14)
@@ -270,16 +277,16 @@ def test_assembled_invariants(meshes_h5):
     mesh = meshes_h5["distorted_square"]
     mops = eo.build_mesh_ops(mesh, 1)
     spec = _const_spec_for(mesh, 1, heat_source=lambda x, y: np.ones_like(x))
-    system = forms.assemble_global(mops, spec, u=None, phi=None)
+    asm = forms.Assembler(mops, spec)
     N = mops.n_scalar
-    for L, dim in ((system.L1, 2 * N), (system.L2, N), (system.L3, N)):
+    for L, dim in ((asm.L1, 2 * N), (asm.L2, N), (asm.L3, N)):
         for _ in range(20):
             v = rng.normal(size=dim)
             q = v @ (L @ v)
             assert q >= -1e-12 * max(1.0, abs(L).max() * (v @ v))
     # skew-symmetry of the convection block for a random velocity iterate
     u = rng.normal(size=2 * N)
-    C = forms.Assembler(mops, spec).convection_block(u)
+    C = asm.convection_block(u)
     nrm = abs(C).max()
     for _ in range(50):
         psi = rng.normal(size=N)
@@ -437,7 +444,7 @@ def test_viscosity_bounds_error_names_lowest_cell():
     b = next(int(ci) for ci in groups[0].cell_ids if ci > a)
     phi = np.zeros(mops.n_scalar)
     for ci in (a, b, c):
-        phi[mops.cell_dofs[ci][-1]] = 10.0      # the cell mean: touches one cell only
+        phi[mops.layout.group_dofs([ci])[0][-1]] = 10.0   # the cell mean: touches one cell only
     mu = forms.Viscosity(func=lambda r: 1.0 + 0.01 * r, mu_min=0.5, mu_max=1.05)
     asm = forms.Assembler(mops, make_spec(mesh, 2, viscosity=mu))
     asm.build_stokes(np.zeros(mops.n_scalar))
@@ -454,8 +461,10 @@ def test_nonfinite_source_names_first_point_in_mesh_order(field):
     # lower id, one of the first group with a higher id
     a = int(later[0].cell_ids[1])
     b = next(int(ci) for ci in mops.groups[0].cell_ids if ci > a)
-    centres = [mops.cells[ci].geom.centroid for ci in (b, a)]
-    radius = 0.3 * min(mops.cells[ci].geom.diameter for ci in (a, b))
+    geo = {ci: (grp.centroid[j], grp.diameter[j]) for grp in mesh.cell_groups()
+           for j, ci in enumerate(grp.cell_ids.tolist())}
+    centres = [geo[ci][0] for ci in (b, a)]
+    radius = 0.3 * min(geo[ci][1] for ci in (a, b))
 
     def bad(x, y):
         return np.any([np.hypot(x - c[0], y - c[1]) < radius for c in centres], axis=0)
@@ -467,7 +476,7 @@ def test_nonfinite_source_names_first_point_in_mesh_order(field):
         # only the second component is bad
         f = lambda x, y: np.stack([np.ones_like(x), np.where(bad(x, y), np.inf, 1.0)])
         what = "momentum source" if field == "fixed_source" else "buoyancy field"
-    pts = mops.cells[a].quad.points
+    pts = cell_views(mops)[a].qpts
     x0, y0 = pts[bad(pts[:, 0], pts[:, 1])][0]
     kw = {field: f, "alpha": 1.0} if field == "buoyancy" else {field: f}
     spec = _const_spec_for(mesh, 2, **kw)
@@ -482,6 +491,6 @@ def test_nonlinear_kappa_without_iterate_raises():
     cond = forms.Conductivity(func=lambda r: np.exp(r), kappa_ref=1.0)
     spec = make_spec(mesh, 2, conductivity=cond)
     with pytest.raises(forms.ConfigurationError, match="needs a temperature iterate"):
-        forms.local_temperature(mops.cells[0], spec)
+        forms.group_temperature(one_cell_group(mesh.vertices[mesh.cells[0]], 2), spec)
     with pytest.raises(forms.ConfigurationError, match="needs a temperature iterate"):
         forms.group_temperature(mops.groups[0], spec)

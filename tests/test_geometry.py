@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from lpsvem.geometry import (CutoutRectangle, ElementGeometry, GeometryError,
+from lpsvem.geometry import (CellGroup, CutoutRectangle, GeometryError,
                              MeshFormatError, PolyMesh, Rectangle, UNIT_SQUARE,
                              check_regularity, generate_mesh, polygon_kernel,
                              polygon_signed_area, read_mesh, write_mesh)
@@ -123,13 +123,14 @@ def test_element_geometry_invariants(n, r, seed):
     assume(gaps.max() < np.pi)
     rad = r * (1.0 + 0.2 * rng.uniform(-1, 1, size=n))
     pts = np.column_stack([rad * np.cos(ang), rad * np.sin(ang)])
-    geom = ElementGeometry(0, pts)
-    tri_area = sum(polygon_signed_area(pts[list(t)]) for t in geom.triangles)
-    assert abs(tri_area - geom.area) <= 1e-12 * geom.area
+    cell = CellGroup(np.array([0]), pts[None])
+    area, diameter = cell.area[0], cell.diameter[0]
+    tri_area = sum(polygon_signed_area(pts[list(t)]) for t in cell.triangles[0])
+    assert abs(tri_area - area) <= 1e-12 * area
     centro = sum(polygon_signed_area(pts[list(t)]) * pts[list(t)].mean(axis=0)
-                 for t in geom.triangles) / geom.area
-    assert np.abs(centro - geom.centroid).max() <= 1e-12 * geom.diameter
-    assert geom.diameter >= geom.edge_lengths.max() - 1e-14
+                 for t in cell.triangles[0]) / area
+    assert np.abs(centro - cell.centroid[0]).max() <= 1e-12 * diameter
+    assert diameter >= cell.edge_lengths[0].max() - 1e-14
 
 
 def test_mesh_io_roundtrip(tmp_path):

@@ -5,8 +5,9 @@ import pytest
 
 from lpsvem import element_ops as eo
 from lpsvem import postprocess as pp
-from lpsvem.geometry import UNIT_SQUARE, generate_mesh
+from lpsvem.geometry import MESH_FAMILIES, UNIT_SQUARE, generate_mesh
 from lpsvem.solver import CoupledState
+from oracles import cell_views, reference_errors
 
 rng = np.random.default_rng(13)
 
@@ -74,8 +75,56 @@ def test_nonfinite_provider_raises(setup):
                          phi=ex.phi, grad_phi=ex.grad_phi)
     N = mops.n_scalar
     st = CoupledState(u=np.zeros(2 * N), p=np.zeros(N), phi=np.zeros(N))
-    with pytest.raises(ValueError, match="non-finite"):
+    # the lowest cell with a quadrature point at x > 0.5, and its first such point
+    first = next(ops for ops in cell_views(mops) if np.any(ops.qpts[:, 0] > 0.5))
+    x0, y0 = first.qpts[first.qpts[:, 0] > 0.5][0]
+    with pytest.raises(ValueError,
+                       match=rf"^pressure is not finite near \({x0:.6g}, {y0:.6g}\)$") as exc:
         pp.compute_errors(st, bad, mops)
+    assert exc.value.cell_id == first.cell_id
+    # the first group has failing cells too, but the lowest id lies in a later one
+    g0 = mops.groups[0]
+    assert np.any(g0.qpts[..., 0] > 0.5) and first.cell_id not in g0.cell_ids
+
+
+def _smooth_exact():
+    """Non-polynomial fields with a pressure of nonzero mean."""
+    u = lambda x, y: np.stack([np.sin(2 * x) * np.cos(y), np.exp(x - y)])
+    gu = lambda x, y: np.stack([
+        np.stack([2 * np.cos(2 * x) * np.cos(y), -np.sin(2 * x) * np.sin(y)]),
+        np.stack([np.exp(x - y), -np.exp(x - y)])])
+    p = lambda x, y: np.cos(3 * x * y) + 0.4
+    phi = lambda x, y: np.exp(x * y)
+    gphi = lambda x, y: np.stack([y * np.exp(x * y), x * np.exp(x * y)])
+    return pp.ExactFields(u=u, grad_u=gu, p=p, phi=phi, grad_phi=gphi)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("fam", MESH_FAMILIES)
+def test_grouped_errors_match_per_cell_reference(fam, k):
+    """Every error norm and exported vertex field of the grouped
+    ``compute_errors``/``_vertex_fields`` equals the cell-by-cell reference
+    to 1e-12 relative; voronoi meshes mix vertex counts."""
+    mesh = generate_mesh(fam, UNIT_SQUARE, 1 / 5)
+    mops = eo.build_mesh_ops(mesh, k)
+    gen = np.random.default_rng(3)
+    N = mops.n_scalar
+    st = CoupledState(u=gen.normal(size=2 * N), p=gen.normal(size=N),
+                      phi=gen.normal(size=N))
+    for exact, phi_reference in ((_smooth_exact(), None), (None, 0.5)):
+        got = pp.compute_errors(st, exact, mops, phi_reference=phi_reference)
+        ref, ref_fields = reference_errors(st, exact, mops, phi_reference=phi_reference)
+        for name, r in ref.items():
+            g = getattr(got, name)
+            if r is None:
+                assert g is None, name
+            else:
+                assert abs(g - r) <= 1e-12 * abs(r), f"{name}: {g!r} vs {r!r}"
+    fields = pp._vertex_fields(st, mops)
+    assert fields.shape == ref_fields.shape == (mesh.n_vertices, 4)
+    for c in range(4):
+        tol = 1e-12 * np.abs(ref_fields[:, c]).max()
+        assert np.abs(fields[:, c] - ref_fields[:, c]).max() <= tol, f"column {c}"
 
 
 def test_observed_rates():
