@@ -239,7 +239,10 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ConfigurationError, GeometryError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        msg, cell = str(exc), getattr(exc, "cell_id", None)
+        if cell is not None and not msg.startswith(f"cell {cell}:"):
+            msg = f"cell {cell}: {msg}"
+        print(f"error: {msg}", file=sys.stderr)
         return 2
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)

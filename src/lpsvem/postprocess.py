@@ -71,12 +71,6 @@ def _mean(groups: list[GroupOps], vals: list[np.ndarray]) -> float:
     return total / sum(float(g.area.sum()) for g in groups)
 
 
-def exact_pressure_mean(exact: ExactFields, mops: MeshOps) -> float:
-    groups = mops.groups
-    return _mean(groups, per_group(
-        groups, lambda g: _field_values(g, [("pressure", exact.p, 1)])[0]))
-
-
 def _squared_errors(g: GroupOps, state, N: int, exact: dict, p_shift: float) -> dict:
     """Squared error norms and divergence violation summed over a group."""
     w = g.qw

@@ -48,11 +48,34 @@ class PicardReport:
 RESIDUAL_FLOOR = 1e-8
 
 
+# The symmetric-mode LU does not pivot, so a diagonal entry at or below this
+# fraction of max|K_ff| (the zero pressure block of an unstabilized saddle)
+# sends the factorization to COLAMD with partial pivoting: factored without
+# pivoting, that saddle meets the residual floor (3.6e-9) with pivots near
+# 1e-42, a pressure of 1e12 and a velocity off by 1.35%.
+SMALL_DIAGONAL = 1e-12
+
+
+def _norm(r: np.ndarray) -> float:
+    # einsum, not np.linalg.norm: a BLAS level-1 call on a multi-threaded
+    # OpenBLAS costs about 1 ms per solver-sized vector
+    return float(np.sqrt(np.einsum("i,i->", r, r)))
+
+
 class _EliminatedSolve:
-    """Direct solve of K x = b with prescribed values on `fixed` dofs."""
+    """Direct solve of K x = b with prescribed values on `fixed` dofs.
+
+    ``symmetric_mode`` marks a matrix with a symmetric pattern and a positive
+    semi-definite symmetric part (the Stokes saddle systems): it is factored
+    with a minimum-degree ordering of A + A^T and no row pivoting unless its
+    diagonal has an entry at or below ``SMALL_DIAGONAL * max|K_ff|`` or that
+    factorization finds an exactly zero pivot.  Every other matrix is factored
+    with SuperLU's default COLAMD ordering and partial pivoting.  ``ordering``
+    records which of the two ("symmetric" or "colamd") was used.
+    """
 
     def __init__(self, K: sp.spmatrix, fixed: np.ndarray, values: np.ndarray,
-                 system: str):
+                 system: str, symmetric_mode: bool = False):
         K = K.tocsr()
         self.system = system
         self.n = K.shape[0]
@@ -63,10 +86,21 @@ class _EliminatedSolve:
         self.shift = K @ self.xfix
         # the free-free block, factorized once and reused by every refinement
         self.Kff = K[self.free][:, self.free]
-        try:
-            self.lu = splu(self.Kff.tocsc())
-        except RuntimeError as exc:
-            raise SolverError(f"{system} system: singular factorization: {exc}") from exc
+        Kc = self.Kff.tocsc()
+        full_diagonal = symmetric_mode and (np.abs(Kc.diagonal()).min()
+                                            > SMALL_DIAGONAL * np.abs(Kc.data).max())
+        self.ordering = "symmetric" if full_diagonal else "colamd"
+        if self.ordering == "symmetric":
+            try:
+                self.lu = splu(Kc, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                               options=dict(SymmetricMode=True))
+            except RuntimeError:  # an exactly zero pivot
+                self.ordering = "colamd"
+        if self.ordering == "colamd":
+            try:
+                self.lu = splu(Kc)
+            except RuntimeError as exc:
+                raise SolverError(f"{system} system: singular factorization: {exc}") from exc
 
     def solve(self, rhs: np.ndarray, refine_tol: float = 1e-15):
         """LU solve with iterative refinement down to the conditioning floor.
@@ -77,15 +111,15 @@ class _EliminatedSolve:
         b = (rhs - self.shift)[self.free]
         Kff = self.Kff
         x = self.lu.solve(b)
-        nb = np.linalg.norm(b)
-        res = np.linalg.norm(b - Kff @ x) / nb if nb > 0 else 0.0
+        nb = _norm(b)
+        res = _norm(b - Kff @ x) / nb if nb > 0 else 0.0
         for step in range(4):
             # at least one refinement pass; it sharpens the forward error even
             # when the first residual already looks small
             if step > 0 and res <= refine_tol:
                 break
             x += self.lu.solve(b - Kff @ x)
-            res = np.linalg.norm(b - Kff @ x) / nb if nb > 0 else 0.0
+            res = _norm(b - Kff @ x) / nb if nb > 0 else 0.0
         full = self.xfix.copy()
         full[self.free] = x
         if not np.all(np.isfinite(full)):
@@ -119,7 +153,8 @@ def _stokes_solver(system, N: int, regularize: bool) -> _EliminatedSolve:
     vals = np.zeros(K.shape[0])
     vals[du.fixed] = du.values[du.fixed]
     return _EliminatedSolve(K, fixed, vals,
-                            "regularized Stokes" if regularize else "Stokes")
+                            "regularized Stokes" if regularize else "Stokes",
+                            symmetric_mode=True)
 
 
 def solve_stokes(system, N: int, cache: dict | None = None):
@@ -239,7 +274,7 @@ def picard_solve(spec: ProblemSpec, mesh, tol: float = 1e-7, max_iter: int = 50,
         transport = asm.build_transport(u_new, phi_in)
         phi_new, res_h = solve_temperature(transport)
         last_stokes_res, last_heat_res = res_s, res_h
-        pn = max(np.linalg.norm(p_new), 1e-12)  # guard the zero-pressure case
+        pn = max(_norm(p_new), 1e-12)  # guard the zero-pressure case
         pmean_rel = max(pmean_rel, abs(float(stokes.mean_row @ p_new)) / pn)
         return u_new, p_new, lam_new, phi_new
 

@@ -1,6 +1,13 @@
+import dataclasses
 import json
+import re
 
+import numpy as np
+import pytest
+
+from lpsvem import benchmarks as bench
 from lpsvem.cli import main
+from lpsvem.forms import Viscosity
 from lpsvem.geometry import read_mesh
 
 
@@ -104,3 +111,24 @@ def test_threads_flag_deterministic(tmp_path):
     main(args + ["--out-dir", str(b), "--threads", "2"])
     assert (a / "ex1_distorted_square_k1.csv").read_bytes() == \
         (b / "ex1_distorted_square_k1.csv").read_bytes()
+
+
+@pytest.mark.parametrize("field, message", [
+    ("heat_source", r"heat source is not finite near \("),
+    ("viscosity", r"viscosity value 2 outside declared bounds"),
+])
+def test_configuration_error_names_the_cell(monkeypatch, capsys, field, message):
+    """A non-finite source or an out-of-bounds viscosity is reported on the
+    cell it was found on, once, whether or not the message names it."""
+    bad = {"heat_source": lambda x, y: np.where(x > 3.5, np.nan, 0.0),
+           "viscosity": Viscosity(func=lambda r: np.full_like(r, 2.0),
+                                  mu_min=0.5, mu_max=1.0)}[field]
+    problem_spec = bench.BenchmarkCase.problem_spec
+    monkeypatch.setattr(bench.BenchmarkCase, "problem_spec",
+                        lambda self, *a, **kw: dataclasses.replace(
+                            problem_spec(self, *a, **kw), **{field: bad}))
+    code = main(["solve", "--case", "ex4_mild", "--h", "1/4", "--order", "1"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert re.match(rf"error: cell \d+: {message}", err), err
+    assert err.count("cell ") == 1

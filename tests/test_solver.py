@@ -219,6 +219,65 @@ def test_unstabilized_run_no_longer_fails_silently():
     assert np.isfinite(rec.errors.div_violation)
 
 
+def test_stokes_system_factored_in_symmetric_mode_with_less_fill():
+    """ex3, distorted squares, k=2, h=1/9: the minimum-degree ordering of
+    A + A^T without pivoting fills about a third of what COLAMD does."""
+    from scipy.sparse.linalg import splu
+    from lpsvem import benchmarks as bm
+    case = bm.make_case("ex3")
+    mesh = generate_mesh("distorted_square", case.domain, 1 / 9)
+    asm = forms.Assembler(eo.build_mesh_ops(mesh, 2), case.problem_spec(mesh, 2))
+    elim = solver._stokes_solver(asm.build_stokes(np.zeros(asm.N)), asm.N, regularize=False)
+    assert elim.ordering == "symmetric"
+    colamd = splu(elim.Kff.tocsc())
+    assert elim.lu.L.nnz + elim.lu.U.nnz < colamd.L.nnz + colamd.U.nnz
+
+
+def test_zero_pressure_block_takes_colamd_and_regularized_answer(unstabilized_saddle):
+    """Without pivoting, the singular saddle factors with pivots near 1e-42
+    and its solve meets the residual floor with a pressure of 1e12 and a
+    velocity 1.35% off.  The zero diagonal sends it to COLAMD, whose solve
+    fails the floor, and the regularized system answers."""
+    from scipy.sparse.linalg import splu
+    system, N = unstabilized_saddle
+    assert solver._stokes_solver(system, N, regularize=False).ordering == "colamd"
+    with pytest.warns(UserWarning, match="pressure block regularized"):
+        u, p, lam, _ = solver.solve_stokes(system, N)
+        reg = solver._stokes_solver(system, N, regularize=True)
+    assert np.abs(p).max() < 1e3
+    # the regularized system's velocity from a COLAMD factorization
+    rhs = np.concatenate([system.rhs_momentum, -lam * system.mean_row])
+    ref = reg.xfix.copy()
+    ref[reg.free] = splu(reg.Kff.tocsc()).solve((rhs - reg.shift)[reg.free])
+    assert np.abs(u - ref[:2 * N]).max() <= 1e-10 * np.abs(ref[:2 * N]).max()
+
+
+def test_singular_unstabilized_channel_reaches_symmetric_regularized_system():
+    """ex4_mild without stabilization: the plain saddle matrix is exactly
+    singular, and the regularized one has a full diagonal."""
+    from lpsvem import benchmarks as bm
+    case = bm.make_case("ex4_mild")
+    mesh = generate_mesh("triangular", case.domain, 1 / 8)
+    spec = case.problem_spec(mesh, 1, c1=0.0, c2=0.0, c3=0.0)
+    asm = forms.Assembler(eo.build_mesh_ops(mesh, 1), spec)
+    system, N = asm.build_stokes(np.zeros(asm.N)), asm.N
+    with pytest.raises(solver.SolverError, match=r"^Stokes system: singular factorization"):
+        solver._stokes_solver(system, N, regularize=False)
+    cache = {}
+    with pytest.warns(UserWarning, match="pressure block regularized"):
+        solver.solve_stokes(system, N, cache=cache)
+    assert cache["stokes"].system == "regularized Stokes"
+    assert cache["stokes"].ordering == "symmetric"
+
+
+def test_exactly_singular_symmetric_factorization_names_the_system():
+    import scipy.sparse as sps
+    K = sps.csr_matrix(np.ones((2, 2)))
+    with pytest.raises(solver.SolverError, match=r"^Stokes system: singular factorization"):
+        solver._EliminatedSolve(K, np.array([], dtype=int), np.zeros(2), "Stokes",
+                                symmetric_mode=True)
+
+
 def _transport(K, fixed, values, rhs):
     from types import SimpleNamespace
     zero = 0.0 * K
