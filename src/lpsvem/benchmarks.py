@@ -45,7 +45,6 @@ class BenchmarkCase:
     mesh_families: list[str]
     orders: list[int]
     h_list: list[float]
-    alpha: float = 1.0
     convection_form: str = "skew"
     initial: str = "zero"
     phi_reference: object | None = None    # for dof-point extremes (ex4: 1.0)
@@ -61,7 +60,7 @@ class BenchmarkCase:
         F, g = self.fields.sources() if self.fields is not None else (None, None)
         return ProblemSpec(
             k=k, viscosity=self.viscosity, conductivity=self.conductivity,
-            bcs=bcs, alpha=0.0, buoyancy=None, fixed_source=F, heat_source=g,
+            bcs=bcs, fixed_source=F, heat_source=g,
             c1=c1, c2=c2, c3=c3, convection_form=self.convection_form)
 
 
@@ -128,15 +127,6 @@ def make_case(case_id: str, kappa: float | None = None) -> BenchmarkCase:
             convection_form="convective", initial="stokes_first",
             phi_reference=1.0, bc_builder=bc_builder)
     raise ConfigurationError(f"unknown case {case_id!r} (one of {CASE_IDS})")
-
-
-def make_sources(case: BenchmarkCase):
-    """(F, g) callables; the zero functions for the physically-driven case."""
-    if case.fields is None:
-        zero2 = lambda xv, yv: np.stack([np.zeros_like(xv), np.zeros_like(xv)])
-        zero1 = lambda xv, yv: np.zeros_like(np.asarray(xv, dtype=float))
-        return zero2, zero1
-    return case.fields.sources()
 
 
 # ---------------------------------------------------------------------------

@@ -174,7 +174,6 @@ class GroupOps:
     diffusion_unit: np.ndarray
     b_div: np.ndarray
     int_m: np.ndarray
-    mean_map: np.ndarray
     # value tables on the quadrature points
     Phi: np.ndarray
     Phi_lo: np.ndarray
@@ -371,7 +370,6 @@ def _build_group(group: CellGroup, k: int, quad_degree: int | None,
     diffusion_unit = sum(mT(P_grad[c]) @ H[:, :nk1, :nk1] @ P_grad[c] for c in (0, 1)) + S
     b_div = mT(P_zero) @ mT(H[:, :nk1, :]) @ Div_lo
     int_m = (qw[:, None, :] @ Phi)[:, 0]
-    mean_map = (int_m[:, None, :] @ P_zero)[:, 0] / group.area[:, None]
     Pq = Phi @ P_zero
     Gq = tuple(Phi_lo @ P_grad[c] for c in (0, 1))
 
@@ -382,7 +380,7 @@ def _build_group(group: CellGroup, k: int, quad_degree: int | None,
         R_grad=R_grad, Div_lo=Div_lo, Div_hi=Div_hi, R_div=R_div, S=S, S_lo=S_lo,
         lps_div_unit=lps_div_unit, lps_press_unit=lps_press_unit,
         lps_temp_unit=lps_temp_unit, diffusion_unit=diffusion_unit, b_div=b_div,
-        int_m=int_m, mean_map=mean_map, Phi=Phi, Phi_lo=Phi_lo, Pq=Pq, Gq=Gq,
+        int_m=int_m, Phi=Phi, Phi_lo=Phi_lo, Pq=Pq, Gq=Gq,
         dofs=global_dofs)
 
 

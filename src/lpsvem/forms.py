@@ -4,18 +4,17 @@ Element matrices act on element dof vectors (scalar fields) or on stacked
 [u1; u2] vectors (velocity).  Stabilization parameters scale per element as
 tau1 = c1, tau2 = c2*h_E^2 and tau3 = c3*h_E.
 
-Forms are assembled one vertex-count group of cells at a time: the
-``group_*`` kernels work on the stacked operators of ``element_ops.GroupOps``
-(arrays of shape (cells, ...)), and mu, kappa, the sources and the buoyancy
-field are called once per group on all of its quadrature points.
-``Assembler`` puts the element blocks back into mesh cell order before the
-sparse conversion, so shared entries are summed in the order of a
-cell-by-cell assembly and every global block equals that assembly bit for
-bit.
+The Stokes and temperature problems are coupled through the viscosity
+mu(phi) and the convection u . grad phi only.  Forms are assembled one
+vertex-count group of cells at a time: the ``group_*`` kernels work on the
+stacked operators of ``element_ops.GroupOps`` (arrays of shape (cells, ...)),
+and mu, kappa and the sources are called once per group on all of its
+quadrature points.  ``Assembler`` scatters the element blocks group after
+group.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -51,7 +50,6 @@ class Viscosity:
     mu_min: float
     mu_max: float
     temp_range: tuple[float, float] = (-np.inf, np.inf)
-    lipschitz: float | None = None
 
     def __post_init__(self):
         if not (0.0 < self.mu_min <= self.mu_max):
@@ -106,8 +104,6 @@ class ProblemSpec:
     viscosity: Viscosity
     conductivity: float | Conductivity
     bcs: dict[str, BoundaryCondition]
-    alpha: float = 0.0
-    buoyancy: object | None = None        # f(x, y) -> (2, n); used with alpha
     fixed_source: object | None = None    # F(x, y) -> (2, n)
     heat_source: object | None = None     # g(x, y) -> (n,)
     c1: float = 0.1
@@ -246,22 +242,10 @@ def _test_with_Pq(g: GroupOps, vals: np.ndarray) -> np.ndarray:
     return (_mT(g.Pq) @ vals[..., None])[..., 0]
 
 
-def _buoyancy_load(g: GroupOps, spec: ProblemSpec, fb: np.ndarray,
-                   phi_coeffs: np.ndarray | None) -> np.ndarray:
-    """alpha * phi * f_b tested with Pi0_k v, (m, 2n)."""
-    phi_vals = (np.zeros(g.qw.shape) if phi_coeffs is None
-                else (g.Phi @ phi_coeffs[..., None])[..., 0])
-    w = g.qw
-    return np.concatenate([_test_with_Pq(g, w * spec.alpha * fb[0] * phi_vals),
-                           _test_with_Pq(g, w * spec.alpha * fb[1] * phi_vals)], axis=1)
-
-
-def group_loads(g: GroupOps, spec: ProblemSpec, phi_coeffs: np.ndarray | None = None):
+def group_loads(g: GroupOps, spec: ProblemSpec):
     """(momentum rhs (m, 2n), heat rhs (m, n)) of a group of cells."""
     m, n = len(g.cell_ids), g.n_dof
-    has_buoyancy = spec.buoyancy is not None and spec.alpha != 0.0
     fields = [f for f in (("momentum source", spec.fixed_source, 2),
-                          ("buoyancy field", spec.buoyancy if has_buoyancy else None, 2),
                           ("heat source", spec.heat_source, 1)) if f[1] is not None]
     vals = dict(zip((f[0] for f in fields), _field_values(g, fields)))
     w = g.qw
@@ -270,8 +254,6 @@ def group_loads(g: GroupOps, spec: ProblemSpec, phi_coeffs: np.ndarray | None = 
         F = vals["momentum source"]
         rhs_m[:, :n] += _test_with_Pq(g, w * F[0])
         rhs_m[:, n:] += _test_with_Pq(g, w * F[1])
-    if has_buoyancy:
-        rhs_m += _buoyancy_load(g, spec, vals["buoyancy field"], phi_coeffs)
     rhs_h = np.zeros((m, n))
     if "heat source" in vals:
         rhs_h = _test_with_Pq(g, w * vals["heat source"])
@@ -322,6 +304,8 @@ class StokesSystem:
     rhs_momentum: np.ndarray
     mean_row: np.ndarray         # integral of Pi0_k p over the domain
     dirichlet_u: DirichletData
+    # set by the first solve of this object; later solves reuse it
+    factorization: object | None = field(default=None, init=False, repr=False)
 
 
 @dataclass
@@ -334,63 +318,29 @@ class TransportSystem:
     dirichlet_phi: DirichletData
 
 
-class _CellOrder:
-    """Concatenates per-group arrays with s entries per cell, cell by cell in
-    mesh order."""
-
-    def __init__(self, cell_ids: list[np.ndarray], sizes: list[int]):
-        if len(cell_ids) == 1:
-            # one group holds every cell in mesh order
-            self._pos = None
-            return
-        size = np.empty(sum(len(ids) for ids in cell_ids), dtype=int)
-        for ids, s in zip(cell_ids, sizes):
-            size[ids] = s
-        start = np.cumsum(size) - size
-        self._total = int(size.sum())
-        self._pos = [start[ids][:, None] + np.arange(s) for ids, s in zip(cell_ids, sizes)]
-
-    def __call__(self, arrays: list[np.ndarray]) -> np.ndarray:
-        if self._pos is None:
-            return arrays[0].reshape(-1)
-        out = np.empty(self._total, dtype=arrays[0].dtype)
-        for pos, a in zip(self._pos, arrays):
-            out[pos] = a.reshape(pos.shape)
-        return out
-
-
 class _BlockPattern:
-    """COO pattern of local blocks (row dofs x column dofs of each cell) in
-    mesh cell order, so that the CSR conversion sums duplicates in the order
-    of a cell-by-cell assembly."""
+    """COO pattern of the local blocks (row dofs x column dofs of each cell),
+    group after group."""
 
-    def __init__(self, cell_ids, row_dofs, col_dofs, shape):
+    def __init__(self, row_dofs, col_dofs, shape):
         self.shape = shape
-        self.order = _CellOrder(cell_ids, [r.shape[1] * c.shape[1]
-                                           for r, c in zip(row_dofs, col_dofs)])
-        self.rows = self.order([np.repeat(r, c.shape[1], axis=1)
-                                for r, c in zip(row_dofs, col_dofs)])
-        self.cols = self.order([np.tile(c, (1, r.shape[1]))
-                                for r, c in zip(row_dofs, col_dofs)])
+        self.rows = np.concatenate([np.repeat(r, c.shape[1], axis=1).ravel()
+                                    for r, c in zip(row_dofs, col_dofs)])
+        self.cols = np.concatenate([np.tile(c, (1, r.shape[1])).ravel()
+                                    for r, c in zip(row_dofs, col_dofs)])
 
     def assemble(self, local: list[np.ndarray]) -> sp.csr_matrix:
         """Global matrix of per-group stacked local matrices."""
-        return sp.coo_matrix((self.order(local), (self.rows, self.cols)),
-                             shape=self.shape).tocsr()
+        return sp.coo_matrix((np.concatenate([a.ravel() for a in local]),
+                              (self.rows, self.cols)), shape=self.shape).tocsr()
 
 
-class _VectorPattern:
-    """Global rows of per-cell local vectors in mesh cell order, so that the
-    scatter-add sums shared dofs in the order of a cell-by-cell assembly."""
-
-    def __init__(self, cell_ids, dofs):
-        self.order = _CellOrder(cell_ids, [d.shape[1] for d in dofs])
-        self.rows = self.order(dofs)
-
-    def add(self, out: np.ndarray, local: list[np.ndarray]) -> np.ndarray:
-        """Add per-group stacked local vectors into ``out``."""
-        np.add.at(out, self.rows, self.order(local))
-        return out
+def _scatter(size: int, dofs: list[np.ndarray], local: list[np.ndarray]) -> np.ndarray:
+    """Global vector of per-group stacked local vectors, summed group by group."""
+    out = np.zeros(size)
+    for d, a in zip(dofs, local):
+        np.add.at(out, d, a)
+    return out
 
 
 class Assembler:
@@ -416,19 +366,17 @@ class Assembler:
         self._static_blocks()
         self._dirichlet()
         self._static_rhs()
+        self._stokes_const: StokesSystem | None = None
 
     # -- sparsity ------------------------------------------------------------
 
     def _index_arrays(self):
         N = self.N
-        ids = [g.cell_ids for g in self.groups]
-        sdofs = [g.dofs for g in self.groups]
-        vdofs = [np.concatenate([d, d + N], axis=1) for d in sdofs]
-        self._scalar = _BlockPattern(ids, sdofs, sdofs, (N, N))
-        self._vector = _BlockPattern(ids, vdofs, vdofs, (2 * N, 2 * N))
-        self._pv = _BlockPattern(ids, sdofs, vdofs, (N, 2 * N))
-        self._scalar_rhs = _VectorPattern(ids, sdofs)
-        self._vector_rhs = _VectorPattern(ids, vdofs)
+        self._sdofs = [g.dofs for g in self.groups]
+        self._vdofs = [np.concatenate([d, d + N], axis=1) for d in self._sdofs]
+        self._scalar = _BlockPattern(self._sdofs, self._sdofs, (N, N))
+        self._vector = _BlockPattern(self._vdofs, self._vdofs, (2 * N, 2 * N))
+        self._pv = _BlockPattern(self._sdofs, self._vdofs, (N, 2 * N))
 
     # -- static pieces ---------------------------------------------------------
 
@@ -441,8 +389,8 @@ class Assembler:
         self.B = self._pv.assemble([g.b_div for g in groups])
         self.h1_surrogate = self._scalar.assemble([g.diffusion_unit for g in groups])
         self.mass0 = self._scalar.assemble([_mT(g.P_zero) @ g.H @ g.P_zero for g in groups])
-        self.mean_row = self._scalar_rhs.add(
-            np.zeros(self.N), [(_mT(g.P_zero) @ g.int_m[..., None])[..., 0] for g in groups])
+        self.mean_row = _scatter(
+            self.N, self._sdofs, [(_mT(g.P_zero) @ g.int_m[..., None])[..., 0] for g in groups])
         if not isinstance(spec.conductivity, Conductivity):
             self.A_TT_const = self._scalar.assemble([group_temperature(g, spec) for g in groups])
         else:
@@ -475,17 +423,10 @@ class Assembler:
         self.dirichlet_phi = DirichletData(mask_t, val_t)
 
     def _static_rhs(self):
-        """Heat source and fixed momentum source do not depend on the iterate."""
-        spec = self.spec
-        static = ProblemSpec(
-            k=spec.k, viscosity=spec.viscosity, conductivity=spec.conductivity,
-            bcs=spec.bcs, alpha=0.0, buoyancy=None, fixed_source=spec.fixed_source,
-            heat_source=spec.heat_source, c1=spec.c1, c2=spec.c2, c3=spec.c3,
-            convection_form=spec.convection_form)
-        loads = per_group(self.groups, lambda g: group_loads(g, static))
-        self._rhs_m_static = self._vector_rhs.add(np.zeros(2 * self.N), [rm for rm, _ in loads])
-        self._rhs_h_static = self._scalar_rhs.add(np.zeros(self.N), [rh for _, rh in loads])
-        self._has_buoyancy = spec.buoyancy is not None and spec.alpha != 0.0
+        """The sources do not depend on the iterate."""
+        loads = per_group(self.groups, lambda g: group_loads(g, self.spec))
+        self._rhs_m_static = _scatter(2 * self.N, self._vdofs, [rm for rm, _ in loads])
+        self._rhs_h_static = _scatter(self.N, self._sdofs, [rh for _, rh in loads])
 
     # -- per-iterate assembly -------------------------------------------------
 
@@ -502,10 +443,20 @@ class Assembler:
                 for g in self.groups]
 
     def build_stokes(self, phi: np.ndarray) -> StokesSystem:
-        return StokesSystem(
-            A_uu=(self.viscous_block(phi) + self.L1).tocsr(), B=self.B, L2=self.L2,
-            rhs_momentum=self.momentum_rhs(phi), mean_row=self.mean_row,
-            dirichlet_u=self.dirichlet_u)
+        """Stokes blocks for the temperature iterate ``phi``.  With constant
+        viscosity they do not depend on it: the system is built once, from
+        phi = 0, and that same object is returned on every later call."""
+        if self._stokes_const is not None:
+            return self._stokes_const
+        mu = self.spec.viscosity
+        constant = mu.mu_min == mu.mu_max
+        system = StokesSystem(
+            A_uu=(self.viscous_block(np.zeros(self.N) if constant else phi) + self.L1).tocsr(),
+            B=self.B, L2=self.L2, rhs_momentum=self._rhs_m_static.copy(),
+            mean_row=self.mean_row, dirichlet_u=self.dirichlet_u)
+        if constant:
+            self._stokes_const = system
+        return system
 
     def build_transport(self, u: np.ndarray, phi: np.ndarray) -> TransportSystem:
         return TransportSystem(
@@ -515,14 +466,6 @@ class Assembler:
     # -- split assembly used by the Picard sweep -------------------------------
 
     def viscous_block(self, phi: np.ndarray) -> sp.csr_matrix:
-        spec = self.spec
-        if spec.viscosity.mu_min == spec.viscosity.mu_max:
-            if not hasattr(self, "_visc_const"):
-                self._visc_const = self._viscous(np.zeros(self.N))
-            return self._visc_const
-        return self._viscous(phi)
-
-    def _viscous(self, phi: np.ndarray) -> sp.csr_matrix:
         return self._vector.assemble(per_group(
             self.groups, lambda g, pc: group_viscous(g, self.spec, pc),
             self.phi_cell_coeffs(phi)))
@@ -538,14 +481,3 @@ class Assembler:
         return self._scalar.assemble(
             [group_temperature(g, self.spec, pc)
              for g, pc in zip(self.groups, self.phi_cell_coeffs(phi))])
-
-    def momentum_rhs(self, phi: np.ndarray) -> np.ndarray:
-        rhs = self._rhs_m_static.copy()
-        if not self._has_buoyancy:
-            return rhs
-        spec = self.spec
-
-        def load(g, pc):
-            fb, = _field_values(g, [("buoyancy field", spec.buoyancy, 2)])
-            return _buoyancy_load(g, spec, fb, pc)
-        return self._vector_rhs.add(rhs, per_group(self.groups, load, self.phi_cell_coeffs(phi)))

@@ -112,11 +112,8 @@ def _viscosity_from_expr(mu_expr, temp_range, margin=1.05):
     f = _lambdify_r(mu_expr)
     xs = np.linspace(temp_range[0], temp_range[1], 2049)
     vals = f(xs)
-    dmu = _lambdify_r(sp.diff(mu_expr, _R))
-    lip = float(np.abs(dmu(xs)).max())
     return Viscosity(func=f, mu_min=float(vals.min()) / margin,
-                     mu_max=float(vals.max()) * margin,
-                     temp_range=temp_range, lipschitz=lip)
+                     mu_max=float(vals.max()) * margin, temp_range=temp_range)
 
 
 def manufactured_case(case_id: str, kappa: float | None = None

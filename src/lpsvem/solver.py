@@ -157,7 +157,7 @@ def _stokes_solver(system, N: int, regularize: bool) -> _EliminatedSolve:
                             symmetric_mode=True)
 
 
-def solve_stokes(system, N: int, cache: dict | None = None):
+def solve_stokes(system, N: int):
     """Solve the stabilized saddle problem for (u, p, multiplier).
 
     The zero-mean constraint is enforced through its Lagrange multiplier,
@@ -167,7 +167,9 @@ def solve_stokes(system, N: int, cache: dict | None = None):
     the factorization and the pressure is shifted to exact zero mean, which
     reproduces the bordered multiplier solution without the dense row.
     A singular factorization or a failed solve falls back to the
-    pressure-regularized system; a failure there raises SolverError.
+    pressure-regularized system; a failure there raises SolverError.  The
+    factorization is kept in ``system.factorization`` and reused by every
+    later solve of the same object.
     Returns (u, p, lam, relative residual).
     """
     omega = float(system.mean_row.sum())   # = sum of cell areas
@@ -177,7 +179,7 @@ def solve_stokes(system, N: int, cache: dict | None = None):
     delta = -float(np.sum(system.B[:, du.fixed] @ du.values[du.fixed]))
     lam = delta / omega
     rhs[2 * N:] -= lam * system.mean_row
-    elim = cache.get("stokes") if cache is not None else None
+    elim = system.factorization
     if elim is not None:
         x, res = elim.solve(rhs)
     else:
@@ -187,8 +189,7 @@ def solve_stokes(system, N: int, cache: dict | None = None):
         except SolverError:
             elim = _stokes_solver(system, N, regularize=True)
             x, res = elim.solve(rhs)
-        if cache is not None:
-            cache["stokes"] = elim
+        system.factorization = elim
     u = x[:2 * N]
     p = x[2 * N:]
     p = p - (float(system.mean_row @ p) / omega)
@@ -238,8 +239,8 @@ def energy_norms(state: CoupledState, asm: Assembler) -> tuple[float, float]:
 
 
 def picard_solve(spec: ProblemSpec, mesh, tol: float = 1e-7, max_iter: int = 50,
-                 initial: str = "zero", damping: float = 1.0,
-                 mops: MeshOps | None = None, asm: Assembler | None = None):
+                 initial: str = "zero", mops: MeshOps | None = None,
+                 asm: Assembler | None = None):
     """Fixed-point iteration on the decoupled Stokes/temperature solves.
 
     Returns (CoupledState, PicardReport).  Reaching ``max_iter`` yields a
@@ -255,9 +256,6 @@ def picard_solve(spec: ProblemSpec, mesh, tol: float = 1e-7, max_iter: int = 50,
     N = asm.N
     norms = _Norms(asm)
 
-    mu_static = spec.viscosity.mu_min == spec.viscosity.mu_max and spec.buoyancy is None
-    cache: dict = {}
-
     u_prev = np.zeros(2 * N)
     phi_prev = np.zeros(N)
     lam = 0.0
@@ -267,15 +265,15 @@ def picard_solve(spec: ProblemSpec, mesh, tol: float = 1e-7, max_iter: int = 50,
 
     def sweep(u_in, phi_in):
         nonlocal last_stokes_res, last_heat_res, pmean_rel
-        stokes = asm.build_stokes(phi_in)
-        u_new, p_new, lam_new, res_s = solve_stokes(
-            stokes, N, cache=cache if mu_static else None)
+        # a system rebuilt every sweep is freed, with its factorization,
+        # before the transport solve
+        u_new, p_new, lam_new, res_s = solve_stokes(asm.build_stokes(phi_in), N)
         # transport sees the freshly computed velocity
         transport = asm.build_transport(u_new, phi_in)
         phi_new, res_h = solve_temperature(transport)
         last_stokes_res, last_heat_res = res_s, res_h
         pn = max(_norm(p_new), 1e-12)  # guard the zero-pressure case
-        pmean_rel = max(pmean_rel, abs(float(stokes.mean_row @ p_new)) / pn)
+        pmean_rel = max(pmean_rel, abs(float(asm.mean_row @ p_new)) / pn)
         return u_new, p_new, lam_new, phi_new
 
     if initial == "stokes_first":
@@ -286,9 +284,6 @@ def picard_solve(spec: ProblemSpec, mesh, tol: float = 1e-7, max_iter: int = 50,
     it = 0
     for it in range(1, max_iter + 1):
         u_new, p_new, lam_new, phi_new = sweep(u_prev, phi_prev)
-        if damping != 1.0:
-            u_new = u_prev + damping * (u_new - u_prev)
-            phi_new = phi_prev + damping * (phi_new - phi_prev)
         delta = norms.sigma(phi_new - phi_prev) + norms.h1_vec(u_new - u_prev)
         if not np.isfinite(delta):
             raise SolverError("non-finite Picard increment")

@@ -38,8 +38,8 @@ def zero_velocity(x, y):
 
 
 def make_spec(mesh, k, *, viscosity=None, conductivity=1.0, bcs=None,
-              heat_source=None, fixed_source=None, buoyancy=None, alpha=0.0,
-              c1=0.1, c2=0.002, c3=1.0, convection_form="skew"):
+              heat_source=None, fixed_source=None, c1=0.1, c2=0.002, c3=1.0,
+              convection_form="skew"):
     """Small helper to assemble a ProblemSpec with velocity BCs everywhere."""
     if viscosity is None:
         viscosity = forms.Viscosity.constant(1.0)
@@ -48,6 +48,5 @@ def make_spec(mesh, k, *, viscosity=None, conductivity=1.0, bcs=None,
                for m in mesh.boundary_markers}
     return forms.ProblemSpec(
         k=k, viscosity=viscosity, conductivity=conductivity, bcs=bcs,
-        alpha=alpha, buoyancy=buoyancy, fixed_source=fixed_source,
-        heat_source=heat_source, c1=c1, c2=c2, c3=c3,
+        fixed_source=fixed_source, heat_source=heat_source, c1=c1, c2=c2, c3=c3,
         convection_form=convection_form)

@@ -840,7 +840,6 @@ def reference_cell_ops(pts, k: int, quad_degree: int | None = None,
     diffusion_unit = sum(P_grad[c].T @ H[:nk1, :nk1] @ P_grad[c] for c in (0, 1)) + S
     b_div = P_zero.T @ H[:nk1, :].T @ Div_lo
     int_m = qw @ Phi
-    mean_map = (int_m @ P_zero) / area
     Pq = Phi @ P_zero
     Gq = tuple(Phi_lo @ P_grad[c] for c in (0, 1))
 
@@ -852,7 +851,7 @@ def reference_cell_ops(pts, k: int, quad_degree: int | None = None,
         Div_hi=Div_hi, R_div=R_div, S=S, S_lo=S_lo,
         lps_div_unit=lps_div_unit, lps_press_unit=lps_press_unit,
         lps_temp_unit=lps_temp_unit, diffusion_unit=diffusion_unit,
-        b_div=b_div, int_m=int_m, mean_map=mean_map, Phi=Phi, Phi_lo=Phi_lo,
+        b_div=b_div, int_m=int_m, Phi=Phi, Phi_lo=Phi_lo,
         Pq=Pq, Gq=Gq)
 
 
@@ -944,7 +943,7 @@ def _reference_check_finite(vals, ops, what):
     return vals
 
 
-def reference_local_loads(ops, spec, phi_coeffs=None):
+def reference_local_loads(ops, spec):
     x, y = ops.qpts[:, 0], ops.qpts[:, 1]
     w = ops.qw
     n = ops.n_dof
@@ -953,11 +952,6 @@ def reference_local_loads(ops, spec, phi_coeffs=None):
         F = _reference_check_finite(spec.fixed_source(x, y), ops, "momentum source")
         rhs_m[:n] += ops.Pq.T @ (w * F[0])
         rhs_m[n:] += ops.Pq.T @ (w * F[1])
-    if spec.buoyancy is not None and spec.alpha != 0.0:
-        fb = _reference_check_finite(spec.buoyancy(x, y), ops, "buoyancy field")
-        phi_vals = np.zeros(len(w)) if phi_coeffs is None else ops.Phi @ phi_coeffs
-        rhs_m[:n] += ops.Pq.T @ (w * spec.alpha * fb[0] * phi_vals)
-        rhs_m[n:] += ops.Pq.T @ (w * spec.alpha * fb[1] * phi_vals)
     rhs_h = np.zeros(n)
     if spec.heat_source is not None:
         gv = _reference_check_finite(spec.heat_source(x, y), ops, "heat source")
@@ -1015,25 +1009,11 @@ def reference_assembly(mops, spec, u=None, phi=None) -> dict:
         "C": scalar([reference_local_convection(o, c, spec.convection_form)
                      for o, c in zip(cells, u_c)]),
     }
-    static = forms.ProblemSpec(
-        k=spec.k, viscosity=spec.viscosity, conductivity=spec.conductivity,
-        bcs=spec.bcs, alpha=0.0, buoyancy=None, fixed_source=spec.fixed_source,
-        heat_source=spec.heat_source, c1=spec.c1, c2=spec.c2, c3=spec.c3,
-        convection_form=spec.convection_form)
     rhs_m, rhs_h = np.zeros(2 * N), np.zeros(N)
     for ops, cd, vd in zip(cells, cdofs, vdofs):
-        rm, rh = reference_local_loads(ops, static, None)
+        rm, rh = reference_local_loads(ops, spec)
         rhs_m[vd] += rm
         rhs_h[cd] += rh
-    if spec.buoyancy is not None and spec.alpha != 0.0:
-        for ops, vd, pc in zip(cells, vdofs, phi_c):
-            x, y = ops.qpts[:, 0], ops.qpts[:, 1]
-            w = ops.qw
-            fb = _reference_check_finite(spec.buoyancy(x, y), ops, "buoyancy field")
-            phi_vals = ops.Phi @ pc
-            rhs_m[vd] += np.concatenate([
-                ops.Pq.T @ (w * spec.alpha * fb[0] * phi_vals),
-                ops.Pq.T @ (w * spec.alpha * fb[1] * phi_vals)])
     out["rhs_momentum"], out["rhs_heat"] = rhs_m, rhs_h
     return out
 

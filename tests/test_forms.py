@@ -208,7 +208,7 @@ def test_local_loads_unit_and_zero():
     mesh = generate_mesh("uniform_square", UNIT_SQUARE, 1.0)
     spec = _const_spec_for(mesh, 1, heat_source=lambda x, y: np.ones_like(x))
     rm, rh = (r[0] for r in forms.group_loads(ops, spec))
-    assert np.abs(rm).max() == 0.0           # alpha=0, no fixed source
+    assert np.abs(rm).max() == 0.0           # no fixed source
     assert abs(np.ones(4) @ rh - 1.0) <= 1e-12
     spec0 = _const_spec_for(mesh, 1)
     rm0, rh0 = (r[0] for r in forms.group_loads(ops, spec0))
@@ -221,18 +221,6 @@ def test_local_loads_nonfinite_source_error():
     spec = _const_spec_for(mesh, 1, heat_source=lambda x, y: np.where(x > 0.2, np.nan, 1.0))
     with pytest.raises(forms.ConfigurationError, match="near"):
         forms.group_loads(ops, spec)
-
-
-def test_buoyancy_load_couples_temperature():
-    ops = _square_ops(1)
-    mesh = generate_mesh("uniform_square", UNIT_SQUARE, 1.0)
-    f = lambda x, y: np.stack([np.zeros_like(x), np.ones_like(x)])
-    spec = _const_spec_for(mesh, 1, buoyancy=f, alpha=2.0)
-    # phi == 3: the load on v = e_y is alpha * 3 * |E| = 6
-    pc = np.zeros(3); pc[0] = 3.0
-    rm = forms.group_loads(ops, spec, pc[None])[0][0]
-    ones_y = np.concatenate([np.zeros(4), np.ones(4)])
-    assert abs(ones_y @ rm - 6.0) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -354,6 +342,30 @@ def test_stokes_dimension_formula(meshes_h5):
     assert asm.N == mesh.n_vertices
 
 
+def test_constant_viscosity_stokes_system_built_once(meshes_h5):
+    """With constant mu the Stokes system does not depend on the iterate:
+    every call returns the object built on the first."""
+    mesh = meshes_h5["voronoi"]
+    mops = eo.build_mesh_ops(mesh, 1)
+    asm = forms.Assembler(mops, _const_spec_for(mesh, 1, mu=2.0))
+    gen = np.random.default_rng(3)
+    first = asm.build_stokes(gen.normal(size=mops.n_scalar))
+    assert asm.build_stokes(gen.normal(size=mops.n_scalar)) is first
+    assert asm.build_stokes(np.zeros(mops.n_scalar)) is first
+
+
+def test_nonconstant_viscosity_stokes_system_rebuilt(meshes_h5):
+    mesh = meshes_h5["voronoi"]
+    mops = eo.build_mesh_ops(mesh, 1)
+    mu = forms.Viscosity(func=lambda r: 1.0 + 0.5 * np.sin(r), mu_min=0.4,
+                         mu_max=1.6, temp_range=(-4, 4))
+    asm = forms.Assembler(mops, make_spec(mesh, 1, viscosity=mu))
+    phi = np.random.default_rng(3).normal(size=mops.n_scalar)
+    a, b = asm.build_stokes(phi), asm.build_stokes(phi)
+    assert a is not b
+    assert abs(asm.build_stokes(2 * phi).A_uu - a.A_uu).max() > 0.0
+
+
 def test_missing_bc_raises(meshes_h5):
     mesh = meshes_h5["uniform_square"]
     mops = eo.build_mesh_ops(mesh, 1)
@@ -383,11 +395,9 @@ def test_negative_stabilization_constant_rejected(meshes_h5):
 # grouped assembly against the cell-by-cell reference
 # ---------------------------------------------------------------------------
 
-def _reference_spec(mesh, k, nonlinear, form, buoyancy):
+def _reference_spec(mesh, k, nonlinear, form):
     kw = dict(fixed_source=lambda x, y: np.stack([np.sin(3 * x) * y, np.cos(2 * y) + x]),
               heat_source=lambda x, y: np.exp(x * y), convection_form=form)
-    if buoyancy:
-        kw.update(buoyancy=lambda x, y: np.stack([np.cos(x), np.sin(y) + 1.0]), alpha=2.0)
     if nonlinear:
         mu = forms.Viscosity(func=lambda r: 1.0 + 0.5 * np.sin(r), mu_min=0.4,
                              mu_max=1.6, temp_range=(-4, 4))
@@ -402,13 +412,13 @@ def _reference_spec(mesh, k, nonlinear, form, buoyancy):
 def test_grouped_assembly_matches_per_cell_reference(fam, k):
     """Every global block and right-hand side equals the cell-by-cell assembly
     to 1e-12 * max(1, max|ref|), sparsity included; voronoi meshes mix vertex
-    counts, so this also covers putting the groups back into mesh order."""
+    counts, so this also covers summing shared entries group by group, in
+    another order than the mesh-order reference."""
     mesh = generate_mesh(fam, UNIT_SQUARE, 1 / 5)
     mops = eo.build_mesh_ops(mesh, k)
     gen = np.random.default_rng(5)
     N = mops.n_scalar
-    for cfg in [(False, "skew", False), (True, "convective", True), (True, "skew", False),
-                (False, "convective", True)]:
+    for cfg in [(False, "skew"), (True, "convective"), (True, "skew"), (False, "convective")]:
         spec = _reference_spec(mesh, k, *cfg)
         u, phi = gen.normal(size=2 * N), gen.normal(size=N)
         asm = forms.Assembler(mops, spec)
@@ -453,7 +463,7 @@ def test_viscosity_bounds_error_names_lowest_cell():
     assert exc.value.cell_id == a
 
 
-@pytest.mark.parametrize("field", ["heat_source", "fixed_source", "buoyancy"])
+@pytest.mark.parametrize("field", ["heat_source", "fixed_source"])
 def test_nonfinite_source_names_first_point_in_mesh_order(field):
     mesh, mops = _voronoi_k2()
     later = [g for g in mops.groups[1:]]
@@ -475,11 +485,10 @@ def test_nonfinite_source_names_first_point_in_mesh_order(field):
     else:
         # only the second component is bad
         f = lambda x, y: np.stack([np.ones_like(x), np.where(bad(x, y), np.inf, 1.0)])
-        what = "momentum source" if field == "fixed_source" else "buoyancy field"
+        what = "momentum source"
     pts = cell_views(mops)[a].qpts
     x0, y0 = pts[bad(pts[:, 0], pts[:, 1])][0]
-    kw = {field: f, "alpha": 1.0} if field == "buoyancy" else {field: f}
-    spec = _const_spec_for(mesh, 2, **kw)
+    spec = _const_spec_for(mesh, 2, **{field: f})
     with pytest.raises(forms.ConfigurationError,
                        match=rf"^{what} is not finite near \({x0:.6g}, {y0:.6g}\)$") as exc:
         forms.Assembler(mops, spec).build_stokes(np.zeros(mops.n_scalar))

@@ -174,16 +174,25 @@ def test_picard_residual_monotone_tail():
 
 
 @pytest.fixture(scope="module")
-def unstabilized_saddle():
-    """First-sweep Stokes system of ex2_convective without stabilization on
-    Voronoi cells, k=2, h=1/8: SuperLU factors its saddle matrix without
-    complaint, and the solve comes back with a relative residual of 0.35."""
+def _unstabilized_system():
     from lpsvem import benchmarks as bm
     case = bm.make_case("ex2_convective")
     mesh = generate_mesh("voronoi", case.domain, 1 / 8, seed=42)
     spec = case.problem_spec(mesh, 2, c1=0.0, c2=0.0, c3=0.0)
     asm = forms.Assembler(eo.build_mesh_ops(mesh, 2), spec)
     return asm.build_stokes(np.zeros(asm.N)), asm.N
+
+
+@pytest.fixture
+def unstabilized_saddle(_unstabilized_system):
+    """First-sweep Stokes system of ex2_convective without stabilization on
+    Voronoi cells, k=2, h=1/8: SuperLU factors its saddle matrix without
+    complaint, and the solve comes back with a relative residual of 0.35.
+    Each test gets its own copy, so none sees a factorization kept by
+    another."""
+    import dataclasses
+    system, N = _unstabilized_system
+    return dataclasses.replace(system), N
 
 
 def test_failed_stokes_solve_falls_back_to_regularized_system(unstabilized_saddle):
@@ -217,6 +226,23 @@ def test_unstabilized_run_no_longer_fails_silently():
         rec, state, mops = bm.run_point(case, "voronoi", 2, 1 / 8, c1=0.0, c2=0.0, c3=0.0)
     assert rec.converged
     assert np.isfinite(rec.errors.div_violation)
+
+
+def test_constant_viscosity_channel_factors_stokes_once(monkeypatch):
+    """ex4_mild (constant mu): the Stokes system is one object for the whole
+    run, factored once; the temperature system is factored every sweep."""
+    from lpsvem import benchmarks as bm
+    orderings, splu = [], solver.splu
+
+    def counting(*args, **kwargs):
+        orderings.append(kwargs.get("permc_spec", "COLAMD"))
+        return splu(*args, **kwargs)
+    monkeypatch.setattr(solver, "splu", counting)
+    rec, _, _ = bm.run_point(bm.make_case("ex4_mild"), "triangular", 1, 1 / 8)
+    assert rec.converged
+    assert orderings.count("MMD_AT_PLUS_A") == 1
+    # "stokes_first" adds one sweep before the counted ones
+    assert orderings.count("COLAMD") == rec.iterations + 1
 
 
 def test_stokes_system_factored_in_symmetric_mode_with_less_fill():
@@ -263,11 +289,10 @@ def test_singular_unstabilized_channel_reaches_symmetric_regularized_system():
     system, N = asm.build_stokes(np.zeros(asm.N)), asm.N
     with pytest.raises(solver.SolverError, match=r"^Stokes system: singular factorization"):
         solver._stokes_solver(system, N, regularize=False)
-    cache = {}
     with pytest.warns(UserWarning, match="pressure block regularized"):
-        solver.solve_stokes(system, N, cache=cache)
-    assert cache["stokes"].system == "regularized Stokes"
-    assert cache["stokes"].ordering == "symmetric"
+        solver.solve_stokes(system, N)
+    assert system.factorization.system == "regularized Stokes"
+    assert system.factorization.ordering == "symmetric"
 
 
 def test_exactly_singular_symmetric_factorization_names_the_system():
