@@ -416,13 +416,10 @@ class MeshOps:
                 out[g.dofs[:, -nmom:]] = mom / g.area[:, None]
         return out
 
-    def interpolate_vector(self, f1, f2) -> np.ndarray:
-        return np.concatenate([self.interpolate_scalar(f1), self.interpolate_scalar(f2)])
-
 
 def build_mesh_ops(mesh: PolyMesh, k: int, quad_degree: int | None = None) -> MeshOps:
     """Element operators of every cell, built one vertex-count group at a time."""
     layout = DofLayout(mesh, k)
     groups = [_build_group(group, k, quad_degree, layout.group_dofs(group.cell_ids))
-              for group in mesh.cell_groups()]
+              for group in mesh.cell_groups]
     return MeshOps(mesh, k, layout, groups)

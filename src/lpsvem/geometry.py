@@ -1,17 +1,20 @@
-"""Polygonal meshes: data structures, generators, regularity checks and JSON IO.
+"""Polygonal meshes: data structures, generators and JSON IO.
 
 Conventions: cells are counter-clockwise vertex-index loops, every cell is a
 simple polygon with positive area, and each boundary edge carries exactly one
-named marker.  Meshes are treated as immutable once built.
+named marker.  Meshes are treated as immutable once built.  The edge topology
+and the generators work on the concatenated cell loops; the cell geometry is
+built once per mesh, one vertex-count group at a time (``CellGroup``).
 """
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import KDTree, Voronoi
 
 
 class GeometryError(ValueError):
@@ -80,12 +83,23 @@ MESH_FAMILIES = ("uniform_square", "distorted_square", "voronoi", "nonconvex",
 # elementary polygon helpers
 # ---------------------------------------------------------------------------
 
-def polygon_signed_area(pts: np.ndarray) -> float:
-    # shoelace about the first vertex: raw coordinates far from the origin
-    # cancel catastrophically on small cells
-    rel = pts - pts[0]
-    x, y = rel[:, 0], rel[:, 1]
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+def _loop_next(lens: np.ndarray) -> np.ndarray:
+    """Position of the next vertex of every vertex in loops of lengths
+    ``lens`` (each at least 1), stored one after another."""
+    end = np.cumsum(lens)
+    nxt = np.arange(1, end[-1] + 1)
+    nxt[end - 1] = end - lens
+    return nxt
+
+
+def _first_appearance(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Number the distinct ``keys`` in order of first appearance: returns the
+    number of every key and the position where each number first appears."""
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return rank[inverse], first[order]
 
 
 def polygon_diameter(pts: np.ndarray) -> float:
@@ -138,55 +152,6 @@ def ear_clip(pts: np.ndarray) -> list[tuple[int, int, int]]:
             raise GeometryError("ear clipping failed; polygon may be non-simple")
     tris.append((idx[0], idx[1], idx[2]))
     return tris
-
-
-def polygon_kernel(pts: np.ndarray) -> np.ndarray | None:
-    """Intersection of the inner half-planes of all edges (kernel polygon).
-
-    Returns None when the polygon is not star-shaped.
-    """
-    poly = [tuple(p) for p in pts]
-    n = len(pts)
-    for i in range(n):
-        a, b = pts[i], pts[(i + 1) % n]
-        # keep points left of the directed edge a->b
-        nx, ny = a[1] - b[1], b[0] - a[0]  # inward normal for CCW loop
-        off = nx * a[0] + ny * a[1]
-        new: list[tuple[float, float]] = []
-        m = len(poly)
-        for k in range(m):
-            p, q = poly[k], poly[(k + 1) % m]
-            sp = nx * p[0] + ny * p[1] - off
-            sq = nx * q[0] + ny * q[1] - off
-            if sp >= -1e-14:
-                new.append(p)
-            if (sp > 1e-14 and sq < -1e-14) or (sp < -1e-14 and sq > 1e-14):
-                t = sp / (sp - sq)
-                new.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
-        poly = new
-        if len(poly) < 3:
-            return None
-    return np.asarray(poly)
-
-
-def chebyshev_radius(pts: np.ndarray) -> float:
-    """Radius of the largest ball inscribed in a convex polygon (via an LP)."""
-    from scipy.optimize import linprog   # about 0.1 s to import; only checks use it
-    n = len(pts)
-    A, b = [], []
-    for i in range(n):
-        p, q = pts[i], pts[(i + 1) % n]
-        nx, ny = q[1] - p[1], -(q[0] - p[0])  # outward normal of CCW polygon
-        ln = math.hypot(nx, ny)
-        if ln < 1e-300:
-            continue
-        A.append([nx / ln, ny / ln, 1.0])
-        b.append((nx * p[0] + ny * p[1]) / ln)
-    res = linprog(c=[0.0, 0.0, -1.0], A_ub=np.array(A), b_ub=np.array(b),
-                  bounds=[(None, None), (None, None), (0, None)], method="highs")
-    if not res.success:
-        return 0.0
-    return float(res.x[2])
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +253,6 @@ class PolyMesh:
     edges: np.ndarray = field(init=False)
     edge_cells: np.ndarray = field(init=False)       # (ne, 2), -1 for boundary
     cell_edges: list[np.ndarray] = field(init=False)  # per cell, edge ids in loop order
-    h: float = field(init=False)
 
     def __post_init__(self):
         self.vertices = np.asarray(self.vertices, dtype=float)
@@ -296,41 +260,42 @@ class PolyMesh:
         self._build_topology()
 
     def _build_topology(self):
+        """Edges numbered by first appearance in the cell loops (cells in mesh
+        order, each from its first vertex), keyed by (min, max) vertex."""
         nv = len(self.vertices)
-        edge_index: dict[tuple[int, int], int] = {}
-        pairs: list[tuple[int, int]] = []
-        adj: list[list[int]] = []
-        self.cell_edges = []
-        for ci, cell in enumerate(self.cells):
-            if len(cell) < 3:
+        lens = np.array([len(c) for c in self.cells])
+        loops = np.concatenate(self.cells)
+        owner = np.repeat(np.arange(len(lens)), lens)
+        bad_index = np.zeros(len(lens), dtype=bool)
+        bad_index[owner[(loops < 0) | (loops >= nv)]] = True
+        srt = np.lexsort((loops, owner))      # each cell's vertex ids, sorted
+        dup = (np.diff(loops[srt]) == 0) & (np.diff(owner[srt]) == 0)
+        repeated = np.zeros(len(lens), dtype=bool)
+        repeated[owner[srt][1:][dup]] = True
+        failed = (lens < 3) | bad_index | repeated
+        if failed.any():   # the first failing cell, with its first failing check
+            ci = int(np.argmax(failed))
+            if lens[ci] < 3:
                 raise GeometryError(f"cell {ci}: fewer than 3 vertices")
-            if cell.min() < 0 or cell.max() >= nv:
-                raise MeshFormatError(f"cell {ci}: bad vertex index {int(cell.max())}")
-            if len(np.unique(cell)) != len(cell):
-                raise GeometryError(f"cell {ci}: repeated vertex index")
-            eids = np.empty(len(cell), dtype=int)
-            for k in range(len(cell)):
-                a, b = int(cell[k]), int(cell[(k + 1) % len(cell)])
-                key = (min(a, b), max(a, b))
-                eid = edge_index.get(key)
-                if eid is None:
-                    eid = len(pairs)
-                    edge_index[key] = eid
-                    pairs.append(key)
-                    adj.append([])
-                adj[eid].append(ci)
-                eids[k] = eid
-            self.cell_edges.append(eids)
-        self.edges = np.asarray(pairs, dtype=int).reshape(-1, 2)
-        ec = np.full((len(pairs), 2), -1, dtype=int)
-        for eid, cs in enumerate(adj):
-            if len(cs) > 2:
-                raise GeometryError(f"edge {eid} shared by {len(cs)} cells")
-            ec[eid, :len(cs)] = cs
-        self.edge_cells = ec
-        self.h = max(polygon_diameter(self.vertices[c]) for c in self.cells)
-        for name, eids in self.boundary_markers.items():
-            self.boundary_markers[name] = np.asarray(eids, dtype=int)
+            if bad_index[ci]:
+                raise MeshFormatError(f"cell {ci}: bad vertex index {int(self.cells[ci].max())}")
+            raise GeometryError(f"cell {ci}: repeated vertex index")
+        nxt = loops[_loop_next(lens)]
+        lo, hi = np.minimum(loops, nxt), np.maximum(loops, nxt)
+        eids, first = _first_appearance(lo * nv + hi)
+        counts = np.bincount(eids)
+        if np.any(counts > 2):
+            eid = int(np.argmax(counts > 2))
+            raise GeometryError(f"edge {eid} shared by {counts[eid]} cells")
+        self.edges = np.column_stack([lo, hi])[first]
+        self.edge_cells = np.full((len(first), 2), -1, dtype=int)
+        self.edge_cells[:, 0] = owner[first]
+        second = np.ones(len(loops), dtype=bool)
+        second[first] = False
+        self.edge_cells[eids[second], 1] = owner[second]
+        self.cell_edges = np.split(eids, np.cumsum(lens)[:-1])
+        for name, ids in self.boundary_markers.items():
+            self.boundary_markers[name] = np.asarray(ids, dtype=int)
 
     # -- queries ----------------------------------------------------------
 
@@ -349,72 +314,40 @@ class PolyMesh:
     def boundary_edge_ids(self) -> np.ndarray:
         return np.where(self.edge_cells[:, 1] < 0)[0]
 
+    @functools.cached_property
     def cell_groups(self) -> list[CellGroup]:
         """Geometry of every cell, grouped by vertex count (ascending); each
-        group lists its cells in mesh order."""
-        counts = np.array([len(c) for c in self.cells])
+        group lists its cells in mesh order.  Built on first use and kept."""
+        lens = np.array([len(c) for c in self.cells])
+        loops = np.concatenate(self.cells)
+        start = np.cumsum(lens) - lens
         groups = []
-        for nv in np.unique(counts):
-            ids = np.flatnonzero(counts == nv)
-            loops = np.stack([self.cells[ci] for ci in ids])
-            groups.append(CellGroup(ids, self.vertices[loops]))
+        for nv in np.unique(lens):
+            ids = np.flatnonzero(lens == nv)
+            groups.append(CellGroup(ids, self.vertices[loops[start[ids, None] + np.arange(nv)]]))
         return groups
 
-    def cell_areas(self) -> np.ndarray:
-        return np.array([polygon_signed_area(self.vertices[c]) for c in self.cells])
+    @property
+    def h(self) -> float:
+        """Mesh size: the largest cell diameter."""
+        return max(float(g.diameter.max()) for g in self.cell_groups)
 
     def validate(self, expected_area: float | None = None):
-        """Check the mesh invariants; raises GeometryError on violation."""
-        areas = self.cell_areas()
-        if np.any(areas <= 0):
-            ci = int(np.argmin(areas))
-            raise GeometryError(f"cell {ci}: non-positive signed area (orientation?)")
-        bnd = set(self.boundary_edge_ids().tolist())
-        marked: list[int] = []
-        for eids in self.boundary_markers.values():
-            marked.extend(int(e) for e in eids)
-        if len(marked) != len(set(marked)):
+        """Check the mesh invariants; raises GeometryError on violation.
+
+        Building the cell groups checks every cell (positive area, edges that
+        are not degenerate, a valid sub-triangulation)."""
+        groups = self.cell_groups
+        marked = np.concatenate([np.empty(0, dtype=int), *self.boundary_markers.values()])
+        if len(np.unique(marked)) != len(marked):
             raise GeometryError("a boundary edge carries more than one marker")
-        if set(marked) != bnd:
+        if not np.array_equal(np.unique(marked), self.boundary_edge_ids()):
             raise GeometryError("boundary markers do not cover the boundary edges")
         area = expected_area if expected_area is not None else self.domain_area
         if area is not None:
-            rel = abs(areas.sum() - area) / area
+            rel = abs(sum(g.area.sum() for g in groups) - area) / area
             if rel > 1e-10:
                 raise GeometryError(f"cells do not tile the domain (rel gap {rel:.2e})")
-
-
-@dataclass
-class RegularityReport:
-    gamma_edge: float
-    gamma_star: float
-    worst_cell: int
-
-
-def check_regularity(mesh: PolyMesh) -> RegularityReport:
-    """Shape-regularity ratios: min(edge/h_E) and min(kernel inradius/h_E).
-
-    Star-shapedness is assessed through the polygon kernel, which is exact for
-    convex cells and conservative for concave ones.  Degenerate cells report a
-    zero ratio instead of raising.
-    """
-    g_edge, g_star, worst = np.inf, np.inf, -1
-    for ci, cell in enumerate(mesh.cells):
-        pts = mesh.vertices[cell]
-        try:
-            hE = polygon_diameter(pts)
-            d = np.roll(pts, -1, axis=0) - pts
-            emin = float(np.hypot(d[:, 0], d[:, 1]).min())
-            ge = emin / hE
-            ker = polygon_kernel(pts)
-            gs = 0.0 if ker is None else chebyshev_radius(ker) / hE
-        except Exception:
-            ge, gs = 0.0, 0.0
-        if min(ge, gs) < min(g_edge, g_star):
-            worst = ci
-        g_edge = min(g_edge, ge)
-        g_star = min(g_star, gs)
-    return RegularityReport(float(g_edge), float(g_star), worst)
 
 
 # ---------------------------------------------------------------------------
@@ -469,38 +402,24 @@ def _cutout_markers(mesh: PolyMesh, dom: CutoutRectangle, tol: float):
     return {k: np.array(ids, dtype=int) for k, ids in markers.items() if ids}
 
 
-def _structured_vertices(domain, nx, ny):
+def _quad_cells(domain, nx, ny):
+    """Vertices, CCW quads (i-major) and grid-node vertex ids of an nx x ny
+    grid; on a CutoutRectangle the quads in the notch and their unused
+    vertices are dropped, and the ids of dropped nodes read -1."""
     xs = np.linspace(domain.x0, domain.x1, nx + 1)
     ys = np.linspace(domain.y0, domain.y1, ny + 1)
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     verts = np.column_stack([X.ravel(), Y.ravel()])
     vid = np.arange((nx + 1) * (ny + 1)).reshape(nx + 1, ny + 1)
-    return verts, vid
-
-
-def _in_cutout(dom: CutoutRectangle, xc, yc):
-    return xc > dom.notch_x and yc < dom.notch_y
-
-
-def _quad_cells(domain, nx, ny):
-    verts, vid = _structured_vertices(domain, nx, ny)
-    xs = np.linspace(domain.x0, domain.x1, nx + 1)
-    ys = np.linspace(domain.y0, domain.y1, ny + 1)
-    cells, keep = [], []
-    for i in range(nx):
-        for j in range(ny):
-            if isinstance(domain, CutoutRectangle):
-                xc, yc = 0.5 * (xs[i] + xs[i + 1]), 0.5 * (ys[j] + ys[j + 1])
-                if _in_cutout(domain, xc, yc):
-                    continue
-            cells.append(np.array([vid[i, j], vid[i + 1, j], vid[i + 1, j + 1], vid[i, j + 1]]))
-            keep.append((i, j))
-    # drop unused vertices (cutout interior)
-    used = np.unique(np.concatenate(cells))
-    remap = -np.ones(len(verts), dtype=int)
+    cells = np.stack([vid[:-1, :-1], vid[1:, :-1], vid[1:, 1:], vid[:-1, 1:]], axis=-1)
+    if isinstance(domain, CutoutRectangle):
+        xc, yc = 0.5 * (xs[:-1] + xs[1:]), 0.5 * (ys[:-1] + ys[1:])
+        cells = cells[~np.logical_and.outer(xc > domain.notch_x, yc < domain.notch_y)]
+    cells = cells.reshape(-1, 4)
+    used = np.unique(cells)
+    remap = np.full(len(verts), -1)
     remap[used] = np.arange(len(used))
-    cells = [remap[c] for c in cells]
-    return verts[used], cells, keep, remap, vid
+    return verts[used], remap[cells], remap[vid]
 
 
 def _finish(verts, cells, domain, marker_fn, tol):
@@ -512,7 +431,7 @@ def _finish(verts, cells, domain, marker_fn, tol):
 
 def _uniform_square(domain, h, seed):
     nx, ny = _grid_counts(domain, h)
-    verts, cells, *_ = _quad_cells(domain, nx, ny)
+    verts, cells, _ = _quad_cells(domain, nx, ny)
     marker_fn = _cutout_markers if isinstance(domain, CutoutRectangle) else _rect_markers
     return _finish(verts, cells, domain, marker_fn, 1e-9 * max(domain.width, domain.height))
 
@@ -525,26 +444,22 @@ def _distorted_square(domain, h, seed):
     # halving h need not double it: 1/9 and 1/18 give 16 and 32 cells, but
     # 1/8 and 1/16 give 14 and 29
     nx, ny = _grid_counts(domain, h / 1.8)
-    verts, cells, _, remap, vid = _quad_cells(domain, nx, ny)
+    verts, cells, vid = _quad_cells(domain, nx, ny)
     s = min(domain.width / nx, domain.height / ny)
     rng = np.random.default_rng(seed)
     for i in range(1, nx):
         for j in range(1, ny):
-            gid = remap[vid[i, j]]
             theta = rng.uniform(0.0, 2.0 * math.pi)
             rad = 0.3 * s * math.sqrt(rng.uniform())
-            verts[gid, 0] += rad * math.cos(theta)
-            verts[gid, 1] += rad * math.sin(theta)
+            verts[vid[i, j], 0] += rad * math.cos(theta)
+            verts[vid[i, j], 1] += rad * math.sin(theta)
     return _finish(verts, cells, domain, _rect_markers, 1e-9 * max(domain.width, domain.height))
 
 
 def _triangular(domain, h, seed):
     nx, ny = _grid_counts(domain, h)
-    verts, quads, *_ = _quad_cells(domain, nx, ny)
-    cells = []
-    for q in quads:
-        cells.append(np.array([q[0], q[1], q[2]]))
-        cells.append(np.array([q[0], q[2], q[3]]))
+    verts, quads, _ = _quad_cells(domain, nx, ny)
+    cells = quads[:, [0, 1, 2, 0, 2, 3]].reshape(-1, 3)    # two triangles per quad
     marker_fn = _cutout_markers if isinstance(domain, CutoutRectangle) else _rect_markers
     return _finish(verts, cells, domain, marker_fn, 1e-9 * max(domain.width, domain.height))
 
@@ -558,15 +473,13 @@ def _nonconvex(domain, h, seed):
     if isinstance(domain, CutoutRectangle):
         raise GeometryError("nonconvex cannot tile an L-shaped domain")
     nx, ny = _grid_counts(domain, h)
-    verts, cells, _, remap, vid = _quad_cells(domain, nx, ny)
+    verts, cells, vid = _quad_cells(domain, nx, ny)
     sx, sy = domain.width / nx, domain.height / ny
     delta = 0.3
-    for i in range(1, nx):
-        for j in range(1, ny):
-            gid = remap[vid[i, j]]
-            sgn = 1.0 if (i + j) % 2 == 0 else -1.0
-            verts[gid, 0] += sgn * delta * sx
-            verts[gid, 1] += sgn * delta * sy
+    i, j = np.meshgrid(np.arange(1, nx), np.arange(1, ny), indexing="ij")
+    sgn = np.where((i + j) % 2 == 0, 1.0, -1.0)
+    verts[vid[1:-1, 1:-1], 0] += sgn * delta * sx
+    verts[vid[1:-1, 1:-1], 1] += sgn * delta * sy
     return _finish(verts, cells, domain, _rect_markers, 1e-9 * max(domain.width, domain.height))
 
 
@@ -575,14 +488,11 @@ def _hex_seeds(domain: Rectangle, h):
     dy = s * math.sqrt(3.0) / 2.0
     ncol = max(1, round(domain.width / s))
     nrow = max(1, round(domain.height / dy))
-    pts = []
-    for j in range(nrow):
-        y = domain.y0 + (j + 0.5) * domain.height / nrow
-        off = 0.25 if j % 2 == 0 else 0.75
-        for i in range(ncol):
-            x = domain.x0 + (i + off) * domain.width / ncol
-            pts.append((x, y))
-    return np.array(pts), s
+    j, i = np.divmod(np.arange(nrow * ncol), ncol)      # row by row
+    off = np.where(j % 2 == 0, 0.25, 0.75)
+    x = domain.x0 + (i + off) * domain.width / ncol
+    y = domain.y0 + (j + 0.5) * domain.height / nrow
+    return np.column_stack([x, y]), s
 
 
 def _mirror(points, domain: Rectangle, band):
@@ -600,25 +510,40 @@ def _mirror(points, domain: Rectangle, band):
     return np.vstack(parts)
 
 
-def _lloyd(points, domain, iters, band):
+def _voronoi_regions(points, domain, band):
+    """Voronoi diagram of ``points`` and their wall reflections within
+    ``band``: its vertices, and the regions of ``points`` as vertex-index
+    loops stored one after another, with their lengths.
+
+    Reflected seeds bisect exactly along the walls, so with a wide enough
+    band each region is the seed's Voronoi cell clipped to the rectangle.
+    """
+    from scipy.spatial import Voronoi    # only the Voronoi generator needs scipy.spatial
+    vor = Voronoi(_mirror(points, domain, band))
+    regions = [vor.regions[r] for r in vor.point_region[:len(points)]]
+    lens = np.array([len(r) for r in regions])
+    loops = np.fromiter(itertools.chain.from_iterable(regions), dtype=int, count=lens.sum())
+    bad = lens < 3
+    bad[np.repeat(np.arange(len(lens)), lens)[loops < 0]] = True
+    if bad.any():
+        raise GeometryError(f"voronoi region of seed {int(np.argmax(bad))} is unbounded "
+                            "or has fewer than 3 vertices")
+    return vor.vertices, loops, lens
+
+
+_LLOYD_ITERS = 20
+
+
+def _lloyd(points, domain, band):
+    """Move each seed to the centroid of its region, _LLOYD_ITERS times."""
     n = len(points)
-    pts = points.copy()
-    for _ in range(iters):
-        vor = Voronoi(_mirror(pts, domain, band))
-        # flatten all finite regions of the interior seeds and segment-sum the
-        # shoelace centroid formula (orientation cancels out)
-        flat, owner = [], []
-        for i in range(n):
-            reg = vor.regions[vor.point_region[i]]
-            if -1 in reg or len(reg) < 3:
-                continue
-            nxt = reg[1:] + reg[:1]
-            flat.extend(zip(reg, nxt))
-            owner.extend([i] * len(reg))
-        fe = np.asarray(flat)
-        own = np.asarray(owner)
-        a = vor.vertices[fe[:, 0]]
-        b = vor.vertices[fe[:, 1]]
+    pts = points
+    for _ in range(_LLOYD_ITERS):
+        verts, loops, lens = _voronoi_regions(pts, domain, band)
+        # segment-sum the shoelace centroid formula (orientation cancels out)
+        own = np.repeat(np.arange(n), lens)
+        a = verts[loops]
+        b = verts[loops[_loop_next(lens)]]
         cross = a[:, 0] * b[:, 1] - b[:, 0] * a[:, 1]
         area2 = np.zeros(n)
         cx = np.zeros(n)
@@ -626,82 +551,32 @@ def _lloyd(points, domain, iters, band):
         np.add.at(area2, own, cross)
         np.add.at(cx, own, (a[:, 0] + b[:, 0]) * cross)
         np.add.at(cy, own, (a[:, 1] + b[:, 1]) * cross)
-        ok = np.abs(area2) > 1e-300
-        new = pts.copy()
-        new[ok, 0] = cx[ok] / (3.0 * area2[ok])
-        new[ok, 1] = cy[ok] / (3.0 * area2[ok])
-        pts = new
+        pts = np.column_stack([cx, cy]) / (3.0 * area2[:, None])
     return pts
 
 
-def _clip_halfplane(poly, px, py, qx, qy):
-    """Keep the part of `poly` (list of xy tuples) closer to seed p than to q."""
-    nx, ny = px - qx, py - qy  # points toward p's side
-    off = nx * 0.5 * (px + qx) + ny * 0.5 * (py + qy)
-    out = []
-    m = len(poly)
-    for k in range(m):
-        ax, ay = poly[k]
-        bx, by = poly[(k + 1) % m]
-        sa = nx * ax + ny * ay - off
-        sb = nx * bx + ny * by - off
-        if sa >= 0.0:
-            out.append((ax, ay))
-        if (sa > 0.0 > sb) or (sa < 0.0 < sb):
-            t = sa / (sa - sb)
-            out.append((ax + t * (bx - ax), ay + t * (by - ay)))
-    return out
-
-
-def _voronoi(domain, h, seed, lloyd_iters=20):
+def _voronoi(domain, h, seed):
     if isinstance(domain, CutoutRectangle):
         raise GeometryError("voronoi cannot tile an L-shaped domain")
     seeds, s = _hex_seeds(domain, h)
-    seeds = _lloyd(seeds, domain, lloyd_iters, band=3.0 * s)
-    tree = KDTree(seeds)
-    box = np.array([[domain.x0, domain.y0], [domain.x1, domain.y0],
-                    [domain.x1, domain.y1], [domain.x0, domain.y1]])
-    # identification key is coarse (true vertices sit ~s/3 apart); coordinates
-    # keep their first-seen values so shared edges match bit for bit
-    snap = 1e-6 * s
-    vert_index: dict[tuple[int, int], int] = {}
-    verts: list[np.ndarray] = []
-    cells = []
-    box_t = [tuple(b) for b in box]
-    neighbor_lists = tree.query_ball_point(seeds, 2.8 * s)
-    for i in range(len(seeds)):
-        px, py = seeds[i]
-        poly = list(box_t)
-        # a bisector can only cut the cell when the seed lies within twice the
-        # cell radius (~1.2*s after relaxation); 2.8*s keeps a wide margin
-        for j in neighbor_lists[i]:
-            if j == i:
-                continue
-            poly = _clip_halfplane(poly, px, py, seeds[j, 0], seeds[j, 1])
-            if len(poly) < 3:
-                raise GeometryError("empty voronoi cell; seeds degenerate")
-        ids = []
-        for q in poly:
-            key = (round(q[0] / snap), round(q[1] / snap))
-            vid = vert_index.get(key)
-            if vid is None:
-                vid = len(verts)
-                vert_index[key] = vid
-                verts.append(q)
-            if not ids or (vid != ids[-1] and vid != ids[0]):
-                ids.append(vid)
-        if len(ids) < 3:
-            raise GeometryError("degenerate voronoi cell after snapping")
-        area2 = 0.0
-        for k in range(len(poly)):
-            ax, ay = poly[k]
-            bx, by = poly[(k + 1) % len(poly)]
-            area2 += ax * by - bx * ay
-        cell = np.array(ids)
-        if area2 < 0:
-            cell = cell[::-1]
-        cells.append(cell)
-    return _finish(np.asarray(verts), cells, domain, _rect_markers, 1e-6 * s)
+    verts, loops, lens = _voronoi_regions(_lloyd(seeds, domain, 3.0 * s), domain, 3.0 * s)
+    # turn every loop counter-clockwise (shoelace about its first vertex)
+    own = np.repeat(np.arange(len(lens)), lens)
+    start = np.cumsum(lens) - lens
+    rel = verts[loops] - verts[loops[start]][own]
+    nxt = rel[_loop_next(lens)]
+    area2 = np.bincount(own, rel[:, 0] * nxt[:, 1] - nxt[:, 0] * rel[:, 1])
+    back = (2 * start + lens - 1)[own] - np.arange(len(loops))   # same slot, loop reversed
+    loops = np.where((area2 < 0)[own], loops[back], loops)
+    # number the vertices by first appearance in the loops, and put the ones
+    # within rounding of a wall on it
+    ids, first = _first_appearance(loops)
+    lo = np.array([domain.x0, domain.y0])
+    hi = np.array([domain.x1, domain.y1])
+    tol = 1e-6 * s
+    pts = verts[loops[first]]
+    pts = np.where(np.abs(pts - lo) < tol, lo, np.where(np.abs(pts - hi) < tol, hi, pts))
+    return _finish(pts, np.split(ids, np.cumsum(lens)[:-1]), domain, _rect_markers, tol)
 
 
 _GENERATORS = {
@@ -772,27 +647,22 @@ def read_mesh(path) -> PolyMesh:
     verts = np.asarray(obj["vertices"], dtype=float)
     if verts.ndim != 2 or verts.shape[1] != 2:
         raise MeshFormatError("field 'vertices' must be a list of [x, y] pairs")
-    cells = []
-    for ci, loop in enumerate(obj["cells"]):
-        cell = np.asarray(loop, dtype=int)
-        if len(cell) < 3:
-            raise MeshFormatError(f"cell {ci}: fewer than 3 vertices")
-        if cell.min() < 0 or cell.max() >= len(verts):
-            raise MeshFormatError(f"cell {ci}: bad vertex index {int(cell.max())}")
-        if polygon_signed_area(verts[cell]) <= 0:
-            raise MeshFormatError(f"cell {ci}: not counter-clockwise")
-        cells.append(cell)
-    mesh = PolyMesh(verts, cells, {})
-    pair_to_eid = {(min(a, b), max(a, b)): eid for eid, (a, b) in enumerate(mesh.edges)}
-    markers = {}
-    for name, pairs in obj["boundary"].items():
-        eids = []
-        for a, b in pairs:
-            key = (min(int(a), int(b)), max(int(a), int(b)))
-            if key not in pair_to_eid:
-                raise MeshFormatError(f"boundary marker {name!r}: edge {key} not in mesh")
-            eids.append(pair_to_eid[key])
-        markers[name] = np.array(eids, dtype=int)
-    mesh.boundary_markers = markers
-    mesh.validate()
+    try:   # a fault of the mesh is a fault of the file
+        mesh = PolyMesh(verts, obj["cells"], {})
+        pair_to_eid = {(min(a, b), max(a, b)): eid for eid, (a, b) in enumerate(mesh.edges)}
+        markers = {}
+        for name, pairs in obj["boundary"].items():
+            eids = []
+            for a, b in pairs:
+                key = (min(int(a), int(b)), max(int(a), int(b)))
+                if key not in pair_to_eid:
+                    raise MeshFormatError(f"boundary marker {name!r}: edge {key} not in mesh")
+                eids.append(pair_to_eid[key])
+            markers[name] = np.array(eids, dtype=int)
+        mesh.boundary_markers = markers
+        mesh.validate()
+    except MeshFormatError:
+        raise
+    except GeometryError as exc:
+        raise MeshFormatError(str(exc)) from exc
     return mesh

@@ -136,23 +136,6 @@ def compute_errors(state, exact: ExactFields | None, mops: MeshOps,
         div_violation=math.sqrt(sq["div"]), phi_dev_min=dev_min, phi_dev_max=dev_max)
 
 
-def observed_rates(hs, errors):
-    """rate_i = log(e_i / e_{i+1}) / log(h_i / h_{i+1}); inf for zero coarse error."""
-    hs = list(hs)
-    es = list(errors)
-    if len(hs) != len(es) or len(hs) < 2:
-        raise ValueError("need matching h/error sequences of length >= 2")
-    out = []
-    for i in range(len(hs) - 1):
-        if es[i + 1] == 0.0:
-            out.append(math.inf)
-        elif es[i] == 0.0:
-            out.append(-math.inf)
-        else:
-            out.append(math.log(es[i] / es[i + 1]) / math.log(hs[i] / hs[i + 1]))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # export
 # ---------------------------------------------------------------------------

@@ -232,12 +232,6 @@ class _Norms:
         return np.sqrt(max(v, 0.0))
 
 
-def energy_norms(state: CoupledState, asm: Assembler) -> tuple[float, float]:
-    """Mesh-dependent energy norms of ((u, p), phi) via computable surrogates."""
-    norms = _Norms(asm)
-    return norms.triple_up(state.u, state.p), norms.sigma(state.phi)
-
-
 def picard_solve(spec: ProblemSpec, mesh, tol: float = 1e-7, max_iter: int = 50,
                  initial: str = "zero", mops: MeshOps | None = None,
                  asm: Assembler | None = None):

@@ -5,9 +5,12 @@ the library: exact closed-form monomial integrals, an independently built
 over-integrated quadrature, dense KKT/normal-equation projector solves, pure
 per-entry loops for the local forms, a P1 finite element realizer that
 solves the local defining problem of a virtual function on a refined
-sub-triangulation, and the cell-by-cell constructions of the element operators
+sub-triangulation, the cell-by-cell constructions of the element operators
 and of the global assembly that the grouped ``build_mesh_ops`` and
-``forms.Assembler`` are checked against.
+``forms.Assembler`` are checked against, and the loop-by-loop mesh topology and
+generators (with the bisector-clipping Voronoi cells) that the array-based
+``geometry`` is checked against.  It also holds the helpers only tests use:
+observed rates, energy norms, vector interpolation and shape-regularity checks.
 """
 from __future__ import annotations
 
@@ -20,9 +23,10 @@ import scipy.sparse as sparse
 from scipy.special import roots_legendre
 
 from lpsvem import element_ops as eo
-from lpsvem import forms
+from lpsvem import forms, geometry, solver
 from lpsvem.element_ops import edge_internal_params
-from lpsvem.geometry import CellGroup, ear_clip
+from lpsvem.geometry import (CellGroup, CutoutRectangle, GeometryError, MeshFormatError,
+                             ear_clip, polygon_diameter)
 from lpsvem.polybasis import (grad_coeff_ref, group_mass_matrices, group_quadrature,
                               group_stiffness_matrices, laplacian_ref, monomial_exponents,
                               monomial_gradients, monomial_values, poly_dim)
@@ -1099,3 +1103,332 @@ def reference_errors(state, exact, mops, phi_reference=None):
         acc[cell] += np.column_stack([u1, u2, pv, tv])
         cnt[cell] += 1.0
     return errors, acc / cnt[:, None]
+
+
+# ---------------------------------------------------------------------------
+# helpers that only tests use: rates, energy norms, vector interpolation
+# ---------------------------------------------------------------------------
+
+def observed_rates(hs, errors):
+    """rate_i = log(e_i / e_{i+1}) / log(h_i / h_{i+1}); inf for zero coarse error."""
+    hs = list(hs)
+    es = list(errors)
+    if len(hs) != len(es) or len(hs) < 2:
+        raise ValueError("need matching h/error sequences of length >= 2")
+    out = []
+    for i in range(len(hs) - 1):
+        if es[i + 1] == 0.0:
+            out.append(math.inf)
+        elif es[i] == 0.0:
+            out.append(-math.inf)
+        else:
+            out.append(math.log(es[i] / es[i + 1]) / math.log(hs[i] / hs[i + 1]))
+    return out
+
+
+def energy_norms(state, asm) -> tuple[float, float]:
+    """Mesh-dependent energy norms of ((u, p), phi) via computable surrogates."""
+    norms = solver._Norms(asm)
+    return norms.triple_up(state.u, state.p), norms.sigma(state.phi)
+
+
+def interpolate_vector(mops, f1, f2) -> np.ndarray:
+    """Dof vector of the smooth vector field (f1, f2)."""
+    return np.concatenate([mops.interpolate_scalar(f1), mops.interpolate_scalar(f2)])
+
+
+# ---------------------------------------------------------------------------
+# polygon helpers and shape-regularity checks, one polygon at a time
+# ---------------------------------------------------------------------------
+
+def polygon_signed_area(pts: np.ndarray) -> float:
+    # shoelace about the first vertex: raw coordinates far from the origin
+    # cancel catastrophically on small cells
+    rel = pts - pts[0]
+    x, y = rel[:, 0], rel[:, 1]
+    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+
+
+def cell_areas(mesh) -> np.ndarray:
+    """Signed area of every cell, in mesh order."""
+    return np.array([polygon_signed_area(mesh.vertices[c]) for c in mesh.cells])
+
+
+def polygon_kernel(pts: np.ndarray) -> np.ndarray | None:
+    """Intersection of the inner half-planes of all edges (kernel polygon).
+
+    Returns None when the polygon is not star-shaped.
+    """
+    poly = [tuple(p) for p in pts]
+    n = len(pts)
+    for i in range(n):
+        a, b = pts[i], pts[(i + 1) % n]
+        # keep points left of the directed edge a->b
+        nx, ny = a[1] - b[1], b[0] - a[0]  # inward normal for CCW loop
+        off = nx * a[0] + ny * a[1]
+        new: list[tuple[float, float]] = []
+        m = len(poly)
+        for k in range(m):
+            p, q = poly[k], poly[(k + 1) % m]
+            sp = nx * p[0] + ny * p[1] - off
+            sq = nx * q[0] + ny * q[1] - off
+            if sp >= -1e-14:
+                new.append(p)
+            if (sp > 1e-14 and sq < -1e-14) or (sp < -1e-14 and sq > 1e-14):
+                t = sp / (sp - sq)
+                new.append((p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1])))
+        poly = new
+        if len(poly) < 3:
+            return None
+    return np.asarray(poly)
+
+
+def chebyshev_radius(pts: np.ndarray) -> float:
+    """Radius of the largest ball inscribed in a convex polygon (via an LP)."""
+    from scipy.optimize import linprog
+    n = len(pts)
+    A, b = [], []
+    for i in range(n):
+        p, q = pts[i], pts[(i + 1) % n]
+        nx, ny = q[1] - p[1], -(q[0] - p[0])  # outward normal of CCW polygon
+        ln = math.hypot(nx, ny)
+        if ln < 1e-300:
+            continue
+        A.append([nx / ln, ny / ln, 1.0])
+        b.append((nx * p[0] + ny * p[1]) / ln)
+    res = linprog(c=[0.0, 0.0, -1.0], A_ub=np.array(A), b_ub=np.array(b),
+                  bounds=[(None, None), (None, None), (0, None)], method="highs")
+    if not res.success:
+        return 0.0
+    return float(res.x[2])
+
+
+@dataclasses.dataclass
+class RegularityReport:
+    gamma_edge: float
+    gamma_star: float
+    worst_cell: int
+
+
+def check_regularity(mesh) -> RegularityReport:
+    """Shape-regularity ratios: min(edge/h_E) and min(kernel inradius/h_E).
+
+    Star-shapedness is assessed through the polygon kernel, which is exact for
+    convex cells and conservative for concave ones.  Degenerate cells report a
+    zero ratio instead of raising.
+    """
+    g_edge, g_star, worst = np.inf, np.inf, -1
+    for ci, cell in enumerate(mesh.cells):
+        pts = mesh.vertices[cell]
+        try:
+            hE = polygon_diameter(pts)
+            d = np.roll(pts, -1, axis=0) - pts
+            emin = float(np.hypot(d[:, 0], d[:, 1]).min())
+            ge = emin / hE
+            ker = polygon_kernel(pts)
+            gs = 0.0 if ker is None else chebyshev_radius(ker) / hE
+        except Exception:
+            ge, gs = 0.0, 0.0
+        if min(ge, gs) < min(g_edge, g_star):
+            worst = ci
+        g_edge = min(g_edge, ge)
+        g_star = min(g_star, gs)
+    return RegularityReport(float(g_edge), float(g_star), worst)
+
+
+# ---------------------------------------------------------------------------
+# loop-by-loop references of the mesh topology and generators
+# ---------------------------------------------------------------------------
+
+def reference_topology(vertices, cells):
+    """(edges, edge_cells, cell_edges) built edge by edge with a dict, edges
+    numbered by first appearance; raises the messages of ``PolyMesh``."""
+    nv = len(vertices)
+    edge_index: dict[tuple[int, int], int] = {}
+    pairs: list[tuple[int, int]] = []
+    adj: list[list[int]] = []
+    cell_edges = []
+    for ci, cell in enumerate(cells):
+        cell = np.asarray(cell, dtype=int)
+        if len(cell) < 3:
+            raise GeometryError(f"cell {ci}: fewer than 3 vertices")
+        if cell.min() < 0 or cell.max() >= nv:
+            raise MeshFormatError(f"cell {ci}: bad vertex index {int(cell.max())}")
+        if len(np.unique(cell)) != len(cell):
+            raise GeometryError(f"cell {ci}: repeated vertex index")
+        eids = np.empty(len(cell), dtype=int)
+        for k in range(len(cell)):
+            a, b = int(cell[k]), int(cell[(k + 1) % len(cell)])
+            key = (min(a, b), max(a, b))
+            eid = edge_index.get(key)
+            if eid is None:
+                eid = len(pairs)
+                edge_index[key] = eid
+                pairs.append(key)
+                adj.append([])
+            adj[eid].append(ci)
+            eids[k] = eid
+        cell_edges.append(eids)
+    edges = np.asarray(pairs, dtype=int).reshape(-1, 2)
+    ec = np.full((len(pairs), 2), -1, dtype=int)
+    for eid, cs in enumerate(adj):
+        if len(cs) > 2:
+            raise GeometryError(f"edge {eid} shared by {len(cs)} cells")
+        ec[eid, :len(cs)] = cs
+    return edges, ec, cell_edges
+
+
+def _reference_quad_cells(domain, nx, ny):
+    xs = np.linspace(domain.x0, domain.x1, nx + 1)
+    ys = np.linspace(domain.y0, domain.y1, ny + 1)
+    X, Y = np.meshgrid(xs, ys, indexing="ij")
+    verts = np.column_stack([X.ravel(), Y.ravel()])
+    vid = np.arange((nx + 1) * (ny + 1)).reshape(nx + 1, ny + 1)
+    cells = []
+    for i in range(nx):
+        for j in range(ny):
+            if isinstance(domain, CutoutRectangle):
+                xc, yc = 0.5 * (xs[i] + xs[i + 1]), 0.5 * (ys[j] + ys[j + 1])
+                if xc > domain.notch_x and yc < domain.notch_y:
+                    continue
+            cells.append(np.array([vid[i, j], vid[i + 1, j], vid[i + 1, j + 1], vid[i, j + 1]]))
+    used = np.unique(np.concatenate(cells))
+    remap = -np.ones(len(verts), dtype=int)
+    remap[used] = np.arange(len(used))
+    return verts[used], [remap[c] for c in cells], remap, vid
+
+
+def reference_structured_mesh(family, domain, h, seed):
+    """(vertices, cells) of a structured family, generated node by node and
+    cell by cell."""
+    def counts(hh):
+        return max(1, round(domain.width / hh)), max(1, round(domain.height / hh))
+    if family == "distorted_square":
+        nx, ny = counts(h / 1.8)
+        verts, cells, remap, vid = _reference_quad_cells(domain, nx, ny)
+        s = min(domain.width / nx, domain.height / ny)
+        rng = np.random.default_rng(seed)
+        for i in range(1, nx):
+            for j in range(1, ny):
+                gid = remap[vid[i, j]]
+                theta = rng.uniform(0.0, 2.0 * math.pi)
+                rad = 0.3 * s * math.sqrt(rng.uniform())
+                verts[gid, 0] += rad * math.cos(theta)
+                verts[gid, 1] += rad * math.sin(theta)
+        return verts, cells
+    nx, ny = counts(h)
+    verts, cells, remap, vid = _reference_quad_cells(domain, nx, ny)
+    if family == "triangular":
+        return verts, [t for q in cells for t in (q[[0, 1, 2]], q[[0, 2, 3]])]
+    if family == "nonconvex":
+        sx, sy = domain.width / nx, domain.height / ny
+        for i in range(1, nx):
+            for j in range(1, ny):
+                gid = remap[vid[i, j]]
+                sgn = 1.0 if (i + j) % 2 == 0 else -1.0
+                verts[gid, 0] += sgn * 0.3 * sx
+                verts[gid, 1] += sgn * 0.3 * sy
+    return verts, cells
+
+
+def reference_hex_seeds(domain, h):
+    s = math.sqrt(3.0) / 2.0 * h
+    dy = s * math.sqrt(3.0) / 2.0
+    ncol = max(1, round(domain.width / s))
+    nrow = max(1, round(domain.height / dy))
+    pts = []
+    for j in range(nrow):
+        y = domain.y0 + (j + 0.5) * domain.height / nrow
+        off = 0.25 if j % 2 == 0 else 0.75
+        for i in range(ncol):
+            x = domain.x0 + (i + off) * domain.width / ncol
+            pts.append((x, y))
+    return np.array(pts), s
+
+
+def reference_lloyd(points, domain, iters, band):
+    """Lloyd steps reading the diagram region by region (a region that is
+    unbounded or has fewer than 3 vertices keeps its seed)."""
+    from scipy.spatial import Voronoi
+    n = len(points)
+    pts = points.copy()
+    for _ in range(iters):
+        vor = Voronoi(geometry._mirror(pts, domain, band))
+        flat, owner = [], []
+        for i in range(n):
+            reg = vor.regions[vor.point_region[i]]
+            if -1 in reg or len(reg) < 3:
+                continue
+            nxt = reg[1:] + reg[:1]
+            flat.extend(zip(reg, nxt))
+            owner.extend([i] * len(reg))
+        fe = np.asarray(flat)
+        own = np.asarray(owner)
+        a = vor.vertices[fe[:, 0]]
+        b = vor.vertices[fe[:, 1]]
+        cross = a[:, 0] * b[:, 1] - b[:, 0] * a[:, 1]
+        area2 = np.zeros(n)
+        cx = np.zeros(n)
+        cy = np.zeros(n)
+        np.add.at(area2, own, cross)
+        np.add.at(cx, own, (a[:, 0] + b[:, 0]) * cross)
+        np.add.at(cy, own, (a[:, 1] + b[:, 1]) * cross)
+        ok = np.abs(area2) > 1e-300
+        new = pts.copy()
+        new[ok, 0] = cx[ok] / (3.0 * area2[ok])
+        new[ok, 1] = cy[ok] / (3.0 * area2[ok])
+        pts = new
+    return pts
+
+
+def _clip_halfplane(poly, px, py, qx, qy):
+    """Keep the part of `poly` (list of xy tuples) closer to seed p than to q."""
+    nx, ny = px - qx, py - qy  # points toward p's side
+    off = nx * 0.5 * (px + qx) + ny * 0.5 * (py + qy)
+    out = []
+    m = len(poly)
+    for k in range(m):
+        ax, ay = poly[k]
+        bx, by = poly[(k + 1) % m]
+        sa = nx * ax + ny * ay - off
+        sb = nx * bx + ny * by - off
+        if sa >= 0.0:
+            out.append((ax, ay))
+        if (sa > 0.0 > sb) or (sa < 0.0 < sb):
+            t = sa / (sa - sb)
+            out.append((ax + t * (bx - ax), ay + t * (by - ay)))
+    return out
+
+
+def reference_voronoi(domain, h):
+    """(vertices, cells) of the Lloyd-smoothed Voronoi mesh, each cell clipped
+    from the rectangle by the bisectors of its neighbouring seeds, vertices
+    identified on a grid of 1e-6 * s and numbered by first appearance."""
+    from scipy.spatial import KDTree
+    seeds, s = reference_hex_seeds(domain, h)
+    seeds = reference_lloyd(seeds, domain, 20, band=3.0 * s)
+    tree = KDTree(seeds)
+    box = [(domain.x0, domain.y0), (domain.x1, domain.y0),
+           (domain.x1, domain.y1), (domain.x0, domain.y1)]
+    snap = 1e-6 * s
+    vert_index: dict[tuple[int, int], int] = {}
+    verts: list = []
+    cells = []
+    for i, neighbours in enumerate(tree.query_ball_point(seeds, 2.8 * s)):
+        px, py = seeds[i]
+        poly = list(box)
+        for j in neighbours:
+            if j != i:
+                poly = _clip_halfplane(poly, px, py, seeds[j, 0], seeds[j, 1])
+        ids = []
+        for q in poly:
+            key = (round(q[0] / snap), round(q[1] / snap))
+            vid = vert_index.get(key)
+            if vid is None:
+                vid = len(verts)
+                vert_index[key] = vid
+                verts.append(q)
+            if not ids or (vid != ids[-1] and vid != ids[0]):
+                ids.append(vid)
+        cells.append(np.array(ids))
+    return np.asarray(verts), cells

@@ -16,7 +16,7 @@ from lpsvem import benchmarks as bm
 from lpsvem import element_ops as eo
 from lpsvem import forms, solver
 from lpsvem.polybasis import grad_coeff_ref, poly_dim
-from oracles import cell_views, oracle_local_matrices
+from oracles import cell_views, interpolate_vector, oracle_local_matrices
 
 rng = np.random.default_rng(2024)
 
@@ -155,7 +155,7 @@ def test_criterion_3_patch_test(meshes_h5):
         spec = make_spec(mesh, k, viscosity=forms.Viscosity.constant(2.0), bcs=bcs,
                          fixed_source=F)
         state, _ = solver.picard_solve(spec, mesh, mops=mops)
-        ui = mops.interpolate_vector(u1, u2)
+        ui = interpolate_vector(mops, u1, u2)
         pi = mops.interpolate_scalar(p_ex)
         worst = max(worst, np.abs(state.u - ui).max(), np.abs(state.p - pi).max())
         # diffusion patch: polynomial phi with zero velocity

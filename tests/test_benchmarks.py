@@ -76,15 +76,18 @@ def test_ex4_sources_identically_zero():
 
 
 def test_channel_case_loads_neither_sympy_nor_scipy_optimize():
-    """The package import plus the ex4 cases stay off sympy and scipy.optimize
-    (about 0.3 s and 0.1 s of import time); a manufactured case still works."""
+    """The package import plus the ex4 cases and their triangular mesh stay off
+    sympy, scipy.optimize and scipy.spatial (about 0.3 s, 0.1 s and 0.1 s of
+    import time); a manufactured case still works."""
     code = textwrap.dedent("""
         import sys
         import lpsvem.benchmarks as bm
         import lpsvem.cli
-        bm.make_case("ex4_mild")
+        from lpsvem.geometry import generate_mesh
+        case = bm.make_case("ex4_mild")
         bm.make_case("ex4_strong")
-        print([m for m in ("sympy", "scipy.optimize") if m in sys.modules])
+        generate_mesh("triangular", case.domain, 1 / 4)
+        print([m for m in ("sympy", "scipy.optimize", "scipy.spatial") if m in sys.modules])
         case = bm.make_case("ex3")
         print(case.fields is not None, "sympy" in sys.modules)
     """)

@@ -341,7 +341,7 @@ def test_grouped_build_matches_per_cell_reference(fam, k):
     mops = eo.build_mesh_ops(mesh, k)
     views = cell_views(mops)
     seen = []
-    for grp, geo in zip(mops.groups, mesh.cell_groups()):
+    for grp, geo in zip(mops.groups, mesh.cell_groups):
         assert np.array_equal(grp.cell_ids, geo.cell_ids)
         for j, ci in enumerate(grp.cell_ids.tolist()):
             seen.append(ci)

@@ -7,7 +7,7 @@ from lpsvem import element_ops as eo
 from lpsvem import forms
 from lpsvem.geometry import MESH_FAMILIES, UNIT_SQUARE, generate_mesh
 from lpsvem.polybasis import poly_dim
-from oracles import (OracleElement, alt_polygon_quadrature, cell_views,
+from oracles import (OracleElement, alt_polygon_quadrature, cell_views, interpolate_vector,
                      oracle_local_matrices, reference_assembly)
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
@@ -321,7 +321,7 @@ def test_patch_level_momentum_consistency(meshes_h5):
                          bcs=bcs, fixed_source=F)
         asm = forms.Assembler(mops, spec)
         st = asm.build_stokes(np.zeros(mops.n_scalar))
-        uv = mops.interpolate_vector(u1, u2)
+        uv = interpolate_vector(mops, u1, u2)
         pv = mops.interpolate_scalar(p_ex)
         res = st.A_uu @ uv - st.B.T @ pv - st.rhs_momentum
         free = st.dirichlet_u.free
@@ -471,7 +471,7 @@ def test_nonfinite_source_names_first_point_in_mesh_order(field):
     # lower id, one of the first group with a higher id
     a = int(later[0].cell_ids[1])
     b = next(int(ci) for ci in mops.groups[0].cell_ids if ci > a)
-    geo = {ci: (grp.centroid[j], grp.diameter[j]) for grp in mesh.cell_groups()
+    geo = {ci: (grp.centroid[j], grp.diameter[j]) for grp in mesh.cell_groups
            for j, ci in enumerate(grp.cell_ids.tolist())}
     centres = [geo[ci][0] for ci in (b, a)]
     radius = 0.3 * min(geo[ci][1] for ci in (a, b))

@@ -7,8 +7,12 @@ from hypothesis import strategies as st
 
 from lpsvem.geometry import (CellGroup, CutoutRectangle, GeometryError,
                              MeshFormatError, PolyMesh, Rectangle, UNIT_SQUARE,
-                             check_regularity, generate_mesh, polygon_kernel,
-                             polygon_signed_area, read_mesh, write_mesh)
+                             generate_mesh, read_mesh, write_mesh)
+from lpsvem import element_ops as eo
+from lpsvem import geometry
+from oracles import (cell_areas, check_regularity, polygon_kernel, polygon_signed_area,
+                     reference_hex_seeds, reference_lloyd, reference_structured_mesh,
+                     reference_topology, reference_voronoi)
 
 FAMILIES = ("uniform_square", "distorted_square", "voronoi", "nonconvex", "triangular")
 
@@ -21,7 +25,7 @@ def test_uniform_square_counts():
 
 def test_uniform_square_tiling():
     mesh = generate_mesh("uniform_square", UNIT_SQUARE, 1 / 5)
-    assert abs(mesh.cell_areas().sum() - 1.0) <= 1e-12
+    assert abs(cell_areas(mesh).sum() - 1.0) <= 1e-12
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -29,7 +33,7 @@ def test_uniform_square_tiling():
 def test_tiling_and_orientation_all_families(family, h):
     domain = CutoutRectangle() if family == "triangular" else UNIT_SQUARE
     mesh = generate_mesh(family, domain, h)
-    areas = mesh.cell_areas()
+    areas = cell_areas(mesh)
     assert np.all(areas > 0.0)
     assert abs(areas.sum() - domain.area) / domain.area <= 1e-10
     assert mesh.h <= 2.0 * h + 1e-12
@@ -206,7 +210,7 @@ def test_lshape_rejected_for_nontiling_families(family):
 def test_lshape_supported_families(family):
     dom = CutoutRectangle()
     mesh = generate_mesh(family, dom, 1 / 4)
-    assert abs(mesh.cell_areas().sum() - dom.area) / dom.area < 1e-12
+    assert abs(cell_areas(mesh).sum() - dom.area) / dom.area < 1e-12
     assert {"left", "right", "top", "bottom", "notch_v", "notch_h"} == set(mesh.boundary_markers)
 
 
@@ -227,3 +231,120 @@ def test_distortion_bounded():
     lattice = np.column_stack([X.ravel(), Y.ravel()])
     d = np.hypot(*(dist.vertices - lattice).T)
     assert d.max() <= 0.3 * s + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the array-based topology and generators against their loop references
+# ---------------------------------------------------------------------------
+
+def _assert_topology_matches_reference(mesh):
+    edges, edge_cells, cell_edges = reference_topology(mesh.vertices, mesh.cells)
+    assert mesh.edges.dtype == edges.dtype and np.array_equal(mesh.edges, edges)
+    assert np.array_equal(mesh.edge_cells, edge_cells)
+    assert len(mesh.cell_edges) == len(cell_edges)
+    assert all(np.array_equal(a, b) for a, b in zip(mesh.cell_edges, cell_edges))
+    marked = np.concatenate(list(mesh.boundary_markers.values()))
+    assert np.array_equal(np.sort(marked), np.flatnonzero(edge_cells[:, 1] < 0))
+    assert all(np.all(np.diff(ids) > 0) for ids in mesh.boundary_markers.values())
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("h", [1 / 5, 1 / 10])
+def test_topology_matches_dict_reference(family, h):
+    _assert_topology_matches_reference(generate_mesh(family, UNIT_SQUARE, h))
+
+
+@pytest.mark.parametrize("family", ["uniform_square", "triangular"])
+def test_topology_matches_dict_reference_lshape(family):
+    _assert_topology_matches_reference(generate_mesh(family, CutoutRectangle(), 1 / 4))
+
+
+def test_topology_matches_dict_reference_read_mesh(tmp_path):
+    path = tmp_path / "mesh.json"
+    write_mesh(generate_mesh("voronoi", UNIT_SQUARE, 1 / 10), path)
+    _assert_topology_matches_reference(read_mesh(path))
+
+
+SQUARE_2X1 = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [0.0, 1.0], [1.0, 1.0], [2.0, 1.0]])
+
+
+@pytest.mark.parametrize("cells, exc, msg", [
+    ([[0, 1, 4, 3], [1, 2]], GeometryError, "cell 1: fewer than 3 vertices"),
+    ([[0, 1, 4, 3], [1, 2, 9, 4]], MeshFormatError, "cell 1: bad vertex index 9"),
+    ([[0, 1, 4, 3], [1, -1, 5, 4]], MeshFormatError, "cell 1: bad vertex index 5"),
+    ([[0, 1, 4, 3], [1, 2, 5, 2]], GeometryError, "cell 1: repeated vertex index"),
+    ([[0, 1, 4, 1], [1, 2]], GeometryError, "cell 0: repeated vertex index"),
+    ([[0, 1, 4, 3], [1, 2, 5, 7], [2, 2, 5]], MeshFormatError, "cell 1: bad vertex index 7"),
+    ([[0, 1, 4, 3], [1, 2, 5, 4], [1, 4, 5]], GeometryError, "edge 1 shared by 3 cells"),
+])
+def test_topology_errors_match_dict_reference(cells, exc, msg):
+    with pytest.raises(exc) as ref:
+        reference_topology(SQUARE_2X1, cells)
+    assert str(ref.value) == msg and type(ref.value) is exc
+    with pytest.raises(exc, match=f"^{msg}$") as got:
+        PolyMesh(SQUARE_2X1, cells, {})
+    assert type(got.value) is exc
+
+
+@pytest.mark.parametrize("h", [1 / 5, 1 / 10, 1 / 20])
+def test_voronoi_cells_match_clipping_reference(h):
+    """The regions of the mirrored diagram are the bisector-clipped cells:
+    the same Lloyd seeds bit for bit, the same vertex count, loop lengths and
+    marker counts, and cell areas equal up to rounding."""
+    seeds, s = geometry._hex_seeds(UNIT_SQUARE, h)
+    ref_seeds, _ = reference_hex_seeds(UNIT_SQUARE, h)
+    assert np.array_equal(seeds, ref_seeds)
+    assert np.array_equal(geometry._lloyd(seeds, UNIT_SQUARE, 3.0 * s),
+                          reference_lloyd(ref_seeds, UNIT_SQUARE, 20, 3.0 * s))
+    mesh = generate_mesh("voronoi", UNIT_SQUARE, h)
+    verts, cells = reference_voronoi(UNIT_SQUARE, h)
+    ref = PolyMesh(verts, cells, {})
+    assert mesh.n_vertices == ref.n_vertices and mesh.n_edges == ref.n_edges
+    assert [len(c) for c in mesh.cells] == [len(c) for c in ref.cells]
+    ref.boundary_markers = geometry._rect_markers(ref, UNIT_SQUARE, 1e-6 * s)
+    assert ({k: len(v) for k, v in mesh.boundary_markers.items()}
+            == {k: len(v) for k, v in ref.boundary_markers.items()})
+    areas, ref_areas = cell_areas(mesh), cell_areas(ref)
+    assert np.max(np.abs(areas - ref_areas) / ref_areas) <= 1e-13
+    walls = {"left": (0, 0.0), "right": (0, 1.0), "bottom": (1, 0.0), "top": (1, 1.0)}
+    for name, (axis, at) in walls.items():   # boundary vertices lie on their wall exactly
+        assert np.all(mesh.vertices[mesh.edges[mesh.boundary_markers[name]], axis] == at)
+
+
+@pytest.mark.parametrize("family, domain, h, seed", [
+    ("triangular", CutoutRectangle(0.0, 0.0, 4.0, 2.0, 2.0, 1.0), 1 / 16, 1),   # channel_k1
+    ("distorted_square", UNIT_SQUARE, 1 / 9, 1),                                  # picard_k2
+    ("distorted_square", UNIT_SQUARE, 1 / 18, 1),
+    ("uniform_square", CutoutRectangle(), 1 / 4, 42),
+    ("uniform_square", UNIT_SQUARE, 1 / 5, 42),
+    ("nonconvex", UNIT_SQUARE, 1 / 10, 42),
+    ("triangular", UNIT_SQUARE, 1 / 5, 42),
+])
+def test_structured_meshes_match_loop_reference(family, domain, h, seed):
+    """The array-built structured meshes are bit-identical to the ones built
+    node by node and cell by cell: vertices, cells and edges."""
+    mesh = generate_mesh(family, domain, h, seed=seed)
+    verts, cells = reference_structured_mesh(family, domain, h, seed)
+    assert np.array_equal(mesh.vertices, verts)
+    assert len(mesh.cells) == len(cells)
+    assert all(np.array_equal(a, b) for a, b in zip(mesh.cells, cells))
+    assert np.array_equal(mesh.edges, reference_topology(verts, cells)[0])
+
+
+def test_voronoi_region_guard_names_the_seed():
+    """Without reflected seeds the regions of the seeds on the boundary are
+    unbounded; the region reader names the first of them."""
+    seeds, _ = geometry._hex_seeds(UNIT_SQUARE, 1 / 5)
+    with pytest.raises(GeometryError, match=r"^voronoi region of seed 0 is unbounded"):
+        geometry._lloyd(seeds, UNIT_SQUARE, band=0.0)
+
+
+def test_cell_groups_built_once(monkeypatch):
+    mesh = generate_mesh("voronoi", UNIT_SQUARE, 1 / 5)
+    groups = mesh.cell_groups
+    built = []
+    monkeypatch.setattr(CellGroup, "__post_init__", lambda self: built.append(self))
+    eo.build_mesh_ops(mesh, 1)
+    mesh.validate()
+    assert mesh.h == max(g.diameter.max() for g in groups)
+    assert built == [] and mesh.cell_groups is groups

