@@ -144,6 +144,7 @@ class ConvergenceRecord:
     converged: bool
     wall_time: float
     n_cells: int | None = None     # cells of the mesh actually generated
+    stokes_factorizations: int = 0
 
 
 def run_point(case: BenchmarkCase, family: str, k: int, h: float, *,
@@ -161,7 +162,8 @@ def run_point(case: BenchmarkCase, family: str, k: int, h: float, *,
     rec = ConvergenceRecord(
         case=case.name, family=family, k=k, h=h, errors=errors,
         iterations=report.iterations, converged=report.converged,
-        wall_time=time.perf_counter() - t0, n_cells=mesh.n_cells)
+        wall_time=time.perf_counter() - t0, n_cells=mesh.n_cells,
+        stokes_factorizations=report.stokes_factorizations)
     return rec, state, mops
 
 

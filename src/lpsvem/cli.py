@@ -125,7 +125,8 @@ def _cmd_solve(args) -> int:
     rec, state, mops = bench.run_point(case, family, k, h, **kw)
     e = rec.errors
     print(f"case={rec.case} family={family} k={k} h={h:.6g} "
-          f"iterations={rec.iterations} converged={rec.converged}")
+          f"iterations={rec.iterations} stokes_factorizations={rec.stokes_factorizations} "
+          f"converged={rec.converged}")
     print(f"div_violation={e.div_violation:.6e} "
           f"phi_dev=[{e.phi_dev_min:.3e}, {e.phi_dev_max:.3e}]")
     if e.e_u_h1 is not None:
@@ -171,7 +172,8 @@ def _cmd_study(args) -> int:
         print(f"# case={args.case} family={family} k={k}")
         print(table, end="")
         iters = ",".join(str(r.iterations) for r in recs)
-        print(f"# picard_iterations={iters} converged="
+        facts = ",".join(str(r.stokes_factorizations) for r in recs)
+        print(f"# picard_iterations={iters} stokes_factorizations={facts} converged="
               f"{','.join(str(r.converged) for r in recs)}")
         all_ok &= all(r.converged for r in recs)
         if args.out_dir is not None:

@@ -4,18 +4,33 @@ One Picard sweep freezes the temperature, solves the stabilized Stokes saddle
 problem (with a scalar multiplier enforcing the zero pressure mean), then
 solves the stabilized transport equation with the new velocity.  Sweeps stop
 when the energy-surrogate norm of the combined increment drops below ``tol``.
+
+The discrete solution is the fixed point of a contraction, so only the
+sweep the loop stops on needs an exact Stokes solve.  When the Stokes system
+changes from sweep to sweep (temperature-dependent viscosity), a sweep may be
+*lagged*: it keeps the previous sweep's factorization and, from the previous
+solution, takes ``LAG_STEPS`` correction steps ``x += LU_old \\ (b - K_new x)``
+against the new matrix.  The lagged solve is accepted when its relative
+residual is at most ``LAG_CONTRACTION`` times the starting one and at most
+``LAG_RESIDUAL``; otherwise the old factorization is dropped before the new
+system is factored.  The loop never stops on a lagged sweep: the sweep after
+one whose increment meets ``tol``, or after one whose contraction predicts
+that the next increment will, solves Stokes exactly, and so does the last
+sweep ``max_iter`` allows.  Only symmetric-mode factorizations are kept:
+neither a COLAMD factorization (the plain unstabilized saddle) nor the
+temperature system is ever reused.
 """
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .element_ops import MeshOps, build_mesh_ops
-from .forms import Assembler, ProblemSpec
+from .forms import Assembler, DirichletData, ProblemSpec
 
 
 class SolverError(RuntimeError):
@@ -31,6 +46,20 @@ class CoupledState:
 
 
 @dataclass
+class SweepRecord:
+    """One Picard sweep.  ``stokes_lu`` says how its Stokes system was solved:
+    "factored", "lagged", "refactored" (a lagged solve was rejected) or
+    "reused" (the system's own factorization: constant viscosity);
+    ``correction_steps`` counts the lagged steps taken.  ``increment`` is None
+    for the Stokes-first sweep that precedes the counted ones."""
+    stokes_lu: str
+    correction_steps: int
+    stokes_residual: float
+    heat_residual: float
+    increment: float | None = None
+
+
+@dataclass
 class PicardReport:
     iterations: int
     residual_history: list[float]
@@ -39,6 +68,8 @@ class PicardReport:
     pressure_mean_rel: float = 0.0
     stokes_residual: float = 0.0
     heat_residual: float = 0.0
+    sweeps: list[SweepRecord] = field(default_factory=list)
+    stokes_factorizations: int = 0
 
 
 # A solve whose final relative residual lies above this floor has failed: a
@@ -46,6 +77,13 @@ class PicardReport:
 # raising (relative residual 4.8 on an unstabilized k=2 saddle), while healthy
 # solves stay at or below 1.5e-11.
 RESIDUAL_FLOOR = 1e-8
+
+# A lagged Stokes solve takes LAG_STEPS correction steps with the previous
+# sweep's factorization and is accepted when they bring its relative residual
+# to at most LAG_CONTRACTION times the starting one and at most LAG_RESIDUAL.
+LAG_STEPS = 2
+LAG_CONTRACTION = 0.3
+LAG_RESIDUAL = 1e-3
 
 
 # The symmetric-mode LU does not pivot, so a diagonal entry at or below this
@@ -63,7 +101,8 @@ def _norm(r: np.ndarray) -> float:
 
 
 class _EliminatedSolve:
-    """Direct solve of K x = b with prescribed values on `fixed` dofs.
+    """Direct solve of K x = b for the dofs ``free``; the others are held at
+    their values in ``xfix`` (zero on the free dofs).
 
     ``symmetric_mode`` marks a matrix with a symmetric pattern and a positive
     semi-definite symmetric part (the Stokes saddle systems): it is factored
@@ -71,24 +110,30 @@ class _EliminatedSolve:
     diagonal has an entry at or below ``SMALL_DIAGONAL * max|K_ff|`` or that
     factorization finds an exactly zero pivot.  Every other matrix is factored
     with SuperLU's default COLAMD ordering and partial pivoting.  ``ordering``
-    records which of the two ("symmetric" or "colamd") was used.
+    records which of the two ("symmetric" or "colamd") was used.  Given ``lu``,
+    a symmetric-mode factorization of an earlier matrix of the same pattern,
+    the matrix is only prepared for ``lagged_solve``.
     """
 
-    def __init__(self, K: sp.spmatrix, fixed: np.ndarray, values: np.ndarray,
-                 system: str, symmetric_mode: bool = False):
+    def __init__(self, K: sp.spmatrix, free: np.ndarray, xfix: np.ndarray,
+                 system: str, symmetric_mode: bool = False, lu=None):
         K = K.tocsr()
         self.system = system
-        self.n = K.shape[0]
-        self.fixed = fixed
-        self.free = np.setdiff1d(np.arange(self.n), fixed)
-        self.xfix = np.zeros(self.n)
-        self.xfix[fixed] = values[fixed] if len(values) == self.n else values
-        self.shift = K @ self.xfix
+        self.symmetric_mode = symmetric_mode
+        self.free = free
+        self.xfix = xfix
+        self.shift = K @ xfix
         # the free-free block, factorized once and reused by every refinement
-        self.Kff = K[self.free][:, self.free]
+        self.Kff = K[free][:, free]
+        self.lu, self.ordering = lu, "symmetric"
+        if lu is None:
+            self.factor()
+
+    def factor(self):
+        """Factor ``Kff``; a lent factorization must be dropped first."""
         Kc = self.Kff.tocsc()
-        full_diagonal = symmetric_mode and (np.abs(Kc.diagonal()).min()
-                                            > SMALL_DIAGONAL * np.abs(Kc.data).max())
+        full_diagonal = self.symmetric_mode and (np.abs(Kc.diagonal()).min()
+                                                 > SMALL_DIAGONAL * np.abs(Kc.data).max())
         self.ordering = "symmetric" if full_diagonal else "colamd"
         if self.ordering == "symmetric":
             try:
@@ -100,7 +145,7 @@ class _EliminatedSolve:
             try:
                 self.lu = splu(Kc)
             except RuntimeError as exc:
-                raise SolverError(f"{system} system: singular factorization: {exc}") from exc
+                raise SolverError(f"{self.system} system: singular factorization: {exc}") from exc
 
     def solve(self, rhs: np.ndarray, refine_tol: float = 1e-15):
         """LU solve with iterative refinement down to the conditioning floor.
@@ -129,6 +174,27 @@ class _EliminatedSolve:
                               f"above the floor {RESIDUAL_FLOOR:g}")
         return full, res
 
+    def lagged_solve(self, rhs: np.ndarray, x0: np.ndarray):
+        """``LAG_STEPS`` correction steps from ``x0`` with the lent factorization.
+
+        Returns (x, relative residual), or None when the steps do not reach
+        the acceptance residual; a non-finite iterate never does.
+        """
+        b = (rhs - self.shift)[self.free]
+        Kff = self.Kff
+        x = x0[self.free]
+        r = b - Kff @ x
+        r0 = _norm(r)
+        for _ in range(LAG_STEPS):
+            x += self.lu.solve(r)
+            r = b - Kff @ x
+        nb, rn = _norm(b), _norm(r)
+        if not rn <= min(LAG_CONTRACTION * r0, LAG_RESIDUAL * nb):
+            return None
+        full = self.xfix.copy()
+        full[self.free] = x
+        return full, (rn / nb if nb > 0 else 0.0)
+
 
 def _stokes_matrix(system) -> sp.csr_matrix:
     return sp.bmat([
@@ -137,27 +203,100 @@ def _stokes_matrix(system) -> sp.csr_matrix:
     ], format="csr")
 
 
-def _stokes_solver(system, N: int, regularize: bool) -> _EliminatedSolve:
-    K = _stokes_matrix(system)
-    if regularize:
-        # without pressure stabilization the equal-order saddle matrix has
-        # spurious pressure modes (B^T z = 0): regularize only the pressure
-        # block to pick a representative; the velocity is unaffected
-        eps = 1e-10 * max(1.0, abs(system.A_uu).max())
-        K = K + sp.bmat([[sp.csr_matrix((2 * N, 2 * N)), None],
-                         [None, sp.identity(N, format="csr") * eps]], format="csr")
-        warnings.warn("singular unstabilized saddle system; pressure block "
-                      "regularized to obtain a representative solution")
-    du = system.dirichlet_u
-    fixed = np.concatenate([du.fixed, [2 * N]])  # pin pressure dof 0
-    vals = np.zeros(K.shape[0])
-    vals[du.fixed] = du.values[du.fixed]
-    return _EliminatedSolve(K, fixed, vals,
-                            "regularized Stokes" if regularize else "Stokes",
-                            symmetric_mode=True)
+class _StokesSweeps:
+    """The Stokes solves of one Picard loop, or of one standalone solve.
+
+    Holds what carries over from sweep to sweep: the free dofs (the velocity
+    dofs without Dirichlet data and every pressure dof but the pinned dof 0),
+    whether a sweep fell back to the regularized system (later sweeps then
+    build it directly), the last symmetric-mode factorization and the last
+    solution, from which the next system may be solved lagged unless
+    ``exact`` is set.  ``action`` and ``steps`` describe the last solve as a
+    ``SweepRecord`` does; ``factorizations`` counts the Stokes factorizations.
+    """
+
+    def __init__(self, dirichlet_u: DirichletData, N: int):
+        self.free = np.concatenate([dirichlet_u.free, np.arange(2 * N + 1, 3 * N)])
+        self.xfix = np.zeros(3 * N)
+        self.xfix[dirichlet_u.fixed] = dirichlet_u.values[dirichlet_u.fixed]
+        self.N = N
+        self.regularize = False
+        self.exact = False
+        self.lu = None
+        self.x = None
+        self.factorizations = 0
+        self.action, self.steps = "", 0
+
+    def solver(self, system, lu=None) -> _EliminatedSolve:
+        """The pinned system of ``system``, regularized after a fallback;
+        factored unless an earlier factorization ``lu`` is lent."""
+        K = _stokes_matrix(system)
+        if self.regularize:
+            # without pressure stabilization the equal-order saddle matrix has
+            # spurious pressure modes (B^T z = 0): regularize only the pressure
+            # block to pick a representative; the velocity is unaffected
+            N = self.N
+            eps = 1e-10 * max(1.0, abs(system.A_uu).max())
+            K = K + sp.bmat([[sp.csr_matrix((2 * N, 2 * N)), None],
+                             [None, sp.identity(N, format="csr") * eps]], format="csr")
+        elim = _EliminatedSolve(K, self.free, self.xfix,
+                                "regularized Stokes" if self.regularize else "Stokes",
+                                symmetric_mode=True, lu=lu)
+        self.factorizations += lu is None
+        return elim
+
+    def solve(self, system, rhs: np.ndarray):
+        """(x, relative residual) of the pinned system of ``system``."""
+        self.steps = 0
+        if system.factorization is not None:
+            self.action = "reused"
+            x, res = system.factorization.solve(rhs)
+        else:
+            x, res = self._solve_new(system, rhs)
+        self.x = x
+        return x, res
+
+    def _solve_new(self, system, rhs):
+        elim, self.action = None, "factored"
+        if self.lu is not None and not self.exact:
+            elim = self.solver(system, lu=self.lu)
+            self.steps = LAG_STEPS
+            lagged = elim.lagged_solve(rhs, self.x)
+            if lagged is not None:
+                self.action = "lagged"
+                return lagged
+            self.action = "refactored"
+        # no reference to the old factorization may outlive this point: a new
+        # one made while it is alive raises the peak memory by its size
+        self.lu = None
+        try:
+            if elim is None:
+                elim = self.solver(system)
+            else:
+                elim.lu = None
+                elim.factor()
+                self.factorizations += 1
+            x, res = elim.solve(rhs)
+        except SolverError:
+            if self.regularize:
+                raise
+            x = None
+        if x is None:
+            # the failed factorization dies before the regularized one is
+            # made, outside the except block, whose traceback would keep it
+            elim = None
+            self.regularize = True
+            warnings.warn("singular unstabilized saddle system; pressure block "
+                          "regularized to obtain a representative solution")
+            elim = self.solver(system)
+            x, res = elim.solve(rhs)
+        system.factorization = elim
+        if elim.ordering == "symmetric":
+            self.lu = elim.lu
+        return x, res
 
 
-def solve_stokes(system, N: int):
+def solve_stokes(system, N: int, sweeps: _StokesSweeps | None = None):
     """Solve the stabilized saddle problem for (u, p, multiplier).
 
     The zero-mean constraint is enforced through its Lagrange multiplier,
@@ -169,7 +308,8 @@ def solve_stokes(system, N: int):
     A singular factorization or a failed solve falls back to the
     pressure-regularized system; a failure there raises SolverError.  The
     factorization is kept in ``system.factorization`` and reused by every
-    later solve of the same object.
+    later solve of the same object.  ``sweeps`` carries the state of a Picard
+    loop, which may solve the system lagged; without it the solve is exact.
     Returns (u, p, lam, relative residual).
     """
     omega = float(system.mean_row.sum())   # = sum of cell areas
@@ -179,17 +319,9 @@ def solve_stokes(system, N: int):
     delta = -float(np.sum(system.B[:, du.fixed] @ du.values[du.fixed]))
     lam = delta / omega
     rhs[2 * N:] -= lam * system.mean_row
-    elim = system.factorization
-    if elim is not None:
-        x, res = elim.solve(rhs)
-    else:
-        try:
-            elim = _stokes_solver(system, N, regularize=False)
-            x, res = elim.solve(rhs)
-        except SolverError:
-            elim = _stokes_solver(system, N, regularize=True)
-            x, res = elim.solve(rhs)
-        system.factorization = elim
+    if sweeps is None:
+        sweeps = _StokesSweeps(du, N)
+    x, res = sweeps.solve(system, rhs)
     u = x[:2 * N]
     p = x[2 * N:]
     p = p - (float(system.mean_row @ p) / omega)
@@ -203,7 +335,7 @@ def solve_temperature(system):
     """
     K = (system.A_TT + system.C + system.L3).tocsr()
     dphi = system.dirichlet_phi
-    elim = _EliminatedSolve(K, dphi.fixed, dphi.values, "temperature")
+    elim = _EliminatedSolve(K, dphi.free, dphi.values, "temperature")
     phi, res = elim.solve(system.rhs_heat)
     return phi, res
 
@@ -239,7 +371,8 @@ def picard_solve(spec: ProblemSpec, mesh, tol: float = 1e-7, max_iter: int = 50,
 
     Returns (CoupledState, PicardReport).  Reaching ``max_iter`` yields a
     non-converged report rather than an exception; non-finite iterates raise
-    SolverError immediately.
+    SolverError immediately.  Intermediate Stokes solves may be lagged (see
+    the module docstring); ``PicardReport.sweeps`` records each sweep.
     """
     if initial not in ("zero", "stokes_first"):
         raise ValueError(f"unknown initial mode {initial!r}")
@@ -256,41 +389,51 @@ def picard_solve(spec: ProblemSpec, mesh, tol: float = 1e-7, max_iter: int = 50,
     p = np.zeros(N)
     last_stokes_res = last_heat_res = 0.0
     pmean_rel = 0.0
+    stokes = _StokesSweeps(asm.dirichlet_u, N)
+    records: list[SweepRecord] = []
 
-    def sweep(u_in, phi_in):
+    def sweep(u_in, phi_in, exact):
         nonlocal last_stokes_res, last_heat_res, pmean_rel
-        # a system rebuilt every sweep is freed, with its factorization,
-        # before the transport solve
-        u_new, p_new, lam_new, res_s = solve_stokes(asm.build_stokes(phi_in), N)
+        stokes.exact = exact
+        # a system rebuilt every sweep is freed before the transport solve;
+        # only its factorization is kept, for a lagged solve of the next one
+        u_new, p_new, lam_new, res_s = solve_stokes(asm.build_stokes(phi_in), N, stokes)
         # transport sees the freshly computed velocity
         transport = asm.build_transport(u_new, phi_in)
         phi_new, res_h = solve_temperature(transport)
+        records.append(SweepRecord(stokes.action, stokes.steps, res_s, res_h))
         last_stokes_res, last_heat_res = res_s, res_h
         pn = max(_norm(p_new), 1e-12)  # guard the zero-pressure case
         pmean_rel = max(pmean_rel, abs(float(asm.mean_row @ p_new)) / pn)
         return u_new, p_new, lam_new, phi_new
 
     if initial == "stokes_first":
-        u_prev, p, lam, phi_prev = sweep(u_prev, phi_prev)
+        u_prev, p, lam, phi_prev = sweep(u_prev, phi_prev, False)
 
     history: list[float] = []
     converged = False
+    exact = False
     it = 0
     for it in range(1, max_iter + 1):
-        u_new, p_new, lam_new, phi_new = sweep(u_prev, phi_prev)
-        delta = norms.sigma(phi_new - phi_prev) + norms.h1_vec(u_new - u_prev)
+        u_new, p_new, lam_new, phi_new = sweep(u_prev, phi_prev, exact or it == max_iter)
+        delta = float(norms.sigma(phi_new - phi_prev) + norms.h1_vec(u_new - u_prev))
         if not np.isfinite(delta):
             raise SolverError("non-finite Picard increment")
-        history.append(float(delta))
+        history.append(delta)
+        records[-1].increment = delta
         u_prev, phi_prev, p, lam = u_new, phi_new, p_new, lam_new
-        if delta <= tol:
+        if delta <= tol and records[-1].stokes_lu != "lagged":
             converged = True
             break
+        # the loop never stops on a lagged sweep: the next sweep is exact once
+        # this one met tol, or once the last contraction predicts it will
+        exact = delta <= tol or (it > 1 and delta * delta <= tol * history[-2])
 
     state = CoupledState(u=u_prev, p=p, phi=phi_prev, mean_multiplier=lam)
     report = PicardReport(iterations=it, residual_history=history,
                           converged=converged, final_tolerance=tol,
                           pressure_mean_rel=pmean_rel,
                           stokes_residual=last_stokes_res,
-                          heat_residual=last_heat_res)
+                          heat_residual=last_heat_res,
+                          sweeps=records, stokes_factorizations=stokes.factorizations)
     return state, report

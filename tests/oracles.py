@@ -1132,6 +1132,34 @@ def energy_norms(state, asm) -> tuple[float, float]:
     return norms.triple_up(state.u, state.p), norms.sigma(state.phi)
 
 
+def reference_picard(spec, mops, tol: float = 1e-7, max_iter: int = 50,
+                     initial: str = "zero"):
+    """The Picard loop with an exact Stokes solve on every sweep: each sweep
+    calls ``solve_stokes`` without loop state, so it factors its own system
+    (and falls back to the regularized one on its own).  Returns
+    (CoupledState, increment history)."""
+    asm = forms.Assembler(mops, spec)
+    N = asm.N
+    norms = solver._Norms(asm)
+
+    def sweep(u_in, phi_in):
+        u_new, p_new, _, _ = solver.solve_stokes(asm.build_stokes(phi_in), N)
+        phi_new, _ = solver.solve_temperature(asm.build_transport(u_new, phi_in))
+        return u_new, p_new, phi_new
+
+    u, p, phi = np.zeros(2 * N), np.zeros(N), np.zeros(N)
+    if initial == "stokes_first":
+        u, p, phi = sweep(u, phi)
+    history = []
+    for _ in range(max_iter):
+        u_new, p_new, phi_new = sweep(u, phi)
+        history.append(float(norms.sigma(phi_new - phi) + norms.h1_vec(u_new - u)))
+        u, p, phi = u_new, p_new, phi_new
+        if history[-1] <= tol:
+            break
+    return solver.CoupledState(u=u, p=p, phi=phi), history
+
+
 def interpolate_vector(mops, f1, f2) -> np.ndarray:
     """Dof vector of the smooth vector field (f1, f2)."""
     return np.concatenate([mops.interpolate_scalar(f1), mops.interpolate_scalar(f2)])

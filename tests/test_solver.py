@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import make_spec, zero_velocity
-from oracles import energy_norms
+from oracles import energy_norms, reference_picard
 from lpsvem import element_ops as eo
 from lpsvem import forms, solver
 from lpsvem.geometry import UNIT_SQUARE, generate_mesh
@@ -99,6 +99,8 @@ def test_max_iter_reached_reports_not_raises(mesh5, mops5):
     assert not rep.converged
     assert rep.iterations == 3
     assert len(rep.residual_history) == 3
+    # no run ends on a lagged Stokes solve, a non-converged one neither
+    assert [s.stokes_lu for s in rep.sweeps] == ["factored", "lagged", "factored"]
 
 
 def test_nan_source_raises(mesh5, mops5):
@@ -196,10 +198,17 @@ def unstabilized_saddle(_unstabilized_system):
     return dataclasses.replace(system), N
 
 
+def _stokes_solver(system, N, regularize):
+    """A standalone Stokes solver of ``system``, plain or regularized."""
+    stokes = solver._StokesSweeps(system.dirichlet_u, N)
+    stokes.regularize = regularize
+    return stokes.solver(system)
+
+
 def test_failed_stokes_solve_falls_back_to_regularized_system(unstabilized_saddle):
     system, N = unstabilized_saddle
     rhs = np.concatenate([system.rhs_momentum, np.zeros(N)])
-    plain = solver._stokes_solver(system, N, regularize=False)
+    plain = _stokes_solver(system, N, regularize=False)
     with pytest.raises(solver.SolverError, match=r"^Stokes system: relative residual"):
         plain.solve(rhs)
     with pytest.warns(UserWarning, match="pressure block regularized"):
@@ -254,7 +263,7 @@ def test_stokes_system_factored_in_symmetric_mode_with_less_fill():
     case = bm.make_case("ex3")
     mesh = generate_mesh("distorted_square", case.domain, 1 / 9)
     asm = forms.Assembler(eo.build_mesh_ops(mesh, 2), case.problem_spec(mesh, 2))
-    elim = solver._stokes_solver(asm.build_stokes(np.zeros(asm.N)), asm.N, regularize=False)
+    elim = _stokes_solver(asm.build_stokes(np.zeros(asm.N)), asm.N, regularize=False)
     assert elim.ordering == "symmetric"
     colamd = splu(elim.Kff.tocsc())
     assert elim.lu.L.nnz + elim.lu.U.nnz < colamd.L.nnz + colamd.U.nnz
@@ -267,10 +276,10 @@ def test_zero_pressure_block_takes_colamd_and_regularized_answer(unstabilized_sa
     fails the floor, and the regularized system answers."""
     from scipy.sparse.linalg import splu
     system, N = unstabilized_saddle
-    assert solver._stokes_solver(system, N, regularize=False).ordering == "colamd"
+    assert _stokes_solver(system, N, regularize=False).ordering == "colamd"
     with pytest.warns(UserWarning, match="pressure block regularized"):
         u, p, lam, _ = solver.solve_stokes(system, N)
-        reg = solver._stokes_solver(system, N, regularize=True)
+        reg = _stokes_solver(system, N, regularize=True)
     assert np.abs(p).max() < 1e3
     # the regularized system's velocity from a COLAMD factorization
     rhs = np.concatenate([system.rhs_momentum, -lam * system.mean_row])
@@ -289,7 +298,7 @@ def test_singular_unstabilized_channel_reaches_symmetric_regularized_system():
     asm = forms.Assembler(eo.build_mesh_ops(mesh, 1), spec)
     system, N = asm.build_stokes(np.zeros(asm.N)), asm.N
     with pytest.raises(solver.SolverError, match=r"^Stokes system: singular factorization"):
-        solver._stokes_solver(system, N, regularize=False)
+        _stokes_solver(system, N, regularize=False)
     with pytest.warns(UserWarning, match="pressure block regularized"):
         solver.solve_stokes(system, N)
     assert system.factorization.system == "regularized Stokes"
@@ -300,15 +309,16 @@ def test_exactly_singular_symmetric_factorization_names_the_system():
     import scipy.sparse as sps
     K = sps.csr_matrix(np.ones((2, 2)))
     with pytest.raises(solver.SolverError, match=r"^Stokes system: singular factorization"):
-        solver._EliminatedSolve(K, np.array([], dtype=int), np.zeros(2), "Stokes",
+        solver._EliminatedSolve(K, np.arange(2), np.zeros(2), "Stokes",
                                 symmetric_mode=True)
 
 
 def _transport(K, fixed, values, rhs):
     from types import SimpleNamespace
     zero = 0.0 * K
+    free = np.setdiff1d(np.arange(K.shape[0]), fixed)
     return SimpleNamespace(A_TT=K, C=zero, L3=zero, rhs_heat=rhs,
-                           dirichlet_phi=SimpleNamespace(fixed=fixed, values=values))
+                           dirichlet_phi=SimpleNamespace(fixed=fixed, free=free, values=values))
 
 
 def test_temperature_solve_failures_name_the_system(monkeypatch):
@@ -326,3 +336,103 @@ def test_temperature_solve_failures_name_the_system(monkeypatch):
     monkeypatch.setattr(solver, "RESIDUAL_FLOOR", -1.0)
     with pytest.raises(solver.SolverError, match=r"^temperature system: relative residual"):
         solver.solve_temperature(healthy)
+
+
+@pytest.fixture(scope="module")
+def ex3_coarse():
+    """ex3, distorted squares, k=2, h=1/9, mesh seed 1 (the coarse picard_k2
+    point), with the exact-every-sweep reference loop's answer."""
+    from lpsvem import benchmarks as bm
+    case = bm.make_case("ex3")
+    mesh = generate_mesh("distorted_square", case.domain, 1 / 9, seed=1)
+    mops = eo.build_mesh_ops(mesh, 2)
+    spec = case.problem_spec(mesh, 2)
+    return case, mesh, mops, spec, reference_picard(spec, mops)
+
+
+def test_lagged_picard_matches_exact_reference(ex3_coarse):
+    """Lagged Stokes sweeps: 5 Stokes factorizations over 11 sweeps, the last
+    one factored.  Measured against the reference loop: fields within 7.2e-11
+    of their largest value, error norms within 1.3e-7 relative (e_phi_l2);
+    the bounds are about ten times that."""
+    from lpsvem.postprocess import compute_errors
+    case, mesh, mops, spec, (ref, ref_history) = ex3_coarse
+    state, rep = solver.picard_solve(spec, mesh, mops=mops)
+    assert rep.converged and len(rep.sweeps) == rep.iterations
+    assert rep.stokes_factorizations < rep.iterations
+    assert any(s.stokes_lu == "lagged" for s in rep.sweeps)
+    assert rep.sweeps[-1].stokes_lu in ("factored", "refactored")
+    assert rep.stokes_residual == rep.sweeps[-1].stokes_residual <= 1e-12
+    assert [s.increment for s in rep.sweeps] == rep.residual_history
+    for name in ("u", "p", "phi"):
+        got, want = getattr(state, name), getattr(ref, name)
+        assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max(), name
+    exact = case.fields.exact()
+    got, want = compute_errors(state, exact, mops), compute_errors(ref, exact, mops)
+    for name in ("e_u_h1", "e_u_l2", "e_p_l2", "e_phi_h1", "e_phi_l2"):
+        assert abs(getattr(got, name) - getattr(want, name)) <= 1e-6 * getattr(want, name), name
+
+
+def test_rejected_lag_refactors(ex3_coarse, monkeypatch):
+    """With a contraction no lagged solve can reach, every sweep after the
+    first drops the kept LU and factors its own system, which reproduces the
+    reference loop bit for bit."""
+    case, mesh, mops, spec, (ref, ref_history) = ex3_coarse
+    monkeypatch.setattr(solver, "LAG_CONTRACTION", 0.0)
+    state, rep = solver.picard_solve(spec, mesh, mops=mops)
+    lus = [s.stokes_lu for s in rep.sweeps]
+    # the last sweep, predicted to converge, factors without trying a lag
+    assert lus == ["factored"] + ["refactored"] * (rep.iterations - 2) + ["factored"]
+    steps = [s.correction_steps for s in rep.sweeps]
+    assert steps == [0] + [solver.LAG_STEPS] * (rep.iterations - 2) + [0]
+    assert rep.stokes_factorizations == rep.iterations
+    assert rep.residual_history == ref_history
+    for name in ("u", "p", "phi"):
+        assert np.array_equal(getattr(state, name), getattr(ref, name)), name
+
+
+def test_no_earlier_stokes_factorization_alive_when_factoring(ex3_coarse, monkeypatch):
+    """Peak memory stays flat only if the loop drops its old Stokes LU before
+    it factors again.  SuperLU objects take no weak references, so splu hands
+    out proxies, and each Stokes factorization counts the earlier Stokes
+    proxies still alive: there must be none."""
+    import weakref
+    case, mesh, mops, spec, _ = ex3_coarse
+    real, stokes_lus, alive = solver.splu, [], []
+
+    class Proxy:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, b):
+            return self.lu.solve(b)
+
+    def proxy_splu(A, **kwargs):
+        stokes = kwargs.get("permc_spec") == "MMD_AT_PLUS_A"
+        if stokes:
+            alive.append(sum(ref() is not None for ref in stokes_lus))
+        lu = Proxy(real(A, **kwargs))
+        if stokes:
+            stokes_lus.append(weakref.ref(lu))
+        return lu
+    monkeypatch.setattr(solver, "splu", proxy_splu)
+    _, rep = solver.picard_solve(spec, mesh, mops=mops)
+    assert any(s.stokes_lu == "refactored" for s in rep.sweeps)
+    assert len(alive) == rep.stokes_factorizations > 2
+    assert alive == [0] * len(alive)
+
+
+def test_unstabilized_nonconstant_run_warns_once():
+    """ex2_convective without stabilization on Voronoi cells, k=2, h=1/8: the
+    first sweep's plain saddle fails and falls back to the regularized one.
+    Later sweeps build the regularized system directly: one warning per run,
+    in place of one per sweep, and at most one factorization per sweep."""
+    import warnings
+    from lpsvem import benchmarks as bm
+    case = bm.make_case("ex2_convective")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rec, _, _ = bm.run_point(case, "voronoi", 2, 1 / 8, c1=0.0, c2=0.0, c3=0.0)
+    assert rec.converged
+    assert ["pressure block regularized" in str(w.message) for w in caught] == [True]
+    assert rec.stokes_factorizations <= rec.iterations + 1

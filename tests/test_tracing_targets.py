@@ -14,11 +14,15 @@ KNOWN_MISSING = {("lpsvem.element_ops", "build_quadrature"),
                  ("lpsvem.element_ops", "stiffness_matrix")}
 
 
-def _targets():
+def _tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.TARGETS
+    return module
+
+
+def _targets():
+    return _tracing().TARGETS
 
 
 def test_every_traced_target_resolves():
@@ -30,3 +34,28 @@ def test_every_traced_target_resolves():
         if not callable(owner):
             missing.add((modname, attr))
     assert missing <= KNOWN_MISSING, sorted(missing - KNOWN_MISSING)
+
+
+def test_traced_factorizations_match_solver_counts(monkeypatch):
+    """A wrapper that stopped seeing ``splu`` would make
+    ``solver.factorizations`` read low.  On a small Picard point with a
+    temperature-dependent viscosity (ex3, k=2, h=1/4, where Stokes sweeps are
+    lagged), the tracer must count the Stokes factorizations the solver
+    reports plus one temperature factorization per sweep."""
+    tracing = _tracing()
+    for modname, attr, _ in tracing.TARGETS:
+        owner = importlib.import_module(modname)
+        *path, leaf = attr.split(".")
+        for part in path:
+            owner = getattr(owner, part)
+        if hasattr(owner, leaf):
+            # monkeypatch puts the unwrapped function back after the test
+            monkeypatch.setattr(owner, leaf, getattr(owner, leaf))
+    tracer = tracing.Tracer()
+    tracer.install()
+    from lpsvem import benchmarks as bm
+    rec, _, _ = bm.run_point(bm.make_case("ex3"), "distorted_square", 2, 1 / 4)
+    assert rec.converged and 0 < rec.stokes_factorizations < rec.iterations
+    counts = tracer.layer_metrics()
+    assert counts["solver.picard_iterations"] == rec.iterations
+    assert counts["solver.factorizations"] == rec.stokes_factorizations + rec.iterations
