@@ -142,17 +142,11 @@ def _cmd_solve(args) -> int:
 
 def _cmd_study(args) -> int:
     ov = _overrides_from_args(args)
-    tol, max_iter, seed = ov.pop("tol"), ov.pop("max_iter"), ov.pop("seed")
     case = bench.make_case(args.case, kappa=ov.pop("kappa", None))
+    kw = _point_kwargs(ov)
     orders = ov.pop("orders", case.orders)
     families = ov.pop("mesh_families", case.mesh_families)
     h_list = sorted(ov.pop("h_list", case.h_list), reverse=True)
-    kw = dict(tol=tol, max_iter=max_iter, seed=seed)
-    for key in ("c1", "c2", "c3"):
-        if key in ov:
-            kw[key] = ov.pop(key)
-    if ov.pop("no_stab", False):
-        kw["c1"] = kw["c2"] = kw["c3"] = 0.0
     points = [(f, k) for f in families for k in orders]
 
     def run_study(fk):

@@ -14,7 +14,7 @@ group.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -304,8 +304,6 @@ class StokesSystem:
     rhs_momentum: np.ndarray
     mean_row: np.ndarray         # integral of Pi0_k p over the domain
     dirichlet_u: DirichletData
-    # set by the first solve of this object; later solves reuse it
-    factorization: object | None = field(default=None, init=False, repr=False)
 
 
 @dataclass
@@ -366,7 +364,6 @@ class Assembler:
         self._static_blocks()
         self._dirichlet()
         self._static_rhs()
-        self._stokes_const: StokesSystem | None = None
 
     # -- sparsity ------------------------------------------------------------
 
@@ -388,7 +385,6 @@ class Assembler:
         self.L3 = self._scalar.assemble([L[2] for L in lps])
         self.B = self._pv.assemble([g.b_div for g in groups])
         self.h1_surrogate = self._scalar.assemble([g.diffusion_unit for g in groups])
-        self.mass0 = self._scalar.assemble([_mT(g.P_zero) @ g.H @ g.P_zero for g in groups])
         self.mean_row = _scatter(
             self.N, self._sdofs, [(_mT(g.P_zero) @ g.int_m[..., None])[..., 0] for g in groups])
         if not isinstance(spec.conductivity, Conductivity):
@@ -443,20 +439,11 @@ class Assembler:
                 for g in self.groups]
 
     def build_stokes(self, phi: np.ndarray) -> StokesSystem:
-        """Stokes blocks for the temperature iterate ``phi``.  With constant
-        viscosity they do not depend on it: the system is built once, from
-        phi = 0, and that same object is returned on every later call."""
-        if self._stokes_const is not None:
-            return self._stokes_const
-        mu = self.spec.viscosity
-        constant = mu.mu_min == mu.mu_max
-        system = StokesSystem(
-            A_uu=(self.viscous_block(np.zeros(self.N) if constant else phi) + self.L1).tocsr(),
+        """Stokes blocks for the temperature iterate ``phi``."""
+        return StokesSystem(
+            A_uu=(self.viscous_block(phi) + self.L1).tocsr(),
             B=self.B, L2=self.L2, rhs_momentum=self._rhs_m_static.copy(),
             mean_row=self.mean_row, dirichlet_u=self.dirichlet_u)
-        if constant:
-            self._stokes_const = system
-        return system
 
     def build_transport(self, u: np.ndarray, phi: np.ndarray) -> TransportSystem:
         return TransportSystem(

@@ -4,6 +4,8 @@ One Picard sweep freezes the temperature, solves the stabilized Stokes saddle
 problem (with a scalar multiplier enforcing the zero pressure mean), then
 solves the stabilized transport equation with the new velocity.  Sweeps stop
 when the energy-surrogate norm of the combined increment drops below ``tol``.
+With constant viscosity the Stokes system does not depend on the iterate: the
+first sweep solves it, and every later sweep reuses that solution.
 
 The discrete solution is the fixed point of a contraction, so only the
 sweep the loop stops on needs an exact Stokes solve.  When the Stokes system
@@ -48,10 +50,12 @@ class CoupledState:
 @dataclass
 class SweepRecord:
     """One Picard sweep.  ``stokes_lu`` says how its Stokes system was solved:
-    "factored", "lagged", "refactored" (a lagged solve was rejected) or
-    "reused" (the system's own factorization: constant viscosity);
-    ``correction_steps`` counts the lagged steps taken.  ``increment`` is None
-    for the Stokes-first sweep that precedes the counted ones."""
+    "factored", "lagged", "refactored" (a lagged solve was rejected),
+    "regularized" (the plain system failed, in its factorization or in its
+    solve, and the regularized one was factored) or "reused" (constant
+    viscosity: the first sweep's solution); ``correction_steps`` counts the
+    lagged steps taken.  ``increment`` is None for the Stokes-first sweep that
+    precedes the counted ones."""
     stokes_lu: str
     correction_steps: int
     stokes_residual: float
@@ -102,7 +106,8 @@ def _norm(r: np.ndarray) -> float:
 
 class _EliminatedSolve:
     """Direct solve of K x = b for the dofs ``free``; the others are held at
-    their values in ``xfix`` (zero on the free dofs).
+    their values in ``xfix`` (zero on the free dofs).  The constructor only
+    prepares the free-free block; ``factor`` factors it.
 
     ``symmetric_mode`` marks a matrix with a symmetric pattern and a positive
     semi-definite symmetric part (the Stokes saddle systems): it is factored
@@ -110,13 +115,11 @@ class _EliminatedSolve:
     diagonal has an entry at or below ``SMALL_DIAGONAL * max|K_ff|`` or that
     factorization finds an exactly zero pivot.  Every other matrix is factored
     with SuperLU's default COLAMD ordering and partial pivoting.  ``ordering``
-    records which of the two ("symmetric" or "colamd") was used.  Given ``lu``,
-    a symmetric-mode factorization of an earlier matrix of the same pattern,
-    the matrix is only prepared for ``lagged_solve``.
+    records which of the two ("symmetric" or "colamd") was used.
     """
 
     def __init__(self, K: sp.spmatrix, free: np.ndarray, xfix: np.ndarray,
-                 system: str, symmetric_mode: bool = False, lu=None):
+                 system: str, symmetric_mode: bool = False):
         K = K.tocsr()
         self.system = system
         self.symmetric_mode = symmetric_mode
@@ -125,12 +128,10 @@ class _EliminatedSolve:
         self.shift = K @ xfix
         # the free-free block, factorized once and reused by every refinement
         self.Kff = K[free][:, free]
-        self.lu, self.ordering = lu, "symmetric"
-        if lu is None:
-            self.factor()
+        self.lu = self.ordering = None
 
-    def factor(self):
-        """Factor ``Kff``; a lent factorization must be dropped first."""
+    def factor(self) -> "_EliminatedSolve":
+        """Factor ``Kff``; returns ``self``."""
         Kc = self.Kff.tocsc()
         full_diagonal = self.symmetric_mode and (np.abs(Kc.diagonal()).min()
                                                  > SMALL_DIAGONAL * np.abs(Kc.data).max())
@@ -146,6 +147,7 @@ class _EliminatedSolve:
                 self.lu = splu(Kc)
             except RuntimeError as exc:
                 raise SolverError(f"{self.system} system: singular factorization: {exc}") from exc
+        return self
 
     def solve(self, rhs: np.ndarray, refine_tol: float = 1e-15):
         """LU solve with iterative refinement down to the conditioning floor.
@@ -174,8 +176,9 @@ class _EliminatedSolve:
                               f"above the floor {RESIDUAL_FLOOR:g}")
         return full, res
 
-    def lagged_solve(self, rhs: np.ndarray, x0: np.ndarray):
-        """``LAG_STEPS`` correction steps from ``x0`` with the lent factorization.
+    def lagged_solve(self, lu, rhs: np.ndarray, x0: np.ndarray):
+        """``LAG_STEPS`` correction steps from ``x0`` with ``lu``, a
+        symmetric-mode factorization of an earlier matrix of the same pattern.
 
         Returns (x, relative residual), or None when the steps do not reach
         the acceptance residual; a non-finite iterate never does.
@@ -186,7 +189,7 @@ class _EliminatedSolve:
         r = b - Kff @ x
         r0 = _norm(r)
         for _ in range(LAG_STEPS):
-            x += self.lu.solve(r)
+            x += lu.solve(r)
             r = b - Kff @ x
         nb, rn = _norm(b), _norm(r)
         if not rn <= min(LAG_CONTRACTION * r0, LAG_RESIDUAL * nb):
@@ -227,9 +230,8 @@ class _StokesSweeps:
         self.factorizations = 0
         self.action, self.steps = "", 0
 
-    def solver(self, system, lu=None) -> _EliminatedSolve:
-        """The pinned system of ``system``, regularized after a fallback;
-        factored unless an earlier factorization ``lu`` is lent."""
+    def prepare(self, system) -> _EliminatedSolve:
+        """The pinned system of ``system``, regularized after a fallback."""
         K = _stokes_matrix(system)
         if self.regularize:
             # without pressure stabilization the equal-order saddle matrix has
@@ -239,60 +241,45 @@ class _StokesSweeps:
             eps = 1e-10 * max(1.0, abs(system.A_uu).max())
             K = K + sp.bmat([[sp.csr_matrix((2 * N, 2 * N)), None],
                              [None, sp.identity(N, format="csr") * eps]], format="csr")
-        elim = _EliminatedSolve(K, self.free, self.xfix,
+        return _EliminatedSolve(K, self.free, self.xfix,
                                 "regularized Stokes" if self.regularize else "Stokes",
-                                symmetric_mode=True, lu=lu)
-        self.factorizations += lu is None
-        return elim
+                                symmetric_mode=True)
 
     def solve(self, system, rhs: np.ndarray):
         """(x, relative residual) of the pinned system of ``system``."""
-        self.steps = 0
-        if system.factorization is not None:
-            self.action = "reused"
-            x, res = system.factorization.solve(rhs)
-        else:
-            x, res = self._solve_new(system, rhs)
-        self.x = x
-        return x, res
-
-    def _solve_new(self, system, rhs):
-        elim, self.action = None, "factored"
+        elim = self.prepare(system)
+        self.action, self.steps = "factored", 0
         if self.lu is not None and not self.exact:
-            elim = self.solver(system, lu=self.lu)
             self.steps = LAG_STEPS
-            lagged = elim.lagged_solve(rhs, self.x)
+            lagged = elim.lagged_solve(self.lu, rhs, self.x)
             if lagged is not None:
                 self.action = "lagged"
+                self.x = lagged[0]
                 return lagged
             self.action = "refactored"
         # no reference to the old factorization may outlive this point: a new
         # one made while it is alive raises the peak memory by its size
         self.lu = None
-        try:
-            if elim is None:
-                elim = self.solver(system)
-            else:
-                elim.lu = None
+        while True:
+            try:
                 elim.factor()
                 self.factorizations += 1
-            x, res = elim.solve(rhs)
-        except SolverError:
-            if self.regularize:
-                raise
-            x = None
-        if x is None:
+                x, res = elim.solve(rhs)
+                break
+            except SolverError:
+                if self.regularize:
+                    raise
             # the failed factorization dies before the regularized one is
             # made, outside the except block, whose traceback would keep it
             elim = None
             self.regularize = True
+            self.action = "regularized"
             warnings.warn("singular unstabilized saddle system; pressure block "
                           "regularized to obtain a representative solution")
-            elim = self.solver(system)
-            x, res = elim.solve(rhs)
-        system.factorization = elim
+            elim = self.prepare(system)
         if elim.ordering == "symmetric":
             self.lu = elim.lu
+        self.x = x
         return x, res
 
 
@@ -306,10 +293,9 @@ def solve_stokes(system, N: int, sweeps: _StokesSweeps | None = None):
     the factorization and the pressure is shifted to exact zero mean, which
     reproduces the bordered multiplier solution without the dense row.
     A singular factorization or a failed solve falls back to the
-    pressure-regularized system; a failure there raises SolverError.  The
-    factorization is kept in ``system.factorization`` and reused by every
-    later solve of the same object.  ``sweeps`` carries the state of a Picard
-    loop, which may solve the system lagged; without it the solve is exact.
+    pressure-regularized system; a failure there raises SolverError.
+    ``sweeps`` carries the state of a Picard loop, which may solve the system
+    lagged; without it the solve is exact.
     Returns (u, p, lam, relative residual).
     """
     omega = float(system.mean_row.sum())   # = sum of cell areas
@@ -335,7 +321,7 @@ def solve_temperature(system):
     """
     K = (system.A_TT + system.C + system.L3).tocsr()
     dphi = system.dirichlet_phi
-    elim = _EliminatedSolve(K, dphi.free, dphi.values, "temperature")
+    elim = _EliminatedSolve(K, dphi.free, dphi.values, "temperature").factor()
     phi, res = elim.solve(system.rhs_heat)
     return phi, res
 
@@ -354,13 +340,6 @@ class _Norms:
 
     def sigma(self, phi: np.ndarray) -> float:
         v = self.asm.spec.kappa_ref * self.h1_sq(phi) + float(phi @ (self.asm.L3 @ phi))
-        return np.sqrt(max(v, 0.0))
-
-    def triple_up(self, u: np.ndarray, p: np.ndarray) -> float:
-        N = self.asm.N
-        v = (self.asm.spec.viscosity.mu_min * (self.h1_sq(u[:N]) + self.h1_sq(u[N:]))
-             + float(p @ (self.asm.mass0 @ p))
-             + float(u @ (self.asm.L1 @ u)) + float(p @ (self.asm.L2 @ p)))
         return np.sqrt(max(v, 0.0))
 
 
@@ -390,18 +369,30 @@ def picard_solve(spec: ProblemSpec, mesh, tol: float = 1e-7, max_iter: int = 50,
     last_stokes_res = last_heat_res = 0.0
     pmean_rel = 0.0
     stokes = _StokesSweeps(asm.dirichlet_u, N)
+    # with constant viscosity the Stokes system, its right-hand side and its
+    # Dirichlet data do not depend on the iterate: solved once, on the first
+    # sweep (phi = 0), and reused by every later one
+    constant_viscosity = spec.viscosity.mu_min == spec.viscosity.mu_max
+    stokes_solution = None
     records: list[SweepRecord] = []
 
     def sweep(u_in, phi_in, exact):
-        nonlocal last_stokes_res, last_heat_res, pmean_rel
-        stokes.exact = exact
-        # a system rebuilt every sweep is freed before the transport solve;
-        # only its factorization is kept, for a lagged solve of the next one
-        u_new, p_new, lam_new, res_s = solve_stokes(asm.build_stokes(phi_in), N, stokes)
+        nonlocal last_stokes_res, last_heat_res, pmean_rel, stokes_solution
+        if stokes_solution is not None:
+            u_new, p_new, lam_new, res_s = stokes_solution
+            action, steps = "reused", 0
+        else:
+            stokes.exact = exact
+            # a system rebuilt every sweep is freed before the transport solve;
+            # only its factorization is kept, for a lagged solve of the next one
+            u_new, p_new, lam_new, res_s = solve_stokes(asm.build_stokes(phi_in), N, stokes)
+            action, steps = stokes.action, stokes.steps
+            if constant_viscosity:
+                stokes_solution = u_new, p_new, lam_new, res_s
         # transport sees the freshly computed velocity
         transport = asm.build_transport(u_new, phi_in)
         phi_new, res_h = solve_temperature(transport)
-        records.append(SweepRecord(stokes.action, stokes.steps, res_s, res_h))
+        records.append(SweepRecord(action, steps, res_s, res_h))
         last_stokes_res, last_heat_res = res_s, res_h
         pn = max(_norm(p_new), 1e-12)  # guard the zero-pressure case
         pmean_rel = max(pmean_rel, abs(float(asm.mean_row @ p_new)) / pn)

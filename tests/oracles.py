@@ -993,10 +993,6 @@ def reference_assembly(mops, spec, u=None, phi=None) -> dict:
     mean = np.zeros(N)
     for ops, cd in zip(cells, cdofs):
         mean[cd] += ops.P_zero.T @ ops.int_m
-    if spec.viscosity.mu_min == spec.viscosity.mu_max:
-        visc_c = [ops.P_zero @ np.zeros(len(cd)) for ops, cd in zip(cells, cdofs)]
-    else:
-        visc_c = phi_c
     L1 = vector([t[0] * ops.lps_div_unit for ops, t in zip(cells, taus)])
     out = {
         "L1": L1,
@@ -1007,7 +1003,7 @@ def reference_assembly(mops, spec, u=None, phi=None) -> dict:
         "mass0": scalar([ops.P_zero.T @ ops.H @ ops.P_zero for ops in cells]),
         "mean_row": mean,
         "A_uu": (vector([reference_local_viscous(o, spec, c)
-                         for o, c in zip(cells, visc_c)]) + L1).tocsr(),
+                         for o, c in zip(cells, phi_c)]) + L1).tocsr(),
         "A_TT": scalar([reference_local_temperature(o, spec, c)
                         for o, c in zip(cells, phi_c)]),
         "C": scalar([reference_local_convection(o, c, spec.convection_form)
@@ -1126,10 +1122,25 @@ def observed_rates(hs, errors):
     return out
 
 
+def mass0(asm) -> sparse.csr_matrix:
+    """Global mass matrix of Pi0_k p, assembled group by group."""
+    return asm._scalar.assemble([g.P_zero.transpose(0, 2, 1) @ g.H @ g.P_zero
+                                 for g in asm.groups])
+
+
+def triple_up(asm, u: np.ndarray, p: np.ndarray) -> float:
+    """Energy-surrogate norm of (u, p): mu_min |u|_1^2 + |Pi0_k p|_0^2 + the
+    LPS terms L1 and L2."""
+    norms, N = solver._Norms(asm), asm.N
+    v = (asm.spec.viscosity.mu_min * (norms.h1_sq(u[:N]) + norms.h1_sq(u[N:]))
+         + float(p @ (mass0(asm) @ p))
+         + float(u @ (asm.L1 @ u)) + float(p @ (asm.L2 @ p)))
+    return np.sqrt(max(v, 0.0))
+
+
 def energy_norms(state, asm) -> tuple[float, float]:
     """Mesh-dependent energy norms of ((u, p), phi) via computable surrogates."""
-    norms = solver._Norms(asm)
-    return norms.triple_up(state.u, state.p), norms.sigma(state.phi)
+    return triple_up(asm, state.u, state.p), solver._Norms(asm).sigma(state.phi)
 
 
 def reference_picard(spec, mops, tol: float = 1e-7, max_iter: int = 50,

@@ -84,6 +84,18 @@ def test_no_stab_flag_zeroes_taus(tmp_path, capsys):
     assert "div_violation" in out
 
 
+def test_study_no_stab_flag_zeroes_taus(monkeypatch, capsys):
+    seen = []
+    run_point = bench.run_point
+    monkeypatch.setattr(bench, "run_point",
+                        lambda *a, **kw: seen.append(kw) or run_point(*a, **kw))
+    code = main(["study", "--case", "ex4_mild", "--order", "1", "--h-list", "1/4",
+                 "--tau2", "0.5", "--no-stab"])
+    assert code == 0
+    assert seen == [dict(c1=0.0, c2=0.0, c3=0.0, tol=1e-7, max_iter=50, seed=42)]
+    assert "# case=ex4_mild family=triangular k=1" in capsys.readouterr().out
+
+
 def test_config_file(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({

@@ -177,7 +177,10 @@ def test_picard_residual_monotone_tail():
 
 
 @pytest.fixture(scope="module")
-def _unstabilized_system():
+def unstabilized_saddle():
+    """First-sweep Stokes system of ex2_convective without stabilization on
+    Voronoi cells, k=2, h=1/8: SuperLU factors its saddle matrix without
+    complaint, and the solve comes back with a relative residual of 0.35."""
     from lpsvem import benchmarks as bm
     case = bm.make_case("ex2_convective")
     mesh = generate_mesh("voronoi", case.domain, 1 / 8, seed=42)
@@ -186,23 +189,11 @@ def _unstabilized_system():
     return asm.build_stokes(np.zeros(asm.N)), asm.N
 
 
-@pytest.fixture
-def unstabilized_saddle(_unstabilized_system):
-    """First-sweep Stokes system of ex2_convective without stabilization on
-    Voronoi cells, k=2, h=1/8: SuperLU factors its saddle matrix without
-    complaint, and the solve comes back with a relative residual of 0.35.
-    Each test gets its own copy, so none sees a factorization kept by
-    another."""
-    import dataclasses
-    system, N = _unstabilized_system
-    return dataclasses.replace(system), N
-
-
 def _stokes_solver(system, N, regularize):
-    """A standalone Stokes solver of ``system``, plain or regularized."""
+    """A factored standalone Stokes solver of ``system``, plain or regularized."""
     stokes = solver._StokesSweeps(system.dirichlet_u, N)
     stokes.regularize = regularize
-    return stokes.solver(system)
+    return stokes.prepare(system).factor()
 
 
 def test_failed_stokes_solve_falls_back_to_regularized_system(unstabilized_saddle):
@@ -239,20 +230,34 @@ def test_unstabilized_run_no_longer_fails_silently():
 
 
 def test_constant_viscosity_channel_factors_stokes_once(monkeypatch):
-    """ex4_mild (constant mu): the Stokes system is one object for the whole
-    run, factored once; the temperature system is factored every sweep."""
+    """ex4_mild (constant mu), triangles, k=1, h=1/8: the first sweep builds
+    and factors the Stokes system, and every later sweep reuses its solution;
+    the temperature system is factored every sweep.  The fields equal, bit for
+    bit, those of the reference loop, which solves Stokes on every sweep."""
     from lpsvem import benchmarks as bm
     orderings, splu = [], solver.splu
+    builds, build_stokes = [], forms.Assembler.build_stokes
 
     def counting(*args, **kwargs):
         orderings.append(kwargs.get("permc_spec", "COLAMD"))
         return splu(*args, **kwargs)
     monkeypatch.setattr(solver, "splu", counting)
-    rec, _, _ = bm.run_point(bm.make_case("ex4_mild"), "triangular", 1, 1 / 8)
-    assert rec.converged
-    assert orderings.count("MMD_AT_PLUS_A") == 1
+    monkeypatch.setattr(forms.Assembler, "build_stokes",
+                        lambda self, phi: builds.append(phi) or build_stokes(self, phi))
+    case = bm.make_case("ex4_mild")
+    mesh = generate_mesh("triangular", case.domain, 1 / 8)
+    mops = eo.build_mesh_ops(mesh, 1)
+    spec = case.problem_spec(mesh, 1)
+    state, rep = solver.picard_solve(spec, mesh, initial=case.initial, mops=mops)
+    assert rep.converged
+    assert len(builds) == 1 and not builds[0].any()
+    assert orderings.count("MMD_AT_PLUS_A") == rep.stokes_factorizations == 1
     # "stokes_first" adds one sweep before the counted ones
-    assert orderings.count("COLAMD") == rec.iterations + 1
+    assert orderings.count("COLAMD") == rep.iterations + 1 == len(rep.sweeps)
+    assert [s.stokes_lu for s in rep.sweeps] == ["factored"] + ["reused"] * rep.iterations
+    ref, _ = reference_picard(spec, mops, initial="stokes_first")
+    for name in ("u", "p", "phi"):
+        assert np.array_equal(getattr(state, name), getattr(ref, name)), name
 
 
 def test_stokes_system_factored_in_symmetric_mode_with_less_fill():
@@ -299,10 +304,13 @@ def test_singular_unstabilized_channel_reaches_symmetric_regularized_system():
     system, N = asm.build_stokes(np.zeros(asm.N)), asm.N
     with pytest.raises(solver.SolverError, match=r"^Stokes system: singular factorization"):
         _stokes_solver(system, N, regularize=False)
+    stokes = solver._StokesSweeps(system.dirichlet_u, N)
     with pytest.warns(UserWarning, match="pressure block regularized"):
-        solver.solve_stokes(system, N)
-    assert system.factorization.system == "regularized Stokes"
-    assert system.factorization.ordering == "symmetric"
+        solver.solve_stokes(system, N, stokes)
+    assert stokes.regularize and stokes.action == "regularized"
+    # only a symmetric-mode factorization is kept; the singular plain one,
+    # which raised, is not counted
+    assert stokes.lu is not None and stokes.factorizations == 1
 
 
 def test_exactly_singular_symmetric_factorization_names_the_system():
@@ -310,7 +318,7 @@ def test_exactly_singular_symmetric_factorization_names_the_system():
     K = sps.csr_matrix(np.ones((2, 2)))
     with pytest.raises(solver.SolverError, match=r"^Stokes system: singular factorization"):
         solver._EliminatedSolve(K, np.arange(2), np.zeros(2), "Stokes",
-                                symmetric_mode=True)
+                                symmetric_mode=True).factor()
 
 
 def _transport(K, fixed, values, rhs):
@@ -424,15 +432,25 @@ def test_no_earlier_stokes_factorization_alive_when_factoring(ex3_coarse, monkey
 
 def test_unstabilized_nonconstant_run_warns_once():
     """ex2_convective without stabilization on Voronoi cells, k=2, h=1/8: the
-    first sweep's plain saddle fails and falls back to the regularized one.
-    Later sweeps build the regularized system directly: one warning per run,
-    in place of one per sweep, and at most one factorization per sweep."""
+    first sweep's plain saddle fails and falls back to the regularized one,
+    and its record says so.  Later sweeps build the regularized system
+    directly: one warning per run, in place of one per sweep, and at most one
+    factorization per sweep."""
     import warnings
     from lpsvem import benchmarks as bm
     case = bm.make_case("ex2_convective")
+    mesh = generate_mesh("voronoi", case.domain, 1 / 8, seed=42)
+    mops = eo.build_mesh_ops(mesh, 2)
+    spec = case.problem_spec(mesh, 2, c1=0.0, c2=0.0, c3=0.0)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        rec, _, _ = bm.run_point(case, "voronoi", 2, 1 / 8, c1=0.0, c2=0.0, c3=0.0)
-    assert rec.converged
+        _, rep = solver.picard_solve(spec, mesh, initial=case.initial, mops=mops)
+    assert rep.converged
     assert ["pressure block regularized" in str(w.message) for w in caught] == [True]
-    assert rec.stokes_factorizations <= rec.iterations + 1
+    lus = [s.stokes_lu for s in rep.sweeps]
+    assert lus[0] == "regularized" and "regularized" not in lus[1:]
+    # the plain COLAMD factorization succeeded and its solve failed: the
+    # regularized sweep made two factorizations
+    implied = {"factored": 1, "refactored": 1, "regularized": 2, "lagged": 0}
+    assert sum(implied[lu] for lu in lus) == rep.stokes_factorizations
+    assert rep.stokes_factorizations <= len(rep.sweeps) + 1

@@ -4,6 +4,8 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 # element_ops no longer calls these polybasis functions (their work is done
@@ -36,12 +38,9 @@ def test_every_traced_target_resolves():
     assert missing <= KNOWN_MISSING, sorted(missing - KNOWN_MISSING)
 
 
-def test_traced_factorizations_match_solver_counts(monkeypatch):
-    """A wrapper that stopped seeing ``splu`` would make
-    ``solver.factorizations`` read low.  On a small Picard point with a
-    temperature-dependent viscosity (ex3, k=2, h=1/4, where Stokes sweeps are
-    lagged), the tracer must count the Stokes factorizations the solver
-    reports plus one temperature factorization per sweep."""
+@pytest.fixture
+def tracer(monkeypatch):
+    """The benchmark tracer, installed for one test."""
     tracing = _tracing()
     for modname, attr, _ in tracing.TARGETS:
         owner = importlib.import_module(modname)
@@ -53,9 +52,32 @@ def test_traced_factorizations_match_solver_counts(monkeypatch):
             monkeypatch.setattr(owner, leaf, getattr(owner, leaf))
     tracer = tracing.Tracer()
     tracer.install()
+    return tracer
+
+
+def test_traced_factorizations_match_solver_counts(tracer):
+    """A wrapper that stopped seeing ``splu`` would make
+    ``solver.factorizations`` read low.  On a small Picard point with a
+    temperature-dependent viscosity (ex3, k=2, h=1/4, where Stokes sweeps are
+    lagged), the tracer must count the Stokes factorizations the solver
+    reports plus one temperature factorization per sweep."""
     from lpsvem import benchmarks as bm
     rec, _, _ = bm.run_point(bm.make_case("ex3"), "distorted_square", 2, 1 / 4)
     assert rec.converged and 0 < rec.stokes_factorizations < rec.iterations
     counts = tracer.layer_metrics()
     assert counts["solver.picard_iterations"] == rec.iterations
     assert counts["solver.factorizations"] == rec.stokes_factorizations + rec.iterations
+
+
+def test_traced_constant_viscosity_point(tracer):
+    """ex4_mild (constant mu, triangles, k=1, h=1/4): Stokes is built and
+    solved on the first sweep only, and the Stokes-first sweep that precedes
+    the counted ones factors its temperature system too."""
+    from lpsvem import benchmarks as bm
+    rec, _, _ = bm.run_point(bm.make_case("ex4_mild"), "triangular", 1, 1 / 4)
+    assert rec.converged and rec.stokes_factorizations == 1
+    counts = tracer.layer_metrics()
+    assert counts["solver.picard_iterations"] == rec.iterations
+    assert counts["solver.factorizations"] == rec.stokes_factorizations + rec.iterations + 1
+    assert counts["forms.stokes_nnz"] > 0
+    assert counts["solver.stokes_solve_s"] > 0.0
