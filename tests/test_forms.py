@@ -342,6 +342,31 @@ def test_stokes_dimension_formula(meshes_h5):
     assert asm.N == mesh.n_vertices
 
 
+def test_constant_viscosity_stokes_system_built_once(meshes_h5, monkeypatch):
+    """With constant mu the Stokes system does not depend on the iterate, so
+    a Picard run builds it once, from phi = 0."""
+    from lpsvem import solver
+    mesh = meshes_h5["voronoi"]
+    mops = eo.build_mesh_ops(mesh, 1)
+    bcs = {m: forms.BoundaryCondition(velocity=zero_velocity,
+                                      temperature=lambda x, y: x * (1.0 - y))
+           for m in mesh.boundary_markers}
+    spec = _const_spec_for(mesh, 1, mu=2.0, bcs=bcs,
+                           heat_source=lambda x, y: np.ones_like(x))
+    asm = forms.Assembler(mops, spec)
+    gen = np.random.default_rng(3)
+    first = asm.build_stokes(np.zeros(mops.n_scalar))
+    other = asm.build_stokes(gen.normal(size=mops.n_scalar))
+    assert (first.A_uu != other.A_uu).nnz == 0
+    assert np.array_equal(first.rhs_momentum, other.rhs_momentum)
+    builds, build_stokes = [], forms.Assembler.build_stokes
+    monkeypatch.setattr(forms.Assembler, "build_stokes",
+                        lambda self, phi: builds.append(phi) or build_stokes(self, phi))
+    _, rep = solver.picard_solve(spec, mesh, mops=mops)
+    assert rep.converged and rep.iterations > 1
+    assert len(builds) == 1 and not builds[0].any()
+
+
 def test_nonconstant_viscosity_stokes_system_rebuilt(meshes_h5):
     mesh = meshes_h5["voronoi"]
     mops = eo.build_mesh_ops(mesh, 1)
