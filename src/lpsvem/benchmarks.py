@@ -167,23 +167,28 @@ def run_point(case: BenchmarkCase, family: str, k: int, h: float, *,
     return rec, state, mops
 
 
+def pop_point_kwargs(ov: dict) -> dict:
+    """Remove the ``run_point`` keywords (c1, c2, c3, tol, max_iter, seed) and
+    ``no_stab`` from the overrides ``ov`` and return the keywords; ``no_stab``
+    sets the three stabilization constants to zero."""
+    kw = {k: ov.pop(k) for k in ("c1", "c2", "c3", "tol", "max_iter", "seed") if k in ov}
+    if ov.pop("no_stab", False):
+        kw["c1"] = kw["c2"] = kw["c3"] = 0.0
+    return kw
+
+
 def run_case(case_id: str, overrides: dict | None = None) -> list[ConvergenceRecord]:
     """Run the full study grid of a case; returns one record per (family, k, h).
 
-    Recognized overrides: orders, mesh_families, h_list, kappa, c1, c2, c3,
-    tol, max_iter, seed, no_stab, convection_form.
+    Recognized overrides: orders, mesh_families, h_list, kappa, and those of
+    ``pop_point_kwargs``.
     """
     ov = dict(overrides or {})
     case = make_case(case_id, kappa=ov.pop("kappa", None))
     orders = ov.pop("orders", case.orders)
     families = ov.pop("mesh_families", case.mesh_families)
     h_list = sorted(ov.pop("h_list", case.h_list), reverse=True)
-    if ov.pop("no_stab", False):
-        ov["c1"] = ov["c2"] = ov["c3"] = 0.0
-    if "convection_form" in ov:
-        case.convection_form = ov.pop("convection_form")
-    point_kw = {k: ov.pop(k) for k in ("c1", "c2", "c3", "tol", "max_iter", "seed")
-                if k in ov}
+    point_kw = pop_point_kwargs(ov)
     if ov:
         raise ConfigurationError(f"unknown overrides {sorted(ov)}")
     records = []

@@ -106,21 +106,13 @@ def _single_point_args(ov, case):
     orders = ov.pop("orders", None) or [case.orders[0]]
     fams = ov.pop("mesh_families", None) or [case.mesh_families[0]]
     hs = ov.pop("h_list", None) or [case.h_list[0]]
-    ov.pop("no_stab", None)
     return orders[0], fams[0], hs[0]
-
-
-def _point_kwargs(ov):
-    kw = {k: ov[k] for k in ("c1", "c2", "c3", "tol", "max_iter", "seed") if k in ov}
-    if ov.get("no_stab"):
-        kw["c1"] = kw["c2"] = kw["c3"] = 0.0
-    return kw
 
 
 def _cmd_solve(args) -> int:
     ov = _overrides_from_args(args)
     case = bench.make_case(args.case, kappa=ov.pop("kappa", None))
-    kw = _point_kwargs(ov)
+    kw = bench.pop_point_kwargs(ov)
     k, family, h = _single_point_args(ov, case)
     rec, state, mops = bench.run_point(case, family, k, h, **kw)
     e = rec.errors
@@ -143,7 +135,7 @@ def _cmd_solve(args) -> int:
 def _cmd_study(args) -> int:
     ov = _overrides_from_args(args)
     case = bench.make_case(args.case, kappa=ov.pop("kappa", None))
-    kw = _point_kwargs(ov)
+    kw = bench.pop_point_kwargs(ov)
     orders = ov.pop("orders", case.orders)
     families = ov.pop("mesh_families", case.mesh_families)
     h_list = sorted(ov.pop("h_list", case.h_list), reverse=True)
@@ -180,7 +172,7 @@ def _cmd_study(args) -> int:
 def _cmd_export(args) -> int:
     ov = _overrides_from_args(args)
     case = bench.make_case(args.case, kappa=ov.pop("kappa", None))
-    kw = _point_kwargs(ov)
+    kw = bench.pop_point_kwargs(ov)
     k, family, h = _single_point_args(ov, case)
     rec, state, mops = bench.run_point(case, family, k, h, **kw)
     export_fields(state, mops.mesh, mops, args.out, args.format)

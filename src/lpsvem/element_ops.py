@@ -7,16 +7,19 @@ moments against monomials up to degree k-2.  The enhancement constraint (the
 moments of w against monomials of degree k-1 and k equal those of its energy
 projection) makes all maps below computable from the DOFs alone:
 
-* ``P_nabla``      energy projection onto P_k (and ``P_nabla_lo`` onto P_{k-1})
+* ``P_nabla``      energy projection onto P_k
 * ``P_zero``       L2 projection onto P_k
 * ``P_grad``       componentwise L2 projection of the gradient onto P_{k-1}
-* ``P_grad_hi``    the same at degree k, used by the fluctuation operators
+* ``Div_lo``       the projected divergence of [u1; u2], built on ``P_grad``
+* ``R_grad``       fluctuation of the gradient: its projection onto P_k minus
+                   ``P_grad`` (``R_div`` likewise for the divergence)
 * ``S``            dofi-dofi stabilizer of (I - Pi_nabla_k)
 * ``S_lo``         dofi-dofi stabilizer of (I - Pi_nabla_{k-1})
 
 ``build_mesh_ops`` builds the operators one vertex-count group of cells at a
 time, on arrays stacked along the cells (``GroupOps``); this is the only
-representation of the element operators.
+representation of the element operators.  The bilinear forms built on them
+live in ``forms``.
 """
 from __future__ import annotations
 
@@ -149,32 +152,21 @@ class GroupOps:
     n_dof: int
     qpts: np.ndarray                # (m, nq, 2)
     qw: np.ndarray                  # (m, nq)
-    # mass/stiffness of the monomial basis
+    # mass matrix of the monomial basis
     H: np.ndarray
-    Gt: np.ndarray
     # dof matrix and projector matrices (dofs -> coefficients)
     D: np.ndarray
     P_nabla: np.ndarray
-    P_nabla_lo: np.ndarray
     P_zero: np.ndarray
-    moments: np.ndarray
     P_grad: tuple[np.ndarray, np.ndarray]
-    P_grad_hi: tuple[np.ndarray, np.ndarray]
     R_grad: tuple[np.ndarray, np.ndarray]
     Div_lo: np.ndarray
-    Div_hi: np.ndarray
     R_div: np.ndarray
     # stabilizers (dofs x dofs)
     S: np.ndarray
     S_lo: np.ndarray
-    # phi-independent element form matrices (unit parameters)
-    lps_div_unit: np.ndarray
-    lps_press_unit: np.ndarray
-    lps_temp_unit: np.ndarray
-    diffusion_unit: np.ndarray
-    b_div: np.ndarray
+    # integrals of the monomials, and value tables on the quadrature points
     int_m: np.ndarray
-    # value tables on the quadrature points
     Phi: np.ndarray
     Phi_lo: np.ndarray
     Pq: np.ndarray
@@ -359,29 +351,15 @@ def _build_group(group: CellGroup, k: int, quad_degree: int | None,
     S = stabilizer(D @ P_nabla)
     S_lo = stabilizer(D[..., :nk1] @ P_nabla_lo)
 
-    # --- phi-independent local matrices -------------------------------------
-    RHR = sum(mT(R_grad[c]) @ H @ R_grad[c] for c in (0, 1))
-    lps_press_unit = RHR + S_lo
-    lps_temp_unit = RHR + S
-    S2 = np.zeros((m, 2 * n_dof, 2 * n_dof))
-    S2[:, :n_dof, :n_dof] = S
-    S2[:, n_dof:, n_dof:] = S
-    lps_div_unit = mT(R_div) @ H @ R_div + S2
-    diffusion_unit = sum(mT(P_grad[c]) @ H[:, :nk1, :nk1] @ P_grad[c] for c in (0, 1)) + S
-    b_div = mT(P_zero) @ mT(H[:, :nk1, :]) @ Div_lo
     int_m = (qw[:, None, :] @ Phi)[:, 0]
     Pq = Phi @ P_zero
     Gq = tuple(Phi_lo @ P_grad[c] for c in (0, 1))
 
     return GroupOps(
         cell_ids=ids, area=group.area, diameter=group.diameter, k=k, n_dof=n_dof,
-        qpts=qpts, qw=qw, H=H, Gt=Gt, D=D, P_nabla=P_nabla, P_nabla_lo=P_nabla_lo,
-        P_zero=P_zero, moments=moments, P_grad=P_grad, P_grad_hi=P_grad_hi,
-        R_grad=R_grad, Div_lo=Div_lo, Div_hi=Div_hi, R_div=R_div, S=S, S_lo=S_lo,
-        lps_div_unit=lps_div_unit, lps_press_unit=lps_press_unit,
-        lps_temp_unit=lps_temp_unit, diffusion_unit=diffusion_unit, b_div=b_div,
-        int_m=int_m, Phi=Phi, Phi_lo=Phi_lo, Pq=Pq, Gq=Gq,
-        dofs=global_dofs)
+        qpts=qpts, qw=qw, H=H, D=D, P_nabla=P_nabla, P_zero=P_zero, P_grad=P_grad,
+        R_grad=R_grad, Div_lo=Div_lo, R_div=R_div, S=S, S_lo=S_lo, int_m=int_m,
+        Phi=Phi, Phi_lo=Phi_lo, Pq=Pq, Gq=Gq, dofs=global_dofs)
 
 
 @dataclass
@@ -399,22 +377,6 @@ class MeshOps:
     @property
     def n_scalar(self) -> int:
         return self.layout.n_scalar
-
-    def interpolate_scalar(self, f) -> np.ndarray:
-        """Dof vector of a smooth function (point values + scaled moments);
-        ``f`` is called once for the point dofs and once per group."""
-        lay = self.layout
-        out = np.zeros(lay.n_scalar)
-        pts = lay.point_dof_coords()
-        out[:lay.n_point] = f(pts[:, 0], pts[:, 1])
-        nmom = lay.n_moment_per_cell
-        if nmom:
-            for g in self.groups:
-                x, y = g.qpts[..., 0].ravel(), g.qpts[..., 1].ravel()
-                vals = np.broadcast_to(np.asarray(f(x, y), dtype=float), x.shape)
-                mom = ((g.qw * vals.reshape(g.qw.shape))[:, None, :] @ g.Phi[..., :nmom])[:, 0]
-                out[g.dofs[:, -nmom:]] = mom / g.area[:, None]
-        return out
 
 
 def build_mesh_ops(mesh: PolyMesh, k: int, quad_degree: int | None = None) -> MeshOps:

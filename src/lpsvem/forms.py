@@ -5,12 +5,12 @@ Element matrices act on element dof vectors (scalar fields) or on stacked
 tau1 = c1, tau2 = c2*h_E^2 and tau3 = c3*h_E.
 
 The Stokes and temperature problems are coupled through the viscosity
-mu(phi) and the convection u . grad phi only.  Forms are assembled one
-vertex-count group of cells at a time: the ``group_*`` kernels work on the
-stacked operators of ``element_ops.GroupOps`` (arrays of shape (cells, ...)),
-and mu, kappa and the sources are called once per group on all of its
-quadrature points.  ``Assembler`` scatters the element blocks group after
-group.
+mu(phi) and the convection u . grad phi only.  Every element matrix is built
+here, one vertex-count group of cells at a time: the ``group_*`` kernels work
+on the projectors, fluctuation maps and stabilizers of ``element_ops.GroupOps``
+(arrays of shape (cells, ...)), and mu, kappa and the sources are called once
+per group on all of its quadrature points.  ``Assembler`` scatters the element
+blocks group after group.
 """
 from __future__ import annotations
 
@@ -178,7 +178,7 @@ def group_temperature(g: GroupOps, spec: ProblemSpec,
     """Diffusion on projected gradients plus kappa-scaled VEM stabilizer, (m, n, n)."""
     kappa = spec.conductivity
     if not isinstance(kappa, Conductivity):
-        return float(kappa) * g.diffusion_unit
+        return float(kappa) * group_diffusion_unit(g)
     if phi_coeffs is None:
         raise ConfigurationError("nonlinear conductivity needs a temperature iterate")
     k_q, k0 = _coefficient(kappa, g, phi_coeffs)
@@ -204,12 +204,31 @@ def group_convection(g: GroupOps, u_coeffs: np.ndarray, form: str = "skew") -> n
     return 0.5 * (conv - _mT(conv))
 
 
+def group_diffusion_unit(g: GroupOps) -> np.ndarray:
+    """Unit-conductivity diffusion on projected gradients plus the VEM
+    stabilizer, (m, n, n)."""
+    nk1 = g.Phi_lo.shape[-1]
+    return sum(_mT(P) @ g.H[:, :nk1, :nk1] @ P for P in g.P_grad) + g.S
+
+
+def group_divergence(g: GroupOps) -> np.ndarray:
+    """b_h: projected divergence of [u1; u2] tested with Pi0_k q, (m, n, 2n)."""
+    nk1 = g.Phi_lo.shape[-1]
+    return _mT(g.P_zero) @ _mT(g.H[:, :nk1, :]) @ g.Div_lo
+
+
 def group_lps_terms(g: GroupOps, spec: ProblemSpec):
-    """(L1, L2, L3) of a group with the tau scalings applied."""
+    """(L1, L2, L3) of a group: tau1 (R_div^T H R_div + S (+) S),
+    tau2 (sum_c R_grad_c^T H R_grad_c + S_lo) and tau3 (the same with S)."""
     # taus of Python floats, as in a cell-by-cell call spec.taus(h_E)
     taus = np.array([spec.taus(h) for h in g.diameter.tolist()])[:, :, None, None]
-    return (taus[:, 0] * g.lps_div_unit, taus[:, 1] * g.lps_press_unit,
-            taus[:, 2] * g.lps_temp_unit)
+    n = g.n_dof
+    S2 = np.zeros((len(g.cell_ids), 2 * n, 2 * n))
+    S2[:, :n, :n] = g.S
+    S2[:, n:, n:] = g.S
+    RHR = sum(_mT(R) @ g.H @ R for R in g.R_grad)
+    return (taus[:, 0] * (_mT(g.R_div) @ g.H @ g.R_div + S2), taus[:, 1] * (RHR + g.S_lo),
+            taus[:, 2] * (RHR + g.S))
 
 
 def _field_values(g: GroupOps, fields) -> list[np.ndarray]:
@@ -383,8 +402,8 @@ class Assembler:
         self.L1 = self._vector.assemble([L[0] for L in lps])
         self.L2 = self._scalar.assemble([L[1] for L in lps])
         self.L3 = self._scalar.assemble([L[2] for L in lps])
-        self.B = self._pv.assemble([g.b_div for g in groups])
-        self.h1_surrogate = self._scalar.assemble([g.diffusion_unit for g in groups])
+        self.B = self._pv.assemble([group_divergence(g) for g in groups])
+        self.h1_surrogate = self._scalar.assemble([group_diffusion_unit(g) for g in groups])
         self.mean_row = _scatter(
             self.N, self._sdofs, [(_mT(g.P_zero) @ g.int_m[..., None])[..., 0] for g in groups])
         if not isinstance(spec.conductivity, Conductivity):

@@ -54,10 +54,13 @@ class SweepRecord:
     "regularized" (the plain system failed, in its factorization or in its
     solve, and the regularized one was factored) or "reused" (constant
     viscosity: the first sweep's solution); ``correction_steps`` counts the
-    lagged steps taken.  ``increment`` is None for the Stokes-first sweep that
-    precedes the counted ones."""
+    lagged steps taken and ``stokes_factorizations`` the Stokes factorizations
+    made (a "regularized" sweep makes 2 when the plain system was factored and
+    its solve failed, 1 when its factorization failed).  ``increment`` is None
+    for the Stokes-first sweep that precedes the counted ones."""
     stokes_lu: str
     correction_steps: int
+    stokes_factorizations: int
     stokes_residual: float
     heat_residual: float
     increment: float | None = None
@@ -81,6 +84,10 @@ class PicardReport:
 # raising (relative residual 4.8 on an unstabilized k=2 saddle), while healthy
 # solves stay at or below 1.5e-11.
 RESIDUAL_FLOOR = 1e-8
+
+# Iterative refinement stops once the relative residual is at or below this
+# value (at least one refinement pass is always taken).
+REFINE_TOL = 1e-15
 
 # A lagged Stokes solve takes LAG_STEPS correction steps with the previous
 # sweep's factorization and is accepted when they bring its relative residual
@@ -149,7 +156,7 @@ class _EliminatedSolve:
                 raise SolverError(f"{self.system} system: singular factorization: {exc}") from exc
         return self
 
-    def solve(self, rhs: np.ndarray, refine_tol: float = 1e-15):
+    def solve(self, rhs: np.ndarray):
         """LU solve with iterative refinement down to the conditioning floor.
 
         Raises SolverError when the result is non-finite or its relative
@@ -163,7 +170,7 @@ class _EliminatedSolve:
         for step in range(4):
             # at least one refinement pass; it sharpens the forward error even
             # when the first residual already looks small
-            if step > 0 and res <= refine_tol:
+            if step > 0 and res <= REFINE_TOL:
                 break
             x += self.lu.solve(b - Kff @ x)
             res = _norm(b - Kff @ x) / nb if nb > 0 else 0.0
@@ -214,8 +221,8 @@ class _StokesSweeps:
     whether a sweep fell back to the regularized system (later sweeps then
     build it directly), the last symmetric-mode factorization and the last
     solution, from which the next system may be solved lagged unless
-    ``exact`` is set.  ``action`` and ``steps`` describe the last solve as a
-    ``SweepRecord`` does; ``factorizations`` counts the Stokes factorizations.
+    ``exact`` is set.  ``action``, ``steps`` and ``factorizations`` describe
+    the last solve as a ``SweepRecord`` does.
     """
 
     def __init__(self, dirichlet_u: DirichletData, N: int):
@@ -227,8 +234,7 @@ class _StokesSweeps:
         self.exact = False
         self.lu = None
         self.x = None
-        self.factorizations = 0
-        self.action, self.steps = "", 0
+        self.action, self.steps, self.factorizations = "", 0, 0
 
     def prepare(self, system) -> _EliminatedSolve:
         """The pinned system of ``system``, regularized after a fallback."""
@@ -248,7 +254,7 @@ class _StokesSweeps:
     def solve(self, system, rhs: np.ndarray):
         """(x, relative residual) of the pinned system of ``system``."""
         elim = self.prepare(system)
-        self.action, self.steps = "factored", 0
+        self.action, self.steps, self.factorizations = "factored", 0, 0
         if self.lu is not None and not self.exact:
             self.steps = LAG_STEPS
             lagged = elim.lagged_solve(self.lu, rhs, self.x)
@@ -344,8 +350,7 @@ class _Norms:
 
 
 def picard_solve(spec: ProblemSpec, mesh, tol: float = 1e-7, max_iter: int = 50,
-                 initial: str = "zero", mops: MeshOps | None = None,
-                 asm: Assembler | None = None):
+                 initial: str = "zero", mops: MeshOps | None = None):
     """Fixed-point iteration on the decoupled Stokes/temperature solves.
 
     Returns (CoupledState, PicardReport).  Reaching ``max_iter`` yields a
@@ -357,8 +362,7 @@ def picard_solve(spec: ProblemSpec, mesh, tol: float = 1e-7, max_iter: int = 50,
         raise ValueError(f"unknown initial mode {initial!r}")
     if mops is None:
         mops = build_mesh_ops(mesh, spec.k)
-    if asm is None:
-        asm = Assembler(mops, spec)
+    asm = Assembler(mops, spec)
     N = asm.N
     norms = _Norms(asm)
 
@@ -380,19 +384,19 @@ def picard_solve(spec: ProblemSpec, mesh, tol: float = 1e-7, max_iter: int = 50,
         nonlocal last_stokes_res, last_heat_res, pmean_rel, stokes_solution
         if stokes_solution is not None:
             u_new, p_new, lam_new, res_s = stokes_solution
-            action, steps = "reused", 0
+            action, steps, factorizations = "reused", 0, 0
         else:
             stokes.exact = exact
             # a system rebuilt every sweep is freed before the transport solve;
             # only its factorization is kept, for a lagged solve of the next one
             u_new, p_new, lam_new, res_s = solve_stokes(asm.build_stokes(phi_in), N, stokes)
-            action, steps = stokes.action, stokes.steps
+            action, steps, factorizations = stokes.action, stokes.steps, stokes.factorizations
             if constant_viscosity:
                 stokes_solution = u_new, p_new, lam_new, res_s
         # transport sees the freshly computed velocity
         transport = asm.build_transport(u_new, phi_in)
         phi_new, res_h = solve_temperature(transport)
-        records.append(SweepRecord(action, steps, res_s, res_h))
+        records.append(SweepRecord(action, steps, factorizations, res_s, res_h))
         last_stokes_res, last_heat_res = res_s, res_h
         pn = max(_norm(p_new), 1e-12)  # guard the zero-pressure case
         pmean_rel = max(pmean_rel, abs(float(asm.mean_row @ p_new)) / pn)
@@ -426,5 +430,6 @@ def picard_solve(spec: ProblemSpec, mesh, tol: float = 1e-7, max_iter: int = 50,
                           pressure_mean_rel=pmean_rel,
                           stokes_residual=last_stokes_res,
                           heat_residual=last_heat_res,
-                          sweeps=records, stokes_factorizations=stokes.factorizations)
+                          sweeps=records,
+                          stokes_factorizations=sum(r.stokes_factorizations for r in records))
     return state, report

@@ -10,7 +10,7 @@ and of the global assembly that the grouped ``build_mesh_ops`` and
 ``forms.Assembler`` are checked against, and the loop-by-loop mesh topology and
 generators (with the bisector-clipping Voronoi cells) that the array-based
 ``geometry`` is checked against.  It also holds the helpers only tests use:
-observed rates, energy norms, vector interpolation and shape-regularity checks.
+observed rates, energy norms, interpolation and shape-regularity checks.
 """
 from __future__ import annotations
 
@@ -834,35 +834,22 @@ def reference_cell_ops(pts, k: int, quad_degree: int | None = None,
     S = 0.5 * (S + S.T)
     S_lo = 0.5 * (S_lo + S_lo.T)
 
-    # --- phi-independent local matrices -------------------------------------
-    lps_press_unit = sum(R_grad[c].T @ H @ R_grad[c] for c in (0, 1)) + S_lo
-    lps_temp_unit = sum(R_grad[c].T @ H @ R_grad[c] for c in (0, 1)) + S
-    S2 = np.zeros((2 * n_dof, 2 * n_dof))
-    S2[:n_dof, :n_dof] = S
-    S2[n_dof:, n_dof:] = S
-    lps_div_unit = R_div.T @ H @ R_div + S2
-    diffusion_unit = sum(P_grad[c].T @ H[:nk1, :nk1] @ P_grad[c] for c in (0, 1)) + S
-    b_div = P_zero.T @ H[:nk1, :].T @ Div_lo
     int_m = qw @ Phi
     Pq = Phi @ P_zero
     Gq = tuple(Phi_lo @ P_grad[c] for c in (0, 1))
 
     return SimpleNamespace(
         geom=geom, mono=mono, mono_grad=mono_grad, cell_id=cell_id, k=k, n_dof=n_dof,
-        area=area, diameter=diameter, qpts=qpts, qw=qw, H=H, Gt=Gt, D=D,
-        P_nabla=P_nabla, P_nabla_lo=P_nabla_lo, P_zero=P_zero, moments=moments,
-        P_grad=P_grad, P_grad_hi=P_grad_hi, R_grad=R_grad, Div_lo=Div_lo,
-        Div_hi=Div_hi, R_div=R_div, S=S, S_lo=S_lo,
-        lps_div_unit=lps_div_unit, lps_press_unit=lps_press_unit,
-        lps_temp_unit=lps_temp_unit, diffusion_unit=diffusion_unit,
-        b_div=b_div, int_m=int_m, Phi=Phi, Phi_lo=Phi_lo,
-        Pq=Pq, Gq=Gq)
+        area=area, diameter=diameter, qpts=qpts, qw=qw, H=H, D=D, P_nabla=P_nabla,
+        P_zero=P_zero, P_grad=P_grad, R_grad=R_grad, Div_lo=Div_lo, R_div=R_div,
+        S=S, S_lo=S_lo, int_m=int_m, Phi=Phi, Phi_lo=Phi_lo, Pq=Pq, Gq=Gq)
 
 
 def cell_views(mops) -> list[SimpleNamespace]:
     """Every cell's operators in mesh order, as views into its group's
-    arrays: each ``GroupOps`` field without the cell axis, with ``cell_id``
-    for ``cell_ids`` and Python floats for ``area`` and ``diameter``."""
+    arrays: each ``GroupOps`` field (the virtual element operators, no
+    bilinear form) without the cell axis, with ``cell_id`` for ``cell_ids``
+    and Python floats for ``area`` and ``diameter``."""
     out = [None] * mops.mesh.n_cells
     for g in mops.groups:
         for j, ci in enumerate(g.cell_ids.tolist()):
@@ -911,10 +898,31 @@ def reference_local_viscous(ops, spec, phi_coeffs):
     return 0.5 * (A + A.T)
 
 
+def reference_local_diffusion_unit(ops):
+    nk1 = ops.Phi_lo.shape[1]
+    return sum(ops.P_grad[c].T @ ops.H[:nk1, :nk1] @ ops.P_grad[c] for c in (0, 1)) + ops.S
+
+
+def reference_local_divergence(ops):
+    return ops.P_zero.T @ ops.H[:ops.Phi_lo.shape[1], :].T @ ops.Div_lo
+
+
+def reference_local_lps(ops, spec):
+    """(L1, L2, L3) of one cell with its taus applied."""
+    t1, t2, t3 = spec.taus(ops.diameter)
+    n = ops.n_dof
+    RHR = sum(ops.R_grad[c].T @ ops.H @ ops.R_grad[c] for c in (0, 1))
+    S2 = np.zeros((2 * n, 2 * n))
+    S2[:n, :n] = ops.S
+    S2[n:, n:] = ops.S
+    return (t1 * (ops.R_div.T @ ops.H @ ops.R_div + S2), t2 * (RHR + ops.S_lo),
+            t3 * (RHR + ops.S))
+
+
 def reference_local_temperature(ops, spec, phi_coeffs=None):
     kappa = spec.conductivity
     if not isinstance(kappa, forms.Conductivity):
-        return float(kappa) * ops.diffusion_unit
+        return float(kappa) * reference_local_diffusion_unit(ops)
     if phi_coeffs is None:
         raise forms.ConfigurationError("nonlinear conductivity needs a temperature iterate")
     k_q = np.asarray(kappa(ops.Phi @ phi_coeffs), dtype=float)
@@ -989,17 +997,18 @@ def reference_assembly(mops, spec, u=None, phi=None) -> dict:
     phi_c = [ops.P_zero @ phi[cd] for ops, cd in zip(cells, cdofs)]
     u_c = [np.vstack([ops.P_zero @ u[cd], ops.P_zero @ u[cd + N]])
            for ops, cd in zip(cells, cdofs)]
-    taus = [spec.taus(ops.diameter) for ops in cells]
+    lps = [reference_local_lps(ops, spec) for ops in cells]
     mean = np.zeros(N)
     for ops, cd in zip(cells, cdofs):
         mean[cd] += ops.P_zero.T @ ops.int_m
-    L1 = vector([t[0] * ops.lps_div_unit for ops, t in zip(cells, taus)])
+    L1 = vector([L[0] for L in lps])
     out = {
         "L1": L1,
-        "L2": scalar([t[1] * ops.lps_press_unit for ops, t in zip(cells, taus)]),
-        "L3": scalar([t[2] * ops.lps_temp_unit for ops, t in zip(cells, taus)]),
-        "B": block([ops.b_div for ops in cells], cdofs, vdofs, (N, 2 * N)),
-        "h1_surrogate": scalar([ops.diffusion_unit for ops in cells]),
+        "L2": scalar([L[1] for L in lps]),
+        "L3": scalar([L[2] for L in lps]),
+        "B": block([reference_local_divergence(ops) for ops in cells], cdofs, vdofs,
+                   (N, 2 * N)),
+        "h1_surrogate": scalar([reference_local_diffusion_unit(ops) for ops in cells]),
         "mass0": scalar([ops.P_zero.T @ ops.H @ ops.P_zero for ops in cells]),
         "mean_row": mean,
         "A_uu": (vector([reference_local_viscous(o, spec, c)
@@ -1171,9 +1180,26 @@ def reference_picard(spec, mops, tol: float = 1e-7, max_iter: int = 50,
     return solver.CoupledState(u=u, p=p, phi=phi), history
 
 
+def interpolate_scalar(mops, f) -> np.ndarray:
+    """Dof vector of a smooth function (point values + scaled moments); ``f``
+    is called once for the point dofs and once per group."""
+    lay = mops.layout
+    out = np.zeros(lay.n_scalar)
+    pts = lay.point_dof_coords()
+    out[:lay.n_point] = f(pts[:, 0], pts[:, 1])
+    nmom = lay.n_moment_per_cell
+    if nmom:
+        for g in mops.groups:
+            x, y = g.qpts[..., 0].ravel(), g.qpts[..., 1].ravel()
+            vals = np.broadcast_to(np.asarray(f(x, y), dtype=float), x.shape)
+            mom = ((g.qw * vals.reshape(g.qw.shape))[:, None, :] @ g.Phi[..., :nmom])[:, 0]
+            out[g.dofs[:, -nmom:]] = mom / g.area[:, None]
+    return out
+
+
 def interpolate_vector(mops, f1, f2) -> np.ndarray:
     """Dof vector of the smooth vector field (f1, f2)."""
-    return np.concatenate([mops.interpolate_scalar(f1), mops.interpolate_scalar(f2)])
+    return np.concatenate([interpolate_scalar(mops, f1), interpolate_scalar(mops, f2)])
 
 
 # ---------------------------------------------------------------------------

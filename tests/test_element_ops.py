@@ -8,7 +8,8 @@ from lpsvem import element_ops as eo
 from lpsvem.geometry import (MESH_FAMILIES, GeometryError, PolyMesh,
                              UNIT_SQUARE, generate_mesh)
 from lpsvem.polybasis import ConditionWarning, grad_coeff_ref, poly_dim
-from oracles import FemRealizer, OracleElement, cell_views, reference_cell_ops
+from oracles import (FemRealizer, OracleElement, cell_views, interpolate_scalar,
+                     reference_cell_ops)
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 # asymmetric, with a reflex vertex at (0.5, 0.45)
@@ -247,7 +248,7 @@ def test_dof_layout_counts_and_edge_orientation():
     # if shared edge dofs are ordered inconsistently between the two cells)
     mops = eo.build_mesh_ops(mesh, 2)
     f = lambda x, y: 0.3 + x - 2 * y + 0.5 * x * y
-    d = mops.interpolate_scalar(f)
+    d = interpolate_scalar(mops, f)
     for ops in cell_views(mops):
         loc = d[ops.dofs]
         vals = ops.Pq @ loc
@@ -291,7 +292,7 @@ def test_interpolate_scalar_one_call_per_group(k):
     def f(x, y):
         calls.append(len(x))
         return np.exp(x) * np.sin(3 * y)
-    d = mops.interpolate_scalar(f)
+    d = interpolate_scalar(mops, f)
     lay = mops.layout
     nmom = lay.n_moment_per_cell
     assert len(calls) == 1 + (len(mops.groups) if nmom else 0)

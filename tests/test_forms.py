@@ -7,8 +7,8 @@ from lpsvem import element_ops as eo
 from lpsvem import forms
 from lpsvem.geometry import MESH_FAMILIES, UNIT_SQUARE, generate_mesh
 from lpsvem.polybasis import poly_dim
-from oracles import (OracleElement, alt_polygon_quadrature, cell_views, interpolate_vector,
-                     mass0, oracle_local_matrices, reference_assembly)
+from oracles import (OracleElement, alt_polygon_quadrature, cell_views, interpolate_scalar,
+                     interpolate_vector, mass0, oracle_local_matrices, reference_assembly)
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 rng = np.random.default_rng(11)
@@ -29,7 +29,7 @@ def _one_cell_matrices(g, spec, pc, uc):
     velocity, from the group kernels."""
     L1, L2, L3 = (L[0] for L in forms.group_lps_terms(g, spec))
     return {"viscous": forms.group_viscous(g, spec, pc[None])[0],
-            "divergence": g.b_div[0],
+            "divergence": forms.group_divergence(g)[0],
             "temperature": forms.group_temperature(g, spec, pc[None])[0],
             "convection": forms.group_convection(g, uc[None], spec.convection_form)[0],
             "lps1": L1, "lps2": L2, "lps3": L3}
@@ -100,8 +100,7 @@ def test_local_viscous_linear_shear_value():
 
 
 def test_local_divergence_values():
-    ops = _square_ops(1)
-    B = ops.b_div[0]
+    B = forms.group_divergence(_square_ops(1))[0]
     x, y = SQUARE[:, 0], SQUARE[:, 1]
     expand = np.concatenate([x, y])          # div = 2
     ones = np.ones(4)                        # q = 1
@@ -130,7 +129,7 @@ def test_local_temperature_nonlinear_kappa_against_oracle():
     cond = forms.Conductivity(func=lambda r: np.exp(r), kappa_ref=1.0)
     spec = make_spec(mesh, 2, conductivity=cond)
     phi_fun = lambda x, y: x ** 2 + y ** 4
-    phi = mops.interpolate_scalar(phi_fun)
+    phi = interpolate_scalar(mops, phi_fun)
     ci = mesh.n_cells // 2
     pts = mesh.vertices[mesh.cells[ci]]
     g = one_cell_group(pts, 2, quad_degree=2 * 2 + 6)
@@ -288,14 +287,14 @@ def test_global_polynomial_annihilation(meshes_h5):
         spec = _const_spec_for(mesh, k)
         asm = forms.Assembler(mops, spec)
         # global polynomial fields: L1 kills [P_k]^2, L2 kills P_{k-1}, L3 kills P_k
-        u1 = mops.interpolate_scalar(lambda x, y: 0.2 + x - 0.7 * y + (x * y if k > 1 else 0))
-        u2 = mops.interpolate_scalar(lambda x, y: -0.1 + 0.4 * x + y)
+        u1 = interpolate_scalar(mops, lambda x, y: 0.2 + x - 0.7 * y + (x * y if k > 1 else 0))
+        u2 = interpolate_scalar(mops, lambda x, y: -0.1 + 0.4 * x + y)
         uv = np.concatenate([u1, u2])
         assert abs(uv @ (asm.L1 @ uv)) <= 1e-11 * max(1.0, uv @ uv)
-        p = mops.interpolate_scalar((lambda x, y: np.full_like(x, 0.37)) if k == 1
+        p = interpolate_scalar(mops, (lambda x, y: np.full_like(x, 0.37)) if k == 1
                                     else (lambda x, y: 0.3 + x - y))
         assert abs(p @ (asm.L2 @ p)) <= 1e-11 * max(1.0, p @ p)
-        phi = mops.interpolate_scalar(lambda x, y: 1 + x + y + (x * x if k > 1 else 0))
+        phi = interpolate_scalar(mops, lambda x, y: 1 + x + y + (x * x if k > 1 else 0))
         assert abs(phi @ (asm.L3 @ phi)) <= 1e-11 * max(1.0, phi @ phi)
 
 
@@ -322,7 +321,7 @@ def test_patch_level_momentum_consistency(meshes_h5):
         asm = forms.Assembler(mops, spec)
         st = asm.build_stokes(np.zeros(mops.n_scalar))
         uv = interpolate_vector(mops, u1, u2)
-        pv = mops.interpolate_scalar(p_ex)
+        pv = interpolate_scalar(mops, p_ex)
         res = st.A_uu @ uv - st.B.T @ pv - st.rhs_momentum
         free = st.dirichlet_u.free
         scale = max(np.linalg.norm(st.rhs_momentum), np.linalg.norm(st.A_uu @ uv), 1.0)

@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from conftest import one_cell_group
 from lpsvem.geometry import CellGroup
 from lpsvem.polybasis import (ConditionWarning, grad_coeff_ref, group_quadrature,
-                              monomial_exponents, monomial_gradients, monomial_values,
-                              poly_dim)
+                              group_stiffness_matrices, monomial_exponents,
+                              monomial_gradients, monomial_values, poly_dim)
 from oracles import alt_polygon_quadrature, polygon_monomial_integral
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
@@ -27,6 +27,15 @@ def _monomials(pts, degree, at):
     cell = CellGroup(np.array([0]), np.asarray(pts, dtype=float)[None])
     args = (np.atleast_2d(at)[None], cell.centroid, cell.diameter)
     return monomial_values(degree, *args)[0], monomial_gradients(degree, *args)[0]
+
+
+def _stiffness(pts, degree, quad_degree):
+    """``group_stiffness_matrices`` of the scaled monomials on the single cell
+    ``pts`` with the composite rule of ``quad_degree``."""
+    cell = CellGroup(np.array([0]), np.asarray(pts, dtype=float)[None])
+    qp, qw = group_quadrature(cell.vertices, cell.triangles, quad_degree, cell.cell_ids)
+    dphi = monomial_gradients(degree, qp, cell.centroid, cell.diameter)
+    return group_stiffness_matrices(dphi, qw)[0]
 
 
 def test_monomial_ordering_graded_lex():
@@ -85,14 +94,14 @@ def test_mass_matrix_entry_against_degree6_oracle():
 
 
 def test_stiffness_matrix_properties():
-    G = one_cell_group(SQUARE, 2, quad_degree=4).Gt[0]
+    G = _stiffness(SQUARE, 2, quad_degree=4)
     assert np.abs(G[0, :]).max() == 0.0
     assert np.abs(G[:, 0]).max() == 0.0
     assert np.linalg.eigvalsh(G).min() >= -1e-12
 
 
 def test_stiffness_matrix_against_oracle_quadrature():
-    G = one_cell_group(DART, 2, quad_degree=6).Gt[0]
+    G = _stiffness(DART, 2, quad_degree=6)
     qp, qw = alt_polygon_quadrature(DART, 8)
     _, dphi = _monomials(DART, 2, qp)
     G_ref = np.einsum("qad,q,qbd->ab", dphi, qw, dphi)

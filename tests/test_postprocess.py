@@ -7,7 +7,8 @@ from lpsvem import element_ops as eo
 from lpsvem import postprocess as pp
 from lpsvem.geometry import MESH_FAMILIES, UNIT_SQUARE, generate_mesh
 from lpsvem.solver import CoupledState
-from oracles import cell_views, interpolate_vector, observed_rates, reference_errors
+from oracles import (cell_views, interpolate_scalar, interpolate_vector, observed_rates,
+                     reference_errors)
 
 rng = np.random.default_rng(13)
 
@@ -34,8 +35,8 @@ def test_zero_errors_for_exact_polynomial_state(setup):
     mesh, mops = setup
     ex = _poly_exact()
     u = interpolate_vector(mops, lambda x, y: ex.u(x, y)[0], lambda x, y: ex.u(x, y)[1])
-    p = mops.interpolate_scalar(ex.p)
-    phi = mops.interpolate_scalar(ex.phi)
+    p = interpolate_scalar(mops, ex.p)
+    phi = interpolate_scalar(mops, ex.phi)
     st = CoupledState(u=u, p=p, phi=phi)
     e = pp.compute_errors(st, ex, mops)
     for val in (e.e_u_h1, e.e_u_l2, e.e_p_l2, e.e_phi_h1, e.e_phi_l2):
@@ -200,7 +201,7 @@ def test_projected_fields_consistent_at_vertices(setup, tmp_path):
     mesh, mops = setup
     f1 = lambda x, y: 0.25 + x - 0.5 * y
     u = interpolate_vector(mops, f1, f1)
-    p = mops.interpolate_scalar(f1)
+    p = interpolate_scalar(mops, f1)
     st = CoupledState(u=u, p=p, phi=p)
     path = tmp_path / "poly.csv"
     pp.export_fields(st, mesh, mops, path, "csv")
