@@ -1,0 +1,62 @@
+#!/usr/bin/env python3
+"""Print a digest of the solver's output on eight fixed runs, one line each.
+
+Each line holds the sha256 of the fields ``u``, ``p`` and ``phi``, every
+Picard ``SweepRecord``, the iteration count, the Stokes factorizations and
+the number of warnings the run issued.  Two trees that print the same lines
+produce the same fields bit for bit and take the same Picard sweeps.
+
+The runs, all at mesh seed 1: every point of the ``channel_k1``,
+``picard_k2`` and ``ladder_k1`` benchmark workloads, ``ex4_mild`` on
+triangles (k=1, h=1/16) and ``ex2_convective`` on Voronoi cells (k=2,
+h=1/8), the last two without stabilization (c1 = c2 = c3 = 0).  Each run goes
+through ``benchmarks.run_point``; the Picard report is taken from a wrapper
+around ``benchmarks.picard_solve``.
+
+    PYTHONPATH=src python scripts/field_digest.py
+"""
+import hashlib
+import warnings
+
+import numpy as np
+
+from lpsvem import benchmarks as bm
+
+NO_STAB = dict(c1=0.0, c2=0.0, c3=0.0)
+RUNS = (
+    ("channel_k1", "ex4_mild", "triangular", 1, 16, {}),
+    ("picard_k2", "ex3", "distorted_square", 2, 9, {}),
+    ("picard_k2", "ex3", "distorted_square", 2, 18, {}),
+    ("ladder_k1", "ex1", "voronoi", 1, 5, {}),
+    ("ladder_k1", "ex1", "voronoi", 1, 10, {}),
+    ("ladder_k1", "ex1", "voronoi", 1, 20, {}),
+    ("no_stab", "ex4_mild", "triangular", 1, 16, NO_STAB),
+    ("no_stab", "ex2_convective", "voronoi", 2, 8, NO_STAB),
+)
+
+
+def sha(a) -> str:
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()[:16]
+
+
+def main():
+    reports = []
+    picard_solve = bm.picard_solve
+
+    def capture(*args, **kwargs):
+        out = picard_solve(*args, **kwargs)
+        reports.append(out[1])
+        return out
+    bm.picard_solve = capture
+    for label, case, family, k, n, kw in RUNS:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            _, state, _ = bm.run_point(bm.make_case(case), family, k, 1 / n, seed=1, **kw)
+        rep = reports.pop()
+        print(f"{label} {case} {family} k={k} h=1/{n}: u={sha(state.u)} p={sha(state.p)} "
+              f"phi={sha(state.phi)} sweeps={rep.sweeps!r} iterations={rep.iterations} "
+              f"stokes_factorizations={rep.stokes_factorizations} warnings={len(caught)}")
+
+
+if __name__ == "__main__":
+    main()

@@ -155,8 +155,8 @@ def run_point(case: BenchmarkCase, family: str, k: int, h: float, *,
     mesh = generate_mesh(family, case.domain, h, seed=seed)
     mops = build_mesh_ops(mesh, k)
     spec = case.problem_spec(mesh, k, c1=c1, c2=c2, c3=c3)
-    state, report = picard_solve(spec, mesh, tol=tol, max_iter=max_iter,
-                                 initial=case.initial, mops=mops)
+    state, report = picard_solve(spec, mops, tol=tol, max_iter=max_iter,
+                                 initial=case.initial)
     exact = case.fields.exact() if case.fields is not None else None
     errors = compute_errors(state, exact, mops, phi_reference=case.phi_reference)
     rec = ConvergenceRecord(

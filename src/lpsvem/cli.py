@@ -43,14 +43,14 @@ def _add_common(p):
     p.add_argument("--tau3", type=float, default=None, help="constant c3 in tau3 = c3*h_E")
     p.add_argument("--no-stab", action="store_true",
                    help="set all stabilization parameters to zero (comparison runs)")
-    p.add_argument("--tol", type=float, default=1e-7, help="fixed-point stopping tolerance")
-    p.add_argument("--max-iter", type=int, default=50)
+    p.add_argument("--tol", type=float, default=None, help="fixed-point stopping tolerance")
+    p.add_argument("--max-iter", type=int, default=None)
     p.add_argument("--kappa", type=float, default=None, help="override the conductivity scale")
     p.add_argument("--out-dir", type=Path, default=None)
     p.add_argument("--threads", type=int, default=1,
                    help="worker threads for independent study points")
     p.add_argument("--config", type=Path, default=None, help="JSON file with these options")
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=int, default=None)
 
 
 def _overrides_from_args(args) -> dict:

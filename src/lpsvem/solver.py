@@ -12,26 +12,31 @@ sweep the loop stops on needs an exact Stokes solve.  When the Stokes system
 changes from sweep to sweep (temperature-dependent viscosity), a sweep may be
 *lagged*: it keeps the previous sweep's factorization and, from the previous
 solution, takes ``LAG_STEPS`` correction steps ``x += LU_old \\ (b - K_new x)``
-against the new matrix.  The lagged solve is accepted when its relative
-residual is at most ``LAG_CONTRACTION`` times the starting one and at most
-``LAG_RESIDUAL``; otherwise the old factorization is dropped before the new
-system is factored.  The loop never stops on a lagged sweep: the sweep after
-one whose increment meets ``tol``, or after one whose contraction predicts
-that the next increment will, solves Stokes exactly, and so does the last
-sweep ``max_iter`` allows.  Only symmetric-mode factorizations are kept:
-neither a COLAMD factorization (the plain unstabilized saddle) nor the
-temperature system is ever reused.
+against the new matrix.  The lagged solve is accepted when its residual is
+at most ``LAG_CONTRACTION`` times the starting one and at most
+``LAG_RESIDUAL`` times ``|b|``; otherwise the old factorization is dropped
+before the new system is factored.  An exact solve takes the same correction
+steps with a fresh factorization (iterative refinement).  The loop never
+stops on a lagged sweep: the sweep after one whose increment meets ``tol``,
+or after one whose contraction predicts that the next increment will, solves
+Stokes exactly, and so does the last sweep ``max_iter`` allows.  Only
+symmetric-mode factorizations are kept: neither a COLAMD factorization (the
+plain unstabilized saddle) nor the temperature system is ever reused.
+
+Each solve returns what it did: ``solve_stokes`` hands back the Stokes part
+of the sweep's ``SweepRecord``, and the loop's ``PicardReport`` derives its
+totals from the records.
 """
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
-from .element_ops import MeshOps, build_mesh_ops
+from .element_ops import MeshOps
 from .forms import Assembler, DirichletData, ProblemSpec
 
 
@@ -44,7 +49,6 @@ class CoupledState:
     u: np.ndarray
     p: np.ndarray
     phi: np.ndarray
-    mean_multiplier: float = 0.0
 
 
 @dataclass
@@ -68,15 +72,26 @@ class SweepRecord:
 
 @dataclass
 class PicardReport:
+    """``stokes_residual`` and ``heat_residual`` are those of the last sweep,
+    ``stokes_factorizations`` the sum over the sweeps; all read 0 when no
+    sweep ran."""
     iterations: int
     residual_history: list[float]
     converged: bool
-    final_tolerance: float
-    pressure_mean_rel: float = 0.0
-    stokes_residual: float = 0.0
-    heat_residual: float = 0.0
-    sweeps: list[SweepRecord] = field(default_factory=list)
-    stokes_factorizations: int = 0
+    pressure_mean_rel: float
+    sweeps: list[SweepRecord]
+
+    @property
+    def stokes_residual(self) -> float:
+        return self.sweeps[-1].stokes_residual if self.sweeps else 0.0
+
+    @property
+    def heat_residual(self) -> float:
+        return self.sweeps[-1].heat_residual if self.sweeps else 0.0
+
+    @property
+    def stokes_factorizations(self) -> int:
+        return sum(s.stokes_factorizations for s in self.sweeps)
 
 
 # A solve whose final relative residual lies above this floor has failed: a
@@ -156,61 +171,48 @@ class _EliminatedSolve:
                 raise SolverError(f"{self.system} system: singular factorization: {exc}") from exc
         return self
 
+    def correct(self, lu, rhs: np.ndarray, x0: np.ndarray | None, steps: int,
+                tol: float | None = None):
+        """Correction steps ``x += lu \\ (b - Kff x)`` on the free dofs, from
+        ``x0`` or, when it is None, from ``lu \\ b``.  ``lu`` factors ``Kff``
+        (iterative refinement) or an earlier matrix of the same pattern (a
+        lagged solve).  Takes ``steps`` steps, or stops before a later one
+        once the relative residual is at most ``tol``.
+
+        Returns (x, |b|, residual norm before the first step, after the last).
+        """
+        b = (rhs - self.shift)[self.free]
+        Kff = self.Kff
+        x = lu.solve(b) if x0 is None else x0[self.free]
+        nb = _norm(b)
+        r = b - Kff @ x
+        r0 = rn = _norm(r)
+        for step in range(steps):
+            if tol is not None and step > 0 and (rn / nb if nb > 0 else 0.0) <= tol:
+                break
+            x += lu.solve(r)
+            r = b - Kff @ x
+            rn = _norm(r)
+        full = self.xfix.copy()
+        full[self.free] = x
+        return full, nb, r0, rn
+
     def solve(self, rhs: np.ndarray):
         """LU solve with iterative refinement down to the conditioning floor.
 
         Raises SolverError when the result is non-finite or its relative
         residual stays above ``RESIDUAL_FLOOR``.
         """
-        b = (rhs - self.shift)[self.free]
-        Kff = self.Kff
-        x = self.lu.solve(b)
-        nb = _norm(b)
-        res = _norm(b - Kff @ x) / nb if nb > 0 else 0.0
-        for step in range(4):
-            # at least one refinement pass; it sharpens the forward error even
-            # when the first residual already looks small
-            if step > 0 and res <= REFINE_TOL:
-                break
-            x += self.lu.solve(b - Kff @ x)
-            res = _norm(b - Kff @ x) / nb if nb > 0 else 0.0
-        full = self.xfix.copy()
-        full[self.free] = x
+        # at least one refinement pass; it sharpens the forward error even
+        # when the first residual already looks small
+        full, nb, _, rn = self.correct(self.lu, rhs, None, 4, REFINE_TOL)
+        res = rn / nb if nb > 0 else 0.0
         if not np.all(np.isfinite(full)):
             raise SolverError(f"{self.system} system: non-finite values in the linear solve")
         if not res <= RESIDUAL_FLOOR:
             raise SolverError(f"{self.system} system: relative residual {res:.3e} "
                               f"above the floor {RESIDUAL_FLOOR:g}")
         return full, res
-
-    def lagged_solve(self, lu, rhs: np.ndarray, x0: np.ndarray):
-        """``LAG_STEPS`` correction steps from ``x0`` with ``lu``, a
-        symmetric-mode factorization of an earlier matrix of the same pattern.
-
-        Returns (x, relative residual), or None when the steps do not reach
-        the acceptance residual; a non-finite iterate never does.
-        """
-        b = (rhs - self.shift)[self.free]
-        Kff = self.Kff
-        x = x0[self.free]
-        r = b - Kff @ x
-        r0 = _norm(r)
-        for _ in range(LAG_STEPS):
-            x += lu.solve(r)
-            r = b - Kff @ x
-        nb, rn = _norm(b), _norm(r)
-        if not rn <= min(LAG_CONTRACTION * r0, LAG_RESIDUAL * nb):
-            return None
-        full = self.xfix.copy()
-        full[self.free] = x
-        return full, (rn / nb if nb > 0 else 0.0)
-
-
-def _stokes_matrix(system) -> sp.csr_matrix:
-    return sp.bmat([
-        [system.A_uu, -system.B.T],
-        [system.B, system.L2],
-    ], format="csr")
 
 
 class _StokesSweeps:
@@ -220,56 +222,53 @@ class _StokesSweeps:
     dofs without Dirichlet data and every pressure dof but the pinned dof 0),
     whether a sweep fell back to the regularized system (later sweeps then
     build it directly), the last symmetric-mode factorization and the last
-    solution, from which the next system may be solved lagged unless
-    ``exact`` is set.  ``action``, ``steps`` and ``factorizations`` describe
-    the last solve as a ``SweepRecord`` does.
+    solution, from which the next system may be solved lagged.
     """
 
     def __init__(self, dirichlet_u: DirichletData, N: int):
         self.free = np.concatenate([dirichlet_u.free, np.arange(2 * N + 1, 3 * N)])
         self.xfix = np.zeros(3 * N)
         self.xfix[dirichlet_u.fixed] = dirichlet_u.values[dirichlet_u.fixed]
-        self.N = N
         self.regularize = False
-        self.exact = False
         self.lu = None
         self.x = None
-        self.action, self.steps, self.factorizations = "", 0, 0
 
     def prepare(self, system) -> _EliminatedSolve:
         """The pinned system of ``system``, regularized after a fallback."""
-        K = _stokes_matrix(system)
+        K = sp.bmat([[system.A_uu, -system.B.T], [system.B, system.L2]], format="csr")
         if self.regularize:
             # without pressure stabilization the equal-order saddle matrix has
             # spurious pressure modes (B^T z = 0): regularize only the pressure
             # block to pick a representative; the velocity is unaffected
-            N = self.N
+            N = len(system.mean_row)
             eps = 1e-10 * max(1.0, abs(system.A_uu).max())
-            K = K + sp.bmat([[sp.csr_matrix((2 * N, 2 * N)), None],
-                             [None, sp.identity(N, format="csr") * eps]], format="csr")
+            pressure = np.arange(2 * N, 3 * N)
+            K = K + sp.csr_matrix((np.full(N, eps), (pressure, pressure)), shape=K.shape)
         return _EliminatedSolve(K, self.free, self.xfix,
                                 "regularized Stokes" if self.regularize else "Stokes",
                                 symmetric_mode=True)
 
-    def solve(self, system, rhs: np.ndarray):
-        """(x, relative residual) of the pinned system of ``system``."""
+    def solve(self, system, rhs: np.ndarray, exact: bool):
+        """(x, relative residual, the Stokes part of a ``SweepRecord``) of the
+        pinned system of ``system``; lagged when a factorization is kept and
+        ``exact`` is not set."""
         elim = self.prepare(system)
-        self.action, self.steps, self.factorizations = "factored", 0, 0
-        if self.lu is not None and not self.exact:
-            self.steps = LAG_STEPS
-            lagged = elim.lagged_solve(self.lu, rhs, self.x)
-            if lagged is not None:
-                self.action = "lagged"
-                self.x = lagged[0]
-                return lagged
-            self.action = "refactored"
+        action, steps, factorizations = "factored", 0, 0
+        if self.lu is not None and not exact:
+            steps = LAG_STEPS
+            x, nb, r0, rn = elim.correct(self.lu, rhs, self.x, LAG_STEPS)
+            # a non-finite iterate never reaches the acceptance residual
+            if rn <= min(LAG_CONTRACTION * r0, LAG_RESIDUAL * nb):
+                self.x = x
+                return x, (rn / nb if nb > 0 else 0.0), ("lagged", steps, 0)
+            action = "refactored"
         # no reference to the old factorization may outlive this point: a new
         # one made while it is alive raises the peak memory by its size
         self.lu = None
         while True:
             try:
                 elim.factor()
-                self.factorizations += 1
+                factorizations += 1
                 x, res = elim.solve(rhs)
                 break
             except SolverError:
@@ -279,18 +278,18 @@ class _StokesSweeps:
             # made, outside the except block, whose traceback would keep it
             elim = None
             self.regularize = True
-            self.action = "regularized"
+            action = "regularized"
             warnings.warn("singular unstabilized saddle system; pressure block "
                           "regularized to obtain a representative solution")
             elim = self.prepare(system)
         if elim.ordering == "symmetric":
             self.lu = elim.lu
         self.x = x
-        return x, res
+        return x, res, (action, steps, factorizations)
 
 
-def solve_stokes(system, N: int, sweeps: _StokesSweeps | None = None):
-    """Solve the stabilized saddle problem for (u, p, multiplier).
+def solve_stokes(system, sweeps: _StokesSweeps | None = None, exact: bool = True):
+    """Solve the stabilized saddle problem for (u, p).
 
     The zero-mean constraint is enforced through its Lagrange multiplier,
     whose value lambda = delta/|Omega| is forced by summing the continuity
@@ -300,10 +299,12 @@ def solve_stokes(system, N: int, sweeps: _StokesSweeps | None = None):
     reproduces the bordered multiplier solution without the dense row.
     A singular factorization or a failed solve falls back to the
     pressure-regularized system; a failure there raises SolverError.
-    ``sweeps`` carries the state of a Picard loop, which may solve the system
-    lagged; without it the solve is exact.
-    Returns (u, p, lam, relative residual).
+    ``sweeps`` carries the state of a Picard loop, which solves the system
+    lagged unless ``exact`` is set; without it the solve is exact.
+    Returns (u, p, (stokes_lu, correction_steps, stokes_factorizations),
+    relative residual), the third being the Stokes part of a ``SweepRecord``.
     """
+    N = len(system.mean_row)
     omega = float(system.mean_row.sum())   # = sum of cell areas
     rhs = np.concatenate([system.rhs_momentum, np.zeros(N)])
     # continuity rhs after elimination sums to -inflow/outflow imbalance
@@ -313,11 +314,11 @@ def solve_stokes(system, N: int, sweeps: _StokesSweeps | None = None):
     rhs[2 * N:] -= lam * system.mean_row
     if sweeps is None:
         sweeps = _StokesSweeps(du, N)
-    x, res = sweeps.solve(system, rhs)
+    x, res, record = sweeps.solve(system, rhs, exact)
     u = x[:2 * N]
     p = x[2 * N:]
     p = p - (float(system.mean_row @ p) / omega)
-    return u, p, lam, res
+    return u, p, record, res
 
 
 def solve_temperature(system):
@@ -332,25 +333,21 @@ def solve_temperature(system):
     return phi, res
 
 
-@dataclass
-class _Norms:
-    """Energy-surrogate norms built from the assembler's static blocks."""
-    asm: Assembler
-
-    def h1_sq(self, w: np.ndarray) -> float:
-        return float(w @ (self.asm.h1_surrogate @ w))
-
-    def h1_vec(self, u: np.ndarray) -> float:
-        N = self.asm.N
-        return np.sqrt(self.h1_sq(u[:N]) + self.h1_sq(u[N:]))
-
-    def sigma(self, phi: np.ndarray) -> float:
-        v = self.asm.spec.kappa_ref * self.h1_sq(phi) + float(phi @ (self.asm.L3 @ phi))
-        return np.sqrt(max(v, 0.0))
+def velocity_norm(asm: Assembler, u: np.ndarray) -> float:
+    """Energy-surrogate H1 seminorm of a velocity."""
+    N, S = asm.N, asm.h1_surrogate
+    return np.sqrt(float(u[:N] @ (S @ u[:N])) + float(u[N:] @ (S @ u[N:])))
 
 
-def picard_solve(spec: ProblemSpec, mesh, tol: float = 1e-7, max_iter: int = 50,
-                 initial: str = "zero", mops: MeshOps | None = None):
+def temperature_norm(asm: Assembler, phi: np.ndarray) -> float:
+    """Energy-surrogate norm of a temperature: kappa_ref |phi|_1^2 + L3."""
+    v = (asm.spec.kappa_ref * float(phi @ (asm.h1_surrogate @ phi))
+         + float(phi @ (asm.L3 @ phi)))
+    return np.sqrt(max(v, 0.0))
+
+
+def picard_solve(spec: ProblemSpec, mops: MeshOps, tol: float = 1e-7, max_iter: int = 50,
+                 initial: str = "zero"):
     """Fixed-point iteration on the decoupled Stokes/temperature solves.
 
     Returns (CoupledState, PicardReport).  Reaching ``max_iter`` yields a
@@ -360,76 +357,52 @@ def picard_solve(spec: ProblemSpec, mesh, tol: float = 1e-7, max_iter: int = 50,
     """
     if initial not in ("zero", "stokes_first"):
         raise ValueError(f"unknown initial mode {initial!r}")
-    if mops is None:
-        mops = build_mesh_ops(mesh, spec.k)
     asm = Assembler(mops, spec)
     N = asm.N
-    norms = _Norms(asm)
-
-    u_prev = np.zeros(2 * N)
-    phi_prev = np.zeros(N)
-    lam = 0.0
-    p = np.zeros(N)
-    last_stokes_res = last_heat_res = 0.0
-    pmean_rel = 0.0
+    u, p, phi = np.zeros(2 * N), np.zeros(N), np.zeros(N)
     stokes = _StokesSweeps(asm.dirichlet_u, N)
     # with constant viscosity the Stokes system, its right-hand side and its
     # Dirichlet data do not depend on the iterate: solved once, on the first
     # sweep (phi = 0), and reused by every later one
     constant_viscosity = spec.viscosity.mu_min == spec.viscosity.mu_max
-    stokes_solution = None
+    reused = None
+    history: list[float] = []
     records: list[SweepRecord] = []
-
-    def sweep(u_in, phi_in, exact):
-        nonlocal last_stokes_res, last_heat_res, pmean_rel, stokes_solution
-        if stokes_solution is not None:
-            u_new, p_new, lam_new, res_s = stokes_solution
-            action, steps, factorizations = "reused", 0, 0
-        else:
-            stokes.exact = exact
+    pmean_rel = 0.0
+    converged = exact = False
+    it = 0
+    # sweep 0, the "stokes_first" start, precedes the counted sweeps
+    for it in range(0 if initial == "stokes_first" else 1, max_iter + 1):
+        if reused is None:
             # a system rebuilt every sweep is freed before the transport solve;
             # only its factorization is kept, for a lagged solve of the next one
-            u_new, p_new, lam_new, res_s = solve_stokes(asm.build_stokes(phi_in), N, stokes)
-            action, steps, factorizations = stokes.action, stokes.steps, stokes.factorizations
+            u_new, p_new, stokes_lu, res_s = solve_stokes(
+                asm.build_stokes(phi), stokes, exact or it == max_iter)
             if constant_viscosity:
-                stokes_solution = u_new, p_new, lam_new, res_s
+                reused = u_new, p_new, ("reused", 0, 0), res_s
+        else:
+            u_new, p_new, stokes_lu, res_s = reused
         # transport sees the freshly computed velocity
-        transport = asm.build_transport(u_new, phi_in)
-        phi_new, res_h = solve_temperature(transport)
-        records.append(SweepRecord(action, steps, factorizations, res_s, res_h))
-        last_stokes_res, last_heat_res = res_s, res_h
+        phi_new, res_h = solve_temperature(asm.build_transport(u_new, phi))
         pn = max(_norm(p_new), 1e-12)  # guard the zero-pressure case
         pmean_rel = max(pmean_rel, abs(float(asm.mean_row @ p_new)) / pn)
-        return u_new, p_new, lam_new, phi_new
-
-    if initial == "stokes_first":
-        u_prev, p, lam, phi_prev = sweep(u_prev, phi_prev, False)
-
-    history: list[float] = []
-    converged = False
-    exact = False
-    it = 0
-    for it in range(1, max_iter + 1):
-        u_new, p_new, lam_new, phi_new = sweep(u_prev, phi_prev, exact or it == max_iter)
-        delta = float(norms.sigma(phi_new - phi_prev) + norms.h1_vec(u_new - u_prev))
-        if not np.isfinite(delta):
-            raise SolverError("non-finite Picard increment")
-        history.append(delta)
-        records[-1].increment = delta
-        u_prev, phi_prev, p, lam = u_new, phi_new, p_new, lam_new
-        if delta <= tol and records[-1].stokes_lu != "lagged":
+        delta = None
+        if it > 0:
+            delta = float(temperature_norm(asm, phi_new - phi) + velocity_norm(asm, u_new - u))
+            if not np.isfinite(delta):
+                raise SolverError("non-finite Picard increment")
+            history.append(delta)
+        records.append(SweepRecord(*stokes_lu, res_s, res_h, delta))
+        u, p, phi = u_new, p_new, phi_new
+        if delta is None:
+            continue
+        if delta <= tol and stokes_lu[0] != "lagged":
             converged = True
             break
         # the loop never stops on a lagged sweep: the next sweep is exact once
         # this one met tol, or once the last contraction predicts it will
         exact = delta <= tol or (it > 1 and delta * delta <= tol * history[-2])
 
-    state = CoupledState(u=u_prev, p=p, phi=phi_prev, mean_multiplier=lam)
-    report = PicardReport(iterations=it, residual_history=history,
-                          converged=converged, final_tolerance=tol,
-                          pressure_mean_rel=pmean_rel,
-                          stokes_residual=last_stokes_res,
-                          heat_residual=last_heat_res,
-                          sweeps=records,
-                          stokes_factorizations=sum(r.stokes_factorizations for r in records))
-    return state, report
+    report = PicardReport(iterations=it, residual_history=history, converged=converged,
+                          pressure_mean_rel=pmean_rel, sweeps=records)
+    return CoupledState(u=u, p=p, phi=phi), report

@@ -1140,8 +1140,9 @@ def mass0(asm) -> sparse.csr_matrix:
 def triple_up(asm, u: np.ndarray, p: np.ndarray) -> float:
     """Energy-surrogate norm of (u, p): mu_min |u|_1^2 + |Pi0_k p|_0^2 + the
     LPS terms L1 and L2."""
-    norms, N = solver._Norms(asm), asm.N
-    v = (asm.spec.viscosity.mu_min * (norms.h1_sq(u[:N]) + norms.h1_sq(u[N:]))
+    N = asm.N
+    h1_sq = lambda w: float(w @ (asm.h1_surrogate @ w))
+    v = (asm.spec.viscosity.mu_min * (h1_sq(u[:N]) + h1_sq(u[N:]))
          + float(p @ (mass0(asm) @ p))
          + float(u @ (asm.L1 @ u)) + float(p @ (asm.L2 @ p)))
     return np.sqrt(max(v, 0.0))
@@ -1149,7 +1150,7 @@ def triple_up(asm, u: np.ndarray, p: np.ndarray) -> float:
 
 def energy_norms(state, asm) -> tuple[float, float]:
     """Mesh-dependent energy norms of ((u, p), phi) via computable surrogates."""
-    return triple_up(asm, state.u, state.p), solver._Norms(asm).sigma(state.phi)
+    return triple_up(asm, state.u, state.p), solver.temperature_norm(asm, state.phi)
 
 
 def reference_picard(spec, mops, tol: float = 1e-7, max_iter: int = 50,
@@ -1160,10 +1161,9 @@ def reference_picard(spec, mops, tol: float = 1e-7, max_iter: int = 50,
     (CoupledState, increment history)."""
     asm = forms.Assembler(mops, spec)
     N = asm.N
-    norms = solver._Norms(asm)
 
     def sweep(u_in, phi_in):
-        u_new, p_new, _, _ = solver.solve_stokes(asm.build_stokes(phi_in), N)
+        u_new, p_new, _, _ = solver.solve_stokes(asm.build_stokes(phi_in))
         phi_new, _ = solver.solve_temperature(asm.build_transport(u_new, phi_in))
         return u_new, p_new, phi_new
 
@@ -1173,7 +1173,8 @@ def reference_picard(spec, mops, tol: float = 1e-7, max_iter: int = 50,
     history = []
     for _ in range(max_iter):
         u_new, p_new, phi_new = sweep(u, phi)
-        history.append(float(norms.sigma(phi_new - phi) + norms.h1_vec(u_new - u)))
+        history.append(float(solver.temperature_norm(asm, phi_new - phi)
+                             + solver.velocity_norm(asm, u_new - u)))
         u, p, phi = u_new, p_new, phi_new
         if history[-1] <= tol:
             break

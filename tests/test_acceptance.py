@@ -155,7 +155,7 @@ def test_criterion_3_patch_test(meshes_h5):
                for m in mesh.boundary_markers}
         spec = make_spec(mesh, k, viscosity=forms.Viscosity.constant(2.0), bcs=bcs,
                          fixed_source=F)
-        state, _ = solver.picard_solve(spec, mesh, mops=mops)
+        state, _ = solver.picard_solve(spec, mops)
         ui = interpolate_vector(mops, u1, u2)
         pi = interpolate_scalar(mops, p_ex)
         worst = max(worst, np.abs(state.u - ui).max(), np.abs(state.p - pi).max())
@@ -164,7 +164,7 @@ def test_criterion_3_patch_test(meshes_h5):
         bcs2 = {m: forms.BoundaryCondition(velocity=zero, temperature=phi_ex)
                 for m in mesh.boundary_markers}
         spec2 = make_spec(mesh, k, bcs=bcs2, heat_source=g)
-        state2, _ = solver.picard_solve(spec2, mesh, mops=mops)
+        state2, _ = solver.picard_solve(spec2, mops)
         ti = interpolate_scalar(mops, phi_ex)
         worst = max(worst, np.abs(state2.phi - ti).max())
     ok = worst <= 1e-8

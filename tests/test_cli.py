@@ -54,9 +54,9 @@ def test_unknown_case_exits_2(capsys):
 
 
 def test_default_tolerance_honored():
-    from lpsvem.cli import build_parser
+    from lpsvem.cli import _overrides_from_args, build_parser
     ns = build_parser().parse_args(["study", "--case", "ex1"])
-    assert ns.tol == 1e-7
+    assert _overrides_from_args(ns)["tol"] == 1e-7
 
 
 def test_solve_and_export(tmp_path, capsys):
@@ -117,6 +117,31 @@ def test_nonconverged_study_exit_3(capsys):
     code = main(["study", "--case", "ex3", "--order", "1", "--mesh-family",
                  "distorted_square", "--h-list", "1/5", "--max-iter", "1"])
     assert code == 3
+
+
+def test_config_file_point_keys_honored(tmp_path, capsys):
+    """The ``tol``, ``max_iter`` and ``seed`` keys of a config file apply when
+    their flags are not given, and a flag still overrides its key."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"max_iter": 1}))
+    args = ["study", "--case", "ex3", "--order", "1", "--mesh-family",
+            "distorted_square", "--h-list", "1/5", "--config", str(cfg)]
+    assert main(args) == 3
+    assert main(args + ["--max-iter", "50"]) == 0
+
+
+def test_config_file_point_keys_reach_run_point(tmp_path, monkeypatch, capsys):
+    seen = []
+    run_point = bench.run_point
+    monkeypatch.setattr(bench, "run_point",
+                        lambda *a, **kw: seen.append(kw) or run_point(*a, **kw))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tol": 0.5, "max_iter": 3, "seed": 7}))
+    main(["study", "--case", "ex4_mild", "--order", "1", "--h-list", "1/4",
+          "--config", str(cfg)])
+    main(["study", "--case", "ex4_mild", "--order", "1", "--h-list", "1/4",
+          "--config", str(cfg), "--tol", "1e-6", "--max-iter", "20", "--seed", "5"])
+    assert seen == [dict(tol=0.5, max_iter=3, seed=7), dict(tol=1e-6, max_iter=20, seed=5)]
 
 
 def test_threads_flag_deterministic(tmp_path):

@@ -361,7 +361,7 @@ def test_constant_viscosity_stokes_system_built_once(meshes_h5, monkeypatch):
     builds, build_stokes = [], forms.Assembler.build_stokes
     monkeypatch.setattr(forms.Assembler, "build_stokes",
                         lambda self, phi: builds.append(phi) or build_stokes(self, phi))
-    _, rep = solver.picard_solve(spec, mesh, mops=mops)
+    _, rep = solver.picard_solve(spec, mops)
     assert rep.converged and rep.iterations > 1
     assert len(builds) == 1 and not builds[0].any()
 

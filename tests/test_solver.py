@@ -29,7 +29,7 @@ def _cold_walls(mesh):
 
 def test_zero_data_zero_solution(mesh5, mops5):
     spec = make_spec(mesh5, 1)
-    state, rep = solver.picard_solve(spec, mesh5, mops=mops5)
+    state, rep = solver.picard_solve(spec, mops5)
     assert np.abs(state.u).max() == 0.0
     assert np.abs(state.p).max() <= 1e-12
     assert np.abs(state.phi).max() == 0.0
@@ -42,7 +42,7 @@ def test_dirichlet_rows_exact(mesh5, mops5):
     bcs = {m: forms.BoundaryCondition(velocity=lid, temperature=None)
            for m in mesh5.boundary_markers}
     spec = make_spec(mesh5, 1, bcs=bcs)
-    state, rep = solver.picard_solve(spec, mesh5, mops=mops5)
+    state, rep = solver.picard_solve(spec, mops5)
     asm = forms.Assembler(mops5, spec)
     du = asm.dirichlet_u
     assert np.array_equal(state.u[du.fixed], du.values[du.fixed])
@@ -55,7 +55,7 @@ def test_temperature_constants_reproduced(mesh5, mops5):
     bcs = {m: forms.BoundaryCondition(velocity=zero_velocity, temperature=one)
            for m in mesh5.boundary_markers}
     spec = make_spec(mesh5, 1, bcs=bcs)
-    state, _ = solver.picard_solve(spec, mesh5, mops=mops5)
+    state, _ = solver.picard_solve(spec, mops5)
     assert np.abs(state.phi - 1.0).max() <= 1e-12
 
 
@@ -64,7 +64,7 @@ def test_temperature_homogeneous_zero(mesh5, mops5):
     bcs = {m: forms.BoundaryCondition(velocity=zero_velocity, temperature=zero)
            for m in mesh5.boundary_markers}
     spec = make_spec(mesh5, 1, bcs=bcs)
-    state, _ = solver.picard_solve(spec, mesh5, mops=mops5)
+    state, _ = solver.picard_solve(spec, mops5)
     assert np.abs(state.phi).max() <= 1e-13
 
 
@@ -76,7 +76,7 @@ def test_linear_problem_one_iteration_beyond_initial(mesh5, mops5):
     bcs = {m: forms.BoundaryCondition(velocity=zero_velocity, temperature=phi_bc)
            for m in mesh5.boundary_markers}
     spec = make_spec(mesh5, 1, bcs=bcs, fixed_source=src, heat_source=g)
-    state, rep = solver.picard_solve(spec, mesh5, mops=mops5)
+    state, rep = solver.picard_solve(spec, mops5)
     assert rep.converged
     assert rep.iterations == 2        # first solve + one confirming sweep
     assert rep.residual_history[-1] <= 1e-12
@@ -84,7 +84,7 @@ def test_linear_problem_one_iteration_beyond_initial(mesh5, mops5):
 
 def test_infinite_tolerance_returns_after_first_iteration(mesh5, mops5):
     spec = make_spec(mesh5, 1, fixed_source=lambda x, y: np.stack([x, y]))
-    state, rep = solver.picard_solve(spec, mesh5, tol=np.inf, mops=mops5)
+    state, rep = solver.picard_solve(spec, mops5, tol=np.inf)
     assert rep.converged and rep.iterations == 1
 
 
@@ -95,7 +95,7 @@ def test_max_iter_reached_reports_not_raises(mesh5, mops5):
     spec = make_spec(mesh5, 1, viscosity=mu, heat_source=g, bcs=_cold_walls(mesh5),
                      fixed_source=lambda x, y: np.stack([np.ones_like(x), x]))
     # an unreachable tolerance exercises the max_iter path
-    state, rep = solver.picard_solve(spec, mesh5, tol=-1.0, max_iter=3, mops=mops5)
+    state, rep = solver.picard_solve(spec, mops5, tol=-1.0, max_iter=3)
     assert not rep.converged
     assert rep.iterations == 3
     assert len(rep.residual_history) == 3
@@ -103,18 +103,24 @@ def test_max_iter_reached_reports_not_raises(mesh5, mops5):
     assert [s.stokes_lu for s in rep.sweeps] == ["factored", "lagged", "factored"]
 
 
+def test_report_without_sweeps_reads_zero(mesh5, mops5):
+    _, rep = solver.picard_solve(make_spec(mesh5, 1), mops5, max_iter=0)
+    assert not rep.converged and rep.iterations == 0 and rep.sweeps == []
+    assert (rep.stokes_residual, rep.heat_residual, rep.stokes_factorizations) == (0.0, 0.0, 0)
+
+
 def test_nan_source_raises(mesh5, mops5):
     bad = lambda x, y: np.full_like(x, np.nan)
     spec = make_spec(mesh5, 1, heat_source=bad)
     with pytest.raises((forms.ConfigurationError, solver.SolverError)):
-        solver.picard_solve(spec, mesh5, mops=mops5)
+        solver.picard_solve(spec, mops5)
 
 
 def test_determinism_bitwise(mesh5, mops5):
     spec = make_spec(mesh5, 1, fixed_source=lambda x, y: np.stack([y, -x]),
                      heat_source=lambda x, y: x, bcs=_cold_walls(mesh5))
-    s1, r1 = solver.picard_solve(spec, mesh5, mops=mops5)
-    s2, r2 = solver.picard_solve(spec, mesh5, mops=mops5)
+    s1, r1 = solver.picard_solve(spec, mops5)
+    s2, r2 = solver.picard_solve(spec, mops5)
     assert np.array_equal(s1.u, s2.u)
     assert np.array_equal(s1.p, s2.p)
     assert np.array_equal(s1.phi, s2.phi)
@@ -129,7 +135,7 @@ def test_heat_source_without_temperature_data_raises(mesh5, mops5):
     spec = make_spec(mesh5, 1, fixed_source=lambda x, y: np.stack([y, -x]),
                      heat_source=lambda x, y: x)
     with pytest.raises(solver.SolverError, match=r"^temperature system: relative residual"):
-        solver.picard_solve(spec, mesh5, mops=mops5)
+        solver.picard_solve(spec, mops5)
 
 
 def test_energy_norms_zero_and_homogeneous(mesh5, mops5):
@@ -170,7 +176,7 @@ def test_picard_residual_monotone_tail():
     mesh = generate_mesh("distorted_square", UNIT_SQUARE, 1 / 10)
     mops = eo.build_mesh_ops(mesh, 1)
     spec = case.problem_spec(mesh, 1)
-    state, rep = solver.picard_solve(spec, mesh, mops=mops)
+    state, rep = solver.picard_solve(spec, mops)
     assert rep.converged and rep.iterations <= 30
     hist = rep.residual_history
     assert all(h <= hist[0] for h in hist[3:])
@@ -203,7 +209,7 @@ def test_failed_stokes_solve_falls_back_to_regularized_system(unstabilized_saddl
     with pytest.raises(solver.SolverError, match=r"^Stokes system: relative residual"):
         plain.solve(rhs)
     with pytest.warns(UserWarning, match="pressure block regularized"):
-        u, p, _, res = solver.solve_stokes(system, N)
+        u, p, _, res = solver.solve_stokes(system)
     assert res <= solver.RESIDUAL_FLOOR
     assert np.all(np.isfinite(u)) and np.all(np.isfinite(p))
 
@@ -214,7 +220,7 @@ def test_failed_regularized_stokes_solve_raises(unstabilized_saddle, monkeypatch
     with pytest.warns(UserWarning, match="pressure block regularized"):
         with pytest.raises(solver.SolverError,
                            match=r"^regularized Stokes system: relative residual \S+ above"):
-            solver.solve_stokes(system, N)
+            solver.solve_stokes(system)
 
 
 def test_unstabilized_run_no_longer_fails_silently():
@@ -248,7 +254,7 @@ def test_constant_viscosity_channel_factors_stokes_once(monkeypatch):
     mesh = generate_mesh("triangular", case.domain, 1 / 8)
     mops = eo.build_mesh_ops(mesh, 1)
     spec = case.problem_spec(mesh, 1)
-    state, rep = solver.picard_solve(spec, mesh, initial=case.initial, mops=mops)
+    state, rep = solver.picard_solve(spec, mops, initial=case.initial)
     assert rep.converged
     assert len(builds) == 1 and not builds[0].any()
     assert orderings.count("MMD_AT_PLUS_A") == rep.stokes_factorizations == 1
@@ -283,10 +289,14 @@ def test_zero_pressure_block_takes_colamd_and_regularized_answer(unstabilized_sa
     system, N = unstabilized_saddle
     assert _stokes_solver(system, N, regularize=False).ordering == "colamd"
     with pytest.warns(UserWarning, match="pressure block regularized"):
-        u, p, lam, _ = solver.solve_stokes(system, N)
+        u, p, _, _ = solver.solve_stokes(system)
         reg = _stokes_solver(system, N, regularize=True)
     assert np.abs(p).max() < 1e3
-    # the regularized system's velocity from a COLAMD factorization
+    # the regularized system's velocity from a COLAMD factorization, with the
+    # zero-mean multiplier substituted into the continuity rows
+    du = system.dirichlet_u
+    lam = (-float(np.sum(system.B[:, du.fixed] @ du.values[du.fixed]))
+           / float(system.mean_row.sum()))
     rhs = np.concatenate([system.rhs_momentum, -lam * system.mean_row])
     ref = reg.xfix.copy()
     ref[reg.free] = splu(reg.Kff.tocsc()).solve((rhs - reg.shift)[reg.free])
@@ -306,11 +316,11 @@ def test_singular_unstabilized_channel_reaches_symmetric_regularized_system():
         _stokes_solver(system, N, regularize=False)
     stokes = solver._StokesSweeps(system.dirichlet_u, N)
     with pytest.warns(UserWarning, match="pressure block regularized"):
-        solver.solve_stokes(system, N, stokes)
-    assert stokes.regularize and stokes.action == "regularized"
+        _, _, (action, _, factorizations), _ = solver.solve_stokes(system, stokes)
+    assert stokes.regularize and action == "regularized"
     # only a symmetric-mode factorization is kept; the singular plain one,
     # which raised, is not counted
-    assert stokes.lu is not None and stokes.factorizations == 1
+    assert stokes.lu is not None and factorizations == 1
 
 
 def test_exactly_singular_symmetric_factorization_names_the_system():
@@ -365,7 +375,7 @@ def test_lagged_picard_matches_exact_reference(ex3_coarse):
     the bounds are about ten times that."""
     from lpsvem.postprocess import compute_errors
     case, mesh, mops, spec, (ref, ref_history) = ex3_coarse
-    state, rep = solver.picard_solve(spec, mesh, mops=mops)
+    state, rep = solver.picard_solve(spec, mops)
     assert rep.converged and len(rep.sweeps) == rep.iterations
     assert rep.stokes_factorizations < rep.iterations
     assert any(s.stokes_lu == "lagged" for s in rep.sweeps)
@@ -387,7 +397,7 @@ def test_rejected_lag_refactors(ex3_coarse, monkeypatch):
     reference loop bit for bit."""
     case, mesh, mops, spec, (ref, ref_history) = ex3_coarse
     monkeypatch.setattr(solver, "LAG_CONTRACTION", 0.0)
-    state, rep = solver.picard_solve(spec, mesh, mops=mops)
+    state, rep = solver.picard_solve(spec, mops)
     lus = [s.stokes_lu for s in rep.sweeps]
     # the last sweep, predicted to converge, factors without trying a lag
     assert lus == ["factored"] + ["refactored"] * (rep.iterations - 2) + ["factored"]
@@ -397,6 +407,43 @@ def test_rejected_lag_refactors(ex3_coarse, monkeypatch):
     assert rep.residual_history == ref_history
     for name in ("u", "p", "phi"):
         assert np.array_equal(getattr(state, name), getattr(ref, name)), name
+
+
+def test_non_finite_lagged_correction_refactors(ex3_coarse, monkeypatch):
+    """A non-finite iterate never reaches the acceptance residual.  Every
+    Stokes LU solves NaN once the sweep that made it is over (a temperature
+    factorization ends each sweep), so every lagged correction comes back
+    NaN: each such sweep must record "refactored", and the run must equal,
+    bit for bit, one in which every lag is rejected."""
+    case, mesh, mops, spec, _ = ex3_coarse
+    with monkeypatch.context() as m:
+        m.setattr(solver, "LAG_CONTRACTION", 0.0)
+        rejected, rejected_rep = solver.picard_solve(spec, mops)
+    real, last = solver.splu, []
+
+    class Proxy:
+        def __init__(self, lu):
+            self.lu, self.stale = lu, False
+
+        def solve(self, b):
+            x = self.lu.solve(b)
+            return np.full_like(x, np.nan) if self.stale else x
+
+    def proxy_splu(A, **kwargs):
+        lu = real(A, **kwargs)
+        if kwargs.get("permc_spec") != "MMD_AT_PLUS_A":
+            for stokes_lu in last:
+                stokes_lu.stale = True
+            return lu
+        last[:] = [Proxy(lu)]
+        return last[0]
+    monkeypatch.setattr(solver, "splu", proxy_splu)
+    state, rep = solver.picard_solve(spec, mops)
+    lus = [s.stokes_lu for s in rep.sweeps]
+    assert "refactored" in lus and "lagged" not in lus
+    assert rep.sweeps == rejected_rep.sweeps
+    for name in ("u", "p", "phi"):
+        assert np.array_equal(getattr(state, name), getattr(rejected, name)), name
 
 
 def test_no_earlier_stokes_factorization_alive_when_factoring(ex3_coarse, monkeypatch):
@@ -424,7 +471,7 @@ def test_no_earlier_stokes_factorization_alive_when_factoring(ex3_coarse, monkey
             stokes_lus.append(weakref.ref(lu))
         return lu
     monkeypatch.setattr(solver, "splu", proxy_splu)
-    _, rep = solver.picard_solve(spec, mesh, mops=mops)
+    _, rep = solver.picard_solve(spec, mops)
     assert any(s.stokes_lu == "refactored" for s in rep.sweeps)
     assert len(alive) == rep.stokes_factorizations > 2
     assert alive == [0] * len(alive)
@@ -444,7 +491,7 @@ def test_unstabilized_nonconstant_run_warns_once():
     spec = case.problem_spec(mesh, 2, c1=0.0, c2=0.0, c3=0.0)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        _, rep = solver.picard_solve(spec, mesh, initial=case.initial, mops=mops)
+        _, rep = solver.picard_solve(spec, mops, initial=case.initial)
     assert rep.converged
     assert ["pressure block regularized" in str(w.message) for w in caught] == [True]
     lus = [s.stokes_lu for s in rep.sweeps]
@@ -465,9 +512,10 @@ def test_regularized_sweep_counts_a_failed_factorization_as_none():
     case = bm.make_case("ex4_mild")
     mesh = generate_mesh("triangular", case.domain, 1 / 16)
     spec = case.problem_spec(mesh, 1, c1=0.0, c2=0.0, c3=0.0)
+    mops = eo.build_mesh_ops(mesh, 1)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        _, rep = solver.picard_solve(spec, mesh, initial=case.initial)
+        _, rep = solver.picard_solve(spec, mops, initial=case.initial)
     assert [(s.stokes_lu, s.stokes_factorizations) for s in rep.sweeps] == (
         [("regularized", 1)] + [("reused", 0)] * rep.iterations)
     assert rep.stokes_factorizations == 1
