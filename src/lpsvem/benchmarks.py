@@ -1,8 +1,9 @@
 """Benchmark problems and convergence-study driver.
 
 Manufactured cases (``ex1``-``ex3``) take their analytic fields and sources
-from ``manufactured``, which is imported only when such a case is made; the
-physically driven channel (``ex4_*``) is defined here.
+from ``manufactured``, which is imported only when such a case is made and
+derives the sources with jets on numpy arrays; the physically driven channel
+(``ex4_*``) is defined here.
 """
 from __future__ import annotations
 
@@ -80,8 +81,8 @@ _MANUFACTURED_STUDY = {
 def make_case(case_id: str, kappa: float | None = None) -> BenchmarkCase:
     """Construct a benchmark case; ``kappa`` overrides the conductivity scale.
 
-    Manufactured cases import ``manufactured`` (and with it sympy) here, so
-    that ``ex4_*`` runs never load it.
+    Manufactured cases import ``manufactured`` here, so that ``ex4_*`` runs
+    never load it; no case does symbolic algebra.
     """
     if case_id in _MANUFACTURED_STUDY:
         from .manufactured import manufactured_case

@@ -53,6 +53,11 @@ def _add_common(p):
     p.add_argument("--seed", type=int, default=None)
 
 
+# the keys a --config file may hold
+_CONFIG_KEYS = frozenset(("order", "mesh_family", "h_list", "c1", "c2", "c3", "no_stab",
+                          "kappa", "tol", "max_iter", "seed"))
+
+
 def _overrides_from_args(args) -> dict:
     ov: dict = {}
     cfg = {}
@@ -63,6 +68,10 @@ def _overrides_from_args(args) -> dict:
             raise ConfigurationError(f"cannot read config file: {exc}") from exc
         if not isinstance(cfg, dict):
             raise ConfigurationError("config file must hold a JSON object")
+        unknown = sorted(set(cfg) - _CONFIG_KEYS)
+        if unknown:
+            raise ConfigurationError(f"unknown config key(s) {', '.join(map(repr, unknown))} "
+                                     f"(known: {', '.join(sorted(_CONFIG_KEYS))})")
     def pick(cli_val, key, default=None):
         if cli_val is not None:
             return cli_val

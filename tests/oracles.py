@@ -517,28 +517,61 @@ class FemRealizer:
 
 
 # ---------------------------------------------------------------------------
-# strong-form residual oracle via mpmath numerical differentiation
+# manufactured cases: a sympy reference and an mpmath strong-form residual
 # ---------------------------------------------------------------------------
+
+
+def manufactured_reference(case_id: str):
+    """Symbolic reference of a manufactured case (default conductivity),
+    written apart from ``lpsvem.manufactured``: sympy expressions in the
+    symbols ``x, y`` of the exact fields ``u1, u2, p, phi`` and of the sources
+    ``F1, F2, g`` derived from them by symbolic differentiation."""
+    import sympy as sp
+    x, y = sp.symbols("x y")
+    if case_id == "ex1":
+        u1 = sp.sin(2 * sp.pi * x) * sp.cos(2 * sp.pi * y)
+        u2 = -sp.cos(2 * sp.pi * x) * sp.sin(2 * sp.pi * y)
+        p = sp.sin(2 * sp.pi * x) * sp.sin(2 * sp.pi * y)
+        phi = 15 - 15 * sp.exp(-x * y * (x - 1) * (y - 1))
+        mu = 1 / (1 - sp.Rational(1, 2) * phi) ** 2
+        kap = sp.Integer(1)
+    elif case_id in ("ex2_diffusive", "ex2_convective"):
+        u1 = x ** 2 * y * (1 - x) * (1 - y)
+        u2 = -(2 * x - 3 * x ** 2) * (y ** 2 / 2 - y ** 3 / 3)
+        p = -100 * x ** 2 + sp.Rational(100, 3)
+        phi = x ** 2 * y * (1 - x) * (1 - y) + 600
+        mu = 1 + phi + sp.sin(phi) ** 2
+        kap = sp.Integer(1) if case_id == "ex2_diffusive" else sp.Float(1e-6)
+    elif case_id == "ex3":
+        u1 = 2 * x ** 2 * y * (2 * y - 1) * (y - 1) * (x - 1) ** 2
+        u2 = -2 * x * y ** 2 * (y - 1) ** 2 * (2 * x - 1) * (x - 1)
+        p = sp.exp(y) * (x - sp.Rational(1, 2)) ** 3
+        phi = x ** 2 + y ** 4
+        mu = sp.exp(-phi)
+        kap = sp.Float(1e-3) * sp.exp(phi)
+    else:
+        raise ValueError(f"not a manufactured case: {case_id!r}")
+    e11, e22 = sp.diff(u1, x), sp.diff(u2, y)
+    e12 = (sp.diff(u1, y) + sp.diff(u2, x)) / 2
+    F1 = -(sp.diff(mu * e11, x) + sp.diff(mu * e12, y)) + sp.diff(p, x)
+    F2 = -(sp.diff(mu * e12, x) + sp.diff(mu * e22, y)) + sp.diff(p, y)
+    g = (-(sp.diff(kap * sp.diff(phi, x), x) + sp.diff(kap * sp.diff(phi, y), y))
+         + u1 * sp.diff(phi, x) + u2 * sp.diff(phi, y))
+    return SimpleNamespace(x=x, y=y, u1=u1, u2=u2, p=p, phi=phi, F1=F1, F2=F2, g=g)
 
 
 def strong_residual_mp(case, x0: float, y0: float, dps: int = 30):
     """Momentum and heat residuals of the exact fields at one point, with all
-    derivatives taken numerically in high precision (independent of sympy
-    differentiation)."""
+    derivatives taken numerically in high precision: the case's field
+    functions are called with the mpmath namespace, independent of the jets
+    that derive the sources."""
     import mpmath as mp
-    import sympy as sp
-    from lpsvem.manufactured import _R, _X, _Y
 
     f = case.fields
-    u1 = sp.lambdify((_X, _Y), f.u1, modules="mpmath")
-    u2 = sp.lambdify((_X, _Y), f.u2, modules="mpmath")
-    pf = sp.lambdify((_X, _Y), f.p, modules="mpmath")
-    phif = sp.lambdify((_X, _Y), f.phi, modules="mpmath")
-    muf = sp.lambdify(_R, f.mu_expr, modules="mpmath")
-    if isinstance(f.kappa_expr, sp.Expr):
-        kapf = sp.lambdify(_R, f.kappa_expr, modules="mpmath")
-    else:
-        kapf = lambda r: mp.mpf(float(f.kappa_expr))
+
+    def at(fn):
+        return lambda *args: fn(*args, mp)
+    u1, u2, pf, phif, muf, kapf = (at(fn) for fn in (f.u1, f.u2, f.p, f.phi, f.mu, f.kappa))
     F, g = f.sources()
 
     with mp.workdps(dps):

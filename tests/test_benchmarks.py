@@ -9,9 +9,8 @@ import numpy as np
 import pytest
 
 from lpsvem import benchmarks as bm
-from lpsvem import manufactured as mf
 from lpsvem.forms import ConfigurationError
-from oracles import strong_residual_mp
+from oracles import manufactured_reference, strong_residual_mp
 
 rng = np.random.default_rng(17)
 
@@ -27,21 +26,46 @@ def test_case_registry():
 @pytest.mark.parametrize("cid", ["ex1", "ex2_diffusive", "ex3"])
 def test_exact_velocity_divergence_free(cid):
     import sympy as sp
-    case = bm.make_case(cid)
-    f = case.fields
-    div = sp.simplify(sp.diff(f.u1, mf._X) + sp.diff(f.u2, mf._Y))
-    fn = sp.lambdify((mf._X, mf._Y), div, modules="numpy")
-    pts = rng.uniform(0.05, 0.95, size=(20, 2))
-    vals = np.array([float(fn(x, y)) for x, y in pts])
-    assert np.abs(vals).max() <= 1e-12
+    ref = manufactured_reference(cid)
+    assert sp.simplify(sp.diff(ref.u1, ref.x) + sp.diff(ref.u2, ref.y)) == 0
 
 
 @pytest.mark.parametrize("cid", ["ex1", "ex2_diffusive", "ex3"])
 def test_exact_pressure_zero_mean(cid):
     import sympy as sp
-    case = bm.make_case(cid)
-    mean = sp.integrate(sp.integrate(case.fields.p, (mf._X, 0, 1)), (mf._Y, 0, 1))
+    ref = manufactured_reference(cid)
+    mean = sp.integrate(sp.integrate(ref.p, (ref.x, 0, 1)), (ref.y, 0, 1))
     assert abs(float(mean)) <= 1e-12
+
+
+@pytest.mark.parametrize("cid", ["ex1", "ex2_diffusive", "ex2_convective", "ex3"])
+def test_manufactured_fields_match_sympy_reference(cid):
+    """The values, gradients and sources of a case agree with its symbolic
+    reference at random points, to 1e-13 relative in the max norm of each
+    component."""
+    import sympy as sp
+    ref = manufactured_reference(cid)
+    f = bm.make_case(cid).fields
+    ex, (F, g) = f.exact(), f.sources()
+    xv, yv = np.random.default_rng(23).uniform(0.0, 1.0, size=(2, 200))
+    d = sp.diff
+    pairs = {
+        "u": (ex.u(xv, yv), [ref.u1, ref.u2]),
+        "grad_u": (ex.grad_u(xv, yv).reshape(4, -1),
+                   [d(ref.u1, ref.x), d(ref.u1, ref.y), d(ref.u2, ref.x), d(ref.u2, ref.y)]),
+        "p": (ex.p(xv, yv)[None], [ref.p]),
+        "phi": (ex.phi(xv, yv)[None], [ref.phi]),
+        "grad_phi": (ex.grad_phi(xv, yv), [d(ref.phi, ref.x), d(ref.phi, ref.y)]),
+        "F": (F(xv, yv), [ref.F1, ref.F2]),
+        "g": (g(xv, yv)[None], [ref.g]),
+    }
+    for name, (got, exprs) in pairs.items():
+        assert got.shape == (len(exprs), xv.size), name
+        for c, e in enumerate(exprs):
+            want = np.broadcast_to(
+                sp.lambdify((ref.x, ref.y), e, modules="numpy")(xv, yv), xv.shape)
+            err = np.abs(got[c] - want).max() / np.abs(want).max()
+            assert err <= 1e-13, f"{name}[{c}]: relative difference {err:.3e}"
 
 
 @pytest.mark.parametrize("cid", ["ex1", "ex2_diffusive", "ex2_convective", "ex3"])
@@ -78,9 +102,11 @@ def test_ex4_sources_identically_zero():
 def test_channel_case_loads_neither_sympy_nor_scipy_optimize():
     """The package import plus the ex4 cases and their triangular mesh stay off
     sympy, scipy.optimize and scipy.spatial (about 0.3 s, 0.1 s and 0.1 s of
-    import time); a manufactured case still works."""
+    import time); no case loads sympy, not even to evaluate its exact fields
+    and sources."""
     code = textwrap.dedent("""
         import sys
+        import numpy as np
         import lpsvem.benchmarks as bm
         import lpsvem.cli
         from lpsvem.geometry import generate_mesh
@@ -88,8 +114,14 @@ def test_channel_case_loads_neither_sympy_nor_scipy_optimize():
         bm.make_case("ex4_strong")
         generate_mesh("triangular", case.domain, 1 / 4)
         print([m for m in ("sympy", "scipy.optimize", "scipy.spatial") if m in sys.modules])
-        case = bm.make_case("ex3")
-        print(case.fields is not None, "sympy" in sys.modules)
+        xy = np.array([0.3, 0.6]), np.array([0.7, 0.2])
+        for cid in bm.CASE_IDS:
+            f = bm.make_case(cid).fields
+            if f is not None:
+                ex, (F, g) = f.exact(), f.sources()
+                for fn in (ex.u, ex.grad_u, ex.p, ex.phi, ex.grad_phi, F, g):
+                    assert np.isfinite(fn(*xy)).all(), cid
+            print(cid, "sympy" in sys.modules)
     """)
     src = str(Path(bm.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -97,15 +129,7 @@ def test_channel_case_loads_neither_sympy_nor_scipy_optimize():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["[]", "True True"]
-
-
-def test_manufactured_fields_compile_once():
-    f = bm.make_case("ex1").fields
-    assert f._exact is None and f._sources is None    # nothing compiled in make_case
-    exact, sources = f.exact(), f.sources()
-    assert f.exact() is exact and f.sources() is sources
-    assert bm.make_case("ex1").fields.sources() is not sources   # one cache per case
+    assert proc.stdout.splitlines() == ["[]"] + [f"{cid} False" for cid in bm.CASE_IDS]
 
 
 def test_run_case_single_record():

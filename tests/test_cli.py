@@ -107,6 +107,18 @@ def test_config_file(tmp_path, capsys):
     assert "k=1" in out
 
 
+def test_config_file_unknown_key_exits_2(tmp_path, capsys):
+    """A misspelt key is an error that names it, not a silently ignored
+    option: ``max_iters`` must not run ex3 to convergence."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"max_iters": 1, "order": 1, "mesh_family": "distorted_square",
+                               "h_list": [0.2]}))
+    assert main(["study", "--case", "ex3", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert "'max_iters'" in captured.err
+    assert captured.out == ""
+
+
 def test_config_file_malformed(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("{nope")
