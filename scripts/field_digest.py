@@ -13,9 +13,16 @@ h=1/8), the last two without stabilization (c1 = c2 = c3 = 0).  Each run goes
 through ``benchmarks.run_point``; the Picard report is taken from a wrapper
 around ``benchmarks.picard_solve``.
 
-    PYTHONPATH=src python scripts/field_digest.py
+With ``--compare FILE`` the lines are also checked against a digest saved
+earlier (the output of a plain run): every run whose line differs, or is
+missing from the file, is named on standard error, and the exit code is 1.
+
+    PYTHONPATH=src python scripts/field_digest.py > digest.txt
+    PYTHONPATH=src python scripts/field_digest.py --compare digest.txt
 """
+import argparse
 import hashlib
+import sys
 import warnings
 
 import numpy as np
@@ -39,8 +46,15 @@ def sha(a) -> str:
     return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()[:16]
 
 
-def main():
-    reports = []
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--compare", metavar="FILE", help="saved digest to check the lines against")
+    args = ap.parse_args(argv)
+    saved = {}
+    if args.compare:
+        with open(args.compare) as f:
+            saved = {line.split(":")[0]: line.rstrip("\n") for line in f if ":" in line}
+    reports, differ = [], []
     picard_solve = bm.picard_solve
 
     def capture(*args, **kwargs):
@@ -53,10 +67,17 @@ def main():
             warnings.simplefilter("always")
             _, state, _ = bm.run_point(bm.make_case(case), family, k, 1 / n, seed=1, **kw)
         rep = reports.pop()
-        print(f"{label} {case} {family} k={k} h=1/{n}: u={sha(state.u)} p={sha(state.p)} "
-              f"phi={sha(state.phi)} sweeps={rep.sweeps!r} iterations={rep.iterations} "
-              f"stokes_factorizations={rep.stokes_factorizations} warnings={len(caught)}")
+        run = f"{label} {case} {family} k={k} h=1/{n}"
+        line = (f"{run}: u={sha(state.u)} p={sha(state.p)} phi={sha(state.phi)} "
+                f"sweeps={rep.sweeps!r} iterations={rep.iterations} "
+                f"stokes_factorizations={rep.stokes_factorizations} warnings={len(caught)}")
+        print(line, flush=True)
+        if args.compare and saved.get(run) != line:
+            differ.append(run)
+    for run in differ:
+        print(f"differs from {args.compare}: {run}", file=sys.stderr)
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -336,20 +336,64 @@ class TransportSystem:
 
 
 class _BlockPattern:
-    """COO pattern of the local blocks (row dofs x column dofs of each cell),
-    group after group."""
+    """CSR pattern of the union of the local blocks (row dofs x column dofs of
+    each cell, group after group), computed once, and the maps that sum
+    stacked local matrices into it.
+
+    ``assemble`` reproduces ``sp.coo_matrix((data, (rows, cols))).tocsr()``
+    bit for bit, signed zeros included.  scipy places the entries row by row
+    in input order, sorts each row with ``std::sort`` on the column alone
+    (``sort_indices``) and sums duplicates left to right, from the first.  The
+    sort's permutation depends on the columns only, so sorting the entry ids
+    the same way recovers it.  ``_first`` holds the first term of every
+    stored entry; ``_later`` holds, for each further term l = 1, 2, ..., the
+    entries that have one and where it sits in the stacked local data.  Entries
+    that sum to zero stay in the pattern.
+    """
 
     def __init__(self, row_dofs, col_dofs, shape):
         self.shape = shape
-        self.rows = np.concatenate([np.repeat(r, c.shape[1], axis=1).ravel()
-                                    for r, c in zip(row_dofs, col_dofs)])
-        self.cols = np.concatenate([np.tile(c, (1, r.shape[1])).ravel()
-                                    for r, c in zip(row_dofs, col_dofs)])
+        rows = np.concatenate([np.repeat(r, c.shape[1], axis=1).ravel()
+                               for r, c in zip(row_dofs, col_dofs)])
+        cols = np.concatenate([np.tile(c, (1, r.shape[1])).ravel()
+                               for r, c in zip(row_dofs, col_dofs)])
+        counts = np.bincount(rows, minlength=shape[0])
+        order = np.argsort(rows, kind="stable")
+        ids = sp.csr_matrix((order, cols[order].astype(np.int32),
+                             np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)),
+                            shape=shape)
+        ids.sort_indices()
+        # the first term of every (row, column) in the sorted order
+        first = np.ones(len(rows), dtype=bool)
+        first[1:] = np.diff(ids.indices) != 0
+        first[ids.indptr[:-1][counts > 0]] = True
+        starts = np.flatnonzero(first)
+        terms = np.diff(np.append(starts, len(rows)))
+        self._first = ids.data[starts].astype(np.int32)
+        self._later = []
+        for level in range(1, int(terms.max(initial=1))):
+            entry = np.flatnonzero(terms > level)
+            self._later.append((entry.astype(np.int32),
+                                ids.data[starts[entry] + level].astype(np.int32)))
+        self.indices = ids.indices[first]
+        row_of = np.repeat(np.arange(shape[0]), counts)
+        self.indptr = np.concatenate(
+            [[0], np.cumsum(np.bincount(row_of[first], minlength=shape[0]))]).astype(np.int32)
+        self.indices.flags.writeable = self.indptr.flags.writeable = False
+
+    def matrix(self, data: np.ndarray) -> sp.csr_matrix:
+        """The matrix with ``data`` on this pattern; the index arrays are shared."""
+        m = sp.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
+        m.has_canonical_format = True
+        return m
 
     def assemble(self, local: list[np.ndarray]) -> sp.csr_matrix:
         """Global matrix of per-group stacked local matrices."""
-        return sp.coo_matrix((np.concatenate([a.ravel() for a in local]),
-                              (self.rows, self.cols)), shape=self.shape).tocsr()
+        flat = local[0].ravel() if len(local) == 1 else np.concatenate([a.ravel() for a in local])
+        data = flat[self._first]
+        for entry, term in self._later:
+            data[entry] += flat[term]
+        return self.matrix(data)
 
 
 def _scatter(size: int, dofs: list[np.ndarray], local: list[np.ndarray]) -> np.ndarray:
@@ -459,8 +503,10 @@ class Assembler:
 
     def build_stokes(self, phi: np.ndarray) -> StokesSystem:
         """Stokes blocks for the temperature iterate ``phi``."""
+        A_uu = self.viscous_block(phi)
+        A_uu.data += self.L1.data
         return StokesSystem(
-            A_uu=(self.viscous_block(phi) + self.L1).tocsr(),
+            A_uu=A_uu,
             B=self.B, L2=self.L2, rhs_momentum=self._rhs_m_static.copy(),
             mean_row=self.mean_row, dirichlet_u=self.dirichlet_u)
 

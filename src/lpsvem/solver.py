@@ -126,10 +126,18 @@ def _norm(r: np.ndarray) -> float:
     return float(np.sqrt(np.einsum("i,i->", r, r)))
 
 
-class _EliminatedSolve:
-    """Direct solve of K x = b for the dofs ``free``; the others are held at
-    their values in ``xfix`` (zero on the free dofs).  The constructor only
-    prepares the free-free block; ``factor`` factors it.
+class _Sweeps:
+    """One linear system of a Picard loop, or of one standalone solve, on its
+    fixed pattern: K x = b for the dofs ``free``, the others held at their
+    values in ``xfix`` (zero on the free dofs).
+
+    A sweep's matrix K is given by its source data, one flat array whose
+    entry e sits at (rows[e], cols[e]) of K; the positions are fixed for the
+    loop and hold no duplicates.  Built once: the CSC pattern of the
+    free-free block ``Kff``, the CSR pattern of the free-fixed block, whose
+    product with the fixed values is the Dirichlet shift, and int32 maps from
+    the source data to the ``data`` of both.  Kept from sweep to sweep: the
+    last factorization ``lu`` and the last solution ``x``.
 
     ``symmetric_mode`` marks a matrix with a symmetric pattern and a positive
     semi-definite symmetric part (the Stokes saddle systems): it is factored
@@ -137,155 +145,228 @@ class _EliminatedSolve:
     diagonal has an entry at or below ``SMALL_DIAGONAL * max|K_ff|`` or that
     factorization finds an exactly zero pivot.  Every other matrix is factored
     with SuperLU's default COLAMD ordering and partial pivoting.  ``ordering``
-    records which of the two ("symmetric" or "colamd") was used.
+    records which of the two ("symmetric" or "colamd") the last factorization
+    used.
     """
 
-    def __init__(self, K: sp.spmatrix, free: np.ndarray, xfix: np.ndarray,
-                 system: str, symmetric_mode: bool = False):
-        K = K.tocsr()
-        self.system = system
+    def __init__(self, name: str, rows: np.ndarray, cols: np.ndarray, free: np.ndarray,
+                 xfix: np.ndarray, symmetric_mode: bool = False):
+        n = len(xfix)
+        self.name = name
         self.symmetric_mode = symmetric_mode
         self.free = free
         self.xfix = xfix
-        self.shift = K @ xfix
-        # the free-free block, factorized once and reused by every refinement
-        self.Kff = K[free][:, free]
-        self.lu = self.ordering = None
+        fixed = np.setdiff1d(np.arange(n), free)
+        self._xfixed = xfix[fixed]
+        # the entry ids as the data of K; slicing and conversion move them
+        # to the places their values take
+        ids = sp.csr_matrix((np.arange(len(rows)), (rows, cols)), shape=(n, n))[free]
+        Kff = ids[:, free].tocsc()
+        Kfx = ids[:, fixed]
+        self._n_src = len(rows)
+        self._map_ff = Kff.data.astype(np.int32)
+        self._map_fx = Kfx.data.astype(np.int32)
+        self.Kff = sp.csc_matrix((np.zeros(Kff.nnz), Kff.indices, Kff.indptr), shape=Kff.shape)
+        self._Kfx = sp.csr_matrix((np.zeros(Kfx.nnz), Kfx.indices, Kfx.indptr), shape=Kfx.shape)
+        self.Kff.has_canonical_format = self._Kfx.has_canonical_format = True
+        self.lu = self.ordering = self.x = None
 
-    def factor(self) -> "_EliminatedSolve":
-        """Factor ``Kff``; returns ``self``."""
-        Kc = self.Kff.tocsc()
-        full_diagonal = self.symmetric_mode and (np.abs(Kc.diagonal()).min()
-                                                 > SMALL_DIAGONAL * np.abs(Kc.data).max())
+    def fill(self, src: np.ndarray) -> None:
+        """Put the source data of a sweep's matrix into ``Kff`` and the shift."""
+        if len(src) != self._n_src:
+            raise ValueError(f"{self.name} system: {len(src)} source entries, "
+                             f"the pattern has {self._n_src}")
+        # mode="clip" writes straight into ``out``; "raise" would buffer
+        np.take(src, self._map_ff, out=self.Kff.data, mode="clip")
+        np.take(src, self._map_fx, out=self._Kfx.data, mode="clip")
+
+    def shift(self) -> np.ndarray:
+        """The Dirichlet shift on the free dofs: the free-fixed block times the
+        fixed values."""
+        return self._Kfx @ self._xfixed
+
+    def free_rhs(self, rhs: np.ndarray) -> np.ndarray:
+        """The right-hand side on the free dofs, the Dirichlet shift taken off."""
+        return rhs[self.free] - self.shift()
+
+    def factor(self):
+        """A factorization of ``Kff``; sets ``ordering``."""
+        Kff = self.Kff
+        full_diagonal = self.symmetric_mode and (
+            np.abs(Kff.diagonal()).min()
+            > SMALL_DIAGONAL * max(Kff.data.max(), -Kff.data.min()))
         self.ordering = "symmetric" if full_diagonal else "colamd"
         if self.ordering == "symmetric":
             try:
-                self.lu = splu(Kc, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                               options=dict(SymmetricMode=True))
+                return splu(Kff, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                            options=dict(SymmetricMode=True))
             except RuntimeError:  # an exactly zero pivot
                 self.ordering = "colamd"
-        if self.ordering == "colamd":
-            try:
-                self.lu = splu(Kc)
-            except RuntimeError as exc:
-                raise SolverError(f"{self.system} system: singular factorization: {exc}") from exc
-        return self
+        try:
+            return splu(Kff)
+        except RuntimeError as exc:
+            raise SolverError(f"{self.name} system: singular factorization: {exc}") from exc
 
-    def correct(self, lu, rhs: np.ndarray, x0: np.ndarray | None, steps: int,
-                tol: float | None = None):
-        """Correction steps ``x += lu \\ (b - Kff x)`` on the free dofs, from
-        ``x0`` or, when it is None, from ``lu \\ b``.  ``lu`` factors ``Kff``
-        (iterative refinement) or an earlier matrix of the same pattern (a
-        lagged solve).  Takes ``steps`` steps, or stops before a later one
-        once the relative residual is at most ``tol``.
+    def correct(self, lu, b: np.ndarray, x: np.ndarray, steps: int, tol: float | None = None):
+        """Correction steps ``x += lu \\ (b - Kff x)`` on the free dofs, in
+        place.  ``lu`` factors ``Kff`` (iterative refinement) or an earlier
+        matrix of the same pattern (a lagged solve).  Takes ``steps`` steps,
+        or stops before a later one once the relative residual is at most
+        ``tol``.
 
-        Returns (x, |b|, residual norm before the first step, after the last).
+        Returns (|b|, residual norm before the first step, after the last).
         """
-        b = (rhs - self.shift)[self.free]
-        Kff = self.Kff
-        x = lu.solve(b) if x0 is None else x0[self.free]
         nb = _norm(b)
-        r = b - Kff @ x
+        r = b - self.Kff @ x
         r0 = rn = _norm(r)
         for step in range(steps):
             if tol is not None and step > 0 and (rn / nb if nb > 0 else 0.0) <= tol:
                 break
             x += lu.solve(r)
-            r = b - Kff @ x
+            r = b - self.Kff @ x
             rn = _norm(r)
-        full = self.xfix.copy()
-        full[self.free] = x
-        return full, nb, r0, rn
+        return nb, r0, rn
 
-    def solve(self, rhs: np.ndarray):
-        """LU solve with iterative refinement down to the conditioning floor.
+    def full(self, x: np.ndarray) -> np.ndarray:
+        """The solution on every dof from its free part."""
+        out = self.xfix.copy()
+        out[self.free] = x
+        return out
+
+    def solve_exact(self, lu, b: np.ndarray):
+        """LU solve with iterative refinement down to the conditioning floor:
+        (x on the free dofs, relative residual).
 
         Raises SolverError when the result is non-finite or its relative
         residual stays above ``RESIDUAL_FLOOR``.
         """
+        x = lu.solve(b)
         # at least one refinement pass; it sharpens the forward error even
         # when the first residual already looks small
-        full, nb, _, rn = self.correct(self.lu, rhs, None, 4, REFINE_TOL)
+        nb, _, rn = self.correct(lu, b, x, 4, REFINE_TOL)
         res = rn / nb if nb > 0 else 0.0
-        if not np.all(np.isfinite(full)):
-            raise SolverError(f"{self.system} system: non-finite values in the linear solve")
+        if not np.all(np.isfinite(x)):
+            raise SolverError(f"{self.name} system: non-finite values in the linear solve")
         if not res <= RESIDUAL_FLOOR:
-            raise SolverError(f"{self.system} system: relative residual {res:.3e} "
+            raise SolverError(f"{self.name} system: relative residual {res:.3e} "
                               f"above the floor {RESIDUAL_FLOOR:g}")
-        return full, res
+        return x, res
 
 
-class _StokesSweeps:
-    """The Stokes solves of one Picard loop, or of one standalone solve.
+def _csr_entries(A: sp.csr_matrix):
+    """(rows, cols) of the stored entries of ``A``, in the order of its data."""
+    return np.repeat(np.arange(A.shape[0]), np.diff(A.indptr)), A.indices
 
-    Holds what carries over from sweep to sweep: the free dofs (the velocity
-    dofs without Dirichlet data and every pressure dof but the pinned dof 0),
-    whether a sweep fell back to the regularized system (later sweeps then
-    build it directly), the last symmetric-mode factorization and the last
-    solution, from which the next system may be solved lagged.
+
+class _StokesSweeps(_Sweeps):
+    """The pinned saddle system [[A_uu, -B^T], [B, L2]] of a Picard loop.
+
+    The free dofs are the velocity dofs without Dirichlet data and every
+    pressure dof but the pinned dof 0.  The source data are those of A_uu,
+    -B, B and L2, in this order.  After a fallback to the regularized system
+    (``regularize``), every later sweep builds it directly.
     """
 
-    def __init__(self, dirichlet_u: DirichletData, N: int):
-        self.free = np.concatenate([dirichlet_u.free, np.arange(2 * N + 1, 3 * N)])
-        self.xfix = np.zeros(3 * N)
-        self.xfix[dirichlet_u.fixed] = dirichlet_u.values[dirichlet_u.fixed]
+    def __init__(self, system):
+        A, B, L2 = system.A_uu, system.B, system.L2
+        N = L2.shape[0]
+        du = system.dirichlet_u
+        xfix = np.zeros(3 * N)
+        xfix[du.fixed] = du.values[du.fixed]
+        (ra, ca), (rb, cb), (rl, cl) = _csr_entries(A), _csr_entries(B), _csr_entries(L2)
+        rows = np.concatenate([ra, cb, rb + 2 * N, rl + 2 * N])
+        cols = np.concatenate([ca, rb + 2 * N, cb, cl + 2 * N])
+        super().__init__("Stokes", rows, cols,
+                         np.concatenate([du.free, np.arange(2 * N + 1, 3 * N)]), xfix,
+                         symmetric_mode=True)
+        # positions of the free pressure dofs' diagonal in Kff.data
+        Kff, nv = self.Kff, len(du.free)
+        col = np.repeat(np.arange(Kff.shape[1]), np.diff(Kff.indptr))
+        self._pressure_diagonal = np.flatnonzero((Kff.indices == col) & (col >= nv))
         self.regularize = False
-        self.lu = None
-        self.x = None
+        # the source data, rewritten in place on every sweep: a temporary of
+        # this size, made while the kept factorizations are alive, would
+        # raise the peak memory of the next factorization
+        self._src = np.empty(len(rows))
+        # the zero-mean multiplier lambda = delta/|Omega|: delta, the
+        # boundary-data incompatibility, is what summing the continuity rows
+        # leaves
+        delta = -float(np.sum(B[:, du.fixed] @ du.values[du.fixed]))
+        self.lam = delta / float(system.mean_row.sum())
 
-    def prepare(self, system) -> _EliminatedSolve:
-        """The pinned system of ``system``, regularized after a fallback."""
-        K = sp.bmat([[system.A_uu, -system.B.T], [system.B, system.L2]], format="csr")
+    def fill_system(self, system) -> None:
+        """``Kff`` and the shift of ``system``, regularized after a fallback."""
+        a, b = system.A_uu.data, system.B.data
+        src, na, nb = self._src, len(a), len(b)
+        src[:na] = a
+        np.negative(b, out=src[na:na + nb])
+        src[na + nb:na + 2 * nb] = b
+        src[na + 2 * nb:] = system.L2.data
+        self.fill(src)
+        self.name = "regularized Stokes" if self.regularize else "Stokes"
         if self.regularize:
             # without pressure stabilization the equal-order saddle matrix has
             # spurious pressure modes (B^T z = 0): regularize only the pressure
             # block to pick a representative; the velocity is unaffected
-            N = len(system.mean_row)
-            eps = 1e-10 * max(1.0, abs(system.A_uu).max())
-            pressure = np.arange(2 * N, 3 * N)
-            K = K + sp.csr_matrix((np.full(N, eps), (pressure, pressure)), shape=K.shape)
-        return _EliminatedSolve(K, self.free, self.xfix,
-                                "regularized Stokes" if self.regularize else "Stokes",
-                                symmetric_mode=True)
+            eps = 1e-10 * max(1.0, a.max(initial=0.0), -a.min(initial=0.0))
+            self.Kff.data[self._pressure_diagonal] += eps
 
     def solve(self, system, rhs: np.ndarray, exact: bool):
         """(x, relative residual, the Stokes part of a ``SweepRecord``) of the
         pinned system of ``system``; lagged when a factorization is kept and
         ``exact`` is not set."""
-        elim = self.prepare(system)
+        self.fill_system(system)
+        b = self.free_rhs(rhs)
         action, steps, factorizations = "factored", 0, 0
         if self.lu is not None and not exact:
             steps = LAG_STEPS
-            x, nb, r0, rn = elim.correct(self.lu, rhs, self.x, LAG_STEPS)
+            x = self.x.copy()
+            nb, r0, rn = self.correct(self.lu, b, x, LAG_STEPS)
             # a non-finite iterate never reaches the acceptance residual
             if rn <= min(LAG_CONTRACTION * r0, LAG_RESIDUAL * nb):
                 self.x = x
-                return x, (rn / nb if nb > 0 else 0.0), ("lagged", steps, 0)
+                return self.full(x), (rn / nb if nb > 0 else 0.0), ("lagged", steps, 0)
             action = "refactored"
         # no reference to the old factorization may outlive this point: a new
         # one made while it is alive raises the peak memory by its size
         self.lu = None
         while True:
             try:
-                elim.factor()
+                lu = self.factor()
                 factorizations += 1
-                x, res = elim.solve(rhs)
+                x, res = self.solve_exact(lu, b)
                 break
             except SolverError:
                 if self.regularize:
                     raise
             # the failed factorization dies before the regularized one is
             # made, outside the except block, whose traceback would keep it
-            elim = None
+            lu = None
             self.regularize = True
             action = "regularized"
             warnings.warn("singular unstabilized saddle system; pressure block "
                           "regularized to obtain a representative solution")
-            elim = self.prepare(system)
-        if elim.ordering == "symmetric":
-            self.lu = elim.lu
+            self.fill_system(system)
+        if self.ordering == "symmetric":
+            self.lu = lu
         self.x = x
-        return x, res, (action, steps, factorizations)
+        return self.full(x), res, (action, steps, factorizations)
+
+
+class _HeatSweeps(_Sweeps):
+    """The transport system A_TT + C + L3 of a Picard loop; the three blocks
+    share one pattern, and the source data are their sum."""
+
+    def __init__(self, system):
+        dphi = system.dirichlet_phi
+        super().__init__("temperature", *_csr_entries(system.A_TT), dphi.free, dphi.values)
+
+    def solve(self, system):
+        """(phi, relative residual) of ``system``."""
+        self.fill((system.A_TT.data + system.C.data) + system.L3.data)
+        b = self.free_rhs(system.rhs_heat)
+        x, res = self.solve_exact(self.factor(), b)
+        return self.full(x), res
 
 
 def solve_stokes(system, sweeps: _StokesSweeps | None = None, exact: bool = True):
@@ -304,16 +385,12 @@ def solve_stokes(system, sweeps: _StokesSweeps | None = None, exact: bool = True
     Returns (u, p, (stokes_lu, correction_steps, stokes_factorizations),
     relative residual), the third being the Stokes part of a ``SweepRecord``.
     """
+    if sweeps is None:
+        sweeps = _StokesSweeps(system)
     N = len(system.mean_row)
     omega = float(system.mean_row.sum())   # = sum of cell areas
     rhs = np.concatenate([system.rhs_momentum, np.zeros(N)])
-    # continuity rhs after elimination sums to -inflow/outflow imbalance
-    du = system.dirichlet_u
-    delta = -float(np.sum(system.B[:, du.fixed] @ du.values[du.fixed]))
-    lam = delta / omega
-    rhs[2 * N:] -= lam * system.mean_row
-    if sweeps is None:
-        sweeps = _StokesSweeps(du, N)
+    rhs[2 * N:] -= sweeps.lam * system.mean_row
     x, res, record = sweeps.solve(system, rhs, exact)
     u = x[:2 * N]
     p = x[2 * N:]
@@ -321,16 +398,13 @@ def solve_stokes(system, sweeps: _StokesSweeps | None = None, exact: bool = True
     return u, p, record, res
 
 
-def solve_temperature(system):
+def solve_temperature(system, sweeps: _HeatSweeps | None = None):
     """Solve the stabilized transport equation for the temperature.
 
     The velocity iterate enters through the convection block of ``system``.
+    ``sweeps`` carries the state of a Picard loop.
     """
-    K = (system.A_TT + system.C + system.L3).tocsr()
-    dphi = system.dirichlet_phi
-    elim = _EliminatedSolve(K, dphi.free, dphi.values, "temperature").factor()
-    phi, res = elim.solve(system.rhs_heat)
-    return phi, res
+    return (sweeps or _HeatSweeps(system)).solve(system)
 
 
 def velocity_norm(asm: Assembler, u: np.ndarray) -> float:
@@ -360,7 +434,7 @@ def picard_solve(spec: ProblemSpec, mops: MeshOps, tol: float = 1e-7, max_iter: 
     asm = Assembler(mops, spec)
     N = asm.N
     u, p, phi = np.zeros(2 * N), np.zeros(N), np.zeros(N)
-    stokes = _StokesSweeps(asm.dirichlet_u, N)
+    stokes = heat = None
     # with constant viscosity the Stokes system, its right-hand side and its
     # Dirichlet data do not depend on the iterate: solved once, on the first
     # sweep (phi = 0), and reused by every later one
@@ -376,14 +450,20 @@ def picard_solve(spec: ProblemSpec, mops: MeshOps, tol: float = 1e-7, max_iter: 
         if reused is None:
             # a system rebuilt every sweep is freed before the transport solve;
             # only its factorization is kept, for a lagged solve of the next one
-            u_new, p_new, stokes_lu, res_s = solve_stokes(
-                asm.build_stokes(phi), stokes, exact or it == max_iter)
+            system = asm.build_stokes(phi)
+            stokes = stokes or _StokesSweeps(system)
+            u_new, p_new, stokes_lu, res_s = solve_stokes(system, stokes,
+                                                          exact or it == max_iter)
+            system = None
             if constant_viscosity:
                 reused = u_new, p_new, ("reused", 0, 0), res_s
         else:
             u_new, p_new, stokes_lu, res_s = reused
         # transport sees the freshly computed velocity
-        phi_new, res_h = solve_temperature(asm.build_transport(u_new, phi))
+        transport = asm.build_transport(u_new, phi)
+        heat = heat or _HeatSweeps(transport)
+        phi_new, res_h = solve_temperature(transport, heat)
+        transport = None
         pn = max(_norm(p_new), 1e-12)  # guard the zero-pressure case
         pmean_rel = max(pmean_rel, abs(float(asm.mean_row @ p_new)) / pn)
         delta = None

@@ -7,7 +7,9 @@ per-entry loops for the local forms, a P1 finite element realizer that
 solves the local defining problem of a virtual function on a refined
 sub-triangulation, the cell-by-cell constructions of the element operators
 and of the global assembly that the grouped ``build_mesh_ops`` and
-``forms.Assembler`` are checked against, and the loop-by-loop mesh topology and
+``forms.Assembler`` are checked against, the sparse-sum construction of the
+eliminated systems that the solver's fixed patterns are checked against, and
+the loop-by-loop mesh topology and
 generators (with the bisector-clipping Voronoi cells) that the array-based
 ``geometry`` is checked against.  It also holds the helpers only tests use:
 observed rates, energy norms, interpolation and shape-regularity checks.
@@ -1184,6 +1186,31 @@ def triple_up(asm, u: np.ndarray, p: np.ndarray) -> float:
 def energy_norms(state, asm) -> tuple[float, float]:
     """Mesh-dependent energy norms of ((u, p), phi) via computable surrogates."""
     return triple_up(asm, state.u, state.p), solver.temperature_norm(asm, state.phi)
+
+
+def reference_eliminated(system, regularize: bool = False):
+    """The free-free block (CSC) and the Dirichlet shift on the free dofs of
+    a Stokes or transport system, built the way the solver once built them
+    on every sweep: the saddle matrix by ``bmat`` (plus ``eps`` on the
+    pressure diagonal when ``regularize``), or the sum A_TT + C + L3, then
+    ``K @ xfix``, ``K[free][:, free]`` and ``tocsc``.  Sparse sums drop the
+    entries that sum to exactly zero.  The reference for the matrices the
+    solver fills on its fixed pattern."""
+    if hasattr(system, "A_uu"):
+        N = len(system.mean_row)
+        K = sparse.bmat([[system.A_uu, -system.B.T], [system.B, system.L2]], format="csr")
+        if regularize:
+            eps = 1e-10 * max(1.0, abs(system.A_uu).max())
+            pressure = np.arange(2 * N, 3 * N)
+            K = K + sparse.csr_matrix((np.full(N, eps), (pressure, pressure)), shape=K.shape)
+        du = system.dirichlet_u
+        free = np.concatenate([du.free, np.arange(2 * N + 1, 3 * N)])
+        xfix = np.zeros(3 * N)
+        xfix[du.fixed] = du.values[du.fixed]
+    else:
+        K = (system.A_TT + system.C + system.L3).tocsr()
+        free, xfix = system.dirichlet_phi.free, system.dirichlet_phi.values
+    return K[free][:, free].tocsc(), (K @ xfix)[free]
 
 
 def reference_picard(spec, mops, tol: float = 1e-7, max_iter: int = 50,

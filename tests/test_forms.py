@@ -425,7 +425,10 @@ def test_grouped_assembly_matches_per_cell_reference(fam, k):
     """Every global block and right-hand side equals the cell-by-cell assembly
     to 1e-12 * max(1, max|ref|), sparsity included; voronoi meshes mix vertex
     counts, so this also covers summing shared entries group by group, in
-    another order than the mesh-order reference."""
+    another order than the mesh-order reference.  A_uu keeps the union
+    pattern of the element blocks, that of L1: where the reference's sparse
+    sum viscous + L1 drops an entry that sums to exactly zero (uniform
+    squares at k=2 and 3), A_uu stores that zero."""
     mesh = generate_mesh(fam, UNIT_SQUARE, 1 / 5)
     mops = eo.build_mesh_ops(mesh, k)
     gen = np.random.default_rng(5)
@@ -444,11 +447,44 @@ def test_grouped_assembly_matches_per_cell_reference(fam, k):
         for name, r in ref.items():
             g = got[name]
             if sp.issparse(r):
-                assert np.array_equal(g.indptr, r.indptr), f"{name} {cfg}"
-                assert np.array_equal(g.indices, r.indices), f"{name} {cfg}"
-                g, r = g.data, r.data
+                union = ref["L1"] if name == "A_uu" else r
+                assert np.array_equal(g.indptr, union.indptr), f"{name} {cfg}"
+                assert np.array_equal(g.indices, union.indices), f"{name} {cfg}"
+                rows = np.repeat(np.arange(g.shape[0]), np.diff(g.indptr))
+                g, r = g.data, np.asarray(r[rows, g.indices]).ravel()
             tol = 1e-12 * max(1.0, float(np.abs(r).max(initial=0.0)))
             assert np.abs(g - r).max(initial=0.0) <= tol, f"{name} {cfg}"
+
+
+@pytest.mark.parametrize("fam, k", [("triangular", 1), ("distorted_square", 2), ("voronoi", 1)])
+def test_block_pattern_assembles_like_coo_tocsr(fam, k):
+    """``_BlockPattern.assemble`` equals scipy's ``coo_matrix(...).tocsr()``
+    bit for bit, signed zeros included, on the scalar, vector and
+    pressure-velocity patterns: it sums the duplicates in the order scipy's
+    sort leaves them, so a change of that order fails here.  A third of the
+    local entries are zeros of either sign."""
+    mesh = generate_mesh(fam, UNIT_SQUARE, 1 / 6)
+    asm = forms.Assembler(eo.build_mesh_ops(mesh, k), _const_spec_for(mesh, k))
+    gen = np.random.default_rng(4)
+    for pattern, row_dofs, col_dofs in ((asm._scalar, asm._sdofs, asm._sdofs),
+                                        (asm._vector, asm._vdofs, asm._vdofs),
+                                        (asm._pv, asm._sdofs, asm._vdofs)):
+        local = [gen.normal(size=(len(r), r.shape[1], c.shape[1]))
+                 for r, c in zip(row_dofs, col_dofs)]
+        for a in local:
+            a[gen.random(a.shape) < 0.25] = -0.0
+            a[gen.random(a.shape) < 0.1] = 0.0
+        rows = np.concatenate([np.repeat(r, c.shape[1], axis=1).ravel()
+                               for r, c in zip(row_dofs, col_dofs)])
+        cols = np.concatenate([np.tile(c, (1, r.shape[1])).ravel()
+                               for r, c in zip(row_dofs, col_dofs)])
+        want = sp.coo_matrix((np.concatenate([a.ravel() for a in local]), (rows, cols)),
+                             shape=pattern.shape).tocsr()
+        got = pattern.assemble(local)
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert np.signbit(want.data[want.data == 0.0]).any()
+        assert np.array_equal(got.data.view(np.int64), want.data.view(np.int64))
 
 
 def _voronoi_k2():

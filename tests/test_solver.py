@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import make_spec, zero_velocity
-from oracles import energy_norms, interpolate_scalar, reference_picard
+from oracles import energy_norms, interpolate_scalar, reference_eliminated, reference_picard
 from lpsvem import element_ops as eo
 from lpsvem import forms, solver
 from lpsvem.geometry import UNIT_SQUARE, generate_mesh
@@ -195,19 +195,21 @@ def unstabilized_saddle():
     return asm.build_stokes(np.zeros(asm.N)), asm.N
 
 
-def _stokes_solver(system, N, regularize):
-    """A factored standalone Stokes solver of ``system``, plain or regularized."""
-    stokes = solver._StokesSweeps(system.dirichlet_u, N)
+def _stokes_solver(system, regularize):
+    """A standalone Stokes solver of ``system``, plain or regularized, and its
+    factorization."""
+    stokes = solver._StokesSweeps(system)
     stokes.regularize = regularize
-    return stokes.prepare(system).factor()
+    stokes.fill_system(system)
+    return stokes, stokes.factor()
 
 
 def test_failed_stokes_solve_falls_back_to_regularized_system(unstabilized_saddle):
     system, N = unstabilized_saddle
     rhs = np.concatenate([system.rhs_momentum, np.zeros(N)])
-    plain = _stokes_solver(system, N, regularize=False)
+    plain, lu = _stokes_solver(system, regularize=False)
     with pytest.raises(solver.SolverError, match=r"^Stokes system: relative residual"):
-        plain.solve(rhs)
+        plain.solve_exact(lu, plain.free_rhs(rhs))
     with pytest.warns(UserWarning, match="pressure block regularized"):
         u, p, _, res = solver.solve_stokes(system)
     assert res <= solver.RESIDUAL_FLOOR
@@ -274,10 +276,10 @@ def test_stokes_system_factored_in_symmetric_mode_with_less_fill():
     case = bm.make_case("ex3")
     mesh = generate_mesh("distorted_square", case.domain, 1 / 9)
     asm = forms.Assembler(eo.build_mesh_ops(mesh, 2), case.problem_spec(mesh, 2))
-    elim = _stokes_solver(asm.build_stokes(np.zeros(asm.N)), asm.N, regularize=False)
-    assert elim.ordering == "symmetric"
-    colamd = splu(elim.Kff.tocsc())
-    assert elim.lu.L.nnz + elim.lu.U.nnz < colamd.L.nnz + colamd.U.nnz
+    stokes, lu = _stokes_solver(asm.build_stokes(np.zeros(asm.N)), regularize=False)
+    assert stokes.ordering == "symmetric"
+    colamd = splu(stokes.Kff)
+    assert lu.L.nnz + lu.U.nnz < colamd.L.nnz + colamd.U.nnz
 
 
 def test_zero_pressure_block_takes_colamd_and_regularized_answer(unstabilized_saddle):
@@ -287,10 +289,10 @@ def test_zero_pressure_block_takes_colamd_and_regularized_answer(unstabilized_sa
     fails the floor, and the regularized system answers."""
     from scipy.sparse.linalg import splu
     system, N = unstabilized_saddle
-    assert _stokes_solver(system, N, regularize=False).ordering == "colamd"
+    assert _stokes_solver(system, regularize=False)[0].ordering == "colamd"
     with pytest.warns(UserWarning, match="pressure block regularized"):
         u, p, _, _ = solver.solve_stokes(system)
-        reg = _stokes_solver(system, N, regularize=True)
+    reg, _ = _stokes_solver(system, regularize=True)
     assert np.abs(p).max() < 1e3
     # the regularized system's velocity from a COLAMD factorization, with the
     # zero-mean multiplier substituted into the continuity rows
@@ -298,8 +300,7 @@ def test_zero_pressure_block_takes_colamd_and_regularized_answer(unstabilized_sa
     lam = (-float(np.sum(system.B[:, du.fixed] @ du.values[du.fixed]))
            / float(system.mean_row.sum()))
     rhs = np.concatenate([system.rhs_momentum, -lam * system.mean_row])
-    ref = reg.xfix.copy()
-    ref[reg.free] = splu(reg.Kff.tocsc()).solve((rhs - reg.shift)[reg.free])
+    ref = reg.full(splu(reg.Kff).solve(reg.free_rhs(rhs)))
     assert np.abs(u - ref[:2 * N]).max() <= 1e-10 * np.abs(ref[:2 * N]).max()
 
 
@@ -311,10 +312,10 @@ def test_singular_unstabilized_channel_reaches_symmetric_regularized_system():
     mesh = generate_mesh("triangular", case.domain, 1 / 8)
     spec = case.problem_spec(mesh, 1, c1=0.0, c2=0.0, c3=0.0)
     asm = forms.Assembler(eo.build_mesh_ops(mesh, 1), spec)
-    system, N = asm.build_stokes(np.zeros(asm.N)), asm.N
+    system = asm.build_stokes(np.zeros(asm.N))
     with pytest.raises(solver.SolverError, match=r"^Stokes system: singular factorization"):
-        _stokes_solver(system, N, regularize=False)
-    stokes = solver._StokesSweeps(system.dirichlet_u, N)
+        _stokes_solver(system, regularize=False)
+    stokes = solver._StokesSweeps(system)
     with pytest.warns(UserWarning, match="pressure block regularized"):
         _, _, (action, _, factorizations), _ = solver.solve_stokes(system, stokes)
     assert stokes.regularize and action == "regularized"
@@ -323,12 +324,53 @@ def test_singular_unstabilized_channel_reaches_symmetric_regularized_system():
     assert stokes.lu is not None and factorizations == 1
 
 
+def _assert_filled_like(Kff, shift, system, regularize=False):
+    """``Kff`` and ``shift`` equal the sparse-sum reference bit for bit, signed
+    zeros included; the entries the reference drops, which sum to exactly
+    zero, hold zero."""
+    ref, ref_shift = reference_eliminated(system, regularize)
+    assert np.array_equal(shift.view(np.int64), ref_shift.view(np.int64))
+
+    def keys(A):   # (column, row) of each stored entry, as one sorted key
+        return np.repeat(np.arange(A.shape[1]), np.diff(A.indptr)) * A.shape[0] + A.indices
+    got, want = keys(Kff), keys(ref)
+    at = np.searchsorted(got, want)
+    assert np.array_equal(got[at], want)
+    assert np.array_equal(Kff.data[at].view(np.int64), ref.data.view(np.int64))
+    assert not np.delete(Kff.data, at).any()
+
+
+@pytest.mark.parametrize("case_id, family, k, stab", [
+    ("ex3", "distorted_square", 2, True), ("ex1", "voronoi", 1, True),
+    ("ex4_mild", "triangular", 1, False), ("ex2_convective", "uniform_square", 2, False)])
+def test_filled_systems_match_sparse_sum_reference(case_id, family, k, stab):
+    """The Stokes (plain and regularized) and transport matrices the solver
+    fills on their fixed patterns, for a random iterate."""
+    from lpsvem import benchmarks as bm
+    case = bm.make_case(case_id)
+    mesh = generate_mesh(family, case.domain, 1 / 5)
+    spec = case.problem_spec(mesh, k, **({} if stab else dict(c1=0.0, c2=0.0, c3=0.0)))
+    asm = forms.Assembler(eo.build_mesh_ops(mesh, k), spec)
+    gen = np.random.default_rng(7)
+    phi, u = gen.normal(size=asm.N), gen.normal(size=2 * asm.N)
+    system = asm.build_stokes(phi)
+    stokes = solver._StokesSweeps(system)
+    for regularize in (False, True):
+        stokes.regularize = regularize
+        stokes.fill_system(system)
+        _assert_filled_like(stokes.Kff, stokes.shift(), system, regularize)
+    transport = asm.build_transport(u, phi)
+    heat = solver._HeatSweeps(transport)
+    heat.fill((transport.A_TT.data + transport.C.data) + transport.L3.data)
+    _assert_filled_like(heat.Kff, heat.shift(), transport)
+
+
 def test_exactly_singular_symmetric_factorization_names_the_system():
-    import scipy.sparse as sps
-    K = sps.csr_matrix(np.ones((2, 2)))
+    stokes = solver._Sweeps("Stokes", np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1]),
+                            np.arange(2), np.zeros(2), symmetric_mode=True)
+    stokes.fill(np.ones(4))
     with pytest.raises(solver.SolverError, match=r"^Stokes system: singular factorization"):
-        solver._EliminatedSolve(K, np.arange(2), np.zeros(2), "Stokes",
-                                symmetric_mode=True).factor()
+        stokes.factor()
 
 
 def _transport(K, fixed, values, rhs):
