@@ -2,8 +2,8 @@
 """Print a digest of the solver's output on eight fixed runs, one line each.
 
 Each line holds the sha256 of the fields ``u``, ``p`` and ``phi``, every
-Picard ``SweepRecord``, the iteration count, the Stokes factorizations and
-the number of warnings the run issued.  Two trees that print the same lines
+Picard ``SweepRecord`` (without its timings), the iteration count, the Stokes
+and temperature factorizations and the number of warnings the run issued.  Two trees that print the same lines
 produce the same fields bit for bit and take the same Picard sweeps.
 
 The runs, all at mesh seed 1: every point of the ``channel_k1``,
@@ -70,7 +70,8 @@ def main(argv=None) -> int:
         run = f"{label} {case} {family} k={k} h=1/{n}"
         line = (f"{run}: u={sha(state.u)} p={sha(state.p)} phi={sha(state.phi)} "
                 f"sweeps={rep.sweeps!r} iterations={rep.iterations} "
-                f"stokes_factorizations={rep.stokes_factorizations} warnings={len(caught)}")
+                f"stokes_factorizations={rep.stokes_factorizations} "
+                f"heat_factorizations={rep.heat_factorizations} warnings={len(caught)}")
         print(line, flush=True)
         if args.compare and saved.get(run) != line:
             differ.append(run)

@@ -146,6 +146,7 @@ class ConvergenceRecord:
     wall_time: float
     n_cells: int | None = None     # cells of the mesh actually generated
     stokes_factorizations: int = 0
+    heat_factorizations: int = 0
 
 
 def run_point(case: BenchmarkCase, family: str, k: int, h: float, *,
@@ -164,7 +165,8 @@ def run_point(case: BenchmarkCase, family: str, k: int, h: float, *,
         case=case.name, family=family, k=k, h=h, errors=errors,
         iterations=report.iterations, converged=report.converged,
         wall_time=time.perf_counter() - t0, n_cells=mesh.n_cells,
-        stokes_factorizations=report.stokes_factorizations)
+        stokes_factorizations=report.stokes_factorizations,
+        heat_factorizations=report.heat_factorizations)
     return rec, state, mops
 
 

@@ -127,7 +127,7 @@ def _cmd_solve(args) -> int:
     e = rec.errors
     print(f"case={rec.case} family={family} k={k} h={h:.6g} "
           f"iterations={rec.iterations} stokes_factorizations={rec.stokes_factorizations} "
-          f"converged={rec.converged}")
+          f"heat_factorizations={rec.heat_factorizations} converged={rec.converged}")
     print(f"div_violation={e.div_violation:.6e} "
           f"phi_dev=[{e.phi_dev_min:.3e}, {e.phi_dev_max:.3e}]")
     if e.e_u_h1 is not None:
@@ -168,7 +168,9 @@ def _cmd_study(args) -> int:
         print(table, end="")
         iters = ",".join(str(r.iterations) for r in recs)
         facts = ",".join(str(r.stokes_factorizations) for r in recs)
-        print(f"# picard_iterations={iters} stokes_factorizations={facts} converged="
+        heat = ",".join(str(r.heat_factorizations) for r in recs)
+        print(f"# picard_iterations={iters} stokes_factorizations={facts} "
+              f"heat_factorizations={heat} converged="
               f"{','.join(str(r.converged) for r in recs)}")
         all_ok &= all(r.converged for r in recs)
         if args.out_dir is not None:

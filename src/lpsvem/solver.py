@@ -5,39 +5,49 @@ problem (with a scalar multiplier enforcing the zero pressure mean), then
 solves the stabilized transport equation with the new velocity.  Sweeps stop
 when the energy-surrogate norm of the combined increment drops below ``tol``.
 With constant viscosity the Stokes system does not depend on the iterate: the
-first sweep solves it, and every later sweep reuses that solution.
+first sweep solves it, and every later sweep reuses that solution; with a
+constant conductivity as well, the transport system is then the same too,
+and its solution is reused with the velocity.
 
-The discrete solution is the fixed point of a contraction, so only the
-sweep the loop stops on needs an exact Stokes solve.  When the Stokes system
-changes from sweep to sweep (temperature-dependent viscosity), a sweep may be
-*lagged*: it keeps the previous sweep's factorization and, from the previous
-solution, takes ``LAG_STEPS`` correction steps ``x += LU_old \\ (b - K_new x)``
-against the new matrix.  The lagged solve is accepted when its residual is
-at most ``LAG_CONTRACTION`` times the starting one and at most
-``LAG_RESIDUAL`` times ``|b|``; otherwise the old factorization is dropped
-before the new system is factored.  An exact solve takes the same correction
-steps with a fresh factorization (iterative refinement).  The loop never
-stops on a lagged sweep: the sweep after one whose increment meets ``tol``,
-or after one whose contraction predicts that the next increment will, solves
-Stokes exactly, and so does the last sweep ``max_iter`` allows.  Only
-symmetric-mode factorizations are kept: neither a COLAMD factorization (the
-plain unstabilized saddle) nor the temperature system is ever reused.
+Each of the two linear systems of a loop is one ``_Sweeps`` object: the
+sparsity of its free-free block never changes, so each sweep gathers the
+assembled blocks' data straight into it, and it keeps its last
+factorization and solution.  The discrete solution is the fixed point of a
+contraction, so only the sweep the loop stops on needs exact solves.  Every
+other sweep may solve either system *lagged*: from the previous solution it
+takes correction steps ``x += LU_old \\ (b - K_new x)`` with the kept
+factorization, while each step shrinks the residual by at least the factor
+``LAG_CONTRACTION``, up to ``LAG_STEPS`` steps.  The lagged solve is accepted
+when its residual ends at most ``LAG_CONTRACTION`` times the starting one and
+its relative residual at most the system's acceptance residual
+(``LAG_RESIDUAL`` for Stokes, ``HEAT_LAG_RESIDUAL`` for the temperature);
+otherwise the old factorization is dropped before the new system is
+factored.  An exact solve takes the same correction steps with a fresh
+factorization (iterative refinement).  The loop never stops on a lagged
+sweep: the sweep after one whose increment meets ``tol``, or after one whose
+contraction predicts that the next increment will, solves both systems
+exactly, and so does the last sweep ``max_iter`` allows.  A symmetric-mode
+Stokes factorization and a COLAMD temperature factorization are kept; the
+COLAMD factorization of a plain unstabilized saddle is never reused.  Before
+a Stokes factorization the kept temperature factorization is dropped too, so
+at most one factorization of each system is alive when either is made.
 
-Each solve returns what it did: ``solve_stokes`` hands back the Stokes part
-of the sweep's ``SweepRecord``, and the loop's ``PicardReport`` derives its
+Each solve returns what it did, a ``SolveRecord``; the sweep's
+``SweepRecord`` joins the two, and the loop's ``PicardReport`` derives its
 totals from the records.
 """
 from __future__ import annotations
 
+import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .element_ops import MeshOps
-from .forms import Assembler, DirichletData, ProblemSpec
+from .forms import Assembler, Conductivity, ProblemSpec
 
 
 class SolverError(RuntimeError):
@@ -51,30 +61,48 @@ class CoupledState:
     phi: np.ndarray
 
 
+@dataclass(frozen=True)
+class SolveRecord:
+    """What one solve of a linear system did.  ``action``: "factored",
+    "lagged", "refactored" (a lagged solve was rejected), "regularized" (the
+    plain Stokes system failed, in its factorization or in its solve, and the
+    regularized one was factored) or "reused" (the previous sweep's solution
+    of an identical system); ``steps`` counts the lagged correction steps
+    taken and ``factorizations`` the factorizations made (a "regularized"
+    solve makes 2 when the plain system was factored and its solve failed, 1
+    when its factorization failed); ``factor_s`` is their time."""
+    action: str
+    steps: int
+    factorizations: int
+    residual: float
+    factor_s: float = 0.0
+
+
 @dataclass
 class SweepRecord:
-    """One Picard sweep.  ``stokes_lu`` says how its Stokes system was solved:
-    "factored", "lagged", "refactored" (a lagged solve was rejected),
-    "regularized" (the plain system failed, in its factorization or in its
-    solve, and the regularized one was factored) or "reused" (constant
-    viscosity: the first sweep's solution); ``correction_steps`` counts the
-    lagged steps taken and ``stokes_factorizations`` the Stokes factorizations
-    made (a "regularized" sweep makes 2 when the plain system was factored and
-    its solve failed, 1 when its factorization failed).  ``increment`` is None
-    for the Stokes-first sweep that precedes the counted ones."""
+    """One Picard sweep: how its Stokes and its temperature systems were
+    solved (see ``SolveRecord``), its increment, None for the Stokes-first
+    sweep that precedes the counted ones, and the time it spent assembling
+    (``build_stokes`` and ``build_transport``) and factoring.  The times take
+    no part in comparisons or the repr."""
     stokes_lu: str
-    correction_steps: int
+    stokes_steps: int
     stokes_factorizations: int
     stokes_residual: float
+    heat_lu: str
+    heat_steps: int
+    heat_factorizations: int
     heat_residual: float
     increment: float | None = None
+    assemble_s: float = field(default=0.0, compare=False, repr=False)
+    factor_s: float = field(default=0.0, compare=False, repr=False)
 
 
 @dataclass
 class PicardReport:
     """``stokes_residual`` and ``heat_residual`` are those of the last sweep,
-    ``stokes_factorizations`` the sum over the sweeps; all read 0 when no
-    sweep ran."""
+    ``stokes_factorizations`` and ``heat_factorizations`` the sums over the
+    sweeps; all read 0 when no sweep ran."""
     iterations: int
     residual_history: list[float]
     converged: bool
@@ -93,6 +121,10 @@ class PicardReport:
     def stokes_factorizations(self) -> int:
         return sum(s.stokes_factorizations for s in self.sweeps)
 
+    @property
+    def heat_factorizations(self) -> int:
+        return sum(s.heat_factorizations for s in self.sweeps)
+
 
 # A solve whose final relative residual lies above this floor has failed: a
 # factorization of a numerically singular matrix can return garbage without
@@ -104,12 +136,20 @@ RESIDUAL_FLOOR = 1e-8
 # value (at least one refinement pass is always taken).
 REFINE_TOL = 1e-15
 
-# A lagged Stokes solve takes LAG_STEPS correction steps with the previous
-# sweep's factorization and is accepted when they bring its relative residual
-# to at most LAG_CONTRACTION times the starting one and at most LAG_RESIDUAL.
-LAG_STEPS = 2
+# A lagged solve takes correction steps with the previous sweep's
+# factorization while each brings the residual to at most LAG_CONTRACTION
+# times the one before, up to LAG_STEPS steps.  It is accepted when they
+# bring the residual to at most LAG_CONTRACTION times the starting one and
+# the relative residual to at most the system's acceptance residual.  Stokes
+# accepts at LAG_RESIDUAL.  A temperature accepted there too leaves the fields
+# of ex3 (k=2, distorted squares, h=1/9 and 1/18) up to 2.3e-8 of their size
+# from those of exact solves on every sweep; at HEAT_LAG_RESIDUAL they stay
+# within 4.6e-11.  With LAG_STEPS = 3 in place of 6 the same sweeps factor,
+# but the fields move 3.8e-10 from the exact ones.
+LAG_STEPS = 6
 LAG_CONTRACTION = 0.3
 LAG_RESIDUAL = 1e-3
+HEAT_LAG_RESIDUAL = 1e-8
 
 
 # The symmetric-mode LU does not pivot, so a diagonal entry at or below this
@@ -126,6 +166,14 @@ def _norm(r: np.ndarray) -> float:
     return float(np.sqrt(np.einsum("i,i->", r, r)))
 
 
+def _relative(rn: float, nb: float) -> float:
+    """rn / nb; for a zero right-hand side, 0 when the residual is zero and
+    inf otherwise."""
+    if nb > 0:
+        return rn / nb
+    return 0.0 if rn == 0 else np.inf
+
+
 class _Sweeps:
     """One linear system of a Picard loop, or of one standalone solve, on its
     fixed pattern: K x = b for the dofs ``free``, the others held at their
@@ -137,7 +185,10 @@ class _Sweeps:
     free-free block ``Kff``, the CSR pattern of the free-fixed block, whose
     product with the fixed values is the Dirichlet shift, and int32 maps from
     the source data to the ``data`` of both.  Kept from sweep to sweep: the
-    last factorization ``lu`` and the last solution ``x``.
+    last factorization ``lu`` and the last solution ``x`` on the free dofs.
+    A lagged solve is accepted at the relative residual ``accept``;
+    ``release`` names another system whose kept factorization is dropped
+    before this one factors.
 
     ``symmetric_mode`` marks a matrix with a symmetric pattern and a positive
     semi-definite symmetric part (the Stokes saddle systems): it is factored
@@ -146,13 +197,15 @@ class _Sweeps:
     factorization finds an exactly zero pivot.  Every other matrix is factored
     with SuperLU's default COLAMD ordering and partial pivoting.  ``ordering``
     records which of the two ("symmetric" or "colamd") the last factorization
-    used.
+    used; a factorization is kept for a lagged solve unless a symmetric-mode
+    matrix fell back to COLAMD.
     """
 
     def __init__(self, name: str, rows: np.ndarray, cols: np.ndarray, free: np.ndarray,
-                 xfix: np.ndarray, symmetric_mode: bool = False):
+                 xfix: np.ndarray, accept: float, symmetric_mode: bool = False):
         n = len(xfix)
         self.name = name
+        self.accept = accept
         self.symmetric_mode = symmetric_mode
         self.free = free
         self.xfix = xfix
@@ -169,7 +222,7 @@ class _Sweeps:
         self.Kff = sp.csc_matrix((np.zeros(Kff.nnz), Kff.indices, Kff.indptr), shape=Kff.shape)
         self._Kfx = sp.csr_matrix((np.zeros(Kfx.nnz), Kfx.indices, Kfx.indptr), shape=Kfx.shape)
         self.Kff.has_canonical_format = self._Kfx.has_canonical_format = True
-        self.lu = self.ordering = self.x = None
+        self.lu = self.ordering = self.x = self.release = None
 
     def fill(self, src: np.ndarray) -> None:
         """Put the source data of a sweep's matrix into ``Kff`` and the shift."""
@@ -189,6 +242,12 @@ class _Sweeps:
         """The right-hand side on the free dofs, the Dirichlet shift taken off."""
         return rhs[self.free] - self.shift()
 
+    def full(self, x: np.ndarray) -> np.ndarray:
+        """The solution on every dof from its free part."""
+        out = self.xfix.copy()
+        out[self.free] = x
+        return out
+
     def factor(self):
         """A factorization of ``Kff``; sets ``ordering``."""
         Kff = self.Kff
@@ -207,31 +266,34 @@ class _Sweeps:
         except RuntimeError as exc:
             raise SolverError(f"{self.name} system: singular factorization: {exc}") from exc
 
-    def correct(self, lu, b: np.ndarray, x: np.ndarray, steps: int, tol: float | None = None):
+    def correct(self, lu, b: np.ndarray, x: np.ndarray, steps: int, tol: float,
+                contraction: float | None = None):
         """Correction steps ``x += lu \\ (b - Kff x)`` on the free dofs, in
         place.  ``lu`` factors ``Kff`` (iterative refinement) or an earlier
-        matrix of the same pattern (a lagged solve).  Takes ``steps`` steps,
-        or stops before a later one once the relative residual is at most
-        ``tol``.
+        matrix of the same pattern (a lagged solve).  Takes at least one step
+        and at most ``steps``; stops once the relative residual is at most
+        ``tol``, or after a step that does not bring the residual to at most
+        ``contraction`` times the one before.
 
-        Returns (|b|, residual norm before the first step, after the last).
+        Returns (|b|, steps taken, residual norm before the first step, after
+        the last).
         """
         nb = _norm(b)
         r = b - self.Kff @ x
         r0 = rn = _norm(r)
-        for step in range(steps):
-            if tol is not None and step > 0 and (rn / nb if nb > 0 else 0.0) <= tol:
-                break
+        for step in range(1, steps + 1):
             x += lu.solve(r)
             r = b - self.Kff @ x
-            rn = _norm(r)
-        return nb, r0, rn
+            prev, rn = rn, _norm(r)
+            if _relative(rn, nb) <= tol or (contraction is not None
+                                            and not rn <= contraction * prev):
+                break
+        return nb, step, r0, rn
 
-    def full(self, x: np.ndarray) -> np.ndarray:
-        """The solution on every dof from its free part."""
-        out = self.xfix.copy()
-        out[self.free] = x
-        return out
+    def fall_back(self) -> bool:
+        """Switch to a fallback system after a failed factorization or solve;
+        False when there is none."""
+        return False
 
     def solve_exact(self, lu, b: np.ndarray):
         """LU solve with iterative refinement down to the conditioning floor:
@@ -243,14 +305,58 @@ class _Sweeps:
         x = lu.solve(b)
         # at least one refinement pass; it sharpens the forward error even
         # when the first residual already looks small
-        nb, _, rn = self.correct(lu, b, x, 4, REFINE_TOL)
-        res = rn / nb if nb > 0 else 0.0
+        nb, _, _, rn = self.correct(lu, b, x, 4, REFINE_TOL)
+        res = _relative(rn, nb)
         if not np.all(np.isfinite(x)):
             raise SolverError(f"{self.name} system: non-finite values in the linear solve")
         if not res <= RESIDUAL_FLOOR:
             raise SolverError(f"{self.name} system: relative residual {res:.3e} "
                               f"above the floor {RESIDUAL_FLOOR:g}")
         return x, res
+
+    def solve(self, rhs: np.ndarray, exact: bool):
+        """(x on every dof, ``SolveRecord``) of the filled system; lagged when
+        a factorization is kept and ``exact`` is not set.
+
+        Raises SolverError when an exact solve is non-finite or its relative
+        residual stays above ``RESIDUAL_FLOOR``, and no fallback is left.
+        """
+        b = self.free_rhs(rhs)
+        action, steps, factorizations, factor_s = "factored", 0, 0, 0.0
+        if self.lu is not None and not exact:
+            x = self.x.copy()
+            nb, steps, r0, rn = self.correct(self.lu, b, x, LAG_STEPS, 0.0, LAG_CONTRACTION)
+            # a non-finite iterate never reaches the acceptance residual
+            if rn <= LAG_CONTRACTION * r0 and _relative(rn, nb) <= self.accept:
+                self.x = x
+                return self.full(x), SolveRecord("lagged", steps, 0, _relative(rn, nb))
+            action = "refactored"
+        # no reference to an old factorization may outlive this point: a new
+        # one made while it is alive raises the peak memory by its size
+        if self.release is not None:
+            self.release.lu = None
+        self.lu = None
+        while True:
+            try:
+                t = time.perf_counter()
+                try:
+                    lu = self.factor()
+                finally:
+                    factor_s += time.perf_counter() - t
+                factorizations += 1
+                x, res = self.solve_exact(lu, b)
+                break
+            except SolverError:
+                # adding to Kff makes no factorization: the failed one, which
+                # the traceback keeps, dies before the next is made
+                if not self.fall_back():
+                    raise
+            lu = None
+            action = "regularized"
+        if self.ordering == ("symmetric" if self.symmetric_mode else "colamd"):
+            self.lu = lu
+        self.x = x
+        return self.full(x), SolveRecord(action, steps, factorizations, res, factor_s)
 
 
 def _csr_entries(A: sp.csr_matrix):
@@ -278,11 +384,12 @@ class _StokesSweeps(_Sweeps):
         cols = np.concatenate([ca, rb + 2 * N, cb, cl + 2 * N])
         super().__init__("Stokes", rows, cols,
                          np.concatenate([du.free, np.arange(2 * N + 1, 3 * N)]), xfix,
-                         symmetric_mode=True)
+                         LAG_RESIDUAL, symmetric_mode=True)
         # positions of the free pressure dofs' diagonal in Kff.data
         Kff, nv = self.Kff, len(du.free)
         col = np.repeat(np.arange(Kff.shape[1]), np.diff(Kff.indptr))
         self._pressure_diagonal = np.flatnonzero((Kff.indices == col) & (col >= nv))
+        self._eps = 0.0
         self.regularize = False
         # the source data, rewritten in place on every sweep: a temporary of
         # this size, made while the kept factorizations are alive, would
@@ -303,54 +410,25 @@ class _StokesSweeps(_Sweeps):
         src[na + nb:na + 2 * nb] = b
         src[na + 2 * nb:] = system.L2.data
         self.fill(src)
-        self.name = "regularized Stokes" if self.regularize else "Stokes"
+        self._eps = 1e-10 * max(1.0, a.max(initial=0.0), -a.min(initial=0.0))
         if self.regularize:
-            # without pressure stabilization the equal-order saddle matrix has
-            # spurious pressure modes (B^T z = 0): regularize only the pressure
-            # block to pick a representative; the velocity is unaffected
-            eps = 1e-10 * max(1.0, a.max(initial=0.0), -a.min(initial=0.0))
-            self.Kff.data[self._pressure_diagonal] += eps
+            self._regularize()
 
-    def solve(self, system, rhs: np.ndarray, exact: bool):
-        """(x, relative residual, the Stokes part of a ``SweepRecord``) of the
-        pinned system of ``system``; lagged when a factorization is kept and
-        ``exact`` is not set."""
-        self.fill_system(system)
-        b = self.free_rhs(rhs)
-        action, steps, factorizations = "factored", 0, 0
-        if self.lu is not None and not exact:
-            steps = LAG_STEPS
-            x = self.x.copy()
-            nb, r0, rn = self.correct(self.lu, b, x, LAG_STEPS)
-            # a non-finite iterate never reaches the acceptance residual
-            if rn <= min(LAG_CONTRACTION * r0, LAG_RESIDUAL * nb):
-                self.x = x
-                return self.full(x), (rn / nb if nb > 0 else 0.0), ("lagged", steps, 0)
-            action = "refactored"
-        # no reference to the old factorization may outlive this point: a new
-        # one made while it is alive raises the peak memory by its size
-        self.lu = None
-        while True:
-            try:
-                lu = self.factor()
-                factorizations += 1
-                x, res = self.solve_exact(lu, b)
-                break
-            except SolverError:
-                if self.regularize:
-                    raise
-            # the failed factorization dies before the regularized one is
-            # made, outside the except block, whose traceback would keep it
-            lu = None
-            self.regularize = True
-            action = "regularized"
-            warnings.warn("singular unstabilized saddle system; pressure block "
-                          "regularized to obtain a representative solution")
-            self.fill_system(system)
-        if self.ordering == "symmetric":
-            self.lu = lu
-        self.x = x
-        return self.full(x), res, (action, steps, factorizations)
+    def _regularize(self) -> None:
+        # without pressure stabilization the equal-order saddle matrix has
+        # spurious pressure modes (B^T z = 0): regularize only the pressure
+        # block to pick a representative; the velocity is unaffected
+        self.name = "regularized Stokes"
+        self.Kff.data[self._pressure_diagonal] += self._eps
+
+    def fall_back(self) -> bool:
+        if self.regularize:
+            return False
+        self.regularize = True
+        warnings.warn("singular unstabilized saddle system; pressure block "
+                      "regularized to obtain a representative solution")
+        self._regularize()
+        return True
 
 
 class _HeatSweeps(_Sweeps):
@@ -359,14 +437,11 @@ class _HeatSweeps(_Sweeps):
 
     def __init__(self, system):
         dphi = system.dirichlet_phi
-        super().__init__("temperature", *_csr_entries(system.A_TT), dphi.free, dphi.values)
+        super().__init__("temperature", *_csr_entries(system.A_TT), dphi.free, dphi.values,
+                         HEAT_LAG_RESIDUAL)
 
-    def solve(self, system):
-        """(phi, relative residual) of ``system``."""
+    def fill_system(self, system) -> None:
         self.fill((system.A_TT.data + system.C.data) + system.L3.data)
-        b = self.free_rhs(system.rhs_heat)
-        x, res = self.solve_exact(self.factor(), b)
-        return self.full(x), res
 
 
 def solve_stokes(system, sweeps: _StokesSweeps | None = None, exact: bool = True):
@@ -382,8 +457,7 @@ def solve_stokes(system, sweeps: _StokesSweeps | None = None, exact: bool = True
     pressure-regularized system; a failure there raises SolverError.
     ``sweeps`` carries the state of a Picard loop, which solves the system
     lagged unless ``exact`` is set; without it the solve is exact.
-    Returns (u, p, (stokes_lu, correction_steps, stokes_factorizations),
-    relative residual), the third being the Stokes part of a ``SweepRecord``.
+    Returns (u, p, SolveRecord).
     """
     if sweeps is None:
         sweeps = _StokesSweeps(system)
@@ -391,20 +465,26 @@ def solve_stokes(system, sweeps: _StokesSweeps | None = None, exact: bool = True
     omega = float(system.mean_row.sum())   # = sum of cell areas
     rhs = np.concatenate([system.rhs_momentum, np.zeros(N)])
     rhs[2 * N:] -= sweeps.lam * system.mean_row
-    x, res, record = sweeps.solve(system, rhs, exact)
+    sweeps.fill_system(system)
+    x, record = sweeps.solve(rhs, exact)
     u = x[:2 * N]
     p = x[2 * N:]
     p = p - (float(system.mean_row @ p) / omega)
-    return u, p, record, res
+    return u, p, record
 
 
-def solve_temperature(system, sweeps: _HeatSweeps | None = None):
+def solve_temperature(system, sweeps: _HeatSweeps | None = None, exact: bool = True):
     """Solve the stabilized transport equation for the temperature.
 
     The velocity iterate enters through the convection block of ``system``.
-    ``sweeps`` carries the state of a Picard loop.
+    ``sweeps`` carries the state of a Picard loop, which solves the system
+    lagged unless ``exact`` is set; without it the solve is exact.
+    Returns (phi, SolveRecord).
     """
-    return (sweeps or _HeatSweeps(system)).solve(system)
+    if sweeps is None:
+        sweeps = _HeatSweeps(system)
+    sweeps.fill_system(system)
+    return sweeps.solve(system.rhs_heat, exact)
 
 
 def velocity_norm(asm: Assembler, u: np.ndarray) -> float:
@@ -426,8 +506,8 @@ def picard_solve(spec: ProblemSpec, mops: MeshOps, tol: float = 1e-7, max_iter: 
 
     Returns (CoupledState, PicardReport).  Reaching ``max_iter`` yields a
     non-converged report rather than an exception; non-finite iterates raise
-    SolverError immediately.  Intermediate Stokes solves may be lagged (see
-    the module docstring); ``PicardReport.sweeps`` records each sweep.
+    SolverError immediately.  Intermediate solves may be lagged (see the
+    module docstring); ``PicardReport.sweeps`` records each sweep.
     """
     if initial not in ("zero", "stokes_first"):
         raise ValueError(f"unknown initial mode {initial!r}")
@@ -437,8 +517,10 @@ def picard_solve(spec: ProblemSpec, mops: MeshOps, tol: float = 1e-7, max_iter: 
     stokes = heat = None
     # with constant viscosity the Stokes system, its right-hand side and its
     # Dirichlet data do not depend on the iterate: solved once, on the first
-    # sweep (phi = 0), and reused by every later one
+    # sweep (phi = 0), and reused by every later one; with a constant
+    # conductivity too, the transport system depends on that velocity alone
     constant_viscosity = spec.viscosity.mu_min == spec.viscosity.mu_max
+    constant_conductivity = not isinstance(spec.conductivity, Conductivity)
     reused = None
     history: list[float] = []
     records: list[SweepRecord] = []
@@ -447,23 +529,33 @@ def picard_solve(spec: ProblemSpec, mops: MeshOps, tol: float = 1e-7, max_iter: 
     it = 0
     # sweep 0, the "stokes_first" start, precedes the counted sweeps
     for it in range(0 if initial == "stokes_first" else 1, max_iter + 1):
+        exact_sweep = exact or it == max_iter
+        assemble_s = 0.0
         if reused is None:
-            # a system rebuilt every sweep is freed before the transport solve;
-            # only its factorization is kept, for a lagged solve of the next one
+            t = time.perf_counter()
             system = asm.build_stokes(phi)
-            stokes = stokes or _StokesSweeps(system)
-            u_new, p_new, stokes_lu, res_s = solve_stokes(system, stokes,
-                                                          exact or it == max_iter)
+            assemble_s += time.perf_counter() - t
+            if stokes is None:
+                stokes = _StokesSweeps(system)
+            u_new, p_new, s = solve_stokes(system, stokes, exact_sweep)
+            # a system rebuilt every sweep is freed before the transport
+            # solve; only its factorization is kept
             system = None
             if constant_viscosity:
-                reused = u_new, p_new, ("reused", 0, 0), res_s
+                reused = u_new, p_new, SolveRecord("reused", 0, 0, s.residual)
         else:
-            u_new, p_new, stokes_lu, res_s = reused
-        # transport sees the freshly computed velocity
-        transport = asm.build_transport(u_new, phi)
-        heat = heat or _HeatSweeps(transport)
-        phi_new, res_h = solve_temperature(transport, heat)
-        transport = None
+            u_new, p_new, s = reused
+        if s.action == "reused" and constant_conductivity:
+            phi_new, h = phi, SolveRecord("reused", 0, 0, records[-1].heat_residual)
+        else:
+            # transport sees the freshly computed velocity
+            t = time.perf_counter()
+            transport = asm.build_transport(u_new, phi)
+            assemble_s += time.perf_counter() - t
+            if heat is None:
+                heat = stokes.release = _HeatSweeps(transport)
+            phi_new, h = solve_temperature(transport, heat, exact_sweep)
+            transport = None
         pn = max(_norm(p_new), 1e-12)  # guard the zero-pressure case
         pmean_rel = max(pmean_rel, abs(float(asm.mean_row @ p_new)) / pn)
         delta = None
@@ -472,11 +564,14 @@ def picard_solve(spec: ProblemSpec, mops: MeshOps, tol: float = 1e-7, max_iter: 
             if not np.isfinite(delta):
                 raise SolverError("non-finite Picard increment")
             history.append(delta)
-        records.append(SweepRecord(*stokes_lu, res_s, res_h, delta))
+        records.append(SweepRecord(s.action, s.steps, s.factorizations, s.residual,
+                                   h.action, h.steps, h.factorizations, h.residual, delta,
+                                   assemble_s, s.factor_s + h.factor_s))
         u, p, phi = u_new, p_new, phi_new
         if delta is None:
             continue
-        if delta <= tol and stokes_lu[0] != "lagged":
+        lagged = "lagged" in (s.action, h.action)
+        if delta <= tol and not lagged:
             converged = True
             break
         # the loop never stops on a lagged sweep: the next sweep is exact once

@@ -1223,7 +1223,7 @@ def reference_picard(spec, mops, tol: float = 1e-7, max_iter: int = 50,
     N = asm.N
 
     def sweep(u_in, phi_in):
-        u_new, p_new, _, _ = solver.solve_stokes(asm.build_stokes(phi_in))
+        u_new, p_new, _ = solver.solve_stokes(asm.build_stokes(phi_in))
         phi_new, _ = solver.solve_temperature(asm.build_transport(u_new, phi_in))
         return u_new, p_new, phi_new
 

@@ -26,7 +26,8 @@ def test_study_stdout_csv(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "h,E_u_H1,rate,E_u_L2,rate,E_p_L2,rate,E_phi_H1,rate,E_phi_L2,rate" in out
-    assert re.search(r"^# picard_iterations=\d+,\d+ stokes_factorizations=\d+,\d+ converged=",
+    assert re.search(r"^# picard_iterations=\d+,\d+ stokes_factorizations=\d+,\d+ "
+                     r"heat_factorizations=\d+,\d+ converged=",
                      out, re.M)
     saved = tmp_path / "ex1_distorted_square_k1.csv"
     assert saved.exists()
@@ -65,8 +66,9 @@ def test_solve_and_export(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "div_violation" in out
-    # constant viscosity: one Stokes system, factored once
-    assert " stokes_factorizations=1 " in out
+    # constant viscosity and conductivity: one Stokes and one transport
+    # system, each factored once
+    assert " stokes_factorizations=1 heat_factorizations=1 " in out
     assert (tmp_path / "fields.vtk").exists()
     assert (tmp_path / "fields.csv").exists()
     vtk = tmp_path / "out.vtk"

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -211,8 +213,8 @@ def test_failed_stokes_solve_falls_back_to_regularized_system(unstabilized_saddl
     with pytest.raises(solver.SolverError, match=r"^Stokes system: relative residual"):
         plain.solve_exact(lu, plain.free_rhs(rhs))
     with pytest.warns(UserWarning, match="pressure block regularized"):
-        u, p, _, res = solver.solve_stokes(system)
-    assert res <= solver.RESIDUAL_FLOOR
+        u, p, rec = solver.solve_stokes(system)
+    assert rec.action == "regularized" and rec.residual <= solver.RESIDUAL_FLOOR
     assert np.all(np.isfinite(u)) and np.all(np.isfinite(p))
 
 
@@ -238,10 +240,12 @@ def test_unstabilized_run_no_longer_fails_silently():
 
 
 def test_constant_viscosity_channel_factors_stokes_once(monkeypatch):
-    """ex4_mild (constant mu), triangles, k=1, h=1/8: the first sweep builds
-    and factors the Stokes system, and every later sweep reuses its solution;
-    the temperature system is factored every sweep.  The fields equal, bit for
-    bit, those of the reference loop, which solves Stokes on every sweep."""
+    """ex4_mild (constant mu and kappa), triangles, k=1, h=1/8: the first
+    sweep builds and factors the Stokes system, and every later sweep reuses
+    its solution; the transport system, which then depends on that velocity
+    alone, is factored on the first sweep too, and its solution is reused with
+    the velocity.  The fields equal, bit for bit, those of the reference loop,
+    which solves both systems on every sweep."""
     from lpsvem import benchmarks as bm
     orderings, splu = [], solver.splu
     builds, build_stokes = [], forms.Assembler.build_stokes
@@ -260,9 +264,11 @@ def test_constant_viscosity_channel_factors_stokes_once(monkeypatch):
     assert rep.converged
     assert len(builds) == 1 and not builds[0].any()
     assert orderings.count("MMD_AT_PLUS_A") == rep.stokes_factorizations == 1
+    assert orderings.count("COLAMD") == rep.heat_factorizations == 1
     # "stokes_first" adds one sweep before the counted ones
-    assert orderings.count("COLAMD") == rep.iterations + 1 == len(rep.sweeps)
-    assert [s.stokes_lu for s in rep.sweeps] == ["factored"] + ["reused"] * rep.iterations
+    assert len(rep.sweeps) == rep.iterations + 1
+    for lus in ([s.stokes_lu for s in rep.sweeps], [s.heat_lu for s in rep.sweeps]):
+        assert lus == ["factored"] + ["reused"] * rep.iterations
     ref, _ = reference_picard(spec, mops, initial="stokes_first")
     for name in ("u", "p", "phi"):
         assert np.array_equal(getattr(state, name), getattr(ref, name)), name
@@ -291,7 +297,7 @@ def test_zero_pressure_block_takes_colamd_and_regularized_answer(unstabilized_sa
     system, N = unstabilized_saddle
     assert _stokes_solver(system, regularize=False)[0].ordering == "colamd"
     with pytest.warns(UserWarning, match="pressure block regularized"):
-        u, p, _, _ = solver.solve_stokes(system)
+        u, p, _ = solver.solve_stokes(system)
     reg, _ = _stokes_solver(system, regularize=True)
     assert np.abs(p).max() < 1e3
     # the regularized system's velocity from a COLAMD factorization, with the
@@ -317,11 +323,11 @@ def test_singular_unstabilized_channel_reaches_symmetric_regularized_system():
         _stokes_solver(system, regularize=False)
     stokes = solver._StokesSweeps(system)
     with pytest.warns(UserWarning, match="pressure block regularized"):
-        _, _, (action, _, factorizations), _ = solver.solve_stokes(system, stokes)
-    assert stokes.regularize and action == "regularized"
+        _, _, rec = solver.solve_stokes(system, stokes)
+    assert stokes.regularize and rec.action == "regularized"
     # only a symmetric-mode factorization is kept; the singular plain one,
     # which raised, is not counted
-    assert stokes.lu is not None and factorizations == 1
+    assert stokes.lu is not None and rec.factorizations == 1
 
 
 def _assert_filled_like(Kff, shift, system, regularize=False):
@@ -367,7 +373,7 @@ def test_filled_systems_match_sparse_sum_reference(case_id, family, k, stab):
 
 def test_exactly_singular_symmetric_factorization_names_the_system():
     stokes = solver._Sweeps("Stokes", np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1]),
-                            np.arange(2), np.zeros(2), symmetric_mode=True)
+                            np.arange(2), np.zeros(2), solver.LAG_RESIDUAL, symmetric_mode=True)
     stokes.fill(np.ones(4))
     with pytest.raises(solver.SolverError, match=r"^Stokes system: singular factorization"):
         stokes.factor()
@@ -391,8 +397,8 @@ def test_temperature_solve_failures_name_the_system(monkeypatch):
         solver.solve_temperature(tiny)
     healthy = _transport(sps.diags([2.0, 3.0]).tocsr() + sps.csr_matrix(np.ones((2, 2))),
                          no_fixed, np.zeros(2), np.array([1.0, 0.3]))
-    phi, res = solver.solve_temperature(healthy)
-    assert res <= solver.RESIDUAL_FLOOR
+    phi, rec = solver.solve_temperature(healthy)
+    assert rec.action == "factored" and rec.residual <= solver.RESIDUAL_FLOOR
     monkeypatch.setattr(solver, "RESIDUAL_FLOOR", -1.0)
     with pytest.raises(solver.SolverError, match=r"^temperature system: relative residual"):
         solver.solve_temperature(healthy)
@@ -411,17 +417,20 @@ def ex3_coarse():
 
 
 def test_lagged_picard_matches_exact_reference(ex3_coarse):
-    """Lagged Stokes sweeps: 5 Stokes factorizations over 11 sweeps, the last
-    one factored.  Measured against the reference loop: fields within 7.2e-11
-    of their largest value, error norms within 1.3e-7 relative (e_phi_l2);
-    the bounds are about ten times that."""
+    """Lagged sweeps: 4 Stokes and 5 temperature factorizations over 11
+    sweeps, the last one factored.  Measured against the reference loop:
+    fields within 2.1e-11 of their largest value, error norms within 1.1e-8
+    relative (e_phi_l2); the bounds are 1e-9 and 1e-6."""
     from lpsvem.postprocess import compute_errors
     case, mesh, mops, spec, (ref, ref_history) = ex3_coarse
     state, rep = solver.picard_solve(spec, mops)
     assert rep.converged and len(rep.sweeps) == rep.iterations
     assert rep.stokes_factorizations < rep.iterations
+    assert rep.heat_factorizations < rep.iterations
     assert any(s.stokes_lu == "lagged" for s in rep.sweeps)
+    assert any(s.heat_lu == "lagged" for s in rep.sweeps)
     assert rep.sweeps[-1].stokes_lu in ("factored", "refactored")
+    assert rep.sweeps[-1].heat_lu in ("factored", "refactored")
     assert rep.stokes_residual == rep.sweeps[-1].stokes_residual <= 1e-12
     assert [s.increment for s in rep.sweeps] == rep.residual_history
     for name in ("u", "p", "phi"):
@@ -433,35 +442,71 @@ def test_lagged_picard_matches_exact_reference(ex3_coarse):
         assert abs(getattr(got, name) - getattr(want, name)) <= 1e-6 * getattr(want, name), name
 
 
+def test_sweep_records_time_assembly_and_factorization(ex3_coarse):
+    """Each sweep records its assembly time and the time of the factorizations
+    it made; the times take no part in comparisons or the repr."""
+    case, mesh, mops, spec, _ = ex3_coarse
+    _, rep = solver.picard_solve(spec, mops, max_iter=5)
+    for s in rep.sweeps:
+        assert s.assemble_s > 0.0
+        assert (s.factor_s > 0.0) == (s.stokes_factorizations + s.heat_factorizations > 0)
+    timed = rep.sweeps[0]
+    untimed = dataclasses.replace(timed, assemble_s=0.0, factor_s=0.0)
+    assert untimed == timed and repr(untimed) == repr(timed)
+
+
+def test_lagged_temperature_with_constant_viscosity_matches_reference(mesh5, mops5):
+    """Constant viscosity and a temperature-dependent conductivity: Stokes is
+    solved once and reused, the temperature system changes every sweep and is
+    solved lagged in between.  The fields match the reference loop, which
+    solves it exactly on every sweep."""
+    kappa = forms.Conductivity(func=lambda r: 1.0 + 0.5 * np.tanh(r), kappa_ref=1.0)
+    spec = make_spec(mesh5, 1, conductivity=kappa, bcs=_cold_walls(mesh5),
+                     heat_source=lambda x, y: 8.0 * np.ones_like(x),
+                     fixed_source=lambda x, y: np.stack([y - 0.5, 0.5 - x]))
+    state, rep = solver.picard_solve(spec, mops5)
+    ref, history = reference_picard(spec, mops5)
+    assert rep.converged and rep.stokes_factorizations == 1
+    assert any(s.heat_lu == "lagged" for s in rep.sweeps)
+    assert rep.heat_factorizations < rep.iterations
+    assert rep.sweeps[-1].heat_lu in ("factored", "refactored")
+    for name in ("u", "p", "phi"):
+        got, want = getattr(state, name), getattr(ref, name)
+        assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max(), name
+
+
 def test_rejected_lag_refactors(ex3_coarse, monkeypatch):
     """With a contraction no lagged solve can reach, every sweep after the
-    first drops the kept LU and factors its own system, which reproduces the
-    reference loop bit for bit."""
+    first ends its Stokes correction after one step, drops the kept LUs and
+    factors its own systems, which reproduces the reference loop bit for bit.
+    The temperature never lags: each Stokes factorization drops its LU."""
     case, mesh, mops, spec, (ref, ref_history) = ex3_coarse
     monkeypatch.setattr(solver, "LAG_CONTRACTION", 0.0)
     state, rep = solver.picard_solve(spec, mops)
     lus = [s.stokes_lu for s in rep.sweeps]
     # the last sweep, predicted to converge, factors without trying a lag
     assert lus == ["factored"] + ["refactored"] * (rep.iterations - 2) + ["factored"]
-    steps = [s.correction_steps for s in rep.sweeps]
-    assert steps == [0] + [solver.LAG_STEPS] * (rep.iterations - 2) + [0]
-    assert rep.stokes_factorizations == rep.iterations
+    steps = [s.stokes_steps for s in rep.sweeps]
+    assert steps == [0] + [1] * (rep.iterations - 2) + [0]
+    assert [(s.heat_lu, s.heat_steps) for s in rep.sweeps] == [("factored", 0)] * rep.iterations
+    assert rep.stokes_factorizations == rep.heat_factorizations == rep.iterations
     assert rep.residual_history == ref_history
     for name in ("u", "p", "phi"):
         assert np.array_equal(getattr(state, name), getattr(ref, name)), name
 
 
 def test_non_finite_lagged_correction_refactors(ex3_coarse, monkeypatch):
-    """A non-finite iterate never reaches the acceptance residual.  Every
-    Stokes LU solves NaN once the sweep that made it is over (a temperature
-    factorization ends each sweep), so every lagged correction comes back
-    NaN: each such sweep must record "refactored", and the run must equal,
-    bit for bit, one in which every lag is rejected."""
+    """A non-finite iterate never reaches the acceptance residual.  Every LU
+    solves NaN once the sweep that made it is over (the next sweep starts
+    with ``build_stokes``), so every lagged correction comes back NaN: each
+    such sweep must record "refactored", and the run must equal, bit for bit,
+    one in which every lag is rejected."""
     case, mesh, mops, spec, _ = ex3_coarse
     with monkeypatch.context() as m:
         m.setattr(solver, "LAG_CONTRACTION", 0.0)
         rejected, rejected_rep = solver.picard_solve(spec, mops)
-    real, last = solver.splu, []
+    real, made = solver.splu, []
+    build_stokes = forms.Assembler.build_stokes
 
     class Proxy:
         def __init__(self, lu):
@@ -472,16 +517,17 @@ def test_non_finite_lagged_correction_refactors(ex3_coarse, monkeypatch):
             return np.full_like(x, np.nan) if self.stale else x
 
     def proxy_splu(A, **kwargs):
-        lu = real(A, **kwargs)
-        if kwargs.get("permc_spec") != "MMD_AT_PLUS_A":
-            for stokes_lu in last:
-                stokes_lu.stale = True
-            return lu
-        last[:] = [Proxy(lu)]
-        return last[0]
+        made.append(Proxy(real(A, **kwargs)))
+        return made[-1]
+
+    def next_sweep(self, phi):
+        for lu in made:
+            lu.stale = True
+        return build_stokes(self, phi)
     monkeypatch.setattr(solver, "splu", proxy_splu)
+    monkeypatch.setattr(forms.Assembler, "build_stokes", next_sweep)
     state, rep = solver.picard_solve(spec, mops)
-    lus = [s.stokes_lu for s in rep.sweeps]
+    lus = [s.stokes_lu for s in rep.sweeps] + [s.heat_lu for s in rep.sweeps]
     assert "refactored" in lus and "lagged" not in lus
     assert rep.sweeps == rejected_rep.sweeps
     for name in ("u", "p", "phi"):
@@ -489,13 +535,15 @@ def test_non_finite_lagged_correction_refactors(ex3_coarse, monkeypatch):
 
 
 def test_no_earlier_stokes_factorization_alive_when_factoring(ex3_coarse, monkeypatch):
-    """Peak memory stays flat only if the loop drops its old Stokes LU before
-    it factors again.  SuperLU objects take no weak references, so splu hands
-    out proxies, and each Stokes factorization counts the earlier Stokes
-    proxies still alive: there must be none."""
+    """Peak memory stays flat only if the loop drops its old LUs before it
+    factors again: no earlier Stokes or temperature LU may be alive when
+    Stokes factors, and no earlier temperature LU when the temperature
+    factors.  SuperLU objects take no weak references, so splu hands out
+    proxies, and each factorization counts the earlier proxies still alive:
+    there must be none."""
     import weakref
     case, mesh, mops, spec, _ = ex3_coarse
-    real, stokes_lus, alive = solver.splu, [], []
+    real, made, alive = solver.splu, {"stokes": [], "heat": []}, []
 
     class Proxy:
         def __init__(self, lu):
@@ -505,18 +553,36 @@ def test_no_earlier_stokes_factorization_alive_when_factoring(ex3_coarse, monkey
             return self.lu.solve(b)
 
     def proxy_splu(A, **kwargs):
-        stokes = kwargs.get("permc_spec") == "MMD_AT_PLUS_A"
-        if stokes:
-            alive.append(sum(ref() is not None for ref in stokes_lus))
+        system = "stokes" if kwargs.get("permc_spec") == "MMD_AT_PLUS_A" else "heat"
+        watched = made["heat"] + (made["stokes"] if system == "stokes" else [])
+        alive.append(sum(ref() is not None for ref in watched))
         lu = Proxy(real(A, **kwargs))
-        if stokes:
-            stokes_lus.append(weakref.ref(lu))
+        made[system].append(weakref.ref(lu))
         return lu
     monkeypatch.setattr(solver, "splu", proxy_splu)
     _, rep = solver.picard_solve(spec, mops)
     assert any(s.stokes_lu == "refactored" for s in rep.sweeps)
-    assert len(alive) == rep.stokes_factorizations > 2
+    assert any(s.heat_lu == "lagged" for s in rep.sweeps)
+    assert len(made["stokes"]) == rep.stokes_factorizations > 2
+    assert len(made["heat"]) == rep.heat_factorizations > 2
     assert alive == [0] * len(alive)
+
+
+def test_lagged_solve_with_zero_rhs_is_not_taken_as_converged():
+    """A zero right-hand side and a nonzero start: the lagged correction
+    leaves a small nonzero residual, which is no relative residual at or
+    below the acceptance one, so the system is factored again and solved
+    exactly (x = 0)."""
+    heat = solver._Sweeps("temperature", np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1]),
+                          np.arange(2), np.zeros(2), solver.HEAT_LAG_RESIDUAL)
+    heat.fill(np.array([2.0, 1.0, 1.0, 3.0]))
+    x, rec = heat.solve(np.zeros(2), exact=True)
+    assert rec.action == "factored" and not x.any() and heat.lu is not None
+    heat.x = np.array([1.0, -1.0])
+    heat.fill(np.array([2.2, 1.0, 1.0, 3.0]))
+    x, rec = heat.solve(np.zeros(2), exact=False)
+    assert (rec.action, rec.steps) == ("refactored", solver.LAG_STEPS)
+    assert not x.any() and rec.residual == 0.0
 
 
 def test_unstabilized_nonconstant_run_warns_once():

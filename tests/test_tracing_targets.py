@@ -58,26 +58,27 @@ def tracer(monkeypatch):
 def test_traced_factorizations_match_solver_counts(tracer):
     """A wrapper that stopped seeing ``splu`` would make
     ``solver.factorizations`` read low.  On a small Picard point with a
-    temperature-dependent viscosity (ex3, k=2, h=1/4, where Stokes sweeps are
-    lagged), the tracer must count the Stokes factorizations the solver
-    reports plus one temperature factorization per sweep."""
+    temperature-dependent viscosity (ex3, k=2, h=1/4, where both systems
+    are lagged on some sweeps), the tracer must count the Stokes and the
+    temperature factorizations the sweep records report."""
     from lpsvem import benchmarks as bm
     rec, _, _ = bm.run_point(bm.make_case("ex3"), "distorted_square", 2, 1 / 4)
     assert rec.converged and 0 < rec.stokes_factorizations < rec.iterations
+    assert 0 < rec.heat_factorizations < rec.iterations
     counts = tracer.layer_metrics()
     assert counts["solver.picard_iterations"] == rec.iterations
-    assert counts["solver.factorizations"] == rec.stokes_factorizations + rec.iterations
+    assert counts["solver.factorizations"] == rec.stokes_factorizations + rec.heat_factorizations
 
 
 def test_traced_constant_viscosity_point(tracer):
-    """ex4_mild (constant mu, triangles, k=1, h=1/4): Stokes is built and
-    solved on the first sweep only, and the Stokes-first sweep that precedes
-    the counted ones factors its temperature system too."""
+    """ex4_mild (constant mu and kappa, triangles, k=1, h=1/4): both systems
+    are built and factored on the Stokes-first sweep that precedes the
+    counted ones, and every later sweep reuses their solutions."""
     from lpsvem import benchmarks as bm
     rec, _, _ = bm.run_point(bm.make_case("ex4_mild"), "triangular", 1, 1 / 4)
-    assert rec.converged and rec.stokes_factorizations == 1
+    assert rec.converged and rec.stokes_factorizations == rec.heat_factorizations == 1
     counts = tracer.layer_metrics()
     assert counts["solver.picard_iterations"] == rec.iterations
-    assert counts["solver.factorizations"] == rec.stokes_factorizations + rec.iterations + 1
+    assert counts["solver.factorizations"] == rec.stokes_factorizations + rec.heat_factorizations
     assert counts["forms.stokes_nnz"] > 0
     assert counts["solver.stokes_solve_s"] > 0.0
