@@ -47,7 +47,6 @@ class BenchmarkCase:
     orders: list[int]
     h_list: list[float]
     convection_form: str = "skew"
-    initial: str = "zero"
     phi_reference: object | None = None    # for dof-point extremes (ex4: 1.0)
     bc_builder: object | None = None       # mesh -> {marker: BoundaryCondition}
 
@@ -125,8 +124,7 @@ def make_case(case_id: str, kappa: float | None = None) -> BenchmarkCase:
             viscosity=Viscosity.constant(mu_c), conductivity=kap_c,
             mesh_families=["triangular"], orders=[1] if mild else [2],
             h_list=[1 / 4, 1 / 8, 1 / 16, 1 / 32] if mild else [1 / 4, 1 / 8, 1 / 16],
-            convection_form="convective", initial="stokes_first",
-            phi_reference=1.0, bc_builder=bc_builder)
+            convection_form="convective", phi_reference=1.0, bc_builder=bc_builder)
     raise ConfigurationError(f"unknown case {case_id!r} (one of {CASE_IDS})")
 
 
@@ -157,8 +155,7 @@ def run_point(case: BenchmarkCase, family: str, k: int, h: float, *,
     mesh = generate_mesh(family, case.domain, h, seed=seed)
     mops = build_mesh_ops(mesh, k)
     spec = case.problem_spec(mesh, k, c1=c1, c2=c2, c3=c3)
-    state, report = picard_solve(spec, mops, tol=tol, max_iter=max_iter,
-                                 initial=case.initial)
+    state, report = picard_solve(spec, mops, tol=tol, max_iter=max_iter)
     exact = case.fields.exact() if case.fields is not None else None
     errors = compute_errors(state, exact, mops, phi_reference=case.phi_reference)
     rec = ConvergenceRecord(

@@ -24,10 +24,14 @@ _DOMAINS = {
 
 
 def _parse_h(text: str) -> float:
-    if "/" in text:
-        num, den = text.split("/", 1)
-        return float(num) / float(den)
-    return float(text)
+    """A mesh size given as a number or a fraction; ValueError names ``text``."""
+    try:
+        if "/" in text:
+            num, den = text.split("/", 1)
+            return float(num) / float(den)
+        return float(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"invalid mesh size {text!r}") from None
 
 
 def _parse_h_list(text: str) -> list[float]:

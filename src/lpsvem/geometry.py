@@ -332,7 +332,7 @@ class PolyMesh:
         """Mesh size: the largest cell diameter."""
         return max(float(g.diameter.max()) for g in self.cell_groups)
 
-    def validate(self, expected_area: float | None = None):
+    def validate(self):
         """Check the mesh invariants; raises GeometryError on violation.
 
         Building the cell groups checks every cell (positive area, edges that
@@ -343,7 +343,7 @@ class PolyMesh:
             raise GeometryError("a boundary edge carries more than one marker")
         if not np.array_equal(np.unique(marked), self.boundary_edge_ids()):
             raise GeometryError("boundary markers do not cover the boundary edges")
-        area = expected_area if expected_area is not None else self.domain_area
+        area = self.domain_area
         if area is not None:
             rel = abs(sum(g.area.sum() for g in groups) - area) / area
             if rel > 1e-10:
@@ -599,8 +599,8 @@ def generate_mesh(family: str, domain, h_target: float, seed: int = 42) -> PolyM
     (family, domain, h_target, seed); results are memoized and must be treated
     as read-only.
     """
-    if h_target <= 0:
-        raise GeometryError(f"h_target must be positive, got {h_target}")
+    if not 0 < h_target < np.inf:
+        raise GeometryError(f"h_target must be positive and finite, got {h_target}")
     if family not in _GENERATORS:
         raise GeometryError(f"unknown mesh family {family!r}")
     key = (family, domain, float(h_target), seed)

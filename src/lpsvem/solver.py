@@ -2,8 +2,9 @@
 
 One Picard sweep freezes the temperature, solves the stabilized Stokes saddle
 problem (with a scalar multiplier enforcing the zero pressure mean), then
-solves the stabilized transport equation with the new velocity.  Sweeps stop
-when the energy-surrogate norm of the combined increment drops below ``tol``.
+solves the stabilized transport equation with the new velocity.  The first
+sweep starts from zero fields, every sweep is counted, and sweeps stop when
+the energy-surrogate norm of the combined increment drops below ``tol``.
 With constant viscosity the Stokes system does not depend on the iterate: the
 first sweep solves it, and every later sweep reuses that solution; with a
 constant conductivity as well, the transport system is then the same too,
@@ -33,8 +34,8 @@ a Stokes factorization the kept temperature factorization is dropped too, so
 at most one factorization of each system is alive when either is made.
 
 Each solve returns what it did, a ``SolveRecord``; the sweep's
-``SweepRecord`` joins the two, and the loop's ``PicardReport`` derives its
-totals from the records.
+``SweepRecord`` holds the two and its increment, and the loop's
+``PicardReport`` is the list of sweeps that its counts are read off.
 """
 from __future__ import annotations
 
@@ -70,60 +71,63 @@ class SolveRecord:
     of an identical system); ``steps`` counts the lagged correction steps
     taken and ``factorizations`` the factorizations made (a "regularized"
     solve makes 2 when the plain system was factored and its solve failed, 1
-    when its factorization failed); ``factor_s`` is their time."""
+    when its factorization failed); ``factor_s`` is their time, which takes
+    no part in comparisons or the repr."""
     action: str
     steps: int
     factorizations: int
     residual: float
-    factor_s: float = 0.0
+    factor_s: float = field(default=0.0, compare=False, repr=False)
 
 
 @dataclass
 class SweepRecord:
     """One Picard sweep: how its Stokes and its temperature systems were
-    solved (see ``SolveRecord``), its increment, None for the Stokes-first
-    sweep that precedes the counted ones, and the time it spent assembling
-    (``build_stokes`` and ``build_transport``) and factoring.  The times take
-    no part in comparisons or the repr."""
-    stokes_lu: str
-    stokes_steps: int
-    stokes_factorizations: int
-    stokes_residual: float
-    heat_lu: str
-    heat_steps: int
-    heat_factorizations: int
-    heat_residual: float
-    increment: float | None = None
+    solved, the energy-surrogate norm of its increment, and the time it spent
+    assembling (``build_stokes`` and ``build_transport``), which takes no
+    part in comparisons or the repr."""
+    stokes: SolveRecord
+    heat: SolveRecord
+    increment: float
     assemble_s: float = field(default=0.0, compare=False, repr=False)
-    factor_s: float = field(default=0.0, compare=False, repr=False)
+
+    @property
+    def factor_s(self) -> float:
+        return self.stokes.factor_s + self.heat.factor_s
 
 
 @dataclass
 class PicardReport:
-    """``stokes_residual`` and ``heat_residual`` are those of the last sweep,
-    ``stokes_factorizations`` and ``heat_factorizations`` the sums over the
-    sweeps; all read 0 when no sweep ran."""
-    iterations: int
-    residual_history: list[float]
+    """The sweeps of a Picard loop; ``iterations``, the increments
+    ``residual_history`` and the factorization sums are read off them, the
+    residuals off the last sweep (0 when no sweep ran)."""
     converged: bool
     pressure_mean_rel: float
     sweeps: list[SweepRecord]
 
     @property
+    def iterations(self) -> int:
+        return len(self.sweeps)
+
+    @property
+    def residual_history(self) -> list[float]:
+        return [s.increment for s in self.sweeps]
+
+    @property
     def stokes_residual(self) -> float:
-        return self.sweeps[-1].stokes_residual if self.sweeps else 0.0
+        return self.sweeps[-1].stokes.residual if self.sweeps else 0.0
 
     @property
     def heat_residual(self) -> float:
-        return self.sweeps[-1].heat_residual if self.sweeps else 0.0
+        return self.sweeps[-1].heat.residual if self.sweeps else 0.0
 
     @property
     def stokes_factorizations(self) -> int:
-        return sum(s.stokes_factorizations for s in self.sweeps)
+        return sum(s.stokes.factorizations for s in self.sweeps)
 
     @property
     def heat_factorizations(self) -> int:
-        return sum(s.heat_factorizations for s in self.sweeps)
+        return sum(s.heat.factorizations for s in self.sweeps)
 
 
 # A solve whose final relative residual lies above this floor has failed: a
@@ -500,38 +504,35 @@ def temperature_norm(asm: Assembler, phi: np.ndarray) -> float:
     return np.sqrt(max(v, 0.0))
 
 
-def picard_solve(spec: ProblemSpec, mops: MeshOps, tol: float = 1e-7, max_iter: int = 50,
-                 initial: str = "zero"):
-    """Fixed-point iteration on the decoupled Stokes/temperature solves.
+def picard_solve(spec: ProblemSpec, mops: MeshOps, tol: float = 1e-7, max_iter: int = 50):
+    """Fixed-point iteration on the decoupled Stokes/temperature solves,
+    started from zero fields.
 
     Returns (CoupledState, PicardReport).  Reaching ``max_iter`` yields a
     non-converged report rather than an exception; non-finite iterates raise
     SolverError immediately.  Intermediate solves may be lagged (see the
     module docstring); ``PicardReport.sweeps`` records each sweep.
     """
-    if initial not in ("zero", "stokes_first"):
-        raise ValueError(f"unknown initial mode {initial!r}")
     asm = Assembler(mops, spec)
     N = asm.N
     u, p, phi = np.zeros(2 * N), np.zeros(N), np.zeros(N)
     stokes = heat = None
     # with constant viscosity the Stokes system, its right-hand side and its
-    # Dirichlet data do not depend on the iterate: solved once, on the first
-    # sweep (phi = 0), and reused by every later one; with a constant
-    # conductivity too, the transport system depends on that velocity alone
-    constant_viscosity = spec.viscosity.mu_min == spec.viscosity.mu_max
-    constant_conductivity = not isinstance(spec.conductivity, Conductivity)
-    reused = None
-    history: list[float] = []
+    # Dirichlet data do not depend on the iterate: once a sweep has run, u and
+    # p are reused; with a constant conductivity too, the transport system
+    # depends on that velocity alone, and phi is reused as well
+    reuse_up = spec.viscosity.mu_min == spec.viscosity.mu_max
+    reuse_phi = reuse_up and not isinstance(spec.conductivity, Conductivity)
     records: list[SweepRecord] = []
     pmean_rel = 0.0
     converged = exact = False
-    it = 0
-    # sweep 0, the "stokes_first" start, precedes the counted sweeps
-    for it in range(0 if initial == "stokes_first" else 1, max_iter + 1):
+    for it in range(1, max_iter + 1):
         exact_sweep = exact or it == max_iter
         assemble_s = 0.0
-        if reused is None:
+        if reuse_up and it > 1:
+            u_new, p_new = u, p
+            s = SolveRecord("reused", 0, 0, records[-1].stokes.residual)
+        else:
             t = time.perf_counter()
             system = asm.build_stokes(phi)
             assemble_s += time.perf_counter() - t
@@ -541,12 +542,8 @@ def picard_solve(spec: ProblemSpec, mops: MeshOps, tol: float = 1e-7, max_iter: 
             # a system rebuilt every sweep is freed before the transport
             # solve; only its factorization is kept
             system = None
-            if constant_viscosity:
-                reused = u_new, p_new, SolveRecord("reused", 0, 0, s.residual)
-        else:
-            u_new, p_new, s = reused
-        if s.action == "reused" and constant_conductivity:
-            phi_new, h = phi, SolveRecord("reused", 0, 0, records[-1].heat_residual)
+        if reuse_phi and it > 1:
+            phi_new, h = phi, SolveRecord("reused", 0, 0, records[-1].heat.residual)
         else:
             # transport sees the freshly computed velocity
             t = time.perf_counter()
@@ -558,26 +555,17 @@ def picard_solve(spec: ProblemSpec, mops: MeshOps, tol: float = 1e-7, max_iter: 
             transport = None
         pn = max(_norm(p_new), 1e-12)  # guard the zero-pressure case
         pmean_rel = max(pmean_rel, abs(float(asm.mean_row @ p_new)) / pn)
-        delta = None
-        if it > 0:
-            delta = float(temperature_norm(asm, phi_new - phi) + velocity_norm(asm, u_new - u))
-            if not np.isfinite(delta):
-                raise SolverError("non-finite Picard increment")
-            history.append(delta)
-        records.append(SweepRecord(s.action, s.steps, s.factorizations, s.residual,
-                                   h.action, h.steps, h.factorizations, h.residual, delta,
-                                   assemble_s, s.factor_s + h.factor_s))
+        delta = float(temperature_norm(asm, phi_new - phi) + velocity_norm(asm, u_new - u))
+        if not np.isfinite(delta):
+            raise SolverError("non-finite Picard increment")
+        records.append(SweepRecord(s, h, delta, assemble_s))
         u, p, phi = u_new, p_new, phi_new
-        if delta is None:
-            continue
-        lagged = "lagged" in (s.action, h.action)
-        if delta <= tol and not lagged:
+        if delta <= tol and "lagged" not in (s.action, h.action):
             converged = True
             break
         # the loop never stops on a lagged sweep: the next sweep is exact once
         # this one met tol, or once the last contraction predicts it will
-        exact = delta <= tol or (it > 1 and delta * delta <= tol * history[-2])
+        exact = delta <= tol or (it > 1 and delta * delta <= tol * records[-2].increment)
 
-    report = PicardReport(iterations=it, residual_history=history, converged=converged,
-                          pressure_mean_rel=pmean_rel, sweeps=records)
+    report = PicardReport(converged=converged, pressure_mean_rel=pmean_rel, sweeps=records)
     return CoupledState(u=u, p=p, phi=phi), report

@@ -1213,12 +1213,11 @@ def reference_eliminated(system, regularize: bool = False):
     return K[free][:, free].tocsc(), (K @ xfix)[free]
 
 
-def reference_picard(spec, mops, tol: float = 1e-7, max_iter: int = 50,
-                     initial: str = "zero"):
-    """The Picard loop with an exact Stokes solve on every sweep: each sweep
-    calls ``solve_stokes`` without loop state, so it factors its own system
-    (and falls back to the regularized one on its own).  Returns
-    (CoupledState, increment history)."""
+def reference_picard(spec, mops, tol: float = 1e-7, max_iter: int = 50):
+    """The Picard loop from zero fields with an exact Stokes solve on every
+    sweep: each sweep calls ``solve_stokes`` without loop state, so it
+    factors its own system (and falls back to the regularized one on its
+    own).  Returns (CoupledState, increment history)."""
     asm = forms.Assembler(mops, spec)
     N = asm.N
 
@@ -1228,8 +1227,6 @@ def reference_picard(spec, mops, tol: float = 1e-7, max_iter: int = 50,
         return u_new, p_new, phi_new
 
     u, p, phi = np.zeros(2 * N), np.zeros(N), np.zeros(N)
-    if initial == "stokes_first":
-        u, p, phi = sweep(u, phi)
     history = []
     for _ in range(max_iter):
         u_new, p_new, phi_new = sweep(u, phi)

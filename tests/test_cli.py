@@ -19,6 +19,20 @@ def test_mesh_gen_roundtrip(tmp_path, capsys):
     assert mesh.n_cells > 10
 
 
+@pytest.mark.parametrize("h, message", [
+    ("1/0", "invalid mesh size '1/0'"),
+    ("inf", "h_target must be positive and finite, got inf"),
+    ("nan", "h_target must be positive and finite, got nan")])
+@pytest.mark.parametrize("command", ["mesh", "solve"])
+def test_bad_mesh_size_exits_2(tmp_path, capsys, command, h, message):
+    out = tmp_path / "mesh.json"
+    args = (["mesh", "gen", "--family", "voronoi", "--out", str(out)] if command == "mesh"
+            else ["solve", "--case", "ex4_mild"])
+    assert main(args + ["--h", h]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_study_stdout_csv(tmp_path, capsys):
     code = main(["study", "--case", "ex1", "--order", "1",
                  "--mesh-family", "distorted_square", "--h-list", "1/5,1/10",

@@ -198,6 +198,9 @@ def test_generate_mesh_rejects_bad_h():
         generate_mesh("uniform_square", UNIT_SQUARE, 0.0)
     with pytest.raises(GeometryError):
         generate_mesh("uniform_square", UNIT_SQUARE, -1.0)
+    for h in (np.inf, np.nan):
+        with pytest.raises(GeometryError, match="positive and finite"):
+            generate_mesh("uniform_square", UNIT_SQUARE, h)
 
 
 @pytest.mark.parametrize("family", ["voronoi", "distorted_square", "nonconvex"])

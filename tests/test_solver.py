@@ -102,7 +102,7 @@ def test_max_iter_reached_reports_not_raises(mesh5, mops5):
     assert rep.iterations == 3
     assert len(rep.residual_history) == 3
     # no run ends on a lagged Stokes solve, a non-converged one neither
-    assert [s.stokes_lu for s in rep.sweeps] == ["factored", "lagged", "factored"]
+    assert [s.stokes.action for s in rep.sweeps] == ["factored", "lagged", "factored"]
 
 
 def test_report_without_sweeps_reads_zero(mesh5, mops5):
@@ -244,8 +244,8 @@ def test_constant_viscosity_channel_factors_stokes_once(monkeypatch):
     sweep builds and factors the Stokes system, and every later sweep reuses
     its solution; the transport system, which then depends on that velocity
     alone, is factored on the first sweep too, and its solution is reused with
-    the velocity.  The fields equal, bit for bit, those of the reference loop,
-    which solves both systems on every sweep."""
+    the velocity.  The fields and the increments equal, bit for bit, those of
+    the reference loop, which solves both systems on every sweep."""
     from lpsvem import benchmarks as bm
     orderings, splu = [], solver.splu
     builds, build_stokes = [], forms.Assembler.build_stokes
@@ -260,16 +260,16 @@ def test_constant_viscosity_channel_factors_stokes_once(monkeypatch):
     mesh = generate_mesh("triangular", case.domain, 1 / 8)
     mops = eo.build_mesh_ops(mesh, 1)
     spec = case.problem_spec(mesh, 1)
-    state, rep = solver.picard_solve(spec, mops, initial=case.initial)
+    state, rep = solver.picard_solve(spec, mops)
     assert rep.converged
     assert len(builds) == 1 and not builds[0].any()
     assert orderings.count("MMD_AT_PLUS_A") == rep.stokes_factorizations == 1
     assert orderings.count("COLAMD") == rep.heat_factorizations == 1
-    # "stokes_first" adds one sweep before the counted ones
-    assert len(rep.sweeps) == rep.iterations + 1
-    for lus in ([s.stokes_lu for s in rep.sweeps], [s.heat_lu for s in rep.sweeps]):
-        assert lus == ["factored"] + ["reused"] * rep.iterations
-    ref, _ = reference_picard(spec, mops, initial="stokes_first")
+    assert len(rep.sweeps) == rep.iterations
+    for lus in ([s.stokes.action for s in rep.sweeps], [s.heat.action for s in rep.sweeps]):
+        assert lus == ["factored"] + ["reused"] * (rep.iterations - 1)
+    ref, history = reference_picard(spec, mops)
+    assert rep.residual_history == history
     for name in ("u", "p", "phi"):
         assert np.array_equal(getattr(state, name), getattr(ref, name)), name
 
@@ -427,11 +427,11 @@ def test_lagged_picard_matches_exact_reference(ex3_coarse):
     assert rep.converged and len(rep.sweeps) == rep.iterations
     assert rep.stokes_factorizations < rep.iterations
     assert rep.heat_factorizations < rep.iterations
-    assert any(s.stokes_lu == "lagged" for s in rep.sweeps)
-    assert any(s.heat_lu == "lagged" for s in rep.sweeps)
-    assert rep.sweeps[-1].stokes_lu in ("factored", "refactored")
-    assert rep.sweeps[-1].heat_lu in ("factored", "refactored")
-    assert rep.stokes_residual == rep.sweeps[-1].stokes_residual <= 1e-12
+    assert any(s.stokes.action == "lagged" for s in rep.sweeps)
+    assert any(s.heat.action == "lagged" for s in rep.sweeps)
+    assert rep.sweeps[-1].stokes.action in ("factored", "refactored")
+    assert rep.sweeps[-1].heat.action in ("factored", "refactored")
+    assert rep.stokes_residual == rep.sweeps[-1].stokes.residual <= 1e-12
     assert [s.increment for s in rep.sweeps] == rep.residual_history
     for name in ("u", "p", "phi"):
         got, want = getattr(state, name), getattr(ref, name)
@@ -449,9 +449,12 @@ def test_sweep_records_time_assembly_and_factorization(ex3_coarse):
     _, rep = solver.picard_solve(spec, mops, max_iter=5)
     for s in rep.sweeps:
         assert s.assemble_s > 0.0
-        assert (s.factor_s > 0.0) == (s.stokes_factorizations + s.heat_factorizations > 0)
+        assert (s.factor_s > 0.0) == (s.stokes.factorizations + s.heat.factorizations > 0)
     timed = rep.sweeps[0]
-    untimed = dataclasses.replace(timed, assemble_s=0.0, factor_s=0.0)
+    untimed = dataclasses.replace(
+        timed, stokes=dataclasses.replace(timed.stokes, factor_s=0.0),
+        heat=dataclasses.replace(timed.heat, factor_s=0.0), assemble_s=0.0)
+    assert timed.factor_s > 0.0 and untimed.factor_s == 0.0
     assert untimed == timed and repr(untimed) == repr(timed)
 
 
@@ -467,9 +470,9 @@ def test_lagged_temperature_with_constant_viscosity_matches_reference(mesh5, mop
     state, rep = solver.picard_solve(spec, mops5)
     ref, history = reference_picard(spec, mops5)
     assert rep.converged and rep.stokes_factorizations == 1
-    assert any(s.heat_lu == "lagged" for s in rep.sweeps)
+    assert any(s.heat.action == "lagged" for s in rep.sweeps)
     assert rep.heat_factorizations < rep.iterations
-    assert rep.sweeps[-1].heat_lu in ("factored", "refactored")
+    assert rep.sweeps[-1].heat.action in ("factored", "refactored")
     for name in ("u", "p", "phi"):
         got, want = getattr(state, name), getattr(ref, name)
         assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max(), name
@@ -483,12 +486,12 @@ def test_rejected_lag_refactors(ex3_coarse, monkeypatch):
     case, mesh, mops, spec, (ref, ref_history) = ex3_coarse
     monkeypatch.setattr(solver, "LAG_CONTRACTION", 0.0)
     state, rep = solver.picard_solve(spec, mops)
-    lus = [s.stokes_lu for s in rep.sweeps]
+    lus = [s.stokes.action for s in rep.sweeps]
     # the last sweep, predicted to converge, factors without trying a lag
     assert lus == ["factored"] + ["refactored"] * (rep.iterations - 2) + ["factored"]
-    steps = [s.stokes_steps for s in rep.sweeps]
+    steps = [s.stokes.steps for s in rep.sweeps]
     assert steps == [0] + [1] * (rep.iterations - 2) + [0]
-    assert [(s.heat_lu, s.heat_steps) for s in rep.sweeps] == [("factored", 0)] * rep.iterations
+    assert [(s.heat.action, s.heat.steps) for s in rep.sweeps] == [("factored", 0)] * rep.iterations
     assert rep.stokes_factorizations == rep.heat_factorizations == rep.iterations
     assert rep.residual_history == ref_history
     for name in ("u", "p", "phi"):
@@ -527,7 +530,7 @@ def test_non_finite_lagged_correction_refactors(ex3_coarse, monkeypatch):
     monkeypatch.setattr(solver, "splu", proxy_splu)
     monkeypatch.setattr(forms.Assembler, "build_stokes", next_sweep)
     state, rep = solver.picard_solve(spec, mops)
-    lus = [s.stokes_lu for s in rep.sweeps] + [s.heat_lu for s in rep.sweeps]
+    lus = [s.stokes.action for s in rep.sweeps] + [s.heat.action for s in rep.sweeps]
     assert "refactored" in lus and "lagged" not in lus
     assert rep.sweeps == rejected_rep.sweeps
     for name in ("u", "p", "phi"):
@@ -561,8 +564,8 @@ def test_no_earlier_stokes_factorization_alive_when_factoring(ex3_coarse, monkey
         return lu
     monkeypatch.setattr(solver, "splu", proxy_splu)
     _, rep = solver.picard_solve(spec, mops)
-    assert any(s.stokes_lu == "refactored" for s in rep.sweeps)
-    assert any(s.heat_lu == "lagged" for s in rep.sweeps)
+    assert any(s.stokes.action == "refactored" for s in rep.sweeps)
+    assert any(s.heat.action == "lagged" for s in rep.sweeps)
     assert len(made["stokes"]) == rep.stokes_factorizations > 2
     assert len(made["heat"]) == rep.heat_factorizations > 2
     assert alive == [0] * len(alive)
@@ -599,16 +602,41 @@ def test_unstabilized_nonconstant_run_warns_once():
     spec = case.problem_spec(mesh, 2, c1=0.0, c2=0.0, c3=0.0)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        _, rep = solver.picard_solve(spec, mops, initial=case.initial)
+        _, rep = solver.picard_solve(spec, mops)
     assert rep.converged
     assert ["pressure block regularized" in str(w.message) for w in caught] == [True]
-    lus = [s.stokes_lu for s in rep.sweeps]
+    lus = [s.stokes.action for s in rep.sweeps]
     assert lus[0] == "regularized" and "regularized" not in lus[1:]
     # the plain COLAMD factorization succeeded and its solve failed: the
     # regularized sweep made two factorizations
-    assert rep.sweeps[0].stokes_factorizations == 2
-    assert rep.stokes_factorizations == sum(s.stokes_factorizations for s in rep.sweeps)
+    assert rep.sweeps[0].stokes.factorizations == 2
+    assert rep.stokes_factorizations == sum(s.stokes.factorizations for s in rep.sweeps)
     assert rep.stokes_factorizations <= len(rep.sweeps) + 1
+
+
+def test_colamd_stokes_factorization_is_never_kept(monkeypatch):
+    """ex2_convective without stabilization, distorted squares, k=1, h=1/8:
+    the zero pressure block sends every plain saddle to COLAMD, whose solve
+    succeeds.  That factorization is not kept, so no sweep may solve Stokes
+    lagged: all three sweeps factor.  (A loop that kept it would run
+    factored, lagged, lagged, factored.)"""
+    import warnings
+    from lpsvem import benchmarks as bm
+    orderings, splu = [], solver.splu
+
+    def counting(*args, **kwargs):
+        orderings.append(kwargs.get("permc_spec", "COLAMD"))
+        return splu(*args, **kwargs)
+    monkeypatch.setattr(solver, "splu", counting)
+    case = bm.make_case("ex2_convective")
+    mesh = generate_mesh("distorted_square", case.domain, 1 / 8)
+    spec = case.problem_spec(mesh, 1, c1=0.0, c2=0.0, c3=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, rep = solver.picard_solve(spec, eo.build_mesh_ops(mesh, 1))
+    assert rep.converged and rep.iterations == len(rep.sweeps) == 3
+    assert orderings == ["COLAMD"] * len(orderings)
+    assert [(s.stokes.action, s.stokes.factorizations) for s in rep.sweeps] == [("factored", 1)] * 3
 
 
 def test_regularized_sweep_counts_a_failed_factorization_as_none():
@@ -623,7 +651,7 @@ def test_regularized_sweep_counts_a_failed_factorization_as_none():
     mops = eo.build_mesh_ops(mesh, 1)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        _, rep = solver.picard_solve(spec, mops, initial=case.initial)
-    assert [(s.stokes_lu, s.stokes_factorizations) for s in rep.sweeps] == (
-        [("regularized", 1)] + [("reused", 0)] * rep.iterations)
+        _, rep = solver.picard_solve(spec, mops)
+    assert [(s.stokes.action, s.stokes.factorizations) for s in rep.sweeps] == (
+        [("regularized", 1)] + [("reused", 0)] * (rep.iterations - 1))
     assert rep.stokes_factorizations == 1

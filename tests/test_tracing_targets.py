@@ -72,8 +72,8 @@ def test_traced_factorizations_match_solver_counts(tracer):
 
 def test_traced_constant_viscosity_point(tracer):
     """ex4_mild (constant mu and kappa, triangles, k=1, h=1/4): both systems
-    are built and factored on the Stokes-first sweep that precedes the
-    counted ones, and every later sweep reuses their solutions."""
+    are built and factored on the first sweep, and every later sweep reuses
+    their solutions."""
     from lpsvem import benchmarks as bm
     rec, _, _ = bm.run_point(bm.make_case("ex4_mild"), "triangular", 1, 1 / 4)
     assert rec.converged and rec.stokes_factorizations == rec.heat_factorizations == 1
