@@ -17,7 +17,7 @@ import numpy as np
 from .element_ops import build_mesh_ops
 from .forms import (BoundaryCondition, Conductivity, ConfigurationError,
                     ProblemSpec, Viscosity)
-from .geometry import CutoutRectangle, UNIT_SQUARE, generate_mesh
+from .geometry import L_SHAPE, UNIT_SQUARE, generate_mesh
 from .postprocess import ErrorBundle, compute_errors
 from .solver import picard_solve
 
@@ -25,16 +25,6 @@ if TYPE_CHECKING:
     from .manufactured import ManufacturedFields
 
 CASE_IDS = ("ex1", "ex2_diffusive", "ex2_convective", "ex3", "ex4_mild", "ex4_strong")
-
-# short tags for the four unit-square mesh families
-FAMILY_TAGS = {
-    "voronoi": "Omega1",
-    "distorted_square": "Omega2",
-    "uniform_square": "Omega3",
-    "nonconvex": "Omega4",
-    "triangular": "triangular",
-}
-
 
 @dataclass
 class BenchmarkCase:
@@ -95,7 +85,6 @@ def make_case(case_id: str, kappa: float | None = None) -> BenchmarkCase:
         mild = case_id == "ex4_mild"
         mu_c = 1e-2 if mild else 1e-4
         kap_c = (1e-6 if mild else 1e-9) if kappa is None else float(kappa)
-        dom = CutoutRectangle(0.0, 0.0, 4.0, 2.0, 2.0, 1.0)
 
         def bc_builder(mesh):
             def inflow(xv, yv):
@@ -120,7 +109,7 @@ def make_case(case_id: str, kappa: float | None = None) -> BenchmarkCase:
             return bcs
 
         return BenchmarkCase(
-            name=case_id, domain=dom, fields=None,
+            name=case_id, domain=L_SHAPE, fields=None,
             viscosity=Viscosity.constant(mu_c), conductivity=kap_c,
             mesh_families=["triangular"], orders=[1] if mild else [2],
             h_list=[1 / 4, 1 / 8, 1 / 16, 1 / 32] if mild else [1 / 4, 1 / 8, 1 / 16],

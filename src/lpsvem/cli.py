@@ -12,14 +12,14 @@ from pathlib import Path
 
 from . import benchmarks as bench
 from .forms import ConfigurationError
-from .geometry import (CutoutRectangle, GeometryError, MESH_FAMILIES,
-                       UNIT_SQUARE, generate_mesh, write_mesh)
+from .geometry import (GeometryError, L_SHAPE, MESH_FAMILIES, UNIT_SQUARE,
+                       generate_mesh, write_mesh)
 from .postprocess import export_fields
 from .solver import SolverError
 
 _DOMAINS = {
     "unit_square": UNIT_SQUARE,
-    "lshape": CutoutRectangle(),
+    "lshape": L_SHAPE,
 }
 
 

@@ -31,38 +31,21 @@ class MeshFormatError(GeometryError):
 
 @dataclass(frozen=True)
 class Rectangle:
+    """The box [x0, x1] x [y0, y1]; with ``notch = (notch_x, notch_y)`` it
+    loses the block [notch_x, x1] x [y0, notch_y] and is an L shape."""
     x0: float = 0.0
     y0: float = 0.0
     x1: float = 1.0
     y1: float = 1.0
+    notch: tuple[float, float] | None = None
 
     @property
     def area(self) -> float:
-        return (self.x1 - self.x0) * (self.y1 - self.y0)
-
-    @property
-    def width(self) -> float:
-        return self.x1 - self.x0
-
-    @property
-    def height(self) -> float:
-        return self.y1 - self.y0
-
-
-@dataclass(frozen=True)
-class CutoutRectangle:
-    """Rectangle minus the block [notch_x, x1] x [y0, notch_y] (an L shape)."""
-    x0: float = 0.0
-    y0: float = 0.0
-    x1: float = 4.0
-    y1: float = 2.0
-    notch_x: float = 2.0
-    notch_y: float = 1.0
-
-    @property
-    def area(self) -> float:
-        return ((self.x1 - self.x0) * (self.y1 - self.y0)
-                - (self.x1 - self.notch_x) * (self.notch_y - self.y0))
+        area = (self.x1 - self.x0) * (self.y1 - self.y0)
+        if self.notch is not None:
+            notch_x, notch_y = self.notch
+            area -= (self.x1 - notch_x) * (notch_y - self.y0)
+        return area
 
     @property
     def width(self) -> float:
@@ -74,6 +57,7 @@ class CutoutRectangle:
 
 
 UNIT_SQUARE = Rectangle(0.0, 0.0, 1.0, 1.0)
+L_SHAPE = Rectangle(0.0, 0.0, 4.0, 2.0, notch=(2.0, 1.0))   # the channel with a step
 
 MESH_FAMILIES = ("uniform_square", "distorted_square", "voronoi", "nonconvex",
                  "triangular")
@@ -249,7 +233,6 @@ class PolyMesh:
     vertices: np.ndarray
     cells: list[np.ndarray]
     boundary_markers: dict[str, np.ndarray]
-    domain_area: float | None = None
     edges: np.ndarray = field(init=False)
     edge_cells: np.ndarray = field(init=False)       # (ne, 2), -1 for boundary
     cell_edges: list[np.ndarray] = field(init=False)  # per cell, edge ids in loop order
@@ -337,17 +320,12 @@ class PolyMesh:
 
         Building the cell groups checks every cell (positive area, edges that
         are not degenerate, a valid sub-triangulation)."""
-        groups = self.cell_groups
+        self.cell_groups   # building the groups checks every cell
         marked = np.concatenate([np.empty(0, dtype=int), *self.boundary_markers.values()])
         if len(np.unique(marked)) != len(marked):
             raise GeometryError("a boundary edge carries more than one marker")
         if not np.array_equal(np.unique(marked), self.boundary_edge_ids()):
             raise GeometryError("boundary markers do not cover the boundary edges")
-        area = self.domain_area
-        if area is not None:
-            rel = abs(sum(g.area.sum() for g in groups) - area) / area
-            if rel > 1e-10:
-                raise GeometryError(f"cells do not tile the domain (rel gap {rel:.2e})")
 
 
 # ---------------------------------------------------------------------------
@@ -360,51 +338,35 @@ def _grid_counts(domain, h):
     return nx, ny
 
 
-def _rect_markers(mesh: PolyMesh, domain: Rectangle, tol: float):
-    v = mesh.vertices
-    markers = {"left": [], "right": [], "bottom": [], "top": []}
-    for eid in mesh.boundary_edge_ids():
-        a, b = v[mesh.edges[eid]]
-        if abs(a[0] - domain.x0) < tol and abs(b[0] - domain.x0) < tol:
-            markers["left"].append(eid)
-        elif abs(a[0] - domain.x1) < tol and abs(b[0] - domain.x1) < tol:
-            markers["right"].append(eid)
-        elif abs(a[1] - domain.y0) < tol and abs(b[1] - domain.y0) < tol:
-            markers["bottom"].append(eid)
-        elif abs(a[1] - domain.y1) < tol and abs(b[1] - domain.y1) < tol:
-            markers["top"].append(eid)
-        else:
-            raise GeometryError("boundary edge not on any rectangle side")
-    return {k: np.array(ids, dtype=int) for k, ids in markers.items() if ids}
-
-
-def _cutout_markers(mesh: PolyMesh, dom: CutoutRectangle, tol: float):
-    v = mesh.vertices
+def _markers(mesh: PolyMesh, domain: Rectangle, tol: float):
+    """Boundary edge ids by the wall their midpoint lies on: left, right, top,
+    bottom, then on a notched domain the notch walls notch_v and notch_h."""
+    v, notch = mesh.vertices, domain.notch
     names = ("left", "right", "bottom", "top", "notch_v", "notch_h")
     markers: dict[str, list[int]] = {n: [] for n in names}
     for eid in mesh.boundary_edge_ids():
         a, b = v[mesh.edges[eid]]
         mid = 0.5 * (a + b)
-        if abs(mid[0] - dom.x0) < tol:
+        if abs(mid[0] - domain.x0) < tol:
             markers["left"].append(eid)
-        elif abs(mid[0] - dom.x1) < tol:
+        elif abs(mid[0] - domain.x1) < tol:
             markers["right"].append(eid)
-        elif abs(mid[1] - dom.y1) < tol:
+        elif abs(mid[1] - domain.y1) < tol:
             markers["top"].append(eid)
-        elif abs(mid[1] - dom.y0) < tol:
+        elif abs(mid[1] - domain.y0) < tol:
             markers["bottom"].append(eid)
-        elif abs(mid[0] - dom.notch_x) < tol and mid[1] < dom.notch_y + tol:
+        elif notch is not None and abs(mid[0] - notch[0]) < tol and mid[1] < notch[1] + tol:
             markers["notch_v"].append(eid)
-        elif abs(mid[1] - dom.notch_y) < tol and mid[0] > dom.notch_x - tol:
+        elif notch is not None and abs(mid[1] - notch[1]) < tol and mid[0] > notch[0] - tol:
             markers["notch_h"].append(eid)
         else:
-            raise GeometryError("boundary edge not on the L-shape boundary")
+            raise GeometryError("boundary edge not on the domain boundary")
     return {k: np.array(ids, dtype=int) for k, ids in markers.items() if ids}
 
 
 def _quad_cells(domain, nx, ny):
     """Vertices, CCW quads (i-major) and grid-node vertex ids of an nx x ny
-    grid; on a CutoutRectangle the quads in the notch and their unused
+    grid; on a notched domain the quads in the notch and their unused
     vertices are dropped, and the ids of dropped nodes read -1."""
     xs = np.linspace(domain.x0, domain.x1, nx + 1)
     ys = np.linspace(domain.y0, domain.y1, ny + 1)
@@ -412,9 +374,9 @@ def _quad_cells(domain, nx, ny):
     verts = np.column_stack([X.ravel(), Y.ravel()])
     vid = np.arange((nx + 1) * (ny + 1)).reshape(nx + 1, ny + 1)
     cells = np.stack([vid[:-1, :-1], vid[1:, :-1], vid[1:, 1:], vid[:-1, 1:]], axis=-1)
-    if isinstance(domain, CutoutRectangle):
+    if domain.notch is not None:
         xc, yc = 0.5 * (xs[:-1] + xs[1:]), 0.5 * (ys[:-1] + ys[1:])
-        cells = cells[~np.logical_and.outer(xc > domain.notch_x, yc < domain.notch_y)]
+        cells = cells[~np.logical_and.outer(xc > domain.notch[0], yc < domain.notch[1])]
     cells = cells.reshape(-1, 4)
     used = np.unique(cells)
     remap = np.full(len(verts), -1)
@@ -422,23 +384,25 @@ def _quad_cells(domain, nx, ny):
     return verts[used], remap[cells], remap[vid]
 
 
-def _finish(verts, cells, domain, marker_fn, tol):
-    mesh = PolyMesh(verts, cells, {}, domain_area=domain.area)
-    mesh.boundary_markers = marker_fn(mesh, domain, tol)
+def _finish(verts, cells, domain, tol):
+    """The validated mesh of a generator, with its boundary markers; its
+    cells must tile ``domain``."""
+    mesh = PolyMesh(verts, cells, {})
+    mesh.boundary_markers = _markers(mesh, domain, tol)
     mesh.validate()
+    rel = abs(sum(g.area.sum() for g in mesh.cell_groups) - domain.area) / domain.area
+    if rel > 1e-10:
+        raise GeometryError(f"cells do not tile the domain (rel gap {rel:.2e})")
     return mesh
 
 
 def _uniform_square(domain, h, seed):
     nx, ny = _grid_counts(domain, h)
     verts, cells, _ = _quad_cells(domain, nx, ny)
-    marker_fn = _cutout_markers if isinstance(domain, CutoutRectangle) else _rect_markers
-    return _finish(verts, cells, domain, marker_fn, 1e-9 * max(domain.width, domain.height))
+    return _finish(verts, cells, domain, 1e-9 * max(domain.width, domain.height))
 
 
 def _distorted_square(domain, h, seed):
-    if isinstance(domain, CutoutRectangle):
-        raise GeometryError("distorted_square cannot tile an L-shaped domain")
     # grid step h/1.8 makes the max cell diameter (diagonal stretched by the
     # node shifts) land at ~h.  The grid has round(1.8/h) cells a side, so
     # halving h need not double it: 1/9 and 1/18 give 16 and 32 cells, but
@@ -453,15 +417,14 @@ def _distorted_square(domain, h, seed):
             rad = 0.3 * s * math.sqrt(rng.uniform())
             verts[vid[i, j], 0] += rad * math.cos(theta)
             verts[vid[i, j], 1] += rad * math.sin(theta)
-    return _finish(verts, cells, domain, _rect_markers, 1e-9 * max(domain.width, domain.height))
+    return _finish(verts, cells, domain, 1e-9 * max(domain.width, domain.height))
 
 
 def _triangular(domain, h, seed):
     nx, ny = _grid_counts(domain, h)
     verts, quads, _ = _quad_cells(domain, nx, ny)
     cells = quads[:, [0, 1, 2, 0, 2, 3]].reshape(-1, 3)    # two triangles per quad
-    marker_fn = _cutout_markers if isinstance(domain, CutoutRectangle) else _rect_markers
-    return _finish(verts, cells, domain, marker_fn, 1e-9 * max(domain.width, domain.height))
+    return _finish(verts, cells, domain, 1e-9 * max(domain.width, domain.height))
 
 
 def _nonconvex(domain, h, seed):
@@ -470,8 +433,6 @@ def _nonconvex(domain, h, seed):
     The alternating shift makes every interior cell a concave dart while the
     mesh still tiles the domain exactly.
     """
-    if isinstance(domain, CutoutRectangle):
-        raise GeometryError("nonconvex cannot tile an L-shaped domain")
     nx, ny = _grid_counts(domain, h)
     verts, cells, vid = _quad_cells(domain, nx, ny)
     sx, sy = domain.width / nx, domain.height / ny
@@ -480,7 +441,7 @@ def _nonconvex(domain, h, seed):
     sgn = np.where((i + j) % 2 == 0, 1.0, -1.0)
     verts[vid[1:-1, 1:-1], 0] += sgn * delta * sx
     verts[vid[1:-1, 1:-1], 1] += sgn * delta * sy
-    return _finish(verts, cells, domain, _rect_markers, 1e-9 * max(domain.width, domain.height))
+    return _finish(verts, cells, domain, 1e-9 * max(domain.width, domain.height))
 
 
 def _hex_seeds(domain: Rectangle, h):
@@ -496,17 +457,14 @@ def _hex_seeds(domain: Rectangle, h):
 
 
 def _mirror(points, domain: Rectangle, band):
-    """Seeds plus wall reflections of the seeds within `band` of each wall."""
-    p = points
-    parts = [p]
-    for sel, refl in (
-        (p[:, 0] - domain.x0 < band, lambda q: np.column_stack([2 * domain.x0 - q[:, 0], q[:, 1]])),
-        (domain.x1 - p[:, 0] < band, lambda q: np.column_stack([2 * domain.x1 - q[:, 0], q[:, 1]])),
-        (p[:, 1] - domain.y0 < band, lambda q: np.column_stack([q[:, 0], 2 * domain.y0 - q[:, 1]])),
-        (domain.y1 - p[:, 1] < band, lambda q: np.column_stack([q[:, 0], 2 * domain.y1 - q[:, 1]])),
-    ):
-        if np.any(sel):
-            parts.append(refl(p[sel]))
+    """Seeds plus wall reflections of the seeds within `band` of each wall
+    (the seeds lie in the domain), wall by wall: left, right, bottom, top."""
+    parts = [points]
+    for axis, wall in ((0, domain.x0), (0, domain.x1), (1, domain.y0), (1, domain.y1)):
+        near = points[np.abs(points[:, axis] - wall) < band]
+        if len(near):
+            near[:, axis] = 2 * wall - near[:, axis]
+            parts.append(near)
     return np.vstack(parts)
 
 
@@ -556,8 +514,6 @@ def _lloyd(points, domain, band):
 
 
 def _voronoi(domain, h, seed):
-    if isinstance(domain, CutoutRectangle):
-        raise GeometryError("voronoi cannot tile an L-shaped domain")
     seeds, s = _hex_seeds(domain, h)
     verts, loops, lens = _voronoi_regions(_lloyd(seeds, domain, 3.0 * s), domain, 3.0 * s)
     # turn every loop counter-clockwise (shoelace about its first vertex)
@@ -576,7 +532,7 @@ def _voronoi(domain, h, seed):
     tol = 1e-6 * s
     pts = verts[loops[first]]
     pts = np.where(np.abs(pts - lo) < tol, lo, np.where(np.abs(pts - hi) < tol, hi, pts))
-    return _finish(pts, np.split(ids, np.cumsum(lens)[:-1]), domain, _rect_markers, tol)
+    return _finish(pts, np.split(ids, np.cumsum(lens)[:-1]), domain, tol)
 
 
 _GENERATORS = {
@@ -603,6 +559,8 @@ def generate_mesh(family: str, domain, h_target: float, seed: int = 42) -> PolyM
         raise GeometryError(f"h_target must be positive and finite, got {h_target}")
     if family not in _GENERATORS:
         raise GeometryError(f"unknown mesh family {family!r}")
+    if domain.notch is not None and family not in ("uniform_square", "triangular"):
+        raise GeometryError(f"{family} cannot tile an L-shaped domain")
     key = (family, domain, float(h_target), seed)
     if key in _MESH_MEMO:
         return _MESH_MEMO[key]
@@ -618,16 +576,13 @@ def generate_mesh(family: str, domain, h_target: float, seed: int = 42) -> PolyM
 # ---------------------------------------------------------------------------
 
 def write_mesh(mesh: PolyMesh, path):
-    """Write the mesh JSON format; floats carry 17 significant digits."""
-    def f(x):
-        return float(f"{x:.17g}")
+    """Write the mesh JSON format; each float is written in the shortest form
+    that reads back to the same double."""
     obj = {
-        "vertices": [[f(x), f(y)] for x, y in mesh.vertices],
-        "cells": [[int(i) for i in c] for c in mesh.cells],
-        "boundary": {
-            name: [[int(mesh.edges[e, 0]), int(mesh.edges[e, 1])] for e in eids]
-            for name, eids in mesh.boundary_markers.items()
-        },
+        "vertices": mesh.vertices.tolist(),
+        "cells": [c.tolist() for c in mesh.cells],
+        "boundary": {name: mesh.edges[eids].tolist()
+                     for name, eids in mesh.boundary_markers.items()},
     }
     with open(path, "w") as fh:
         json.dump(obj, fh)

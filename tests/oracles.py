@@ -27,8 +27,8 @@ from scipy.special import roots_legendre
 from lpsvem import element_ops as eo
 from lpsvem import forms, geometry, solver
 from lpsvem.element_ops import edge_internal_params
-from lpsvem.geometry import (CellGroup, CutoutRectangle, GeometryError, MeshFormatError,
-                             ear_clip, polygon_diameter)
+from lpsvem.geometry import (CellGroup, GeometryError, MeshFormatError, ear_clip,
+                             polygon_diameter)
 from lpsvem.polybasis import (grad_coeff_ref, group_mass_matrices, group_quadrature,
                               group_stiffness_matrices, laplacian_ref, monomial_exponents,
                               monomial_gradients, monomial_values, poly_dim)
@@ -1410,9 +1410,9 @@ def _reference_quad_cells(domain, nx, ny):
     cells = []
     for i in range(nx):
         for j in range(ny):
-            if isinstance(domain, CutoutRectangle):
+            if domain.notch is not None:
                 xc, yc = 0.5 * (xs[i] + xs[i + 1]), 0.5 * (ys[j] + ys[j + 1])
-                if xc > domain.notch_x and yc < domain.notch_y:
+                if xc > domain.notch[0] and yc < domain.notch[1]:
                     continue
             cells.append(np.array([vid[i, j], vid[i + 1, j], vid[i + 1, j + 1], vid[i, j + 1]]))
     used = np.unique(np.concatenate(cells))
@@ -1452,6 +1452,26 @@ def reference_structured_mesh(family, domain, h, seed):
                 verts[gid, 0] += sgn * 0.3 * sx
                 verts[gid, 1] += sgn * 0.3 * sy
     return verts, cells
+
+
+def reference_rect_markers(mesh, domain, tol):
+    """Boundary markers of a mesh of a rectangle without a notch, by the wall
+    that both end points of each boundary edge lie on."""
+    v = mesh.vertices
+    markers = {"left": [], "right": [], "bottom": [], "top": []}
+    for eid in mesh.boundary_edge_ids():
+        a, b = v[mesh.edges[eid]]
+        if abs(a[0] - domain.x0) < tol and abs(b[0] - domain.x0) < tol:
+            markers["left"].append(eid)
+        elif abs(a[0] - domain.x1) < tol and abs(b[0] - domain.x1) < tol:
+            markers["right"].append(eid)
+        elif abs(a[1] - domain.y0) < tol and abs(b[1] - domain.y0) < tol:
+            markers["bottom"].append(eid)
+        elif abs(a[1] - domain.y1) < tol and abs(b[1] - domain.y1) < tol:
+            markers["top"].append(eid)
+        else:
+            raise GeometryError("boundary edge not on any rectangle side")
+    return {k: np.array(ids, dtype=int) for k, ids in markers.items() if ids}
 
 
 def reference_hex_seeds(domain, h):

@@ -202,10 +202,3 @@ def test_ex4_bc_roles():
     for wall in ("top", "bottom", "notch_v", "notch_h"):
         assert np.abs(bcs[wall].velocity(np.array([1.0]), np.array([0.0]))).max() == 0.0
         assert bcs[wall].temperature is None
-
-
-def test_family_tags_cover_families():
-    assert bm.FAMILY_TAGS["voronoi"] == "Omega1"
-    assert bm.FAMILY_TAGS["distorted_square"] == "Omega2"
-    assert bm.FAMILY_TAGS["uniform_square"] == "Omega3"
-    assert bm.FAMILY_TAGS["nonconvex"] == "Omega4"

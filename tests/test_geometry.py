@@ -5,14 +5,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from lpsvem.geometry import (CellGroup, CutoutRectangle, GeometryError,
-                             MeshFormatError, PolyMesh, Rectangle, UNIT_SQUARE,
-                             generate_mesh, read_mesh, write_mesh)
+from lpsvem.geometry import (CellGroup, GeometryError, L_SHAPE, MeshFormatError, PolyMesh,
+                             Rectangle, UNIT_SQUARE, generate_mesh, read_mesh, write_mesh)
 from lpsvem import element_ops as eo
 from lpsvem import geometry
 from oracles import (cell_areas, check_regularity, polygon_kernel, polygon_signed_area,
-                     reference_hex_seeds, reference_lloyd, reference_structured_mesh,
-                     reference_topology, reference_voronoi)
+                     reference_hex_seeds, reference_lloyd, reference_rect_markers,
+                     reference_structured_mesh, reference_topology, reference_voronoi)
 
 FAMILIES = ("uniform_square", "distorted_square", "voronoi", "nonconvex", "triangular")
 
@@ -31,7 +30,7 @@ def test_uniform_square_tiling():
 @pytest.mark.parametrize("family", FAMILIES)
 @pytest.mark.parametrize("h", [1 / 5, 1 / 10])
 def test_tiling_and_orientation_all_families(family, h):
-    domain = CutoutRectangle() if family == "triangular" else UNIT_SQUARE
+    domain = L_SHAPE if family == "triangular" else UNIT_SQUARE
     mesh = generate_mesh(family, domain, h)
     areas = cell_areas(mesh)
     assert np.all(areas > 0.0)
@@ -42,7 +41,7 @@ def test_tiling_and_orientation_all_families(family, h):
 @pytest.mark.parametrize("family", FAMILIES)
 def test_generator_determinism(family):
     import lpsvem.geometry as g
-    domain = CutoutRectangle() if family == "triangular" else UNIT_SQUARE
+    domain = L_SHAPE if family == "triangular" else UNIT_SQUARE
     m1 = g._GENERATORS[family](domain, 1 / 5, 42)
     m2 = g._GENERATORS[family](domain, 1 / 5, 42)
     assert np.array_equal(m1.vertices, m2.vertices)
@@ -89,7 +88,7 @@ def test_regularity_uniform_square():
 
 @pytest.mark.parametrize("family", FAMILIES)
 def test_regularity_in_unit_interval(family):
-    domain = CutoutRectangle() if family == "triangular" else UNIT_SQUARE
+    domain = L_SHAPE if family == "triangular" else UNIT_SQUARE
     rep = check_regularity(generate_mesh(family, domain, 1 / 5))
     assert 0.0 < rep.gamma_edge <= 1.0
     assert 0.0 < rep.gamma_star <= 1.0
@@ -150,6 +149,17 @@ def test_mesh_io_roundtrip(tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+def test_mesh_io_writes_shortest_floats(tmp_path):
+    """A float is written in the shortest form that reads back exactly."""
+    verts = [[0.0, 0.0], [0.1, 0.0], [0.1, 0.1], [0.0, 0.1]]
+    mesh = PolyMesh(verts, [[0, 1, 2, 3]], {"wall": [0, 1, 2, 3]})
+    path = tmp_path / "tenth.json"
+    write_mesh(mesh, path)
+    text = path.read_text()
+    assert "[0.1, 0.0]" in text and "0.10000000000000001" not in text
+    assert np.array_equal(read_mesh(path).vertices, verts)
+
+
 def test_mesh_io_single_cell(tmp_path):
     path = tmp_path / "one.json"
     path.write_text(json.dumps({
@@ -183,6 +193,21 @@ def test_mesh_io_orientation_error(tmp_path):
         read_mesh(path)
 
 
+SQUARE_CELL = {"vertices": [[0, 0], [1, 0], [1, 1], [0, 1]], "cells": [[0, 1, 2, 3]]}
+
+
+@pytest.mark.parametrize("boundary, msg", [
+    ({"wall": [[0, 1], [1, 2], [2, 3], [3, 0]], "inlet": [[1, 0]]},
+     "a boundary edge carries more than one marker"),
+    ({"wall": [[0, 1], [1, 2], [2, 3]]}, "boundary markers do not cover the boundary edges"),
+])
+def test_mesh_io_marker_errors(tmp_path, boundary, msg):
+    path = tmp_path / "markers.json"
+    path.write_text(json.dumps({**SQUARE_CELL, "boundary": boundary}))
+    with pytest.raises(MeshFormatError, match=f"^{msg}$"):
+        read_mesh(path)
+
+
 def test_mesh_io_malformed(tmp_path):
     path = tmp_path / "junk.json"
     path.write_text("{not json")
@@ -206,12 +231,12 @@ def test_generate_mesh_rejects_bad_h():
 @pytest.mark.parametrize("family", ["voronoi", "distorted_square", "nonconvex"])
 def test_lshape_rejected_for_nontiling_families(family):
     with pytest.raises(GeometryError):
-        generate_mesh(family, CutoutRectangle(), 1 / 4)
+        generate_mesh(family, L_SHAPE, 1 / 4)
 
 
 @pytest.mark.parametrize("family", ["uniform_square", "triangular"])
 def test_lshape_supported_families(family):
-    dom = CutoutRectangle()
+    dom = L_SHAPE
     mesh = generate_mesh(family, dom, 1 / 4)
     assert abs(cell_areas(mesh).sum() - dom.area) / dom.area < 1e-12
     assert {"left", "right", "top", "bottom", "notch_v", "notch_h"} == set(mesh.boundary_markers)
@@ -259,7 +284,7 @@ def test_topology_matches_dict_reference(family, h):
 
 @pytest.mark.parametrize("family", ["uniform_square", "triangular"])
 def test_topology_matches_dict_reference_lshape(family):
-    _assert_topology_matches_reference(generate_mesh(family, CutoutRectangle(), 1 / 4))
+    _assert_topology_matches_reference(generate_mesh(family, L_SHAPE, 1 / 4))
 
 
 def test_topology_matches_dict_reference_read_mesh(tmp_path):
@@ -304,7 +329,7 @@ def test_voronoi_cells_match_clipping_reference(h):
     ref = PolyMesh(verts, cells, {})
     assert mesh.n_vertices == ref.n_vertices and mesh.n_edges == ref.n_edges
     assert [len(c) for c in mesh.cells] == [len(c) for c in ref.cells]
-    ref.boundary_markers = geometry._rect_markers(ref, UNIT_SQUARE, 1e-6 * s)
+    ref.boundary_markers = reference_rect_markers(ref, UNIT_SQUARE, 1e-6 * s)
     assert ({k: len(v) for k, v in mesh.boundary_markers.items()}
             == {k: len(v) for k, v in ref.boundary_markers.items()})
     areas, ref_areas = cell_areas(mesh), cell_areas(ref)
@@ -314,11 +339,23 @@ def test_voronoi_cells_match_clipping_reference(h):
         assert np.all(mesh.vertices[mesh.edges[mesh.boundary_markers[name]], axis] == at)
 
 
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("domain", [UNIT_SQUARE, Rectangle(-1.0, 2.0, 3.0, 2.5)])
+@pytest.mark.parametrize("h, seed", [(1 / 4, 1), (1 / 10, 7)])
+def test_markers_match_endpoint_reference(family, domain, h, seed):
+    """On a rectangle the midpoint rule gives the markers of the endpoint
+    rule: the same names in the same order, and the same edge ids."""
+    mesh = generate_mesh(family, domain, h, seed=seed)
+    ref = reference_rect_markers(mesh, domain, 1e-9 * max(domain.width, domain.height))
+    assert list(mesh.boundary_markers) == list(ref)
+    assert all(np.array_equal(mesh.boundary_markers[k], ref[k]) for k in ref)
+
+
 @pytest.mark.parametrize("family, domain, h, seed", [
-    ("triangular", CutoutRectangle(0.0, 0.0, 4.0, 2.0, 2.0, 1.0), 1 / 16, 1),   # channel_k1
-    ("distorted_square", UNIT_SQUARE, 1 / 9, 1),                                  # picard_k2
+    ("triangular", L_SHAPE, 1 / 16, 1),              # channel_k1
+    ("distorted_square", UNIT_SQUARE, 1 / 9, 1),     # picard_k2
     ("distorted_square", UNIT_SQUARE, 1 / 18, 1),
-    ("uniform_square", CutoutRectangle(), 1 / 4, 42),
+    ("uniform_square", L_SHAPE, 1 / 4, 42),
     ("uniform_square", UNIT_SQUARE, 1 / 5, 42),
     ("nonconvex", UNIT_SQUARE, 1 / 10, 42),
     ("triangular", UNIT_SQUARE, 1 / 5, 42),
