@@ -54,7 +54,8 @@ def _add_common(p):
     p.add_argument("--threads", type=int, default=1,
                    help="worker threads for independent study points")
     p.add_argument("--config", type=Path, default=None, help="JSON file with these options")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None,
+                   help="mesh seed (default 42); only distorted_square reads it")
 
 
 # the keys a --config file may hold
@@ -208,7 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--family", choices=MESH_FAMILIES, required=True)
     gen.add_argument("--domain", choices=sorted(_DOMAINS), default="unit_square")
     gen.add_argument("--h", required=True, help="target mesh size (e.g. 0.1 or 1/10)")
-    gen.add_argument("--seed", type=int, default=42)
+    gen.add_argument("--seed", type=int, default=42,
+                     help="mesh seed; only distorted_square reads it")
     gen.add_argument("--out", type=Path, required=True)
     gen.set_defaults(func=_cmd_mesh_gen)
 

@@ -333,8 +333,10 @@ class PolyMesh:
 # ---------------------------------------------------------------------------
 
 def _grid_counts(domain, h):
-    nx = max(1, round(domain.width / h))
-    ny = max(1, round(domain.height / h))
+    """Cells per side of a grid of step about ``h``, each count rounded half
+    up (``round`` would take 2.5 to 2 and stretch the cells past 2h)."""
+    nx = max(1, math.floor(domain.width / h + 0.5))
+    ny = max(1, math.floor(domain.height / h + 0.5))
     return nx, ny
 
 
@@ -456,16 +458,29 @@ def _hex_seeds(domain: Rectangle, h):
     return np.column_stack([x, y]), s
 
 
+_WALL_AXIS = np.array([0, 0, 1, 1])   # left, right, bottom, top
+
+
+def _images(points, domain: Rectangle, band):
+    """The points of ``_mirror``, with the index of the seed each one copies
+    and the wall it is reflected in (-1 for the seed itself, then 0-3 for
+    left, right, bottom, top)."""
+    walls = np.array([domain.x0, domain.x1, domain.y0, domain.y1])
+    near = [np.flatnonzero(np.abs(points[:, axis] - at) < band)
+            for axis, at in zip(_WALL_AXIS, walls)]
+    src = np.concatenate([np.arange(len(points)), *near])
+    wall = np.repeat(np.arange(-1, 4), [len(points)] + [len(i) for i in near])
+    out = points[src]
+    img = np.flatnonzero(wall >= 0)
+    axis = _WALL_AXIS[wall[img]]
+    out[img, axis] = 2 * walls[wall[img]] - out[img, axis]
+    return out, src, wall
+
+
 def _mirror(points, domain: Rectangle, band):
     """Seeds plus wall reflections of the seeds within `band` of each wall
     (the seeds lie in the domain), wall by wall: left, right, bottom, top."""
-    parts = [points]
-    for axis, wall in ((0, domain.x0), (0, domain.x1), (1, domain.y0), (1, domain.y1)):
-        near = points[np.abs(points[:, axis] - wall) < band]
-        if len(near):
-            near[:, axis] = 2 * wall - near[:, axis]
-            parts.append(near)
-    return np.vstack(parts)
+    return _images(points, domain, band)[0]
 
 
 def _voronoi_regions(points, domain, band):
@@ -483,56 +498,151 @@ def _voronoi_regions(points, domain, band):
     loops = np.fromiter(itertools.chain.from_iterable(regions), dtype=int, count=lens.sum())
     bad = lens < 3
     bad[np.repeat(np.arange(len(lens)), lens)[loops < 0]] = True
-    if bad.any():
-        raise GeometryError(f"voronoi region of seed {int(np.argmax(bad))} is unbounded "
-                            "or has fewer than 3 vertices")
+    _check_regions(bad)
     return vor.vertices, loops, lens
 
 
+def _check_regions(bad):
+    """Raise for the first seed whose region is flagged in ``bad``."""
+    if bad.any():
+        raise GeometryError(f"voronoi region of seed {int(np.argmax(bad))} is unbounded "
+                            "or has fewer than 3 vertices")
+
+
 _LLOYD_ITERS = 20
+_DELAUNAY_TOL = 1e-12   # relative slack of the staleness tests
+
+
+class _Fans:
+    """Delaunay triangulation of mirrored seeds, read around the seeds.
+
+    The first ``n`` points are the seeds.  ``seed``, ``b``, ``c`` list the
+    corners of the triangles at the seeds, each the counter-clockwise
+    triangle (seed, b, c), with the corners of a seed in counter-clockwise
+    order around it; ``next`` is the position of the following corner of the
+    same seed.  ``quads`` holds, for every edge that can meet the rectangle
+    (an end is a seed, or the ends are reflected in different walls), its
+    triangles (c, e1, e2) and (e2, e1, d) as the rows c, e1, e2, d.  ``src``
+    is the ``_images`` index of the points triangulated.
+    """
+
+    def __init__(self, mirrored, n, src, wall):
+        from scipy.spatial import Delaunay    # only the Voronoi generator needs scipy.spatial
+        tri = Delaunay(mirrored)
+        simp, nbr = tri.simplices, tri.neighbors     # counter-clockwise
+        t, k = np.nonzero(nbr < 0)                   # hull edges end in open fans
+        ends = np.concatenate([simp[t, (k + 1) % 3], simp[t, (k + 2) % 3]])
+        bad = np.ones(n, dtype=bool)
+        bad[simp[simp < n]] = False                  # a seed Qhull dropped has no fan
+        bad[ends[ends < n]] = True
+        _check_regions(bad)
+        t, k = np.nonzero(simp < n)
+        seed, b, c = simp[t, k], simp[t, (k + 1) % 3], simp[t, (k + 2) % 3]
+        mid = 0.5 * (mirrored[b] + mirrored[c]) - mirrored[seed]   # inside the corner
+        order = np.lexsort((np.arctan2(mid[:, 1], mid[:, 0]), seed))
+        self.src = src
+        self.seed, self.b, self.c = seed[order], b[order], c[order]
+        self.next = _loop_next(np.bincount(seed, minlength=n))
+        t, k = np.nonzero(nbr > np.arange(len(simp))[:, None])   # each inner edge once
+        u = nbr[t, k]
+        e1, e2 = simp[t, (k + 1) % 3], simp[t, (k + 2) % 3]
+        near = (wall[e1] != wall[e2]) | (wall[e1] < 0)
+        t, k, u, e1, e2 = t[near], k[near], u[near], e1[near], e2[near]
+        d = simp[u, np.argmax(nbr[u] == t[:, None], axis=1)]
+        self.quads = np.stack([simp[t, k], e1, e2, d])
+
+    def centres(self, mirrored, domain, check=True):
+        """Region vertices of every corner, relative to its seed, as x and y
+        arrays; None when a check finds the triangulation stale (``_lloyd``)."""
+        x, y = mirrored.T
+        if check:
+            c, e1, e2, d = self.quads
+            ax, ay, bx, by, cx, cy = (x[c] - x[d], y[c] - y[d], x[e1] - x[d], y[e1] - y[d],
+                                      x[e2] - x[d], y[e2] - y[d])
+            la, lb, lc = ax * ax + ay * ay, bx * bx + by * by, cx * cx + cy * cy
+            bc, ca, ab = bx * cy - cx * by, cx * ay - ax * cy, ax * by - bx * ay
+            if not (np.all(bc + ca + ab > 0) and np.all(bc < 0)     # both triangles turn left
+                    and np.all(la * bc + lb * ca + lc * ab <= _DELAUNAY_TOL * (la + lb + lc) ** 2)):
+                return None
+        px, py = x[self.seed], y[self.seed]
+        bx, by, cx, cy = x[self.b] - px, y[self.b] - py, x[self.c] - px, y[self.c] - py
+        lb, lc = bx * bx + by * by, cx * cx + cy * cy
+        det = 2.0 * (bx * cy - by * cx)
+        ux, uy = (cy * lb - by * lc) / det, (bx * lc - cx * lb) / det
+        if check:
+            tol = _DELAUNAY_TOL * max(domain.width, domain.height)
+            vx, vy = ux + px, uy + py
+            if not np.all((vx >= domain.x0 - tol) & (vx <= domain.x1 + tol)
+                          & (vy >= domain.y0 - tol) & (vy <= domain.y1 + tol)):
+                return None
+        return ux, uy
 
 
 def _lloyd(points, domain, band):
-    """Move each seed to the centroid of its region, _LLOYD_ITERS times."""
-    n = len(points)
-    pts = points
+    """Move each seed to the centroid of its region, _LLOYD_ITERS times.
+
+    The regions come from one Delaunay triangulation of the mirrored seeds
+    (``_Fans``), in which every image moves with its seed: the region of a
+    seed is the polygon of the circumcentres of the triangles around it.
+    Before each step the triangulation is made again, by the same code, when
+    it is stale: when another set of seeds lies within ``band`` of a wall,
+    when a triangle on an edge that can meet the rectangle has turned over,
+    when such an edge fails the incircle test by more than ``_DELAUNAY_TOL``
+    times the fourth power of its size (the squared distances from the
+    apex, summed and squared), or when a region vertex has left the
+    rectangle by more than ``_DELAUNAY_TOL`` of its size.
+
+    These edges are enough.  A region is right when no point lies inside the
+    circumcircle of a triangle of its fan.  The centre lies in the
+    rectangle, where an image is never closer than the seed it reflects, so
+    only a seed could lie inside.  On the straight walk from the fan's seed
+    to that seed, which stays in the rectangle and so crosses only checked
+    edges, the power of the seed with respect to the circumcircles of the
+    triangles passed does not grow: it would start negative and end at zero.
+    """
+    pts, fans = points, None
     for _ in range(_LLOYD_ITERS):
-        verts, loops, lens = _voronoi_regions(pts, domain, band)
-        # segment-sum the shoelace centroid formula (orientation cancels out)
-        own = np.repeat(np.arange(n), lens)
-        a = verts[loops]
-        b = verts[loops[_loop_next(lens)]]
-        cross = a[:, 0] * b[:, 1] - b[:, 0] * a[:, 1]
-        area2 = np.zeros(n)
-        cx = np.zeros(n)
-        cy = np.zeros(n)
-        np.add.at(area2, own, cross)
-        np.add.at(cx, own, (a[:, 0] + b[:, 0]) * cross)
-        np.add.at(cy, own, (a[:, 1] + b[:, 1]) * cross)
-        pts = np.column_stack([cx, cy]) / (3.0 * area2[:, None])
+        mirrored, src, wall = _images(pts, domain, band)
+        cen = None
+        if fans is not None and np.array_equal(src, fans.src):
+            cen = fans.centres(mirrored, domain)
+        if cen is None:
+            fans = _Fans(mirrored, len(pts), src, wall)
+            cen = fans.centres(mirrored, domain, check=False)
+        # shoelace centroid of every fan polygon, about its seed
+        ux, uy = cen
+        vx, vy = ux[fans.next], uy[fans.next]
+        cross = ux * vy - vx * uy
+        area2, cx, cy = (np.bincount(fans.seed, w, minlength=len(pts))
+                         for w in (cross, (ux + vx) * cross, (uy + vy) * cross))
+        pts = pts + np.column_stack([cx, cy]) / (3.0 * area2[:, None])
     return pts
 
 
 def _voronoi(domain, h, seed):
+    """Lloyd-smoothed Voronoi cells of hexagonal seeds (``seed`` is not
+    read).  Every loop is counter-clockwise and starts at its lowest vertex
+    (by y, then x; vertices within rounding of a wall are put on it first),
+    so the cells do not depend on the order in which Qhull lists them."""
     seeds, s = _hex_seeds(domain, h)
     verts, loops, lens = _voronoi_regions(_lloyd(seeds, domain, 3.0 * s), domain, 3.0 * s)
+    tol = 1e-6 * s
+    lo = np.array([domain.x0, domain.y0])
+    hi = np.array([domain.x1, domain.y1])
+    verts = np.where(np.abs(verts - lo) < tol, lo, np.where(np.abs(verts - hi) < tol, hi, verts))
     # turn every loop counter-clockwise (shoelace about its first vertex)
     own = np.repeat(np.arange(len(lens)), lens)
     start = np.cumsum(lens) - lens
     rel = verts[loops] - verts[loops[start]][own]
     nxt = rel[_loop_next(lens)]
     area2 = np.bincount(own, rel[:, 0] * nxt[:, 1] - nxt[:, 0] * rel[:, 1])
-    back = (2 * start + lens - 1)[own] - np.arange(len(loops))   # same slot, loop reversed
-    loops = np.where((area2 < 0)[own], loops[back], loops)
-    # number the vertices by first appearance in the loops, and put the ones
-    # within rounding of a wall on it
+    at = np.arange(len(loops)) - start[own]                    # place in the loop
+    loops = np.where((area2 < 0)[own], loops[(start + lens - 1)[own] - at], loops)
+    lowest = np.lexsort((verts[loops, 0], verts[loops, 1], own))[start] - start
+    loops = loops[start[own] + (at + lowest[own]) % lens[own]]
+    # number the vertices by first appearance in the loops
     ids, first = _first_appearance(loops)
-    lo = np.array([domain.x0, domain.y0])
-    hi = np.array([domain.x1, domain.y1])
-    tol = 1e-6 * s
-    pts = verts[loops[first]]
-    pts = np.where(np.abs(pts - lo) < tol, lo, np.where(np.abs(pts - hi) < tol, hi, pts))
-    return _finish(pts, np.split(ids, np.cumsum(lens)[:-1]), domain, tol)
+    return _finish(verts[loops[first]], np.split(ids, np.cumsum(lens)[:-1]), domain, tol)
 
 
 _GENERATORS = {
@@ -552,8 +662,10 @@ def generate_mesh(family: str, domain, h_target: float, seed: int = 42) -> PolyM
 
     The measured mesh size (max cell diameter) lies within a factor 2 of
     ``h_target`` for every family.  Generators are pure functions of
-    (family, domain, h_target, seed); results are memoized and must be treated
-    as read-only.
+    (family, domain, h_target, seed); only ``distorted_square`` reads
+    ``seed`` (its random node shifts), and ``uniform_square``, ``voronoi``,
+    ``nonconvex`` and ``triangular`` build the same mesh for every seed.
+    Results are memoized and must be treated as read-only.
     """
     if not 0 < h_target < np.inf:
         raise GeometryError(f"h_target must be positive and finite, got {h_target}")

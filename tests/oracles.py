@@ -1490,8 +1490,10 @@ def reference_hex_seeds(domain, h):
 
 
 def reference_lloyd(points, domain, iters, band):
-    """Lloyd steps reading the diagram region by region (a region that is
-    unbounded or has fewer than 3 vertices keeps its seed)."""
+    """Lloyd steps on a fresh Voronoi diagram each, reading it region by
+    region (a region that is unbounded or has fewer than 3 vertices keeps its
+    seed).  The shoelace centroid is taken about the seed: about the origin
+    it loses about eps * |x|^2 / area to cancellation."""
     from scipy.spatial import Voronoi
     n = len(points)
     pts = points.copy()
@@ -1507,8 +1509,8 @@ def reference_lloyd(points, domain, iters, band):
             owner.extend([i] * len(reg))
         fe = np.asarray(flat)
         own = np.asarray(owner)
-        a = vor.vertices[fe[:, 0]]
-        b = vor.vertices[fe[:, 1]]
+        a = vor.vertices[fe[:, 0]] - pts[own]
+        b = vor.vertices[fe[:, 1]] - pts[own]
         cross = a[:, 0] * b[:, 1] - b[:, 0] * a[:, 1]
         area2 = np.zeros(n)
         cx = np.zeros(n)
@@ -1518,8 +1520,8 @@ def reference_lloyd(points, domain, iters, band):
         np.add.at(cy, own, (a[:, 1] + b[:, 1]) * cross)
         ok = np.abs(area2) > 1e-300
         new = pts.copy()
-        new[ok, 0] = cx[ok] / (3.0 * area2[ok])
-        new[ok, 1] = cy[ok] / (3.0 * area2[ok])
+        new[ok, 0] += cx[ok] / (3.0 * area2[ok])
+        new[ok, 1] += cy[ok] / (3.0 * area2[ok])
         pts = new
     return pts
 
@@ -1546,10 +1548,12 @@ def _clip_halfplane(poly, px, py, qx, qy):
 def reference_voronoi(domain, h):
     """(vertices, cells) of the Lloyd-smoothed Voronoi mesh, each cell clipped
     from the rectangle by the bisectors of its neighbouring seeds, vertices
-    identified on a grid of 1e-6 * s and numbered by first appearance."""
+    identified on a grid of 1e-6 * s and numbered by first appearance.  The
+    seeds are those of ``geometry._lloyd``, so that the cells compare to
+    rounding (``reference_lloyd`` checks the seeds)."""
     from scipy.spatial import KDTree
     seeds, s = reference_hex_seeds(domain, h)
-    seeds = reference_lloyd(seeds, domain, 20, band=3.0 * s)
+    seeds = geometry._lloyd(seeds, domain, band=3.0 * s)
     tree = KDTree(seeds)
     box = [(domain.x0, domain.y0), (domain.x1, domain.y0),
            (domain.x1, domain.y1), (domain.x0, domain.y1)]

@@ -317,13 +317,15 @@ def test_topology_errors_match_dict_reference(cells, exc, msg):
 @pytest.mark.parametrize("h", [1 / 5, 1 / 10, 1 / 20])
 def test_voronoi_cells_match_clipping_reference(h):
     """The regions of the mirrored diagram are the bisector-clipped cells:
-    the same Lloyd seeds bit for bit, the same vertex count, loop lengths and
-    marker counts, and cell areas equal up to rounding."""
+    the Lloyd seeds of a fresh Voronoi diagram per step up to rounding, the
+    same vertex count, loop lengths and marker counts, and cell areas equal
+    up to rounding."""
     seeds, s = geometry._hex_seeds(UNIT_SQUARE, h)
     ref_seeds, _ = reference_hex_seeds(UNIT_SQUARE, h)
     assert np.array_equal(seeds, ref_seeds)
-    assert np.array_equal(geometry._lloyd(seeds, UNIT_SQUARE, 3.0 * s),
-                          reference_lloyd(ref_seeds, UNIT_SQUARE, 20, 3.0 * s))
+    # measured: 1.3e-15 s at h=1/5 and 1/10, 5.1e-15 s at h=1/20
+    assert np.max(np.abs(geometry._lloyd(seeds, UNIT_SQUARE, 3.0 * s)
+                         - reference_lloyd(ref_seeds, UNIT_SQUARE, 20, 3.0 * s))) <= 1e-13 * s
     mesh = generate_mesh("voronoi", UNIT_SQUARE, h)
     verts, cells = reference_voronoi(UNIT_SQUARE, h)
     ref = PolyMesh(verts, cells, {})
@@ -369,6 +371,78 @@ def test_structured_meshes_match_loop_reference(family, domain, h, seed):
     assert len(mesh.cells) == len(cells)
     assert all(np.array_equal(a, b) for a, b in zip(mesh.cells, cells))
     assert np.array_equal(mesh.edges, reference_topology(verts, cells)[0])
+
+
+class _Counted:
+    """Counts the constructions of a scipy.spatial class."""
+
+    def __init__(self, monkeypatch, name):
+        import scipy.spatial
+        self.calls, cls = 0, getattr(scipy.spatial, name)
+
+        def make(*args, **kwargs):
+            self.calls += 1
+            return cls(*args, **kwargs)
+        monkeypatch.setattr(scipy.spatial, name, make)
+
+
+def test_lloyd_remakes_a_stale_triangulation(monkeypatch):
+    """Random seeds move far in their first Lloyd steps, so the triangulation
+    goes stale and is made again; the seeds still follow a fresh Voronoi
+    diagram per step to rounding (measured 1.2e-15 after 15 triangulations;
+    with the incircle test skipped they are off by 1.9e-2)."""
+    delaunay = _Counted(monkeypatch, "Delaunay")
+    pts = np.random.default_rng(0).random((60, 2))
+    moved = geometry._lloyd(pts, UNIT_SQUARE, 0.3)
+    assert 1 < delaunay.calls < geometry._LLOYD_ITERS
+    assert np.max(np.abs(moved - reference_lloyd(pts, UNIT_SQUARE, 20, 0.3))) <= 1e-13
+
+
+def test_fans_stale_when_a_region_vertex_leaves_the_rectangle():
+    seeds, s = geometry._hex_seeds(UNIT_SQUARE, 1 / 5)
+    mirrored, src, wall = geometry._images(seeds, UNIT_SQUARE, 3.0 * s)
+    fans = geometry._Fans(mirrored, len(seeds), src, wall)
+    assert fans.centres(mirrored, UNIT_SQUARE) is not None
+    assert fans.centres(mirrored, Rectangle(0.0, 0.0, 0.99, 1.0)) is None
+
+
+@pytest.mark.parametrize("h", [1 / 5, 1 / 10, 1 / 20])
+def test_voronoi_mesh_triangulates_once(monkeypatch, h):
+    """A Voronoi mesh of the convergence ladder takes one Delaunay
+    triangulation for all Lloyd steps and one Voronoi diagram for its cells."""
+    delaunay, voronoi = _Counted(monkeypatch, "Delaunay"), _Counted(monkeypatch, "Voronoi")
+    geometry._voronoi(UNIT_SQUARE, h, 42)
+    assert (delaunay.calls, voronoi.calls) == (1, 1)
+
+
+@pytest.mark.parametrize("domain", [UNIT_SQUARE, Rectangle(-1.0, 2.0, 3.0, 2.5)])
+def test_voronoi_loops_start_at_lowest_vertex(domain):
+    """Every Voronoi cell starts at its lowest vertex (by y, then x), whatever
+    order Qhull lists the region in."""
+    for h in (1 / 5, 1 / 10):
+        mesh = generate_mesh("voronoi", domain, h)
+        for cell in mesh.cells:
+            x, y = mesh.vertices[cell].T
+            assert np.lexsort((x, y))[0] == 0
+
+
+@pytest.mark.parametrize("family", ["uniform_square", "distorted_square", "nonconvex",
+                                    "triangular"])
+def test_grid_counts_round_half_up(family):
+    """0.5 / 0.2 = 2.5 rows round up to 3, so the 4 x 0.5 box keeps every
+    structured family within 2 h at h=1/5 (half to even gave nonconvex 2 rows
+    of 0.25 and h=0.416)."""
+    mesh = generate_mesh(family, Rectangle(-1.0, 2.0, 3.0, 2.5), 1 / 5)
+    assert mesh.h <= 2 / 5
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_only_distorted_square_reads_the_seed(family):
+    a = generate_mesh(family, UNIT_SQUARE, 1 / 5, seed=1)
+    b = generate_mesh(family, UNIT_SQUARE, 1 / 5, seed=7)
+    same = (np.array_equal(a.vertices, b.vertices)
+            and all(np.array_equal(p, q) for p, q in zip(a.cells, b.cells)))
+    assert same == (family != "distorted_square")
 
 
 def test_voronoi_region_guard_names_the_seed():
