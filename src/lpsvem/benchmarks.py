@@ -8,7 +8,6 @@ derives the sources with jets on numpy arrays; the physically driven channel
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -98,15 +97,10 @@ def make_case(case_id: str, kappa: float | None = None) -> BenchmarkCase:
 
             def one(xv, yv):
                 return np.ones_like(xv)
-            bcs = {}
-            for m in mesh.boundary_markers:
-                if m == "left":
-                    bcs[m] = BoundaryCondition(velocity=inflow, temperature=one)
-                elif m == "right":
-                    bcs[m] = BoundaryCondition(velocity=outflow, temperature=None)
-                else:
-                    bcs[m] = BoundaryCondition(velocity=wall, temperature=None)
-            return bcs
+            # (velocity, temperature) by marker; no slip and zero flux on the walls
+            roles = {"left": (inflow, one), "right": (outflow, None)}
+            return {m: BoundaryCondition(*roles.get(m, (wall, None)))
+                    for m in mesh.boundary_markers}
 
         return BenchmarkCase(
             name=case_id, domain=L_SHAPE, fields=None,
@@ -130,7 +124,6 @@ class ConvergenceRecord:
     errors: ErrorBundle
     iterations: int
     converged: bool
-    wall_time: float
     n_cells: int | None = None     # cells of the mesh actually generated
     stokes_factorizations: int = 0
     heat_factorizations: int = 0
@@ -140,7 +133,6 @@ def run_point(case: BenchmarkCase, family: str, k: int, h: float, *,
               c1=0.1, c2=0.002, c3=1.0, tol=1e-7, max_iter=50,
               seed=42) -> tuple[ConvergenceRecord, object, object]:
     """Solve one (family, k, h) study point; returns (record, state, mops)."""
-    t0 = time.perf_counter()
     mesh = generate_mesh(family, case.domain, h, seed=seed)
     mops = build_mesh_ops(mesh, k)
     spec = case.problem_spec(mesh, k, c1=c1, c2=c2, c3=c3)
@@ -149,44 +141,77 @@ def run_point(case: BenchmarkCase, family: str, k: int, h: float, *,
     errors = compute_errors(state, exact, mops, phi_reference=case.phi_reference)
     rec = ConvergenceRecord(
         case=case.name, family=family, k=k, h=h, errors=errors,
-        iterations=report.iterations, converged=report.converged,
-        wall_time=time.perf_counter() - t0, n_cells=mesh.n_cells,
+        iterations=report.iterations, converged=report.converged, n_cells=mesh.n_cells,
         stokes_factorizations=report.stokes_factorizations,
         heat_factorizations=report.heat_factorizations)
     return rec, state, mops
 
 
-def pop_point_kwargs(ov: dict) -> dict:
-    """Remove the ``run_point`` keywords (c1, c2, c3, tol, max_iter, seed) and
-    ``no_stab`` from the overrides ``ov`` and return the keywords; ``no_stab``
-    sets the three stabilization constants to zero."""
-    kw = {k: ov.pop(k) for k in ("c1", "c2", "c3", "tol", "max_iter", "seed") if k in ov}
+# the overrides of a study and the type of their values (the grid keys orders,
+# mesh_families and h_list take a list of them)
+_OVERRIDES = {"orders": int, "mesh_families": str, "h_list": float, "kappa": float,
+              "c1": float, "c2": float, "c3": float, "no_stab": bool, "tol": float,
+              "max_iter": int, "seed": int}
+
+
+def _typed(key: str, value):
+    """``value`` as the type of override ``key``; a value of another JSON type
+    is an error that names the key (an integer is a number, a bool is neither)."""
+    kind = _OVERRIDES[key]
+    if (not isinstance(value, (int, float) if kind is float else kind)
+            or isinstance(value, bool) != (kind is bool)):
+        raise ConfigurationError(f"override {key!r} takes {kind.__name__} values, got {value!r}")
+    return kind(value)
+
+
+def plan_study(case_id: str, overrides: dict | None = None, single: bool = False):
+    """Resolve a study: returns the case, its (family, k) ladders, the mesh
+    sizes from coarse to fine and the ``run_point`` keywords.  ``orders``,
+    ``mesh_families`` and ``h_list`` replace the case's grid, ``kappa`` its
+    conductivity scale, ``no_stab`` sets c1 = c2 = c3 = 0, and the other
+    overrides are ``run_point`` keywords.  With ``single`` the plan is one
+    point, by default the case's first family and order and coarsest h."""
+    ov = dict(overrides or {})
+    unknown = sorted(set(ov) - set(_OVERRIDES))
+    if unknown:
+        raise ConfigurationError(f"unknown overrides {unknown}")
+    grid = ("orders", "mesh_families", "h_list")
+    for key, value in ov.items():
+        if key not in grid:
+            ov[key] = _typed(key, value)
+        elif not isinstance(value, (list, tuple)):
+            raise ConfigurationError(f"override {key!r} takes a list, got {value!r}")
+        elif single and len(value) != 1:
+            raise ConfigurationError(f"one point takes one entry of {key!r}, got {len(value)}")
+        else:
+            ov[key] = [_typed(key, v) for v in value]
+    case = make_case(case_id, kappa=ov.pop("kappa", None))
+    orders, families, h_list = (ov.pop(key, getattr(case, key)[:1 if single else None])
+                                for key in grid)
     if ov.pop("no_stab", False):
-        kw["c1"] = kw["c2"] = kw["c3"] = 0.0
-    return kw
+        ov.update(c1=0.0, c2=0.0, c3=0.0)
+    ladders = [(family, k) for family in families for k in orders]
+    return case, ladders, sorted(h_list, reverse=True), ov
+
+
+def run_ladder(case: BenchmarkCase, family: str, k: int, h_list, **point_kw
+               ) -> list[ConvergenceRecord]:
+    """Run the points (family, k, h) of one ladder from coarse to fine, h in
+    ``h_list``, distinct and descending; returns their records.  The ladder is
+    the unit that ``lpsvem study --threads`` runs side by side, and within it
+    a point runs after the coarser ones, so that it could start from them."""
+    if any(fine >= coarse for coarse, fine in zip(h_list, h_list[1:])):
+        raise ConfigurationError(
+            f"a ladder takes distinct mesh sizes from coarse to fine, got {list(h_list)}")
+    return [run_point(case, family, k, h, **point_kw)[0] for h in h_list]
 
 
 def run_case(case_id: str, overrides: dict | None = None) -> list[ConvergenceRecord]:
-    """Run the full study grid of a case; returns one record per (family, k, h).
-
-    Recognized overrides: orders, mesh_families, h_list, kappa, and those of
-    ``pop_point_kwargs``.
-    """
-    ov = dict(overrides or {})
-    case = make_case(case_id, kappa=ov.pop("kappa", None))
-    orders = ov.pop("orders", case.orders)
-    families = ov.pop("mesh_families", case.mesh_families)
-    h_list = sorted(ov.pop("h_list", case.h_list), reverse=True)
-    point_kw = pop_point_kwargs(ov)
-    if ov:
-        raise ConfigurationError(f"unknown overrides {sorted(ov)}")
-    records = []
-    for family in families:
-        for k in orders:
-            for h in h_list:
-                rec, _, _ = run_point(case, family, k, h, **point_kw)
-                records.append(rec)
-    return records
+    """Run the study grid of a case (overrides as in ``plan_study``); returns
+    one record per (family, k, h), ladder by ladder."""
+    case, ladders, h_list, point_kw = plan_study(case_id, overrides)
+    return [rec for family, k in ladders
+            for rec in run_ladder(case, family, k, h_list, **point_kw)]
 
 
 CSV_HEADER = ["h", "E_u_H1", "rate", "E_u_L2", "rate", "E_p_L2", "rate",

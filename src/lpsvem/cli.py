@@ -1,7 +1,8 @@
 """Command-line driver: mesh generation, single solves, studies, field export.
 
-Exit codes: 0 success, 2 configuration/usage error, 3 study with a
-non-converged fixed-point iteration.
+Exit codes: 0 success; 2 configuration or usage error, including an output
+path that cannot be written; 3 a solve, export or study whose fixed-point
+iteration did not converge, or any solver failure.
 """
 from __future__ import annotations
 
@@ -42,29 +43,32 @@ def _add_common(p):
     p.add_argument("--case", choices=bench.CASE_IDS, required=True)
     p.add_argument("--order", type=int, default=None, help="VEM order k")
     p.add_argument("--mesh-family", choices=MESH_FAMILIES, default=None)
-    p.add_argument("--tau1", type=float, default=None, help="constant c1 in tau1 = c1")
-    p.add_argument("--tau2", type=float, default=None, help="constant c2 in tau2 = c2*h_E^2")
-    p.add_argument("--tau3", type=float, default=None, help="constant c3 in tau3 = c3*h_E")
-    p.add_argument("--no-stab", action="store_true",
+    p.add_argument("--tau1", dest="c1", type=float, help="constant c1 in tau1 = c1")
+    p.add_argument("--tau2", dest="c2", type=float, help="constant c2 in tau2 = c2*h_E^2")
+    p.add_argument("--tau3", dest="c3", type=float, help="constant c3 in tau3 = c3*h_E")
+    p.add_argument("--no-stab", action="store_true", default=None,
                    help="set all stabilization parameters to zero (comparison runs)")
     p.add_argument("--tol", type=float, default=None, help="fixed-point stopping tolerance")
     p.add_argument("--max-iter", type=int, default=None)
     p.add_argument("--kappa", type=float, default=None, help="override the conductivity scale")
     p.add_argument("--out-dir", type=Path, default=None)
     p.add_argument("--threads", type=int, default=1,
-                   help="worker threads for independent study points")
+                   help="worker threads; each runs whole (family, k) ladders")
     p.add_argument("--config", type=Path, default=None, help="JSON file with these options")
     p.add_argument("--seed", type=int, default=None,
                    help="mesh seed (default 42); only distorted_square reads it")
 
 
-# the keys a --config file may hold
+# the keys a --config file may hold, each the destination of its flag; order
+# and mesh_family give the one entry of a study override
 _CONFIG_KEYS = frozenset(("order", "mesh_family", "h_list", "c1", "c2", "c3", "no_stab",
                           "kappa", "tol", "max_iter", "seed"))
+_ONE_ENTRY = {"order": "orders", "mesh_family": "mesh_families"}
 
 
 def _overrides_from_args(args) -> dict:
-    ov: dict = {}
+    """The flags of a command over its ``--config`` keys over the defaults, as
+    the overrides that ``benchmarks.plan_study`` checks and resolves."""
     cfg = {}
     if args.config is not None:
         try:
@@ -77,37 +81,17 @@ def _overrides_from_args(args) -> dict:
         if unknown:
             raise ConfigurationError(f"unknown config key(s) {', '.join(map(repr, unknown))} "
                                      f"(known: {', '.join(sorted(_CONFIG_KEYS))})")
-    def pick(cli_val, key, default=None):
-        if cli_val is not None:
-            return cli_val
-        return cfg.get(key, default)
-    order = pick(args.order, "order")
-    if order is not None:
-        ov["orders"] = [int(order)]
-    family = pick(args.mesh_family, "mesh_family")
-    if family is not None:
-        ov["mesh_families"] = [family]
-    hs = cfg.get("h_list")
-    if getattr(args, "h_list", None) is not None:
-        hs = _parse_h_list(args.h_list)
-    if hs is not None:
-        ov["h_list"] = [float(h) for h in hs]
-    for cli_name, key in ((args.tau1, "c1"), (args.tau2, "c2"), (args.tau3, "c3")):
-        val = pick(cli_name, key)
-        if val is not None:
-            ov[key] = float(val)
-    if args.no_stab or cfg.get("no_stab"):
-        ov["no_stab"] = True
-    kappa = pick(args.kappa, "kappa")
-    if kappa is not None:
-        ov["kappa"] = float(kappa)
-    ov["tol"] = float(pick(args.tol, "tol", 1e-7))
-    ov["max_iter"] = int(pick(args.max_iter, "max_iter", 50))
-    ov["seed"] = int(pick(args.seed, "seed", 42))
-    return ov
+    flags = {key: getattr(args, key) for key in _CONFIG_KEYS}
+    if args.h_list is not None:
+        flags["h_list"] = _parse_h_list(args.h_list)
+    options = {"tol": 1e-7, "max_iter": 50, "seed": 42, **cfg,
+               **{key: val for key, val in flags.items() if val is not None}}
+    return {_ONE_ENTRY.get(key, key): [val] if key in _ONE_ENTRY else val
+            for key, val in options.items()}
 
 
 def _cmd_mesh_gen(args) -> int:
+    args.out.parent.mkdir(parents=True, exist_ok=True)
     domain = _DOMAINS[args.domain]
     mesh = generate_mesh(args.family, domain, _parse_h(args.h), seed=args.seed)
     write_mesh(mesh, args.out)
@@ -116,21 +100,19 @@ def _cmd_mesh_gen(args) -> int:
     return 0
 
 
-def _single_point_args(ov, case):
-    orders = ov.pop("orders", None) or [case.orders[0]]
-    fams = ov.pop("mesh_families", None) or [case.mesh_families[0]]
-    hs = ov.pop("h_list", None) or [case.h_list[0]]
-    return orders[0], fams[0], hs[0]
+def _solve_point(args):
+    """``run_point`` on the one point that ``solve`` and ``export`` name."""
+    case, [(family, k)], [h], kw = bench.plan_study(
+        args.case, _overrides_from_args(args), single=True)
+    return bench.run_point(case, family, k, h, **kw)
 
 
 def _cmd_solve(args) -> int:
-    ov = _overrides_from_args(args)
-    case = bench.make_case(args.case, kappa=ov.pop("kappa", None))
-    kw = bench.pop_point_kwargs(ov)
-    k, family, h = _single_point_args(ov, case)
-    rec, state, mops = bench.run_point(case, family, k, h, **kw)
+    if args.out_dir is not None:
+        args.out_dir.mkdir(parents=True, exist_ok=True)
+    rec, state, mops = _solve_point(args)
     e = rec.errors
-    print(f"case={rec.case} family={family} k={k} h={h:.6g} "
+    print(f"case={rec.case} family={rec.family} k={rec.k} h={rec.h:.6g} "
           f"iterations={rec.iterations} stokes_factorizations={rec.stokes_factorizations} "
           f"heat_factorizations={rec.heat_factorizations} converged={rec.converged}")
     print(f"div_violation={e.div_violation:.6e} "
@@ -139,7 +121,6 @@ def _cmd_solve(args) -> int:
         print(f"E_u_H1={e.e_u_h1:.6e} E_u_L2={e.e_u_l2:.6e} E_p_L2={e.e_p_l2:.6e} "
               f"E_phi_H1={e.e_phi_h1:.6e} E_phi_L2={e.e_phi_l2:.6e}")
     if args.out_dir is not None:
-        args.out_dir.mkdir(parents=True, exist_ok=True)
         export_fields(state, mops.mesh, mops, args.out_dir / "fields.vtk", "vtk_legacy")
         export_fields(state, mops.mesh, mops, args.out_dir / "fields.csv", "csv")
         print(f"fields written to {args.out_dir}")
@@ -147,27 +128,22 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_study(args) -> int:
-    ov = _overrides_from_args(args)
-    case = bench.make_case(args.case, kappa=ov.pop("kappa", None))
-    kw = bench.pop_point_kwargs(ov)
-    orders = ov.pop("orders", case.orders)
-    families = ov.pop("mesh_families", case.mesh_families)
-    h_list = sorted(ov.pop("h_list", case.h_list), reverse=True)
-    points = [(f, k) for f in families for k in orders]
+    case, ladders, h_list, kw = bench.plan_study(args.case, _overrides_from_args(args))
+    if args.out_dir is not None:
+        args.out_dir.mkdir(parents=True, exist_ok=True)
 
-    def run_study(fk):
-        family, k = fk
-        return [bench.run_point(case, family, k, h, **kw)[0] for h in h_list]
+    def ladder(fk):
+        return bench.run_ladder(case, *fk, h_list, **kw)
 
     if args.threads > 1:
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            results = list(pool.map(run_study, points))
+            results = list(pool.map(ladder, ladders))
     else:
-        results = [run_study(fk) for fk in points]
+        results = list(map(ladder, ladders))
 
     all_ok = True
-    for (family, k), recs in zip(points, results):
+    for (family, k), recs in zip(ladders, results):
         table = bench.records_to_csv(recs)
         print(f"# case={args.case} family={family} k={k}")
         print(table, end="")
@@ -179,18 +155,13 @@ def _cmd_study(args) -> int:
               f"{','.join(str(r.converged) for r in recs)}")
         all_ok &= all(r.converged for r in recs)
         if args.out_dir is not None:
-            args.out_dir.mkdir(parents=True, exist_ok=True)
-            name = f"{args.case}_{family}_k{k}.csv"
-            (args.out_dir / name).write_text(table)
+            (args.out_dir / f"{args.case}_{family}_k{k}.csv").write_text(table)
     return 0 if all_ok else 3
 
 
 def _cmd_export(args) -> int:
-    ov = _overrides_from_args(args)
-    case = bench.make_case(args.case, kappa=ov.pop("kappa", None))
-    kw = bench.pop_point_kwargs(ov)
-    k, family, h = _single_point_args(ov, case)
-    rec, state, mops = bench.run_point(case, family, k, h, **kw)
+    args.out.parent.mkdir(parents=True, exist_ok=True)
+    rec, state, mops = _solve_point(args)
     export_fields(state, mops.mesh, mops, args.out, args.format)
     print(f"wrote {args.out} (converged={rec.converged})")
     return 0 if rec.converged else 3
@@ -243,7 +214,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ConfigurationError, GeometryError, ValueError) as exc:
+    except (ConfigurationError, GeometryError, ValueError, OSError) as exc:
         msg, cell = str(exc), getattr(exc, "cell_id", None)
         if cell is not None and not msg.startswith(f"cell {cell}:"):
             msg = f"cell {cell}: {msg}"

@@ -515,7 +515,7 @@ class Assembler:
             A_TT=self.diffusion_block(phi), C=self.convection_block(u), L3=self.L3,
             rhs_heat=self._rhs_h_static.copy(), dirichlet_phi=self.dirichlet_phi)
 
-    # -- split assembly used by the Picard sweep -------------------------------
+    # -- the blocks that build_stokes and build_transport assemble -------------
 
     def viscous_block(self, phi: np.ndarray) -> sp.csr_matrix:
         return self._vector.assemble(per_group(

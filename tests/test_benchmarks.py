@@ -202,3 +202,12 @@ def test_ex4_bc_roles():
     for wall in ("top", "bottom", "notch_v", "notch_h"):
         assert np.abs(bcs[wall].velocity(np.array([1.0]), np.array([0.0]))).max() == 0.0
         assert bcs[wall].temperature is None
+
+
+@pytest.mark.parametrize("h_list", [[1 / 10, 1 / 5], [1 / 5, 1 / 5]])
+def test_run_ladder_takes_distinct_sizes_coarse_to_fine(monkeypatch, h_list):
+    """A ladder runs from coarse to fine over distinct sizes: anything else
+    is refused before a point is solved."""
+    monkeypatch.setattr(bm, "run_point", lambda *a, **kw: pytest.fail("a point was solved"))
+    with pytest.raises(ConfigurationError, match="distinct mesh sizes from coarse to fine"):
+        bm.run_ladder(bm.make_case("ex1"), "distorted_square", 1, h_list)

@@ -201,3 +201,106 @@ def test_configuration_error_names_the_cell(monkeypatch, capsys, field, message)
     err = capsys.readouterr().err
     assert re.match(rf"error: cell \d+: {message}", err), err
     assert err.count("cell ") == 1
+
+
+def _no_point(monkeypatch):
+    """Make any solve fail the test: an error must be raised before the work."""
+    def run_point(*a, **kw):
+        raise AssertionError("a point was solved")
+    monkeypatch.setattr(bench, "run_point", run_point)
+
+
+@pytest.mark.parametrize("key, value, named", [
+    ("h_list", 0.2, "'h_list'"), ("h_list", ["1/5"], "'h_list'"), ("tol", [1], "'tol'"),
+    ("order", "1", "'orders'"), ("order", 1.0, "'orders'"), ("mesh_family", 3, "'mesh_families'"),
+    ("c1", "0.1", "'c1'"), ("kappa", None, "'kappa'"), ("max_iter", 2.5, "'max_iter'"),
+    ("seed", True, "'seed'"), ("no_stab", "yes", "'no_stab'")])
+@pytest.mark.parametrize("command", ["solve", "study"])
+def test_config_value_of_wrong_type_exits_2(tmp_path, monkeypatch, capsys, command, key,
+                                             value, named):
+    """A config value of the wrong JSON type is a configuration error that
+    names the key, raised before any point is solved."""
+    _no_point(monkeypatch)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    assert main([command, "--case", "ex4_mild", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: override {named} takes "), captured.err
+    assert captured.out == ""
+
+
+def test_study_repeated_mesh_size_exits_2(monkeypatch, capsys):
+    _no_point(monkeypatch)
+    code = main(["study", "--case", "ex1", "--order", "1", "--mesh-family",
+                 "distorted_square", "--h-list", "1/5,1/5"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("error: a ladder takes distinct mesh sizes from coarse to fine, "
+                            "got [0.2, 0.2]\n")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["solve", "export"])
+def test_one_point_commands_reject_two_mesh_sizes(tmp_path, monkeypatch, capsys, command):
+    """``solve`` and ``export`` run one point: a config ``h_list`` of two sizes
+    is an error that names the count, not a solve of the first size."""
+    _no_point(monkeypatch)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"h_list": [0.25, 0.125]}))
+    args = [command, "--case", "ex4_mild", "--config", str(cfg)]
+    if command == "export":
+        args += ["--out", str(tmp_path / "f.vtk")]
+    assert main(args) == 2
+    assert capsys.readouterr().err == "error: one point takes one entry of 'h_list', got 2\n"
+
+
+@pytest.mark.parametrize("command", ["mesh", "export"])
+def test_output_file_in_missing_directory_is_made(tmp_path, capsys, command):
+    out = tmp_path / "missing" / "deeper" / "out.file"
+    args = (["mesh", "gen", "--family", "uniform_square", "--h", "1/4"] if command == "mesh"
+            else ["export", "--case", "ex4_mild", "--h", "1/4", "--order", "1"])
+    assert main(args + ["--out", str(out)]) == 0
+    assert out.stat().st_size > 0
+
+
+@pytest.mark.parametrize("command", ["mesh", "export"])
+def test_unwritable_output_file_exits_2(tmp_path, capsys, command):
+    """A write that fails (here: the path is a directory) is a usage error
+    that names the path, not a traceback."""
+    out = tmp_path / "taken"
+    out.mkdir()
+    args = (["mesh", "gen", "--family", "uniform_square", "--h", "1/4"] if command == "mesh"
+            else ["export", "--case", "ex4_mild", "--h", "1/4", "--order", "1"])
+    assert main(args + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err, err
+
+
+@pytest.fixture
+def ladder_calls(monkeypatch):
+    """Each call of ``bench.run_ladder``: its (family, k) and the h of the
+    records it returned, in order."""
+    calls = []
+    run_ladder = bench.run_ladder
+
+    def counting(case, family, k, h_list, **kw):
+        recs = run_ladder(case, family, k, h_list, **kw)
+        calls.append((family, k, [r.h for r in recs]))
+        return recs
+    monkeypatch.setattr(bench, "run_ladder", counting)
+    return calls
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_study_runs_through_run_ladder(ladder_calls, capsys, threads):
+    code = main(["study", "--case", "ex1", "--order", "1", "--mesh-family",
+                 "distorted_square", "--h-list", "1/10,1/5", "--threads", threads])
+    assert code == 0
+    assert ladder_calls == [("distorted_square", 1, [0.2, 0.1])]
+
+
+def test_run_case_runs_through_run_ladder(ladder_calls):
+    recs = bench.run_case("ex1", {"orders": [1], "mesh_families": ["distorted_square"],
+                                  "h_list": [1 / 10, 1 / 5]})
+    assert ladder_calls == [("distorted_square", 1, [0.2, 0.1])]
+    assert [r.h for r in recs] == [0.2, 0.1]
