@@ -2,10 +2,11 @@
 """Print a digest of the mesh generators on 270 configurations, one line each.
 
 Each line holds the sha256 of one ``generate_mesh`` result: the vertex
-coordinates (bytes), the cell loops and the boundary markers (names in their
-order, then the edge ids), or, when the call raises, the type and message of
-the error.  Two trees that print the same lines build the same meshes bit for
-bit and raise the same errors.
+coordinates (bytes), the cell loops, the boundary markers (names in their
+order, then the edge ids) and, for each cell group in its order, the cell ids
+and the ear-clip sub-triangles; or, when the call raises, the type and
+message of the error.  Two trees that print the same lines build the same
+meshes and sub-triangulations bit for bit and raise the same errors.
 
 The configurations: the five mesh families, h in {1/4, 1/5, 1/9, 1/10, 1/16,
 1/20}, mesh seeds {1, 7, 42} and three domains: the unit square, the L-shaped
@@ -46,6 +47,9 @@ def mesh_digest(family, domain, n, seed) -> str:
         sha.update(np.asarray(cell, dtype=np.int64).tobytes() + b";")
     for name, ids in mesh.boundary_markers.items():
         sha.update(name.encode() + b":" + np.asarray(ids, dtype=np.int64).tobytes() + b";")
+    for group in mesh.cell_groups:
+        sha.update(np.asarray(group.cell_ids, dtype=np.int64).tobytes() + b":"
+                   + np.asarray(group.triangles, dtype=np.int64).tobytes() + b";")
     return sha.hexdigest()[:16]
 
 

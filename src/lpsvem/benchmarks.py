@@ -167,10 +167,11 @@ def _typed(key: str, value):
 def plan_study(case_id: str, overrides: dict | None = None, single: bool = False):
     """Resolve a study: returns the case, its (family, k) ladders, the mesh
     sizes from coarse to fine and the ``run_point`` keywords.  ``orders``,
-    ``mesh_families`` and ``h_list`` replace the case's grid, ``kappa`` its
-    conductivity scale, ``no_stab`` sets c1 = c2 = c3 = 0, and the other
-    overrides are ``run_point`` keywords.  With ``single`` the plan is one
-    point, by default the case's first family and order and coarsest h."""
+    ``mesh_families`` and ``h_list`` (none of them empty) replace the case's
+    grid, ``kappa`` its conductivity scale, ``no_stab`` sets c1 = c2 = c3 =
+    0, and the other overrides are ``run_point`` keywords.  With ``single``
+    the plan is one point, by default the case's first family and order and
+    coarsest h."""
     ov = dict(overrides or {})
     unknown = sorted(set(ov) - set(_OVERRIDES))
     if unknown:
@@ -183,6 +184,8 @@ def plan_study(case_id: str, overrides: dict | None = None, single: bool = False
             raise ConfigurationError(f"override {key!r} takes a list, got {value!r}")
         elif single and len(value) != 1:
             raise ConfigurationError(f"one point takes one entry of {key!r}, got {len(value)}")
+        elif not value:
+            raise ConfigurationError(f"override {key!r} is empty; a study takes at least one entry")
         else:
             ov[key] = [_typed(key, v) for v in value]
     case = make_case(case_id, kappa=ov.pop("kappa", None))

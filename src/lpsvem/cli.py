@@ -51,9 +51,6 @@ def _add_common(p):
     p.add_argument("--tol", type=float, default=None, help="fixed-point stopping tolerance")
     p.add_argument("--max-iter", type=int, default=None)
     p.add_argument("--kappa", type=float, default=None, help="override the conductivity scale")
-    p.add_argument("--out-dir", type=Path, default=None)
-    p.add_argument("--threads", type=int, default=1,
-                   help="worker threads; each runs whole (family, k) ladders")
     p.add_argument("--config", type=Path, default=None, help="JSON file with these options")
     p.add_argument("--seed", type=int, default=None,
                    help="mesh seed (default 42); only distorted_square reads it")
@@ -189,12 +186,16 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(solve)
     solve.add_argument("--h", dest="h_list", default=None,
                        help="mesh size for the single solve")
+    solve.add_argument("--out-dir", type=Path, default=None)
     solve.set_defaults(func=_cmd_solve)
 
     study = sub.add_parser("study", help="run a convergence study and emit CSV tables")
     _add_common(study)
     study.add_argument("--h-list", dest="h_list", default=None,
                        help="comma-separated mesh sizes, e.g. 1/5,1/10,1/20")
+    study.add_argument("--out-dir", type=Path, default=None)
+    study.add_argument("--threads", type=int, default=1,
+                       help="worker threads; each runs whole (family, k) ladders")
     study.set_defaults(func=_cmd_study)
 
     export = sub.add_parser("export", help="solve and export fields")

@@ -30,9 +30,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import CellGroup, PolyMesh
-from .polybasis import (grad_coeff_ref, laplacian_ref, condition_warnings,
-                        group_mass_matrices, group_quadrature, group_stiffness_matrices,
-                        monomial_gradients, monomial_values, poly_dim)
+from .polybasis import (build_quadrature, condition_warnings, grad_coeff_ref, laplacian_ref,
+                        mass_matrix, monomial_gradients, monomial_values, poly_dim,
+                        stiffness_matrix)
 
 
 class ElementError(RuntimeError):
@@ -233,11 +233,11 @@ def _build_group(group: CellGroup, k: int, quad_degree: int | None,
     def mT(a):
         return a.transpose(0, 2, 1)
 
-    qpts, qw = group_quadrature(verts, group.triangles, quad_degree, ids)
+    qpts, qw = build_quadrature(verts, group.triangles, quad_degree, ids)
     Phi = monomial_values(k, qpts, cen, h)                  # (m, nq, nk)
-    H = group_mass_matrices(Phi, qw)
+    H = mass_matrix(Phi, qw)
     condition_warnings(H, ids, stacklevel=3)
-    Gt = group_stiffness_matrices(monomial_gradients(k, qpts, cen, h), qw)
+    Gt = stiffness_matrix(monomial_gradients(k, qpts, cen, h), qw)
     Phi_lo = Phi[..., :nk1]
 
     # --- boundary trace machinery -----------------------------------------

@@ -86,56 +86,11 @@ def _first_appearance(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rank[inverse], first[order]
 
 
-def polygon_diameter(pts: np.ndarray) -> float:
-    d = pts[:, None, :] - pts[None, :, :]
-    return float(np.sqrt((d ** 2).sum(-1)).max())
-
-
-def _point_in_triangle(p, a, b, c, eps=1e-14):
-    def cross(o, u, v):
-        return (u[0] - o[0]) * (v[1] - o[1]) - (u[1] - o[1]) * (v[0] - o[0])
-    d1, d2, d3 = cross(a, b, p), cross(b, c, p), cross(c, a, p)
-    return d1 >= -eps and d2 >= -eps and d3 >= -eps
-
-
-def ear_clip(pts: np.ndarray) -> list[tuple[int, int, int]]:
-    """Triangulate a simple CCW polygon into index triples by ear clipping."""
-    n = len(pts)
-    if n < 3:
-        raise GeometryError("polygon with fewer than 3 vertices")
-    tol = 1e-14 * polygon_diameter(pts) ** 2
-    p = np.asarray(pts, dtype=float).tolist()
-    idx = list(range(n))
-    tris: list[tuple[int, int, int]] = []
-    guard = 0
-    while len(idx) > 3:
-        guard += 1
-        if guard > 4 * n * n:
-            raise GeometryError("ear clipping failed; polygon may be non-simple")
-        m = len(idx)
-        clipped = False
-        for k in range(m):
-            i0, i1, i2 = idx[(k - 1) % m], idx[k], idx[(k + 1) % m]
-            a, b, c = p[i0], p[i1], p[i2]
-            cr = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-            if cr <= tol:
-                continue  # reflex or degenerate corner, not an ear
-            ok = True
-            for j in idx:
-                if j in (i0, i1, i2):
-                    continue
-                if _point_in_triangle(p[j], a, b, c):
-                    ok = False
-                    break
-            if ok:
-                tris.append((i0, i1, i2))
-                idx.pop(k)
-                clipped = True
-                break
-        if not clipped:
-            raise GeometryError("ear clipping failed; polygon may be non-simple")
-    tris.append((idx[0], idx[1], idx[2]))
-    return tris
+def _orient(o, u, v):
+    """Twice the signed area of the triangles (o, u, v), from (..., 2) corner
+    arrays broadcast against each other."""
+    return ((u[..., 0] - o[..., 0]) * (v[..., 1] - o[..., 1])
+            - (u[..., 1] - o[..., 1]) * (v[..., 0] - o[..., 0]))
 
 
 # ---------------------------------------------------------------------------
@@ -148,10 +103,10 @@ class CellGroup:
 
     Every array has the cells on its first axis, in the order of
     ``cell_ids``; a single cell is the group of one.  Construction checks
-    every cell for a positive area, edges that are not degenerate and an
-    ear-clip sub-triangulation without degenerate triangles, and raises
-    ``GeometryError`` for the lowest failing id, with the message of the
-    first check that this cell fails.
+    every cell for a positive area, edges that are not degenerate, an ear at
+    every step of ear clipping and sub-triangles that are not degenerate,
+    and raises ``GeometryError`` for the lowest failing id, with the message
+    of the first check that this cell fails.
     """
     cell_ids: np.ndarray          # (m,)
     vertices: np.ndarray          # (m, nv, 2) CCW
@@ -167,6 +122,8 @@ class CellGroup:
         pts = np.asarray(self.vertices, dtype=float)
         self.cell_ids, self.vertices = ids, pts
         m, nv = pts.shape[:2]
+        if nv < 3:
+            raise GeometryError(f"cell {ids[0]}: fewer than 3 vertices")
         failed: dict[int, str] = {}   # index in the group -> first failed check
 
         def fail(mask, msg):
@@ -196,22 +153,31 @@ class CellGroup:
             self.edge_normals = (np.stack([e[..., 1], -e[..., 0]], axis=-1)
                                  / self.edge_lengths[..., None])
 
-        tris = np.zeros((m, max(nv - 2, 0), 3), dtype=int)
-        if nv == 3:
-            tris[:] = (0, 1, 2)
-        else:
-            for j in range(m):
-                if j in failed:
-                    continue
-                try:
-                    tris[j] = ear_clip(pts[j])
-                except GeometryError as exc:
-                    failed[j] = str(exc)
-        self.triangles = tris
-        rows = np.arange(m)[:, None]
-        p0, p1, p2 = (pts[rows, tris[..., i]] for i in range(3))
-        u, v = p1 - p0, p2 - p0
-        sub = 0.5 * (u[..., 0] * v[..., 1] - v[..., 0] * u[..., 1])
+        # ear clipping, one step for all cells at once: each cell cuts the first
+        # ear of its current loop, from (loop[-1], loop[0], loop[1]) on; a
+        # corner is an ear if it turns left by more than the scaled tolerance
+        # and no other remaining vertex lies in it (to 1e-14, corners excluded)
+        cells = np.arange(m)
+        rows = cells[:, None]
+        loop = np.broadcast_to(np.arange(nv), (m, nv))
+        tol = 1e-14 * self.diameter[:, None] ** 2
+        ears, no_ear = [], np.zeros(m, dtype=bool)
+        for r in range(nv, 3, -1):
+            corners = [np.roll(loop, s, axis=1) for s in (1, 0, -1)]
+            a, b, c = (pts[rows, i][:, :, None] for i in corners)   # (m, r, 1, 2)
+            q = pts[rows, loop][:, None]                            # (m, 1, r, 2)
+            inside = ((_orient(a, b, q) >= -1e-14) & (_orient(b, c, q) >= -1e-14)
+                      & (_orient(c, a, q) >= -1e-14))
+            k = np.arange(r)
+            other = (k - k[:, None] + 1) % r > 2                    # not a corner of ear k
+            ear = (_orient(a, b, c)[..., 0] > tol) & ~np.any(inside & other, axis=2)
+            first = np.argmax(ear, axis=1)
+            no_ear |= ~ear[cells, first]
+            ears.append(np.stack([i[cells, first] for i in corners], axis=1))
+            loop = loop[k != first[:, None]].reshape(m, r - 1)
+        fail(no_ear, lambda j: f"cell {ids[j]}: ear clipping failed; polygon may be non-simple")
+        self.triangles = tris = np.stack(ears + [loop], axis=1)
+        sub = 0.5 * _orient(*(pts[rows, tris[..., i]] for i in range(3)))
         fail(np.any(sub <= 1e-14 * area[:, None], axis=1),
              lambda j: f"cell {ids[j]}: degenerate sub-triangle")
         if failed:

@@ -5,9 +5,10 @@ Monomials are m_a(x) = ((x - x_E)/h_E)^a in graded lexicographic order
 the ear-clip sub-triangulation using a collapsed (Duffy) tensor Gauss rule,
 which keeps every weight positive at any exactness degree.
 
-Every ``group_*`` and ``monomial_*`` function works on a stack of cells
-(first axis).  Reference rules and coefficient maps depend only on the
-degree and are built once per degree; the cached arrays are read-only.
+The quadrature, the mass and stiffness matrices and every ``monomial_*``
+function work on a stack of cells (first axis).  Reference rules and
+coefficient maps depend only on the degree and are built once per degree;
+the cached arrays are read-only.
 """
 from __future__ import annotations
 
@@ -125,7 +126,7 @@ def _duffy_triangle_rule(degree: int):
     return _frozen(pts, wts)
 
 
-def group_quadrature(vertices, triangles, degree: int, cell_ids):
+def build_quadrature(vertices, triangles, degree: int, cell_ids):
     """Composite positive-weight rule on a stack of cells.
 
     vertices (m, nv, 2), triangles (m, nt, 3) -> points (m, nt * nr, 2) and
@@ -148,14 +149,14 @@ def group_quadrature(vertices, triangles, degree: int, cell_ids):
     return pts.reshape(m, -1, 2), wts.reshape(m, -1)
 
 
-def group_mass_matrices(phi: np.ndarray, weights: np.ndarray) -> np.ndarray:
+def mass_matrix(phi: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """H with H_ab = int_E m_a m_b from values phi (m, nq, dim) and weights
     (m, nq); shape (m, dim, dim)."""
     H = np.matmul(phi.transpose(0, 2, 1), weights[..., None] * phi)
     return 0.5 * (H + H.transpose(0, 2, 1))
 
 
-def group_stiffness_matrices(dphi: np.ndarray, weights: np.ndarray) -> np.ndarray:
+def stiffness_matrix(dphi: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """G with G_ab = int_E grad m_a . grad m_b from gradients dphi
     (m, nq, dim, 2); singular along constants."""
     G = np.einsum("mqad,mq,mqbd->mab", dphi, weights, dphi)

@@ -9,8 +9,8 @@ sub-triangulation, the cell-by-cell constructions of the element operators
 and of the global assembly that the grouped ``build_mesh_ops`` and
 ``forms.Assembler`` are checked against, the sparse-sum construction of the
 eliminated systems that the solver's fixed patterns are checked against, and
-the loop-by-loop mesh topology and
-generators (with the bisector-clipping Voronoi cells) that the array-based
+the loop-by-loop mesh topology and generators (with the bisector-clipping
+Voronoi cells) and the one-polygon ear clipping that the array-based
 ``geometry`` is checked against.  It also holds the helpers only tests use:
 observed rates, energy norms, interpolation and shape-regularity checks.
 """
@@ -27,11 +27,10 @@ from scipy.special import roots_legendre
 from lpsvem import element_ops as eo
 from lpsvem import forms, geometry, solver
 from lpsvem.element_ops import edge_internal_params
-from lpsvem.geometry import (CellGroup, GeometryError, MeshFormatError, ear_clip,
-                             polygon_diameter)
-from lpsvem.polybasis import (grad_coeff_ref, group_mass_matrices, group_quadrature,
-                              group_stiffness_matrices, laplacian_ref, monomial_exponents,
-                              monomial_gradients, monomial_values, poly_dim)
+from lpsvem.geometry import CellGroup, GeometryError, MeshFormatError
+from lpsvem.polybasis import (build_quadrature, grad_coeff_ref, laplacian_ref, mass_matrix,
+                              monomial_exponents, monomial_gradients, monomial_values,
+                              poly_dim, stiffness_matrix)
 
 # ---------------------------------------------------------------------------
 # exact monomial integrals over polygons (closed form, no quadrature)
@@ -740,11 +739,11 @@ def reference_cell_ops(pts, k: int, quad_degree: int | None = None,
     def mono_grad(deg, x):
         return monomial_gradients(deg, np.atleast_2d(x)[None], geom.centroid, [diameter])[0]
 
-    qpts, qw = (a[0] for a in group_quadrature(geom.vertices, geom.triangles, quad_degree,
+    qpts, qw = (a[0] for a in build_quadrature(geom.vertices, geom.triangles, quad_degree,
                                                geom.cell_ids))
     Phi = mono(k, qpts)
-    H = group_mass_matrices(Phi[None], qw[None])[0]
-    Gt = group_stiffness_matrices(mono_grad(k, qpts)[None], qw[None])[0]
+    H = mass_matrix(Phi[None], qw[None])[0]
+    Gt = stiffness_matrix(mono_grad(k, qpts)[None], qw[None])[0]
     Phi_lo = Phi[:, :nk1]
 
     # --- boundary trace machinery -----------------------------------------
@@ -1263,6 +1262,58 @@ def interpolate_vector(mops, f1, f2) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # polygon helpers and shape-regularity checks, one polygon at a time
 # ---------------------------------------------------------------------------
+
+def polygon_diameter(pts: np.ndarray) -> float:
+    d = pts[:, None, :] - pts[None, :, :]
+    return float(np.sqrt((d ** 2).sum(-1)).max())
+
+
+def _point_in_triangle(p, a, b, c, eps=1e-14):
+    def cross(o, u, v):
+        return (u[0] - o[0]) * (v[1] - o[1]) - (u[1] - o[1]) * (v[0] - o[0])
+    d1, d2, d3 = cross(a, b, p), cross(b, c, p), cross(c, a, p)
+    return d1 >= -eps and d2 >= -eps and d3 >= -eps
+
+
+def ear_clip(pts: np.ndarray) -> list[tuple[int, int, int]]:
+    """Triangulate a simple CCW polygon into index triples by ear clipping."""
+    n = len(pts)
+    if n < 3:
+        raise GeometryError("polygon with fewer than 3 vertices")
+    tol = 1e-14 * polygon_diameter(pts) ** 2
+    p = np.asarray(pts, dtype=float).tolist()
+    idx = list(range(n))
+    tris: list[tuple[int, int, int]] = []
+    guard = 0
+    while len(idx) > 3:
+        guard += 1
+        if guard > 4 * n * n:
+            raise GeometryError("ear clipping failed; polygon may be non-simple")
+        m = len(idx)
+        clipped = False
+        for k in range(m):
+            i0, i1, i2 = idx[(k - 1) % m], idx[k], idx[(k + 1) % m]
+            a, b, c = p[i0], p[i1], p[i2]
+            cr = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+            if cr <= tol:
+                continue  # reflex or degenerate corner, not an ear
+            ok = True
+            for j in idx:
+                if j in (i0, i1, i2):
+                    continue
+                if _point_in_triangle(p[j], a, b, c):
+                    ok = False
+                    break
+            if ok:
+                tris.append((i0, i1, i2))
+                idx.pop(k)
+                clipped = True
+                break
+        if not clipped:
+            raise GeometryError("ear clipping failed; polygon may be non-simple")
+    tris.append((idx[0], idx[1], idx[2]))
+    return tris
+
 
 def polygon_signed_area(pts: np.ndarray) -> float:
     # shoelace about the first vertex: raw coordinates far from the origin

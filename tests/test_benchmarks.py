@@ -211,3 +211,12 @@ def test_run_ladder_takes_distinct_sizes_coarse_to_fine(monkeypatch, h_list):
     monkeypatch.setattr(bm, "run_point", lambda *a, **kw: pytest.fail("a point was solved"))
     with pytest.raises(ConfigurationError, match="distinct mesh sizes from coarse to fine"):
         bm.run_ladder(bm.make_case("ex1"), "distorted_square", 1, h_list)
+
+
+@pytest.mark.parametrize("key", ["orders", "mesh_families", "h_list"])
+def test_run_case_rejects_an_empty_grid(monkeypatch, key):
+    """An empty grid entry would solve nothing and return no record; it is an
+    error that names the key, raised before any point is solved."""
+    monkeypatch.setattr(bm, "run_point", lambda *a, **kw: pytest.fail("a point was solved"))
+    with pytest.raises(ConfigurationError, match=rf"^override '{key}' is empty"):
+        bm.run_case("ex4_mild", {key: []})

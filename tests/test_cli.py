@@ -240,6 +240,34 @@ def test_study_repeated_mesh_size_exits_2(monkeypatch, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_study_empty_mesh_size_list_exits_2(tmp_path, monkeypatch, capsys, source):
+    _no_point(monkeypatch)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"h_list": []}))
+    args = ["study", "--case", "ex4_mild"]
+    args += ["--h-list", ""] if source == "flag" else ["--config", str(cfg)]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: override 'h_list' is empty; a study takes at least one entry\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("solve", ["--threads", "2"]), ("export", ["--threads", "2"]), ("export", ["--out-dir", "d"])])
+def test_flags_a_command_does_not_read_exit_2(tmp_path, monkeypatch, capsys, command, flag):
+    """``--threads`` belongs to ``study`` and ``--out-dir`` to ``solve`` and
+    ``study``; another command refuses them instead of ignoring them."""
+    _no_point(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    args = [command, "--case", "ex4_mild", "--h", "1/4", *flag]
+    if command == "export":
+        args += ["--out", "x.vtk"]
+    assert main(args) == 2
+    assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("command", ["solve", "export"])
 def test_one_point_commands_reject_two_mesh_sizes(tmp_path, monkeypatch, capsys, command):
     """``solve`` and ``export`` run one point: a config ``h_list`` of two sizes

@@ -9,9 +9,10 @@ from lpsvem.geometry import (CellGroup, GeometryError, L_SHAPE, MeshFormatError,
                              Rectangle, UNIT_SQUARE, generate_mesh, read_mesh, write_mesh)
 from lpsvem import element_ops as eo
 from lpsvem import geometry
-from oracles import (cell_areas, check_regularity, polygon_kernel, polygon_signed_area,
-                     reference_hex_seeds, reference_lloyd, reference_rect_markers,
-                     reference_structured_mesh, reference_topology, reference_voronoi)
+from oracles import (cell_areas, check_regularity, ear_clip, polygon_kernel,
+                     polygon_signed_area, reference_hex_seeds, reference_lloyd,
+                     reference_rect_markers, reference_structured_mesh, reference_topology,
+                     reference_voronoi)
 
 FAMILIES = ("uniform_square", "distorted_square", "voronoi", "nonconvex", "triangular")
 
@@ -134,6 +135,68 @@ def test_element_geometry_invariants(n, r, seed):
                  for t in cell.triangles[0]) / area
     assert np.abs(centro - cell.centroid[0]).max() <= 1e-12 * diameter
     assert diameter >= cell.edge_lengths[0].max() - 1e-14
+
+
+@pytest.mark.parametrize("family, domain", [
+    *((f, d) for f in FAMILIES for d in (UNIT_SQUARE, Rectangle(-1.0, 2.0, 3.0, 2.5))),
+    ("uniform_square", L_SHAPE), ("triangular", L_SHAPE)])   # the families that tile it
+@pytest.mark.parametrize("h, seed", [(1 / 5, 1), (1 / 10, 7)])
+def test_triangles_match_ear_clip_reference(family, domain, h, seed):
+    """The ear clipping of a whole cell group gives, cell by cell, the
+    triangles of the one-polygon reference, bit for bit."""
+    mesh = generate_mesh(family, domain, h, seed=seed)
+    for group in mesh.cell_groups:
+        for tris, pts in zip(group.triangles, group.vertices):
+            assert np.array_equal(tris, ear_clip(pts))
+
+
+def _star_polygon(n, seed, t):
+    """A CCW polygon of n vertices, star-shaped about the origin with radii
+    between 0.3 and 1, and with a vertex at ``t`` along its first edge
+    (collinear with its neighbours) unless ``t`` is None."""
+    rng = np.random.default_rng(seed)
+    ang = np.sort(rng.uniform(0, 2 * np.pi, size=n))
+    gaps = np.append(np.diff(ang), 2 * np.pi - (ang[-1] - ang[0]))
+    assume(gaps.min() > 1e-2 and gaps.max() < np.pi)
+    rad = rng.uniform(0.3, 1.0, size=n)
+    pts = np.column_stack([rad * np.cos(ang), rad * np.sin(ang)])
+    if t is not None:
+        pts = np.insert(pts, 1, (1 - t) * pts[0] + t * pts[1], axis=0)
+    return pts
+
+
+@given(n=st.integers(4, 10), seed=st.integers(0, 2**32 - 1),
+       t=st.one_of(st.none(), st.floats(0.2, 0.8)))
+@settings(max_examples=60, deadline=None)
+def test_triangles_match_ear_clip_reference_on_polygons(n, seed, t):
+    pts = _star_polygon(n, seed, t)
+    turns = [polygon_signed_area(pts[[i - 1, i, (i + 1) % len(pts)]]) for i in range(len(pts))]
+    assume(t is not None or min(turns) < 0.0)       # nonconvex, or a collinear vertex
+    try:
+        want = np.array(ear_clip(pts))
+    except GeometryError:
+        with pytest.raises(GeometryError, match=r"^cell 0: ear clipping failed"):
+            CellGroup(np.array([0]), pts[None])
+        return
+    assume(min(polygon_signed_area(pts[tri]) for tri in want) > 1e-14 * polygon_signed_area(pts))
+    assert np.array_equal(CellGroup(np.array([0]), pts[None]).triangles[0], want)
+
+
+def test_ear_clip_failure_names_the_lowest_cell():
+    """A triangle with a spike along each leg: the loop runs out to (2, 0) and
+    back to (1, 0), and from (0, 1) out to (0, 2) and back, so that every
+    corner that turns left holds another vertex on its triangle's edge.  Both
+    cells pass the area and edge checks and fail ear clipping; the error names
+    the lower id, whatever its place in the group."""
+    spikes = np.array([[0.0, 0.0], [2.0, 0.0], [1.0, 0.0], [0.0, 1.0], [0.0, 2.0]])
+    with pytest.raises(GeometryError,
+                       match=r"^cell 4: ear clipping failed; polygon may be non-simple$"):
+        CellGroup(np.array([7, 4]), np.stack([spikes, spikes + 3.0]))
+
+
+def test_cell_with_fewer_than_3_vertices():
+    with pytest.raises(GeometryError, match=r"^cell 2: fewer than 3 vertices$"):
+        CellGroup(np.array([2]), np.array([[[0.0, 0.0], [1.0, 0.0]]]))
 
 
 def test_mesh_io_roundtrip(tmp_path):

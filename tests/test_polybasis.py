@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 
 from conftest import one_cell_group
 from lpsvem.geometry import CellGroup
-from lpsvem.polybasis import (ConditionWarning, grad_coeff_ref, group_quadrature,
-                              group_stiffness_matrices, monomial_exponents,
-                              monomial_gradients, monomial_values, poly_dim)
+from lpsvem.polybasis import (ConditionWarning, build_quadrature, grad_coeff_ref,
+                              monomial_exponents, monomial_gradients, monomial_values,
+                              poly_dim, stiffness_matrix)
 from oracles import alt_polygon_quadrature, polygon_monomial_integral
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
@@ -17,7 +17,7 @@ DART = np.array([[0.3, 0.3], [0.7, -0.3], [1.3, 1.3], [-0.3, 0.7]])
 def _quadrature(pts, degree):
     """(points, weights, area) of the composite rule on the single cell ``pts``."""
     cell = CellGroup(np.array([0]), np.asarray(pts, dtype=float)[None])
-    qp, qw = group_quadrature(cell.vertices, cell.triangles, degree, cell.cell_ids)
+    qp, qw = build_quadrature(cell.vertices, cell.triangles, degree, cell.cell_ids)
     return qp[0], qw[0], float(cell.area[0])
 
 
@@ -30,12 +30,12 @@ def _monomials(pts, degree, at):
 
 
 def _stiffness(pts, degree, quad_degree):
-    """``group_stiffness_matrices`` of the scaled monomials on the single cell
+    """``stiffness_matrix`` of the scaled monomials on the single cell
     ``pts`` with the composite rule of ``quad_degree``."""
     cell = CellGroup(np.array([0]), np.asarray(pts, dtype=float)[None])
-    qp, qw = group_quadrature(cell.vertices, cell.triangles, quad_degree, cell.cell_ids)
+    qp, qw = build_quadrature(cell.vertices, cell.triangles, quad_degree, cell.cell_ids)
     dphi = monomial_gradients(degree, qp, cell.centroid, cell.diameter)
-    return group_stiffness_matrices(dphi, qw)[0]
+    return stiffness_matrix(dphi, qw)[0]
 
 
 def test_monomial_ordering_graded_lex():

@@ -8,13 +8,6 @@ import pytest
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
-# element_ops no longer calls these polybasis functions (their work is done
-# inside element_ops._build_group), so polybasis.quadrature_s and
-# polybasis.matrices_s read 0 until the tracer stops patching by name
-KNOWN_MISSING = {("lpsvem.element_ops", "build_quadrature"),
-                 ("lpsvem.element_ops", "mass_matrix"),
-                 ("lpsvem.element_ops", "stiffness_matrix")}
-
 
 def _tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
@@ -35,7 +28,7 @@ def test_every_traced_target_resolves():
             owner = getattr(owner, part, None)
         if not callable(owner):
             missing.add((modname, attr))
-    assert missing <= KNOWN_MISSING, sorted(missing - KNOWN_MISSING)
+    assert not missing, sorted(missing)
 
 
 @pytest.fixture
@@ -82,3 +75,4 @@ def test_traced_constant_viscosity_point(tracer):
     assert counts["solver.factorizations"] == rec.stokes_factorizations + rec.heat_factorizations
     assert counts["forms.stokes_nnz"] > 0
     assert counts["solver.stokes_solve_s"] > 0.0
+    assert counts["polybasis.quadrature_s"] > 0.0 and counts["polybasis.matrices_s"] > 0.0
