@@ -14,8 +14,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .element_ops import build_mesh_ops
-from .forms import (BoundaryCondition, Conductivity, ConfigurationError,
-                    ProblemSpec, Viscosity)
+from .forms import BoundaryCondition, Coefficient, ConfigurationError, ProblemSpec
 from .geometry import L_SHAPE, UNIT_SQUARE, generate_mesh
 from .postprocess import ErrorBundle, compute_errors
 from .solver import picard_solve
@@ -30,8 +29,8 @@ class BenchmarkCase:
     name: str
     domain: object
     fields: ManufacturedFields | None
-    viscosity: Viscosity
-    conductivity: float | Conductivity
+    viscosity: Coefficient
+    conductivity: Coefficient
     mesh_families: list[str]
     orders: list[int]
     h_list: list[float]
@@ -67,11 +66,14 @@ _MANUFACTURED_STUDY = {
 
 
 def make_case(case_id: str, kappa: float | None = None) -> BenchmarkCase:
-    """Construct a benchmark case; ``kappa`` overrides the conductivity scale.
+    """Construct a benchmark case; ``kappa`` overrides the conductivity scale
+    and must be positive and finite.
 
     Manufactured cases import ``manufactured`` here, so that ``ex4_*`` runs
     never load it; no case does symbolic algebra.
     """
+    if kappa is not None and not 0.0 < kappa < math.inf:
+        raise ConfigurationError(f"kappa must be positive and finite, got {kappa!r}")
     if case_id in _MANUFACTURED_STUDY:
         from .manufactured import manufactured_case
         fields, viscosity, conductivity = manufactured_case(case_id, kappa)
@@ -104,7 +106,7 @@ def make_case(case_id: str, kappa: float | None = None) -> BenchmarkCase:
 
         return BenchmarkCase(
             name=case_id, domain=L_SHAPE, fields=None,
-            viscosity=Viscosity.constant(mu_c), conductivity=kap_c,
+            viscosity=Coefficient.constant(mu_c), conductivity=Coefficient.constant(kap_c),
             mesh_families=["triangular"], orders=[1] if mild else [2],
             h_list=[1 / 4, 1 / 8, 1 / 16, 1 / 32] if mild else [1 / 4, 1 / 8, 1 / 16],
             convection_form="convective", phi_reference=1.0, bc_builder=bc_builder)

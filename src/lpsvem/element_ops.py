@@ -109,6 +109,14 @@ class DofLayout:
         cols.append(self.n_point + ids[:, None] * nmom + np.arange(nmom))
         return np.concatenate(cols, axis=1)
 
+    def constant(self) -> np.ndarray:
+        """Dof vector of the constant function 1: 1 on the point dofs and on
+        each cell's first moment, 0 on the moments of degree >= 1 (scaled
+        monomials about the centroid, of zero cell mean)."""
+        out = np.ones(self.n_scalar)
+        out[self.n_point:].reshape(self.mesh.n_cells, self.n_moment_per_cell)[:, 1:] = 0.0
+        return out
+
     def point_dof_coords(self) -> np.ndarray:
         """Coordinates of all point-valued dofs (vertex + edge nodes)."""
         mesh, k = self.mesh, self.k

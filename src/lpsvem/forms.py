@@ -38,51 +38,53 @@ class ConfigurationError(ValueError):
 # ---------------------------------------------------------------------------
 
 @dataclass
-class Viscosity:
-    """Temperature-dependent viscosity with declared bounds.
+class Coefficient:
+    """A bounded function of the temperature: the viscosity mu(r) or the
+    conductivity kappa(r).
 
     The argument is clamped to ``temp_range`` before evaluation, which
-    realizes the globally-bounded-viscosity assumption while leaving values
-    near the solution untouched; ``mu_min``/``mu_max`` must bound the values
-    on that range.
+    realizes the globally-bounded-coefficient assumption while leaving values
+    near the solution untouched; ``lower``/``upper`` must bound the values on
+    that range, and the element forms check them wherever they evaluate it.
+    ``scale`` is the reference value that weights the temperature norm
+    (``lower`` by default).  ``constant(value)`` makes the one kind of
+    coefficient that ``is_constant``: it has no ``func``.
     """
-    func: object                     # vectorized callable mu(r)
-    mu_min: float
-    mu_max: float
+    func: object                     # vectorized callable c(r); None for a constant
+    lower: float
+    upper: float
     temp_range: tuple[float, float] = (-np.inf, np.inf)
+    scale: float | None = None
 
     def __post_init__(self):
-        if not (0.0 < self.mu_min <= self.mu_max):
-            raise ConfigurationError("need 0 < mu_min <= mu_max")
+        if not (0.0 < self.lower <= self.upper < np.inf):
+            raise ConfigurationError(
+                f"need 0 < lower <= upper < inf, got [{self.lower:g}, {self.upper:g}]")
+        if self.func is None and self.lower != self.upper:
+            raise ConfigurationError("a coefficient without func is constant: lower == upper")
+        if self.scale is None:
+            self.scale = self.lower
         lo, hi = self.temp_range
         if np.isfinite(lo) and np.isfinite(hi):
-            xs = np.linspace(lo, hi, 513)
-            vals = np.asarray(self(xs), dtype=float)
-            if vals.min() < self.mu_min * (1 - 1e-9) or vals.max() > self.mu_max * (1 + 1e-9):
+            vals = np.asarray(self(np.linspace(lo, hi, 513)), dtype=float)
+            if vals.min() < self.lower * (1 - 1e-9) or vals.max() > self.upper * (1 + 1e-9):
                 raise ConfigurationError(
-                    f"viscosity leaves [{self.mu_min:g}, {self.mu_max:g}] on the "
+                    f"coefficient leaves [{self.lower:g}, {self.upper:g}] on the "
                     f"declared temperature range (sampled {vals.min():g}..{vals.max():g})")
 
     def __call__(self, r):
+        if self.func is None:
+            return np.full(np.shape(r), self.lower)
         lo, hi = self.temp_range
         return self.func(np.clip(r, lo, hi))
+
+    @property
+    def is_constant(self) -> bool:
+        return self.func is None
 
     @classmethod
-    def constant(cls, value: float) -> "Viscosity":
-        return cls(func=lambda r: np.full_like(np.asarray(r, dtype=float), value),
-                   mu_min=value, mu_max=value)
-
-
-@dataclass
-class Conductivity:
-    """Temperature-dependent conductivity kappa(r) with a reference scale."""
-    func: object
-    kappa_ref: float
-    temp_range: tuple[float, float] = (-np.inf, np.inf)
-
-    def __call__(self, r):
-        lo, hi = self.temp_range
-        return self.func(np.clip(r, lo, hi))
+    def constant(cls, value: float) -> "Coefficient":
+        return cls(func=None, lower=float(value), upper=float(value))
 
 
 @dataclass
@@ -101,8 +103,8 @@ class BoundaryCondition:
 class ProblemSpec:
     """Coefficients, sources, boundary data and stabilization constants."""
     k: int
-    viscosity: Viscosity
-    conductivity: float | Conductivity
+    viscosity: Coefficient
+    conductivity: Coefficient
     bcs: dict[str, BoundaryCondition]
     fixed_source: object | None = None    # F(x, y) -> (2, n)
     heat_source: object | None = None     # g(x, y) -> (n,)
@@ -117,11 +119,6 @@ class ProblemSpec:
             raise ConfigurationError("stabilization constants must be >= 0")
         if self.convection_form not in ("skew", "convective"):
             raise ConfigurationError(f"unknown convection form {self.convection_form!r}")
-
-    @property
-    def kappa_ref(self) -> float:
-        return self.conductivity.kappa_ref if isinstance(self.conductivity, Conductivity) \
-            else float(self.conductivity)
 
     def taus(self, h_E: float) -> tuple[float, float, float]:
         return self.c1, self.c2 * h_E ** 2, self.c3 * h_E
@@ -138,32 +135,33 @@ def _mT(a: np.ndarray) -> np.ndarray:
     return a.transpose(0, 2, 1)
 
 
-def _coefficient(func, g: GroupOps, phi_coeffs: np.ndarray):
-    """``func`` at the quadrature points, (m, nq), and at the cell means, (m,),
-    of the temperature with Pi0_k coefficients ``phi_coeffs`` (m, nk); one call."""
+def _weighted_gram(g: GroupOps, coef: Coefficient, phi_coeffs: np.ndarray, what: str):
+    """``Phi_lo^T diag(w c) Phi_lo``, (m, nk1, nk1), and the cell-mean values
+    c0, (m,), of the coefficient c at the temperature with Pi0_k coefficients
+    ``phi_coeffs`` (m, nk), in one call of ``coef``; raises for the lowest
+    cell where a value leaves the declared bounds, naming ``what``."""
     vals = (g.Phi @ phi_coeffs[..., None])[..., 0]
     means = (phi_coeffs[:, None, :] @ g.int_m[..., None])[:, 0, 0] / g.area
-    out = np.asarray(func(np.concatenate([vals.ravel(), means])), dtype=float)
-    return out[:vals.size].reshape(vals.shape), out[vals.size:]
+    out = np.asarray(coef(np.concatenate([vals.ravel(), means])), dtype=float)
+    c_q, c0 = out[:vals.size].reshape(vals.shape), out[vals.size:]
+    lo, hi = coef.lower * (1 - 1e-9), coef.upper * (1 + 1e-9)
+    vmin, vmax = np.minimum(c_q.min(axis=1), c0), np.maximum(c_q.max(axis=1), c0)
+    bad = ~((lo <= vmin) & (vmax <= hi))    # a NaN value is out of bounds
+    if bad.any():
+        j = int(np.flatnonzero(bad)[0])
+        value = float(vmax[j] if lo <= vmin[j] else vmin[j])
+        cell = int(g.cell_ids[j])
+        raise ConfigurationError(
+            f"cell {cell}: {what} value {value:g} outside "
+            f"declared bounds [{coef.lower:g}, {coef.upper:g}]", cell_id=cell)
+    w = g.qw * c_q
+    return _mT(g.Phi_lo) @ (w[..., None] * g.Phi_lo), c0
 
 
 def group_viscous(g: GroupOps, spec: ProblemSpec, phi_coeffs: np.ndarray) -> np.ndarray:
     """mu-weighted consistency term on projected strains plus VEM stabilizer,
     (m, 2n, 2n); raises for the lowest cell whose mu leaves its bounds."""
-    mu = spec.viscosity
-    mu_q, mu0 = _coefficient(mu, g, phi_coeffs)
-    lo, hi = mu.mu_min * (1 - 1e-9), mu.mu_max * (1 + 1e-9)
-    qmin, qmax = mu_q.min(axis=1), mu_q.max(axis=1)
-    bad = (qmin < lo) | (qmax > hi) | ~((lo <= mu0) & (mu0 <= hi))
-    if bad.any():
-        j = int(np.flatnonzero(bad)[0])
-        value = float(qmin[j] if qmin[j] < lo else qmax[j])
-        cell = int(g.cell_ids[j])
-        raise ConfigurationError(
-            f"cell {cell}: viscosity value {value:g} outside "
-            f"declared bounds [{mu.mu_min:g}, {mu.mu_max:g}]", cell_id=cell)
-    w = g.qw * mu_q
-    Hmu = _mT(g.Phi_lo) @ (w[..., None] * g.Phi_lo)
+    Hmu, mu0 = _weighted_gram(g, spec.viscosity, phi_coeffs, "viscosity")
     e11, e22, e12 = g.eps_maps
     A = _mT(e11) @ Hmu @ e11 + _mT(e22) @ Hmu @ e22 + 2.0 * (_mT(e12) @ Hmu @ e12)
     n = g.n_dof
@@ -175,15 +173,14 @@ def group_viscous(g: GroupOps, spec: ProblemSpec, phi_coeffs: np.ndarray) -> np.
 
 def group_temperature(g: GroupOps, spec: ProblemSpec,
                       phi_coeffs: np.ndarray | None = None) -> np.ndarray:
-    """Diffusion on projected gradients plus kappa-scaled VEM stabilizer, (m, n, n)."""
+    """Diffusion on projected gradients plus kappa-scaled VEM stabilizer,
+    (m, n, n); raises for the lowest cell whose kappa leaves its bounds."""
     kappa = spec.conductivity
-    if not isinstance(kappa, Conductivity):
-        return float(kappa) * group_diffusion_unit(g)
+    if kappa.is_constant:
+        return kappa.lower * group_diffusion_unit(g)
     if phi_coeffs is None:
         raise ConfigurationError("nonlinear conductivity needs a temperature iterate")
-    k_q, k0 = _coefficient(kappa, g, phi_coeffs)
-    w = g.qw * k_q
-    Hk = _mT(g.Phi_lo) @ (w[..., None] * g.Phi_lo)
+    Hk, k0 = _weighted_gram(g, kappa, phi_coeffs, "conductivity")
     gx, gy = g.P_grad
     A = _mT(gx) @ Hk @ gx + _mT(gy) @ Hk @ gy + k0[:, None, None] * g.S
     return 0.5 * (A + _mT(A))
@@ -322,6 +319,7 @@ class StokesSystem:
     L2: sp.csr_matrix
     rhs_momentum: np.ndarray
     mean_row: np.ndarray         # integral of Pi0_k p over the domain
+    const: np.ndarray            # dof vector of the constant pressure 1
     dirichlet_u: DirichletData
 
 
@@ -450,10 +448,9 @@ class Assembler:
         self.h1_surrogate = self._scalar.assemble([group_diffusion_unit(g) for g in groups])
         self.mean_row = _scatter(
             self.N, self._sdofs, [(_mT(g.P_zero) @ g.int_m[..., None])[..., 0] for g in groups])
-        if not isinstance(spec.conductivity, Conductivity):
-            self.A_TT_const = self._scalar.assemble([group_temperature(g, spec) for g in groups])
-        else:
-            self.A_TT_const = None
+        self.const = self.mops.layout.constant()
+        self.A_TT_const = (self._scalar.assemble([group_temperature(g, spec) for g in groups])
+                           if spec.conductivity.is_constant else None)
 
     def _dirichlet(self):
         mops, spec = self.mops, self.spec
@@ -508,7 +505,7 @@ class Assembler:
         return StokesSystem(
             A_uu=A_uu,
             B=self.B, L2=self.L2, rhs_momentum=self._rhs_m_static.copy(),
-            mean_row=self.mean_row, dirichlet_u=self.dirichlet_u)
+            mean_row=self.mean_row, const=self.const, dirichlet_u=self.dirichlet_u)
 
     def build_transport(self, u: np.ndarray, phi: np.ndarray) -> TransportSystem:
         return TransportSystem(
@@ -530,6 +527,6 @@ class Assembler:
     def diffusion_block(self, phi: np.ndarray) -> sp.csr_matrix:
         if self.A_TT_const is not None:
             return self.A_TT_const
-        return self._scalar.assemble(
-            [group_temperature(g, self.spec, pc)
-             for g, pc in zip(self.groups, self.phi_cell_coeffs(phi))])
+        return self._scalar.assemble(per_group(
+            self.groups, lambda g, pc: group_temperature(g, self.spec, pc),
+            self.phi_cell_coeffs(phi)))

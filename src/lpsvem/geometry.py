@@ -205,6 +205,11 @@ class PolyMesh:
 
     def __post_init__(self):
         self.vertices = np.asarray(self.vertices, dtype=float)
+        bad = ~np.isfinite(self.vertices).all(axis=1)
+        if bad.any():
+            i = int(np.argmax(bad))
+            x, y = self.vertices[i]
+            raise GeometryError(f"vertex {i}: non-finite coordinates ({x:g}, {y:g})")
         self.cells = [np.asarray(c, dtype=int) for c in self.cells]
         self._build_topology()
 

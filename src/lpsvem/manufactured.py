@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .forms import Conductivity, Viscosity
+from .forms import Coefficient
 from .postprocess import ExactFields
 
 
@@ -190,16 +190,17 @@ def _on_arrays(f):
     return g
 
 
-def _viscosity(mu, temp_range, margin=1.05):
-    f = _on_arrays(mu)
-    xs = np.linspace(temp_range[0], temp_range[1], 2049)
-    vals = f(xs)
-    return Viscosity(func=f, mu_min=float(vals.min()) / margin,
-                     mu_max=float(vals.max()) * margin, temp_range=temp_range)
+def _coefficient(f, temp_range, scale=None, margin=1.05) -> Coefficient:
+    """The coefficient ``f(r, m)`` on ``temp_range``, its bounds the sampled
+    extremes widened by ``margin``."""
+    func = _on_arrays(f)
+    vals = func(np.linspace(temp_range[0], temp_range[1], 2049))
+    return Coefficient(func=func, lower=float(vals.min()) / margin,
+                       upper=float(vals.max()) * margin, temp_range=temp_range, scale=scale)
 
 
 def manufactured_case(case_id: str, kappa: float | None = None
-                      ) -> tuple[ManufacturedFields, Viscosity, float | Conductivity]:
+                      ) -> tuple[ManufacturedFields, Coefficient, Coefficient]:
     """(fields, viscosity, conductivity) of a manufactured case on the unit
     square; ``kappa`` overrides the conductivity scale."""
     if case_id == "ex1":
@@ -211,7 +212,7 @@ def manufactured_case(case_id: str, kappa: float | None = None
             phi=lambda x, y, m: 15 - 15 * m.exp(-x * y * (x - 1) * (y - 1)),
             mu=lambda r, m: 1 / (1 - 0.5 * r) ** 2,
             kappa=lambda r, m: kap)
-        return fields, _viscosity(fields.mu, (-0.5, 1.5)), kap
+        return fields, _coefficient(fields.mu, (-0.5, 1.5)), Coefficient.constant(kap)
     if case_id in ("ex2_diffusive", "ex2_convective"):
         kap = (1.0 if case_id == "ex2_diffusive" else 1e-6) if kappa is None else float(kappa)
         fields = ManufacturedFields(
@@ -221,7 +222,7 @@ def manufactured_case(case_id: str, kappa: float | None = None
             phi=lambda x, y, m: x ** 2 * y * (1 - x) * (1 - y) + 600,
             mu=lambda r, m: 1 + r + m.sin(r) ** 2,
             kappa=lambda r, m: kap)
-        return fields, _viscosity(fields.mu, (580.0, 620.0)), kap
+        return fields, _coefficient(fields.mu, (580.0, 620.0)), Coefficient.constant(kap)
     if case_id == "ex3":
         kap_c = 1e-3 if kappa is None else float(kappa)
         fields = ManufacturedFields(
@@ -232,7 +233,6 @@ def manufactured_case(case_id: str, kappa: float | None = None
             phi=lambda x, y, m: x ** 2 + y ** 4,
             mu=lambda r, m: m.exp(-r),
             kappa=lambda r, m: kap_c * m.exp(r))
-        cond = Conductivity(func=_on_arrays(fields.kappa), kappa_ref=kap_c,
-                            temp_range=(-0.5, 2.5))
-        return fields, _viscosity(fields.mu, (-0.5, 2.5)), cond
+        return (fields, _coefficient(fields.mu, (-0.5, 2.5)),
+                _coefficient(fields.kappa, (-0.5, 2.5), scale=kap_c))
     raise ValueError(f"not a manufactured case: {case_id!r}")

@@ -48,7 +48,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .element_ops import MeshOps
-from .forms import Assembler, Conductivity, ProblemSpec
+from .forms import Assembler, ProblemSpec
 
 
 class SolverError(RuntimeError):
@@ -400,9 +400,9 @@ class _StokesSweeps(_Sweeps):
         # raise the peak memory of the next factorization
         self._src = np.empty(len(rows))
         # the zero-mean multiplier lambda = delta/|Omega|: delta, the
-        # boundary-data incompatibility, is what summing the continuity rows
-        # leaves
-        delta = -float(np.sum(B[:, du.fixed] @ du.values[du.fixed]))
+        # boundary-data incompatibility, is what the continuity rows leave
+        # when summed with the weights of the constant pressure
+        delta = -float(np.sum(system.const * (B[:, du.fixed] @ du.values[du.fixed])))
         self.lam = delta / float(system.mean_row.sum())
 
     def fill_system(self, system) -> None:
@@ -453,10 +453,12 @@ def solve_stokes(system, sweeps: _StokesSweeps | None = None, exact: bool = True
 
     The zero-mean constraint is enforced through its Lagrange multiplier,
     whose value lambda = delta/|Omega| is forced by summing the continuity
-    rows (delta is the boundary-data incompatibility).  Substituting it back
-    yields a consistent, fully sparse system: one pressure dof is pinned for
-    the factorization and the pressure is shifted to exact zero mean, which
-    reproduces the bordered multiplier solution without the dense row.
+    rows with the weights of the constant pressure, the dof vector
+    ``system.const`` (delta is the boundary-data incompatibility).
+    Substituting it back yields a consistent, fully sparse system: one
+    pressure dof is pinned for the factorization and the pressure is shifted
+    by a constant to exact zero mean, which reproduces the bordered
+    multiplier solution without the dense row.
     A singular factorization or a failed solve falls back to the
     pressure-regularized system; a failure there raises SolverError.
     ``sweeps`` carries the state of a Picard loop, which solves the system
@@ -473,7 +475,7 @@ def solve_stokes(system, sweeps: _StokesSweeps | None = None, exact: bool = True
     x, record = sweeps.solve(rhs, exact)
     u = x[:2 * N]
     p = x[2 * N:]
-    p = p - (float(system.mean_row @ p) / omega)
+    p = p - (float(system.mean_row @ p) / omega) * system.const
     return u, p, record
 
 
@@ -498,8 +500,8 @@ def velocity_norm(asm: Assembler, u: np.ndarray) -> float:
 
 
 def temperature_norm(asm: Assembler, phi: np.ndarray) -> float:
-    """Energy-surrogate norm of a temperature: kappa_ref |phi|_1^2 + L3."""
-    v = (asm.spec.kappa_ref * float(phi @ (asm.h1_surrogate @ phi))
+    """Energy-surrogate norm of a temperature: kappa.scale |phi|_1^2 + L3."""
+    v = (asm.spec.conductivity.scale * float(phi @ (asm.h1_surrogate @ phi))
          + float(phi @ (asm.L3 @ phi)))
     return np.sqrt(max(v, 0.0))
 
@@ -521,8 +523,8 @@ def picard_solve(spec: ProblemSpec, mops: MeshOps, tol: float = 1e-7, max_iter: 
     # Dirichlet data do not depend on the iterate: once a sweep has run, u and
     # p are reused; with a constant conductivity too, the transport system
     # depends on that velocity alone, and phi is reused as well
-    reuse_up = spec.viscosity.mu_min == spec.viscosity.mu_max
-    reuse_phi = reuse_up and not isinstance(spec.conductivity, Conductivity)
+    reuse_up = spec.viscosity.is_constant
+    reuse_phi = reuse_up and spec.conductivity.is_constant
     records: list[SweepRecord] = []
     pmean_rel = 0.0
     converged = exact = False

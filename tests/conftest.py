@@ -37,12 +37,14 @@ def zero_velocity(x, y):
     return np.stack([np.zeros_like(x), np.zeros_like(x)])
 
 
-def make_spec(mesh, k, *, viscosity=None, conductivity=1.0, bcs=None,
+def make_spec(mesh, k, *, viscosity=1.0, conductivity=1.0, bcs=None,
               heat_source=None, fixed_source=None, c1=0.1, c2=0.002, c3=1.0,
               convection_form="skew"):
-    """Small helper to assemble a ProblemSpec with velocity BCs everywhere."""
-    if viscosity is None:
-        viscosity = forms.Viscosity.constant(1.0)
+    """Small helper to assemble a ProblemSpec with velocity BCs everywhere; a
+    float viscosity or conductivity is the constant coefficient of that value."""
+    viscosity, conductivity = (
+        c if isinstance(c, forms.Coefficient) else forms.Coefficient.constant(c)
+        for c in (viscosity, conductivity))
     if bcs is None:
         bcs = {m: forms.BoundaryCondition(velocity=zero_velocity, temperature=None)
                for m in mesh.boundary_markers}

@@ -671,12 +671,8 @@ def oracle_local_matrices(pts, k, spec, phi_coeffs, u_coeffs):
     bdiv = (qvals * qw[:, None]).T @ div_lo
 
     kap = spec.conductivity
-    if isinstance(kap, forms.Conductivity):
-        kq = kap(mono_k @ phi_coeffs)
-        k0 = float(kap(np.array([float((qw @ (mono_k @ phi_coeffs)) / el.area)]))[0])
-    else:
-        kq = np.full(len(qw), float(kap))
-        k0 = float(kap)
+    kq = kap(mono_k @ phi_coeffs)
+    k0 = float(kap(np.array([float((qw @ (mono_k @ phi_coeffs)) / el.area)]))[0])
     gxv = mono_lo @ G_lo[0]
     gyv = mono_lo @ G_lo[1]
     temp = (gxv * (qw * kq)[:, None]).T @ gxv + (gyv * (qw * kq)[:, None]).T @ gyv + k0 * S
@@ -905,21 +901,21 @@ def cell_views(mops) -> list[SimpleNamespace]:
 # cell-by-cell reference of the global assembly
 # ---------------------------------------------------------------------------
 
-def _reference_mu_values(ops, spec, phi_coeffs):
-    mu = spec.viscosity
-    vals = np.asarray(mu(ops.Phi @ phi_coeffs), dtype=float)
-    mu0 = float(mu(np.array([phi_coeffs @ ops.int_m / ops.area]))[0])
-    lo, hi = mu.mu_min * (1 - 1e-9), mu.mu_max * (1 + 1e-9)
-    if vals.min() < lo or vals.max() > hi or not (lo <= mu0 <= hi):
-        bad = float(vals.min() if vals.min() < lo else vals.max())
+def _reference_coefficient_values(coef, ops, phi_coeffs, what):
+    vals = np.asarray(coef(ops.Phi @ phi_coeffs), dtype=float)
+    c0 = float(coef(np.array([phi_coeffs @ ops.int_m / ops.area]))[0])
+    lo, hi = coef.lower * (1 - 1e-9), coef.upper * (1 + 1e-9)
+    vmin, vmax = min(vals.min(), c0), max(vals.max(), c0)
+    if not (lo <= vmin and vmax <= hi):
+        bad = float(vmax if lo <= vmin else vmin)
         raise forms.ConfigurationError(
-            f"cell {ops.cell_id}: viscosity value {bad:g} outside "
-            f"declared bounds [{mu.mu_min:g}, {mu.mu_max:g}]")
-    return vals, mu0
+            f"cell {ops.cell_id}: {what} value {bad:g} outside "
+            f"declared bounds [{coef.lower:g}, {coef.upper:g}]")
+    return vals, c0
 
 
 def reference_local_viscous(ops, spec, phi_coeffs):
-    mu_q, mu0 = _reference_mu_values(ops, spec, phi_coeffs)
+    mu_q, mu0 = _reference_coefficient_values(spec.viscosity, ops, phi_coeffs, "viscosity")
     w = ops.qw * mu_q
     Hmu = ops.Phi_lo.T @ (w[:, None] * ops.Phi_lo)
     gx, gy = ops.P_grad
@@ -955,12 +951,11 @@ def reference_local_lps(ops, spec):
 
 def reference_local_temperature(ops, spec, phi_coeffs=None):
     kappa = spec.conductivity
-    if not isinstance(kappa, forms.Conductivity):
-        return float(kappa) * reference_local_diffusion_unit(ops)
+    if kappa.is_constant:
+        return kappa.lower * reference_local_diffusion_unit(ops)
     if phi_coeffs is None:
         raise forms.ConfigurationError("nonlinear conductivity needs a temperature iterate")
-    k_q = np.asarray(kappa(ops.Phi @ phi_coeffs), dtype=float)
-    k0 = float(kappa(np.array([phi_coeffs @ ops.int_m / ops.area]))[0])
+    k_q, k0 = _reference_coefficient_values(kappa, ops, phi_coeffs, "conductivity")
     w = ops.qw * k_q
     Hk = ops.Phi_lo.T @ (w[:, None] * ops.Phi_lo)
     gx, gy = ops.P_grad
@@ -1172,11 +1167,11 @@ def mass0(asm) -> sparse.csr_matrix:
 
 
 def triple_up(asm, u: np.ndarray, p: np.ndarray) -> float:
-    """Energy-surrogate norm of (u, p): mu_min |u|_1^2 + |Pi0_k p|_0^2 + the
+    """Energy-surrogate norm of (u, p): mu.lower |u|_1^2 + |Pi0_k p|_0^2 + the
     LPS terms L1 and L2."""
     N = asm.N
     h1_sq = lambda w: float(w @ (asm.h1_surrogate @ w))
-    v = (asm.spec.viscosity.mu_min * (h1_sq(u[:N]) + h1_sq(u[N:]))
+    v = (asm.spec.viscosity.lower * (h1_sq(u[:N]) + h1_sq(u[N:]))
          + float(p @ (mass0(asm) @ p))
          + float(u @ (asm.L1 @ u)) + float(p @ (asm.L2 @ p)))
     return np.sqrt(max(v, 0.0))

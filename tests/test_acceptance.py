@@ -107,7 +107,7 @@ def test_criterion_2_dense_oracle_equivalence(meshes_h5):
     worst = 0.0
     for fam, ci, k in picks:
         mesh = meshes_h5[fam]
-        spec = make_spec(mesh, k, viscosity=forms.Viscosity.constant(1.3),
+        spec = make_spec(mesh, k, viscosity=1.3,
                          conductivity=0.8)
         pts = mesh.vertices[mesh.cells[ci]]
         g = one_cell_group(pts, k)
@@ -153,7 +153,7 @@ def test_criterion_3_patch_test(meshes_h5):
         vel = lambda x, y: np.stack([u1(x, y), u2(x, y)])
         bcs = {m: forms.BoundaryCondition(velocity=vel, temperature=None)
                for m in mesh.boundary_markers}
-        spec = make_spec(mesh, k, viscosity=forms.Viscosity.constant(2.0), bcs=bcs,
+        spec = make_spec(mesh, k, viscosity=2.0, bcs=bcs,
                          fixed_source=F)
         state, _ = solver.picard_solve(spec, mops)
         ui = interpolate_vector(mops, u1, u2)

@@ -7,7 +7,7 @@ import pytest
 
 from lpsvem import benchmarks as bench
 from lpsvem.cli import main
-from lpsvem.forms import Viscosity
+from lpsvem.forms import Coefficient
 from lpsvem.geometry import read_mesh
 
 
@@ -190,8 +190,8 @@ def test_configuration_error_names_the_cell(monkeypatch, capsys, field, message)
     """A non-finite source or an out-of-bounds viscosity is reported on the
     cell it was found on, once, whether or not the message names it."""
     bad = {"heat_source": lambda x, y: np.where(x > 3.5, np.nan, 0.0),
-           "viscosity": Viscosity(func=lambda r: np.full_like(r, 2.0),
-                                  mu_min=0.5, mu_max=1.0)}[field]
+           "viscosity": Coefficient(func=lambda r: np.full_like(r, 2.0),
+                                    lower=0.5, upper=1.0)}[field]
     problem_spec = bench.BenchmarkCase.problem_spec
     monkeypatch.setattr(bench.BenchmarkCase, "problem_spec",
                         lambda self, *a, **kw: dataclasses.replace(
@@ -226,6 +226,27 @@ def test_config_value_of_wrong_type_exits_2(tmp_path, monkeypatch, capsys, comma
     assert main([command, "--case", "ex4_mild", "--config", str(cfg)]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith(f"error: override {named} takes "), captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("case_id, source, value, shown", [
+    ("ex1", "flag", "-1", "-1.0"), ("ex3", "config", -1e-3, "-0.001"),
+    ("ex1", "flag", "nan", "nan"), ("ex3", "config", float("inf"), "inf")])
+def test_kappa_not_positive_and_finite_exits_2(tmp_path, monkeypatch, capsys, case_id, source,
+                                               value, shown):
+    """``--kappa`` and a config ``kappa`` must be positive and finite; any
+    other value exits 2 naming kappa, before any point is solved."""
+    _no_point(monkeypatch)
+    args = ["solve", "--case", case_id, "--h", "1/4"]
+    if source == "flag":
+        args.append(f"--kappa={value}")
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"kappa": value}))
+        args += ["--config", str(cfg)]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: kappa must be positive and finite, got {shown}\n"
     assert captured.out == ""
 
 

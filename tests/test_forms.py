@@ -15,7 +15,7 @@ rng = np.random.default_rng(11)
 
 
 def _const_spec_for(mesh, k, mu=1.0, kappa=1.0, **kw):
-    return make_spec(mesh, k, viscosity=forms.Viscosity.constant(mu),
+    return make_spec(mesh, k, viscosity=mu,
                      conductivity=kappa, **kw)
 
 
@@ -46,23 +46,62 @@ def _square_spec(k, mu=1.0, kappa=1.0):
 
 def test_viscosity_bounds_validation():
     with pytest.raises(forms.ConfigurationError):
-        forms.Viscosity(func=lambda r: 1.0 + r, mu_min=1.0, mu_max=1.5,
-                        temp_range=(0.0, 10.0))
-    mu = forms.Viscosity(func=lambda r: 1.0 + r, mu_min=0.9, mu_max=3.2,
-                         temp_range=(0.0, 2.0))
+        forms.Coefficient(func=lambda r: 1.0 + r, lower=1.0, upper=1.5,
+                          temp_range=(0.0, 10.0))
+    mu = forms.Coefficient(func=lambda r: 1.0 + r, lower=0.9, upper=3.2,
+                           temp_range=(0.0, 2.0))
     # arguments outside the declared range are clamped
     assert float(mu(np.array([50.0]))[0]) == 3.0
+
+
+def test_coefficient_constant_and_scale():
+    c = forms.Coefficient.constant(0.8)
+    assert c.is_constant and (c.lower, c.upper, c.scale) == (0.8, 0.8, 0.8)
+    assert np.array_equal(c(np.array([-1e9, 0.0, np.nan])), np.full(3, 0.8))
+    f = forms.Coefficient(func=lambda r: 2.0 + np.tanh(r), lower=1.0, upper=3.0)
+    assert not f.is_constant and f.scale == 1.0
+    assert forms.Coefficient(func=f.func, lower=1.0, upper=3.0, scale=2.0).scale == 2.0
+    # a constant has no func; lower and upper bound a positive finite range
+    for lower, upper, func in ((1.0, 2.0, None), (0.0, 1.0, f.func), (-1.0, -1.0, None),
+                               (1.0, np.inf, f.func), (np.nan, np.nan, None), (2.0, 1.0, f.func)):
+        with pytest.raises(forms.ConfigurationError):
+            forms.Coefficient(func=func, lower=lower, upper=upper)
+
+
+def test_constant_conductivity_is_value_times_unit_diffusion():
+    """A constant conductivity scales the unit diffusion, bit for bit."""
+    mesh, mops = _voronoi_k2()
+    asm = forms.Assembler(mops, make_spec(mesh, 2, conductivity=0.8))
+    reference = asm._scalar.assemble([0.8 * forms.group_diffusion_unit(g) for g in mops.groups])
+    A_TT = asm.diffusion_block(np.zeros(mops.n_scalar))
+    assert A_TT is asm.A_TT_const
+    assert np.array_equal(A_TT.indptr, reference.indptr)
+    assert np.array_equal(A_TT.indices, reference.indices)
+    assert A_TT.data.tobytes() == reference.data.tobytes()
 
 
 def test_local_viscous_out_of_bounds_value_names_cell():
     ops = _square_ops(1)
     # declared bounds do not contain the actual values: the element names itself
-    bad_mu = forms.Viscosity(func=lambda r: np.full_like(np.asarray(r, dtype=float), 7.0),
-                             mu_min=1.0, mu_max=2.0)
+    bad_mu = forms.Coefficient(func=lambda r: np.full_like(np.asarray(r, dtype=float), 7.0),
+                               lower=1.0, upper=2.0)
     spec = make_spec(generate_mesh("uniform_square", UNIT_SQUARE, 1.0), 1,
                      viscosity=bad_mu)
     with pytest.raises(forms.ConfigurationError, match="cell 0"):
         forms.group_viscous(ops, spec, np.zeros((1, poly_dim(1))))
+
+
+@pytest.mark.parametrize("what", ["viscosity", "conductivity"])
+def test_nan_coefficient_value_at_a_quadrature_point_is_out_of_bounds(what):
+    """A NaN value inside a cell, with a finite value at the cell mean, is
+    outside the declared bounds like any other."""
+    ops = _square_ops(1)
+    bad = forms.Coefficient(func=lambda r: np.where(r > 0.1, np.nan, 1.0), lower=0.5, upper=2.0)
+    spec = make_spec(generate_mesh("uniform_square", UNIT_SQUARE, 1.0), 1, **{what: bad})
+    pc = np.array([[0.0, 1.0, 0.0]])     # the temperature xi: zero mean, positive at x > 1/2
+    kernel = forms.group_viscous if what == "viscosity" else forms.group_temperature
+    with pytest.raises(forms.ConfigurationError, match=rf"^cell 0: {what} value nan outside"):
+        kernel(ops, spec, pc)
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +165,7 @@ def test_local_temperature_nonlinear_kappa_against_oracle():
     # over-integrated rule (degree 2k+6) on a mesh-sized cell
     mesh = generate_mesh("distorted_square", UNIT_SQUARE, 1 / 5)
     mops = eo.build_mesh_ops(mesh, 2, quad_degree=2 * 2 + 6)
-    cond = forms.Conductivity(func=lambda r: np.exp(r), kappa_ref=1.0)
+    cond = forms.Coefficient(func=lambda r: np.exp(r), lower=0.5, upper=10.0, scale=1.0)
     spec = make_spec(mesh, 2, conductivity=cond)
     phi_fun = lambda x, y: x ** 2 + y ** 4
     phi = interpolate_scalar(mops, phi_fun)
@@ -233,16 +272,17 @@ def test_local_matrices_match_dense_oracle(k, coeffs):
     if coeffs == "constant":
         # default quadrature: every integrand is polynomial and exact
         mops = eo.build_mesh_ops(mesh, k)
-        spec = make_spec(mesh, k, viscosity=forms.Viscosity.constant(1.3),
+        spec = make_spec(mesh, k, viscosity=1.3,
                          conductivity=0.8)
     else:
         # nonlinear coefficients require matching over-integration on both sides
         mops = eo.build_mesh_ops(mesh, k, quad_degree=2 * k + 6)
-        mu = forms.Viscosity(func=lambda r: 1.0 + 0.5 * np.sin(r), mu_min=0.4,
-                             mu_max=1.6, temp_range=(-4, 4))
+        mu = forms.Coefficient(func=lambda r: 1.0 + 0.5 * np.sin(r), lower=0.4,
+                               upper=1.6, temp_range=(-4, 4))
         spec = make_spec(mesh, k, viscosity=mu,
-                         conductivity=forms.Conductivity(func=lambda r: np.exp(0.3 * r),
-                                                         kappa_ref=1.0, temp_range=(-4, 4)))
+                         conductivity=forms.Coefficient(func=lambda r: np.exp(0.3 * r),
+                                                        lower=0.3, upper=3.4,
+                                                        temp_range=(-4, 4), scale=1.0))
     for ci in (0, mesh.n_cells // 2):
         pts = mesh.vertices[mesh.cells[ci]]
         g = one_cell_group(pts, k, quad_degree=None if coeffs == "constant" else 2 * k + 6)
@@ -316,7 +356,7 @@ def test_patch_level_momentum_consistency(meshes_h5):
         bcs = {m: forms.BoundaryCondition(
             velocity=lambda x, y: np.stack([u1(x, y), u2(x, y)]), temperature=None)
             for m in mesh.boundary_markers}
-        spec = make_spec(mesh, k, viscosity=forms.Viscosity.constant(2.0),
+        spec = make_spec(mesh, k, viscosity=2.0,
                          bcs=bcs, fixed_source=F)
         asm = forms.Assembler(mops, spec)
         st = asm.build_stokes(np.zeros(mops.n_scalar))
@@ -369,8 +409,8 @@ def test_constant_viscosity_stokes_system_built_once(meshes_h5, monkeypatch):
 def test_nonconstant_viscosity_stokes_system_rebuilt(meshes_h5):
     mesh = meshes_h5["voronoi"]
     mops = eo.build_mesh_ops(mesh, 1)
-    mu = forms.Viscosity(func=lambda r: 1.0 + 0.5 * np.sin(r), mu_min=0.4,
-                         mu_max=1.6, temp_range=(-4, 4))
+    mu = forms.Coefficient(func=lambda r: 1.0 + 0.5 * np.sin(r), lower=0.4,
+                           upper=1.6, temp_range=(-4, 4))
     asm = forms.Assembler(mops, make_spec(mesh, 1, viscosity=mu))
     phi = np.random.default_rng(3).normal(size=mops.n_scalar)
     a, b = asm.build_stokes(phi), asm.build_stokes(phi)
@@ -411,10 +451,10 @@ def _reference_spec(mesh, k, nonlinear, form):
     kw = dict(fixed_source=lambda x, y: np.stack([np.sin(3 * x) * y, np.cos(2 * y) + x]),
               heat_source=lambda x, y: np.exp(x * y), convection_form=form)
     if nonlinear:
-        mu = forms.Viscosity(func=lambda r: 1.0 + 0.5 * np.sin(r), mu_min=0.4,
-                             mu_max=1.6, temp_range=(-4, 4))
-        kappa = forms.Conductivity(func=lambda r: np.exp(0.3 * r), kappa_ref=1.0,
-                                   temp_range=(-4, 4))
+        mu = forms.Coefficient(func=lambda r: 1.0 + 0.5 * np.sin(r), lower=0.4,
+                               upper=1.6, temp_range=(-4, 4))
+        kappa = forms.Coefficient(func=lambda r: np.exp(0.3 * r), lower=0.3, upper=3.4,
+                                  temp_range=(-4, 4), scale=1.0)
         return make_spec(mesh, k, viscosity=mu, conductivity=kappa, **kw)
     return _const_spec_for(mesh, k, mu=1.3, kappa=0.8, **kw)
 
@@ -503,11 +543,32 @@ def test_viscosity_bounds_error_names_lowest_cell():
     phi = np.zeros(mops.n_scalar)
     for ci in (a, b, c):
         phi[mops.layout.group_dofs([ci])[0][-1]] = 10.0   # the cell mean: touches one cell only
-    mu = forms.Viscosity(func=lambda r: 1.0 + 0.01 * r, mu_min=0.5, mu_max=1.05)
+    mu = forms.Coefficient(func=lambda r: 1.0 + 0.01 * r, lower=0.5, upper=1.05)
     asm = forms.Assembler(mops, make_spec(mesh, 2, viscosity=mu))
     asm.build_stokes(np.zeros(mops.n_scalar))
     with pytest.raises(forms.ConfigurationError, match=rf"^cell {a}: viscosity value") as exc:
         asm.build_stokes(phi)
+    assert exc.value.cell_id == a
+
+
+def test_conductivity_bounds_error_names_lowest_cell():
+    """The conductivity gets the viscosity's check: the error names the
+    lowest cell where it leaves its declared bounds, across groups."""
+    mesh, mops = _voronoi_k2()
+    groups = mops.groups
+    g = next(g for g in groups[1:] if len(g.cell_ids) >= 3)
+    a, c = int(g.cell_ids[1]), int(g.cell_ids[-1])
+    b = next(int(ci) for ci in groups[0].cell_ids if ci > a)
+    phi = np.zeros(mops.n_scalar)
+    for ci in (a, b, c):
+        phi[mops.layout.group_dofs([ci])[0][-1]] = -10.0   # the cell mean of one cell
+    kappa = forms.Coefficient(func=lambda r: 1.0 + 0.01 * r, lower=0.95, upper=2.0)
+    asm = forms.Assembler(mops, make_spec(mesh, 2, conductivity=kappa))
+    asm.diffusion_block(np.zeros(mops.n_scalar))
+    with pytest.raises(forms.ConfigurationError,
+                       match=rf"^cell {a}: conductivity value 0\.[0-8]\d* outside declared "
+                             rf"bounds \[0\.95, 2\]$") as exc:
+        asm.build_transport(np.zeros(2 * mops.n_scalar), phi)
     assert exc.value.cell_id == a
 
 
@@ -545,7 +606,7 @@ def test_nonfinite_source_names_first_point_in_mesh_order(field):
 
 def test_nonlinear_kappa_without_iterate_raises():
     mesh, mops = _voronoi_k2()
-    cond = forms.Conductivity(func=lambda r: np.exp(r), kappa_ref=1.0)
+    cond = forms.Coefficient(func=lambda r: np.exp(r), lower=0.5, upper=10.0, scale=1.0)
     spec = make_spec(mesh, 2, conductivity=cond)
     with pytest.raises(forms.ConfigurationError, match="needs a temperature iterate"):
         forms.group_temperature(one_cell_group(mesh.vertices[mesh.cells[0]], 2), spec)

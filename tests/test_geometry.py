@@ -281,6 +281,23 @@ def test_mesh_io_malformed(tmp_path):
         read_mesh(path)
 
 
+@pytest.mark.parametrize("vertices, msg", [
+    ([[0, 0], [1, 0], [float("nan"), 1]], r"vertex 2: non-finite coordinates \(nan, 1\)"),
+    ([[0, 0], [1, 0], [1, 1], [0, float("inf")]], r"vertex 3: non-finite coordinates \(0, inf\)"),
+], ids=["nan_triangle", "inf_quadrilateral"])
+def test_non_finite_vertex_is_named(tmp_path, vertices, msg):
+    """A vertex with a NaN or an infinite coordinate is rejected by name: by
+    PolyMesh, and by read_mesh as a fault of the file."""
+    loop = list(range(len(vertices)))
+    with pytest.raises(GeometryError, match=f"^{msg}$"):
+        PolyMesh(np.array(vertices), [loop], {})
+    path = tmp_path / "nonfinite.json"
+    path.write_text(json.dumps({"vertices": vertices, "cells": [loop], "boundary": {
+        "wall": [[i, (i + 1) % len(loop)] for i in loop]}}))
+    with pytest.raises(MeshFormatError, match=f"^{msg}$"):
+        read_mesh(path)
+
+
 def test_generate_mesh_rejects_bad_h():
     with pytest.raises(GeometryError):
         generate_mesh("uniform_square", UNIT_SQUARE, 0.0)

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import make_spec, zero_velocity
 from oracles import energy_norms, interpolate_scalar, reference_eliminated, reference_picard
+from lpsvem import benchmarks as bm
 from lpsvem import element_ops as eo
 from lpsvem import forms, solver
 from lpsvem.geometry import UNIT_SQUARE, generate_mesh
@@ -91,8 +92,8 @@ def test_infinite_tolerance_returns_after_first_iteration(mesh5, mops5):
 
 
 def test_max_iter_reached_reports_not_raises(mesh5, mops5):
-    mu = forms.Viscosity(func=lambda r: 1.0 + 0.9 * np.tanh(r), mu_min=0.05,
-                         mu_max=2.0, temp_range=(-3, 3))
+    mu = forms.Coefficient(func=lambda r: 1.0 + 0.9 * np.tanh(r), lower=0.05,
+                           upper=2.0, temp_range=(-3, 3))
     g = lambda x, y: np.ones_like(x)
     spec = make_spec(mesh5, 1, viscosity=mu, heat_source=g, bcs=_cold_walls(mesh5),
                      fixed_source=lambda x, y: np.stack([np.ones_like(x), x]))
@@ -165,9 +166,9 @@ def test_energy_norm_polynomial_against_oracle(mesh5, mops5):
     p = interpolate_scalar(mops5, lambda x, y: np.full_like(x, 0.0))
     st = solver.CoupledState(u=np.concatenate([u1, u2]), p=p, phi=u1)
     up, ph = energy_norms(st, asm)
-    # mu_min = 1: |u|_{H1}^2 = 4 + 1 = 5 over the unit square; L1 vanishes on P1
+    # viscosity lower bound 1: |u|_{H1}^2 = 4 + 1 = 5 over the unit square; L1 vanishes on P1
     assert abs(up - np.sqrt(5.0)) <= 1e-9
-    # kappa_ref = 1, |phi|_{H1}^2 = 4, L3 vanishes on P1
+    # conductivity scale 1, |phi|_{H1}^2 = 4, L3 vanishes on P1
     assert abs(ph - 2.0) <= 1e-9
 
 
@@ -330,6 +331,54 @@ def test_singular_unstabilized_channel_reaches_symmetric_regularized_system():
     assert stokes.lu is not None and rec.factorizations == 1
 
 
+def _ex1_assembler(family, k):
+    mesh = generate_mesh(family, UNIT_SQUARE, 1 / 4, seed=1)
+    mops = eo.build_mesh_ops(mesh, k)
+    return forms.Assembler(mops, bm.make_case("ex1").problem_spec(mesh, k))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("family", ["distorted_square", "voronoi"])
+def test_constant_pressure_dof_vector(family, k):
+    """The dof vector of the constant 1 is 1 on the point dofs and the cell
+    means, and 0 on the moments of degree 1 (k=3): L2 annihilates it, and so
+    does the transposed divergence on the free velocity dofs."""
+    asm = _ex1_assembler(family, k)
+    const, lay = asm.const, asm.mops.layout
+    assert np.array_equal(const, lay.constant())
+    moments = const[lay.n_point:].reshape(asm.mops.mesh.n_cells, lay.n_moment_per_cell)
+    assert np.all(const[:lay.n_point] == 1.0) and np.all(moments[:, :1] == 1.0)
+    assert np.all(moments[:, 1:] == 0.0) and moments.shape[1] == (3 if k == 3 else k - 1)
+    assert np.abs(asm.L2 @ const).max() <= 1e-13 * abs(asm.L2).max()
+    free = asm.dirichlet_u.free
+    assert np.abs(const @ asm.B[:, free]).max() <= 1e-13 * abs(asm.B).max()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("family", ["distorted_square", "voronoi"])
+def test_pressure_is_shifted_by_a_constant_to_zero_mean(family, k, monkeypatch):
+    """``solve_stokes`` returns a pressure of zero mean that differs from the
+    solved one by a multiple of the constant's dof vector: the moments of
+    degree 1 are left as solved."""
+    asm = _ex1_assembler(family, k)
+    solved = {}
+    solve = solver._StokesSweeps.solve
+
+    def spy(self, rhs, exact):
+        x, record = solve(self, rhs, exact)
+        solved["p"] = x[2 * asm.N:].copy()
+        return x, record
+    monkeypatch.setattr(solver._StokesSweeps, "solve", spy)
+    system = asm.build_stokes(interpolate_scalar(asm.mops, lambda x, y: x * y))
+    _, p, _ = solver.solve_stokes(system)
+    assert abs(asm.mean_row @ p) <= 1e-13 * np.abs(p).max()
+    shift, lay = solved["p"] - p, asm.mops.layout
+    moments = shift[lay.n_point:].reshape(asm.mops.mesh.n_cells, lay.n_moment_per_cell)
+    assert np.all(moments[:, 1:] == 0.0)
+    rest = np.concatenate([shift[:lay.n_point], moments[:, :1].ravel()])
+    assert np.ptp(rest) <= 1e-13 * np.abs(solved["p"]).max() and rest[0] != 0.0
+
+
 def _assert_filled_like(Kff, shift, system, regularize=False):
     """``Kff`` and ``shift`` equal the sparse-sum reference bit for bit, signed
     zeros included; the entries the reference drops, which sum to exactly
@@ -463,7 +512,8 @@ def test_lagged_temperature_with_constant_viscosity_matches_reference(mesh5, mop
     solved once and reused, the temperature system changes every sweep and is
     solved lagged in between.  The fields match the reference loop, which
     solves it exactly on every sweep."""
-    kappa = forms.Conductivity(func=lambda r: 1.0 + 0.5 * np.tanh(r), kappa_ref=1.0)
+    kappa = forms.Coefficient(func=lambda r: 1.0 + 0.5 * np.tanh(r), lower=0.5, upper=1.5,
+                              scale=1.0)
     spec = make_spec(mesh5, 1, conductivity=kappa, bcs=_cold_walls(mesh5),
                      heat_source=lambda x, y: 8.0 * np.ones_like(x),
                      fixed_source=lambda x, y: np.stack([y - 0.5, 0.5 - x]))
