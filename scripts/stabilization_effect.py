@@ -9,24 +9,24 @@ import argparse
 import warnings
 
 from lpsvem import benchmarks as bm
+from lpsvem.cli import _parse_h
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--h", type=str, default="1/16")
+    ap.add_argument("--h", type=_parse_h, default="1/16",
+                    help="mesh size, a number or a fraction such as 1/16")
     ap.add_argument("--order", type=int, default=1)
     ap.add_argument("--case", default="ex4_mild",
                     choices=["ex4_mild", "ex4_strong"])
     args = ap.parse_args()
-    num, den = args.h.split("/") if "/" in args.h else (args.h, "1")
-    h = float(num) / float(den)
 
-    print(f"{args.case}, k={args.order}, h={args.h}")
+    print(f"{args.case}, k={args.order}, h={args.h:.6g}")
     print(f"{'run':>10} {'div violation':>15} {'max|phi-1|':>12} {'picard':>7}")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for label, overrides in (("stabilized", {}), ("no-stab", {"no_stab": True})):
-            recs = bm.run_case(args.case, dict(overrides, h_list=[h],
+            recs = bm.run_case(args.case, dict(overrides, h_list=[args.h],
                                                orders=[args.order]))
             r = recs[0]
             print(f"{label:>10} {r.errors.div_violation:15.6e} "

@@ -171,9 +171,9 @@ def plan_study(case_id: str, overrides: dict | None = None, single: bool = False
     sizes from coarse to fine and the ``run_point`` keywords.  ``orders``,
     ``mesh_families`` and ``h_list`` (none of them empty) replace the case's
     grid, ``kappa`` its conductivity scale, ``no_stab`` sets c1 = c2 = c3 =
-    0, and the other overrides are ``run_point`` keywords.  With ``single``
-    the plan is one point, by default the case's first family and order and
-    coarsest h."""
+    0, and the other overrides are ``run_point`` keywords (``tol`` positive
+    and finite, ``max_iter`` at least 1).  With ``single`` the plan is one
+    point, by default the case's first family and order and coarsest h."""
     ov = dict(overrides or {})
     unknown = sorted(set(ov) - set(_OVERRIDES))
     if unknown:
@@ -190,6 +190,10 @@ def plan_study(case_id: str, overrides: dict | None = None, single: bool = False
             raise ConfigurationError(f"override {key!r} is empty; a study takes at least one entry")
         else:
             ov[key] = [_typed(key, v) for v in value]
+    if not 0.0 < ov.get("tol", 1.0) < math.inf:
+        raise ConfigurationError(f"tol must be positive and finite, got {ov['tol']!r}")
+    if ov.get("max_iter", 1) < 1:
+        raise ConfigurationError(f"max_iter must be at least 1, got {ov['max_iter']!r}")
     case = make_case(case_id, kappa=ov.pop("kappa", None))
     orders, families, h_list = (ov.pop(key, getattr(case, key)[:1 if single else None])
                                 for key in grid)

@@ -125,6 +125,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_study(args) -> int:
+    if args.threads < 1:
+        raise ConfigurationError(f"--threads must be at least 1, got {args.threads}")
     case, ladders, h_list, kw = bench.plan_study(args.case, _overrides_from_args(args))
     if args.out_dir is not None:
         args.out_dir.mkdir(parents=True, exist_ok=True)

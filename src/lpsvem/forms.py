@@ -313,24 +313,11 @@ class DirichletData:
 
 @dataclass
 class StokesSystem:
-    """Blocks of the decoupled momentum/continuity problem for a frozen phi."""
+    """The saddle blocks [[A_uu, -B^T], [B, L2]] of the decoupled
+    momentum/continuity problem for a frozen phi."""
     A_uu: sp.csr_matrix          # viscous + L1, (2N, 2N)
     B: sp.csr_matrix             # divergence coupling, (N, 2N)
     L2: sp.csr_matrix
-    rhs_momentum: np.ndarray
-    mean_row: np.ndarray         # integral of Pi0_k p over the domain
-    const: np.ndarray            # dof vector of the constant pressure 1
-    dirichlet_u: DirichletData
-
-
-@dataclass
-class TransportSystem:
-    """Blocks of the decoupled temperature problem for a given velocity."""
-    A_TT: sp.csr_matrix          # diffusion (+ VEM stabilizer)
-    C: sp.csr_matrix             # convection (skew or one-sided)
-    L3: sp.csr_matrix
-    rhs_heat: np.ndarray
-    dirichlet_phi: DirichletData
 
 
 class _BlockPattern:
@@ -481,8 +468,8 @@ class Assembler:
     def _static_rhs(self):
         """The sources do not depend on the iterate."""
         loads = per_group(self.groups, lambda g: group_loads(g, self.spec))
-        self._rhs_m_static = _scatter(2 * self.N, self._vdofs, [rm for rm, _ in loads])
-        self._rhs_h_static = _scatter(self.N, self._sdofs, [rh for _, rh in loads])
+        self.rhs_momentum = _scatter(2 * self.N, self._vdofs, [rm for rm, _ in loads])
+        self.rhs_heat = _scatter(self.N, self._sdofs, [rh for _, rh in loads])
 
     # -- per-iterate assembly -------------------------------------------------
 
@@ -502,15 +489,17 @@ class Assembler:
         """Stokes blocks for the temperature iterate ``phi``."""
         A_uu = self.viscous_block(phi)
         A_uu.data += self.L1.data
-        return StokesSystem(
-            A_uu=A_uu,
-            B=self.B, L2=self.L2, rhs_momentum=self._rhs_m_static.copy(),
-            mean_row=self.mean_row, const=self.const, dirichlet_u=self.dirichlet_u)
+        return StokesSystem(A_uu=A_uu, B=self.B, L2=self.L2)
 
-    def build_transport(self, u: np.ndarray, phi: np.ndarray) -> TransportSystem:
-        return TransportSystem(
-            A_TT=self.diffusion_block(phi), C=self.convection_block(u), L3=self.L3,
-            rhs_heat=self._rhs_h_static.copy(), dirichlet_phi=self.dirichlet_phi)
+    def build_transport(self, u: np.ndarray, phi: np.ndarray) -> sp.csr_matrix:
+        """The transport matrix (A_TT + C) + L3 for the velocity ``u`` and the
+        temperature iterate ``phi``, on the scalar pattern."""
+        A_TT = self.diffusion_block(phi)
+        K = self.convection_block(u)
+        # A_TT + C, which commutes exactly; A_TT may be the shared constant one
+        K.data += A_TT.data
+        K.data += self.L3.data
+        return K
 
     # -- the blocks that build_stokes and build_transport assemble -------------
 

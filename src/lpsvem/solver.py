@@ -10,10 +10,14 @@ first sweep solves it, and every later sweep reuses that solution; with a
 constant conductivity as well, the transport system is then the same too,
 and its solution is reused with the velocity.
 
-Each of the two linear systems of a loop is one ``_Sweeps`` object: the
-sparsity of its free-free block never changes, so each sweep gathers the
-assembled blocks' data straight into it, and it keeps its last
-factorization and solution.  The discrete solution is the fixed point of a
+Each of the two linear systems of a loop is one ``_Sweeps`` object, built
+from the ``Assembler`` before the first sweep: it holds the right-hand side,
+and the Stokes one also the blocks B and L2, which do not change.  The
+sparsity of its free-free block never changes either, so a sweep gathers
+only the blocks that change straight into it: the velocity block A_uu of
+``build_stokes``, or the transport matrix (A_TT + C) + L3 of
+``build_transport``.  It keeps its last factorization and solution.  The
+discrete solution is the fixed point of a
 contraction, so only the sweep the loop stops on needs exact solves.  Every
 other sweep may solve either system *lagged*: from the previous solution it
 takes correction steps ``x += LU_old \\ (b - K_new x)`` with the kept
@@ -48,7 +52,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .element_ops import MeshOps
-from .forms import Assembler, ProblemSpec
+from .forms import Assembler, ProblemSpec, StokesSystem
 
 
 class SolverError(RuntimeError):
@@ -180,8 +184,8 @@ def _relative(rn: float, nb: float) -> float:
 
 class _Sweeps:
     """One linear system of a Picard loop, or of one standalone solve, on its
-    fixed pattern: K x = b for the dofs ``free``, the others held at their
-    values in ``xfix`` (zero on the free dofs).
+    fixed pattern: K x = ``rhs`` for the dofs ``free``, the others held at
+    their values in ``xfix`` (zero on the free dofs).
 
     A sweep's matrix K is given by its source data, one flat array whose
     entry e sits at (rows[e], cols[e]) of K; the positions are fixed for the
@@ -206,9 +210,11 @@ class _Sweeps:
     """
 
     def __init__(self, name: str, rows: np.ndarray, cols: np.ndarray, free: np.ndarray,
-                 xfix: np.ndarray, accept: float, symmetric_mode: bool = False):
+                 xfix: np.ndarray, rhs: np.ndarray, accept: float,
+                 symmetric_mode: bool = False):
         n = len(xfix)
         self.name = name
+        self.rhs = rhs
         self.accept = accept
         self.symmetric_mode = symmetric_mode
         self.free = free
@@ -241,10 +247,6 @@ class _Sweeps:
         """The Dirichlet shift on the free dofs: the free-fixed block times the
         fixed values."""
         return self._Kfx @ self._xfixed
-
-    def free_rhs(self, rhs: np.ndarray) -> np.ndarray:
-        """The right-hand side on the free dofs, the Dirichlet shift taken off."""
-        return rhs[self.free] - self.shift()
 
     def full(self, x: np.ndarray) -> np.ndarray:
         """The solution on every dof from its free part."""
@@ -318,14 +320,14 @@ class _Sweeps:
                               f"above the floor {RESIDUAL_FLOOR:g}")
         return x, res
 
-    def solve(self, rhs: np.ndarray, exact: bool):
+    def solve(self, exact: bool):
         """(x on every dof, ``SolveRecord``) of the filled system; lagged when
         a factorization is kept and ``exact`` is not set.
 
         Raises SolverError when an exact solve is non-finite or its relative
         residual stays above ``RESIDUAL_FLOOR``, and no fallback is left.
         """
-        b = self.free_rhs(rhs)
+        b = self.rhs[self.free] - self.shift()
         action, steps, factorizations, factor_s = "factored", 0, 0, 0.0
         if self.lu is not None and not exact:
             x = self.x.copy()
@@ -372,22 +374,31 @@ class _StokesSweeps(_Sweeps):
     """The pinned saddle system [[A_uu, -B^T], [B, L2]] of a Picard loop.
 
     The free dofs are the velocity dofs without Dirichlet data and every
-    pressure dof but the pinned dof 0.  The source data are those of A_uu,
-    -B, B and L2, in this order.  After a fallback to the regularized system
-    (``regularize``), every later sweep builds it directly.
+    pressure dof but the pinned dof 0.  The source data are those of A_uu
+    (on the pattern of L1), -B, B and L2, in this order; all but A_uu's are
+    written once, as are the right-hand side and |Omega|.  After a fallback
+    to the regularized system (``regularize``), every later sweep builds it
+    directly.
     """
 
-    def __init__(self, system):
-        A, B, L2 = system.A_uu, system.B, system.L2
-        N = L2.shape[0]
-        du = system.dirichlet_u
+    def __init__(self, asm: Assembler):
+        B, L2, N = asm.B, asm.L2, asm.N
+        du = asm.dirichlet_u
         xfix = np.zeros(3 * N)
         xfix[du.fixed] = du.values[du.fixed]
-        (ra, ca), (rb, cb), (rl, cl) = _csr_entries(A), _csr_entries(B), _csr_entries(L2)
+        (ra, ca), (rb, cb), (rl, cl) = _csr_entries(asm.L1), _csr_entries(B), _csr_entries(L2)
         rows = np.concatenate([ra, cb, rb + 2 * N, rl + 2 * N])
         cols = np.concatenate([ca, rb + 2 * N, cb, cl + 2 * N])
+        # the zero-mean multiplier lambda = delta/|Omega|: delta, the
+        # boundary-data incompatibility, is what the continuity rows leave
+        # when summed with the weights of the constant pressure
+        self.mean_row, self.const = asm.mean_row, asm.const
+        self.omega = float(asm.mean_row.sum())   # = sum of cell areas
+        delta = -float(np.sum(asm.const * (B[:, du.fixed] @ du.values[du.fixed])))
+        rhs = np.concatenate([asm.rhs_momentum, np.zeros(N)])
+        rhs[2 * N:] -= (delta / self.omega) * asm.mean_row
         super().__init__("Stokes", rows, cols,
-                         np.concatenate([du.free, np.arange(2 * N + 1, 3 * N)]), xfix,
+                         np.concatenate([du.free, np.arange(2 * N + 1, 3 * N)]), xfix, rhs,
                          LAG_RESIDUAL, symmetric_mode=True)
         # positions of the free pressure dofs' diagonal in Kff.data
         Kff, nv = self.Kff, len(du.free)
@@ -395,25 +406,21 @@ class _StokesSweeps(_Sweeps):
         self._pressure_diagonal = np.flatnonzero((Kff.indices == col) & (col >= nv))
         self._eps = 0.0
         self.regularize = False
-        # the source data, rewritten in place on every sweep: a temporary of
-        # this size, made while the kept factorizations are alive, would
-        # raise the peak memory of the next factorization
+        # the source data; a sweep rewrites the A_uu part in place: a
+        # temporary of this size, made while the kept factorizations are
+        # alive, would raise the peak memory of the next factorization
+        na, nb = len(ra), len(rb)
         self._src = np.empty(len(rows))
-        # the zero-mean multiplier lambda = delta/|Omega|: delta, the
-        # boundary-data incompatibility, is what the continuity rows leave
-        # when summed with the weights of the constant pressure
-        delta = -float(np.sum(system.const * (B[:, du.fixed] @ du.values[du.fixed])))
-        self.lam = delta / float(system.mean_row.sum())
+        np.negative(B.data, out=self._src[na:na + nb])
+        self._src[na + nb:na + 2 * nb] = B.data
+        self._src[na + 2 * nb:] = L2.data
 
-    def fill_system(self, system) -> None:
-        """``Kff`` and the shift of ``system``, regularized after a fallback."""
-        a, b = system.A_uu.data, system.B.data
-        src, na, nb = self._src, len(a), len(b)
-        src[:na] = a
-        np.negative(b, out=src[na:na + nb])
-        src[na + nb:na + 2 * nb] = b
-        src[na + 2 * nb:] = system.L2.data
-        self.fill(src)
+    def fill_viscous(self, A_uu: sp.csr_matrix) -> None:
+        """``Kff`` and the shift for the velocity block ``A_uu``, regularized
+        after a fallback."""
+        a = A_uu.data
+        self._src[:len(a)] = a
+        self.fill(self._src)
         self._eps = 1e-10 * max(1.0, a.max(initial=0.0), -a.min(initial=0.0))
         if self.regularize:
             self._regularize()
@@ -435,62 +442,52 @@ class _StokesSweeps(_Sweeps):
         return True
 
 
-class _HeatSweeps(_Sweeps):
-    """The transport system A_TT + C + L3 of a Picard loop; the three blocks
-    share one pattern, and the source data are their sum."""
-
-    def __init__(self, system):
-        dphi = system.dirichlet_phi
-        super().__init__("temperature", *_csr_entries(system.A_TT), dphi.free, dphi.values,
-                         HEAT_LAG_RESIDUAL)
-
-    def fill_system(self, system) -> None:
-        self.fill((system.A_TT.data + system.C.data) + system.L3.data)
+def _transport_sweeps(asm: Assembler) -> _Sweeps:
+    """The transport system (A_TT + C) + L3 of a Picard loop, on the scalar
+    pattern, that of L3."""
+    dphi = asm.dirichlet_phi
+    return _Sweeps("temperature", *_csr_entries(asm.L3), dphi.free, dphi.values, asm.rhs_heat,
+                   HEAT_LAG_RESIDUAL)
 
 
-def solve_stokes(system, sweeps: _StokesSweeps | None = None, exact: bool = True):
+def solve_stokes(system: StokesSystem, sweeps: _StokesSweeps, exact: bool = True):
     """Solve the stabilized saddle problem for (u, p).
 
     The zero-mean constraint is enforced through its Lagrange multiplier,
     whose value lambda = delta/|Omega| is forced by summing the continuity
     rows with the weights of the constant pressure, the dof vector
-    ``system.const`` (delta is the boundary-data incompatibility).
+    ``Assembler.const`` (delta is the boundary-data incompatibility).
     Substituting it back yields a consistent, fully sparse system: one
     pressure dof is pinned for the factorization and the pressure is shifted
     by a constant to exact zero mean, which reproduces the bordered
     multiplier solution without the dense row.
     A singular factorization or a failed solve falls back to the
     pressure-regularized system; a failure there raises SolverError.
-    ``sweeps`` carries the state of a Picard loop, which solves the system
-    lagged unless ``exact`` is set; without it the solve is exact.
-    Returns (u, p, SolveRecord).
+    ``sweeps`` holds the static blocks and the state of a Picard loop, and
+    takes only ``system.A_uu`` from ``system``; it solves the system lagged
+    when it keeps a factorization and ``exact`` is not set, so a fresh one
+    solves exactly.  Returns (u, p, SolveRecord).
     """
-    if sweeps is None:
-        sweeps = _StokesSweeps(system)
-    N = len(system.mean_row)
-    omega = float(system.mean_row.sum())   # = sum of cell areas
-    rhs = np.concatenate([system.rhs_momentum, np.zeros(N)])
-    rhs[2 * N:] -= sweeps.lam * system.mean_row
-    sweeps.fill_system(system)
-    x, record = sweeps.solve(rhs, exact)
+    sweeps.fill_viscous(system.A_uu)
+    x, record = sweeps.solve(exact)
+    N = len(sweeps.mean_row)
     u = x[:2 * N]
     p = x[2 * N:]
-    p = p - (float(system.mean_row @ p) / omega) * system.const
+    p = p - (float(sweeps.mean_row @ p) / sweeps.omega) * sweeps.const
     return u, p, record
 
 
-def solve_temperature(system, sweeps: _HeatSweeps | None = None, exact: bool = True):
+def solve_temperature(K: sp.csr_matrix, sweeps: _Sweeps, exact: bool = True):
     """Solve the stabilized transport equation for the temperature.
 
-    The velocity iterate enters through the convection block of ``system``.
-    ``sweeps`` carries the state of a Picard loop, which solves the system
-    lagged unless ``exact`` is set; without it the solve is exact.
+    ``K`` is the transport matrix of ``Assembler.build_transport``, on the
+    pattern of ``sweeps``, which holds the right-hand side and the state of a
+    Picard loop; it solves the system lagged when it keeps a factorization
+    and ``exact`` is not set, so a fresh one solves exactly.
     Returns (phi, SolveRecord).
     """
-    if sweeps is None:
-        sweeps = _HeatSweeps(system)
-    sweeps.fill_system(system)
-    return sweeps.solve(system.rhs_heat, exact)
+    sweeps.fill(K.data)
+    return sweeps.solve(exact)
 
 
 def velocity_norm(asm: Assembler, u: np.ndarray) -> float:
@@ -518,7 +515,8 @@ def picard_solve(spec: ProblemSpec, mops: MeshOps, tol: float = 1e-7, max_iter: 
     asm = Assembler(mops, spec)
     N = asm.N
     u, p, phi = np.zeros(2 * N), np.zeros(N), np.zeros(N)
-    stokes = heat = None
+    stokes = _StokesSweeps(asm)
+    heat = stokes.release = _transport_sweeps(asm)
     # with constant viscosity the Stokes system, its right-hand side and its
     # Dirichlet data do not depend on the iterate: once a sweep has run, u and
     # p are reused; with a constant conductivity too, the transport system
@@ -538,8 +536,6 @@ def picard_solve(spec: ProblemSpec, mops: MeshOps, tol: float = 1e-7, max_iter: 
             t = time.perf_counter()
             system = asm.build_stokes(phi)
             assemble_s += time.perf_counter() - t
-            if stokes is None:
-                stokes = _StokesSweeps(system)
             u_new, p_new, s = solve_stokes(system, stokes, exact_sweep)
             # a system rebuilt every sweep is freed before the transport
             # solve; only its factorization is kept
@@ -551,8 +547,6 @@ def picard_solve(spec: ProblemSpec, mops: MeshOps, tol: float = 1e-7, max_iter: 
             t = time.perf_counter()
             transport = asm.build_transport(u_new, phi)
             assemble_s += time.perf_counter() - t
-            if heat is None:
-                heat = stokes.release = _HeatSweeps(transport)
             phi_new, h = solve_temperature(transport, heat, exact_sweep)
             transport = None
         pn = max(_norm(p_new), 1e-12)  # guard the zero-pressure case

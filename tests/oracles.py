@@ -1166,6 +1166,39 @@ def mass0(asm) -> sparse.csr_matrix:
                                  for g in asm.groups])
 
 
+def vem_mass(asm) -> sparse.csr_matrix:
+    """The VEM mass matrix of the scalar space, sum_E P_zero^T H P_zero +
+    |E| S, assembled group by group."""
+    return asm._scalar.assemble([g.P_zero.transpose(0, 2, 1) @ g.H @ g.P_zero
+                                 + g.area[:, None, None] * g.S for g in asm.groups])
+
+
+def pressure_stability_spectrum(asm, with_L2: bool = True) -> np.ndarray:
+    """The eigenvalues, ascending, of (L2 + B A^-1 B^T) q = lambda M q on the
+    pressures q that are M-orthogonal to the constant (``DofLayout.constant``):
+    A is ``A_uu`` of ``build_stokes`` at phi = 0 on the free velocity dofs
+    and M the VEM mass; ``with_L2=False`` leaves L2 out.  A Householder
+    reflection H whose first column lies along M c makes the other columns a
+    basis of those pressures, so the dense pencil is H (.) H without its
+    first row and column."""
+    from scipy.linalg import eigh
+    from scipy.sparse.linalg import splu
+    st = asm.build_stokes(np.zeros(asm.N))
+    free = asm.dirichlet_u.free
+    Bf = st.B[:, free]
+    S = Bf @ splu(st.A_uu[free][:, free].tocsc()).solve(Bf.T.toarray())
+    if with_L2:
+        S = S + st.L2.toarray()
+    M = vem_mass(asm).toarray()
+    v = M @ asm.const
+    v[0] += math.copysign(np.linalg.norm(v), v[0])
+
+    def reflected(X):   # H X H for a symmetric X
+        X = X - np.outer(v, (2.0 / (v @ v)) * (v @ X))
+        return (X - np.outer(X @ v, (2.0 / (v @ v)) * v))[1:, 1:]
+    return eigh(reflected(0.5 * (S + S.T)), reflected(M), eigvals_only=True)
+
+
 def triple_up(asm, u: np.ndarray, p: np.ndarray) -> float:
     """Energy-surrogate norm of (u, p): mu.lower |u|_1^2 + |Pi0_k p|_0^2 + the
     LPS terms L1 and L2."""
@@ -1182,42 +1215,46 @@ def energy_norms(state, asm) -> tuple[float, float]:
     return triple_up(asm, state.u, state.p), solver.temperature_norm(asm, state.phi)
 
 
-def reference_eliminated(system, regularize: bool = False):
+def reference_eliminated(asm, blocks, regularize: bool = False):
     """The free-free block (CSC) and the Dirichlet shift on the free dofs of
-    a Stokes or transport system, built the way the solver once built them
-    on every sweep: the saddle matrix by ``bmat`` (plus ``eps`` on the
-    pressure diagonal when ``regularize``), or the sum A_TT + C + L3, then
+    a Stokes system or of the transport matrix, built the way the solver once
+    built them on every sweep: from the ``StokesSystem`` ``blocks``, the
+    saddle matrix by ``bmat`` (plus ``eps`` on the pressure diagonal when
+    ``regularize``), or from the blocks (A_TT, C, L3), their sum, then
     ``K @ xfix``, ``K[free][:, free]`` and ``tocsc``.  Sparse sums drop the
     entries that sum to exactly zero.  The reference for the matrices the
     solver fills on its fixed pattern."""
-    if hasattr(system, "A_uu"):
-        N = len(system.mean_row)
-        K = sparse.bmat([[system.A_uu, -system.B.T], [system.B, system.L2]], format="csr")
+    if isinstance(blocks, forms.StokesSystem):
+        N = asm.N
+        K = sparse.bmat([[blocks.A_uu, -blocks.B.T], [blocks.B, blocks.L2]], format="csr")
         if regularize:
-            eps = 1e-10 * max(1.0, abs(system.A_uu).max())
+            eps = 1e-10 * max(1.0, abs(blocks.A_uu).max())
             pressure = np.arange(2 * N, 3 * N)
             K = K + sparse.csr_matrix((np.full(N, eps), (pressure, pressure)), shape=K.shape)
-        du = system.dirichlet_u
+        du = asm.dirichlet_u
         free = np.concatenate([du.free, np.arange(2 * N + 1, 3 * N)])
         xfix = np.zeros(3 * N)
         xfix[du.fixed] = du.values[du.fixed]
     else:
-        K = (system.A_TT + system.C + system.L3).tocsr()
-        free, xfix = system.dirichlet_phi.free, system.dirichlet_phi.values
+        A_TT, C, L3 = blocks
+        K = (A_TT + C + L3).tocsr()
+        free, xfix = asm.dirichlet_phi.free, asm.dirichlet_phi.values
     return K[free][:, free].tocsc(), (K @ xfix)[free]
 
 
 def reference_picard(spec, mops, tol: float = 1e-7, max_iter: int = 50):
     """The Picard loop from zero fields with an exact Stokes solve on every
-    sweep: each sweep calls ``solve_stokes`` without loop state, so it
-    factors its own system (and falls back to the regularized one on its
-    own).  Returns (CoupledState, increment history)."""
+    sweep: each sweep solves both systems with fresh solver state, so it
+    factors its own systems (and falls back to the regularized Stokes system
+    on its own).  Returns (CoupledState, increment history)."""
     asm = forms.Assembler(mops, spec)
     N = asm.N
 
     def sweep(u_in, phi_in):
-        u_new, p_new, _ = solver.solve_stokes(asm.build_stokes(phi_in))
-        phi_new, _ = solver.solve_temperature(asm.build_transport(u_new, phi_in))
+        u_new, p_new, _ = solver.solve_stokes(asm.build_stokes(phi_in),
+                                              solver._StokesSweeps(asm))
+        phi_new, _ = solver.solve_temperature(asm.build_transport(u_new, phi_in),
+                                              solver._transport_sweeps(asm))
         return u_new, p_new, phi_new
 
     u, p, phi = np.zeros(2 * N), np.zeros(N), np.zeros(N)

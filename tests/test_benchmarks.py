@@ -226,6 +226,21 @@ def test_kappa_override_must_be_positive_and_finite(monkeypatch, case_id, kappa)
         bm.run_case(case_id, {"kappa": kappa})
 
 
+@pytest.mark.parametrize("overrides, message", [
+    ({"tol": math.inf}, r"^tol must be positive and finite, got inf$"),
+    ({"tol": math.nan}, r"^tol must be positive and finite, got nan$"),
+    ({"tol": -1e-7}, r"^tol must be positive and finite, got -1e-07$"),
+    ({"max_iter": 0}, r"^max_iter must be at least 1, got 0$"),
+    ({"max_iter": -2}, r"^max_iter must be at least 1, got -2$")])
+def test_tol_and_max_iter_checked_before_any_point(monkeypatch, overrides, message):
+    """A study's ``tol`` must be positive and finite and its ``max_iter`` at
+    least 1: anything else is refused, naming the key, before a point is
+    solved."""
+    monkeypatch.setattr(bm, "run_point", lambda *a, **kw: pytest.fail("a point was solved"))
+    with pytest.raises(ConfigurationError, match=message):
+        bm.run_case("ex3", overrides)
+
+
 @pytest.mark.parametrize("case_id, family, norms", [
     ("ex1", "distorted_square", ("e_u_h1", "e_p_l2")),
     ("ex1", "voronoi", ("e_u_h1", "e_p_l2")),

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import re
 
 import numpy as np
@@ -248,6 +249,60 @@ def test_kappa_not_positive_and_finite_exits_2(tmp_path, monkeypatch, capsys, ca
     captured = capsys.readouterr()
     assert captured.err == f"error: kappa must be positive and finite, got {shown}\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("key, value", [
+    ("tol", math.inf), ("tol", math.nan), ("tol", 0.0), ("max_iter", -2), ("max_iter", 0)])
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("command", ["solve", "study"])
+def test_tolerance_and_iteration_cap_checked_before_work(tmp_path, monkeypatch, capsys, command,
+                                                         source, key, value):
+    """``tol`` must be positive and finite and ``max_iter`` at least 1, from a
+    flag or a config file; any other value exits 2 naming it, before any
+    point is solved (``--tol=inf`` once stopped on the first sweep with exit
+    0, ``--tol=nan`` ran 50 sweeps, ``--max-iter=-2`` ran none)."""
+    _no_point(monkeypatch)
+    args = [command, "--case", "ex3", "--order", "1"]
+    if source == "flag":
+        args.append(f"--{key.replace('_', '-')}={value}")
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        args += ["--config", str(cfg)]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    rule = "must be positive and finite" if key == "tol" else "must be at least 1"
+    assert captured.err == f"error: {key} {rule}, got {value!r}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_study_needs_at_least_one_thread(monkeypatch, capsys, threads):
+    """``--threads`` below 1 exits 2 before any ladder runs; it once ran the
+    study sequentially and exited 0."""
+    _no_point(monkeypatch)
+    code = main(["study", "--case", "ex1", "--order", "1", "--mesh-family",
+                 "distorted_square", "--h-list", "1/4", f"--threads={threads}"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --threads must be at least 1, got {threads}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("h", ["1/0", "abc"])
+def test_stabilization_script_bad_mesh_size_is_a_usage_error(monkeypatch, capsys, h):
+    """``scripts/stabilization_effect.py`` parses ``--h`` with the CLI's mesh
+    size parser: a bad value exits 2 with a usage message, not a traceback."""
+    import runpy
+    from pathlib import Path
+    _no_point(monkeypatch)
+    script = Path(__file__).resolve().parents[1] / "scripts" / "stabilization_effect.py"
+    monkeypatch.setattr("sys.argv", [str(script), "--h", h])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(script), run_name="__main__")
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ") and "argument --h: invalid" in err and repr(h) in err
 
 
 def test_study_repeated_mesh_size_exits_2(monkeypatch, capsys):

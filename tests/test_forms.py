@@ -362,9 +362,9 @@ def test_patch_level_momentum_consistency(meshes_h5):
         st = asm.build_stokes(np.zeros(mops.n_scalar))
         uv = interpolate_vector(mops, u1, u2)
         pv = interpolate_scalar(mops, p_ex)
-        res = st.A_uu @ uv - st.B.T @ pv - st.rhs_momentum
-        free = st.dirichlet_u.free
-        scale = max(np.linalg.norm(st.rhs_momentum), np.linalg.norm(st.A_uu @ uv), 1.0)
+        res = st.A_uu @ uv - st.B.T @ pv - asm.rhs_momentum
+        free = asm.dirichlet_u.free
+        scale = max(np.linalg.norm(asm.rhs_momentum), np.linalg.norm(st.A_uu @ uv), 1.0)
         assert np.linalg.norm(res[free]) / scale <= 1e-9
 
 
@@ -394,10 +394,11 @@ def test_constant_viscosity_stokes_system_built_once(meshes_h5, monkeypatch):
                            heat_source=lambda x, y: np.ones_like(x))
     asm = forms.Assembler(mops, spec)
     gen = np.random.default_rng(3)
+    rhs = asm.rhs_momentum.copy()
     first = asm.build_stokes(np.zeros(mops.n_scalar))
     other = asm.build_stokes(gen.normal(size=mops.n_scalar))
     assert (first.A_uu != other.A_uu).nnz == 0
-    assert np.array_equal(first.rhs_momentum, other.rhs_momentum)
+    assert np.array_equal(asm.rhs_momentum, rhs)
     builds, build_stokes = [], forms.Assembler.build_stokes
     monkeypatch.setattr(forms.Assembler, "build_stokes",
                         lambda self, phi: builds.append(phi) or build_stokes(self, phi))
@@ -477,11 +478,12 @@ def test_grouped_assembly_matches_per_cell_reference(fam, k):
         spec = _reference_spec(mesh, k, *cfg)
         u, phi = gen.normal(size=2 * N), gen.normal(size=N)
         asm = forms.Assembler(mops, spec)
-        st, tr = asm.build_stokes(phi), asm.build_transport(u, phi)
-        got = {"A_uu": st.A_uu, "B": st.B, "L1": asm.L1, "L2": st.L2, "L3": tr.L3,
-               "A_TT": tr.A_TT, "C": tr.C, "mass0": mass0(asm),
-               "h1_surrogate": asm.h1_surrogate, "mean_row": st.mean_row,
-               "rhs_momentum": st.rhs_momentum, "rhs_heat": tr.rhs_heat}
+        st = asm.build_stokes(phi)
+        got = {"A_uu": st.A_uu, "B": st.B, "L1": asm.L1, "L2": st.L2, "L3": asm.L3,
+               "A_TT": asm.diffusion_block(phi), "C": asm.convection_block(u),
+               "mass0": mass0(asm), "h1_surrogate": asm.h1_surrogate,
+               "mean_row": asm.mean_row, "rhs_momentum": asm.rhs_momentum,
+               "rhs_heat": asm.rhs_heat}
         ref = reference_assembly(mops, spec, u, phi)
         assert set(got) == set(ref)
         for name, r in ref.items():
@@ -530,6 +532,29 @@ def test_block_pattern_assembles_like_coo_tocsr(fam, k):
 def _voronoi_k2():
     mesh = generate_mesh("voronoi", UNIT_SQUARE, 1 / 5)
     return mesh, eo.build_mesh_ops(mesh, 2)
+
+
+@pytest.mark.parametrize("nonlinear", [False, True])
+def test_transport_matrix_is_diffusion_plus_convection_then_L3(nonlinear):
+    """``build_transport`` returns the one matrix (A_TT + C) + L3 on the scalar
+    pattern, byte for byte; the sum A_TT + (C + L3) rounds differently, so
+    this order is what is checked.  A constant conductivity's diffusion
+    block, which every sweep shares, is left as it was."""
+    mesh, mops = _voronoi_k2()
+    kappa = (forms.Coefficient(func=lambda r: 1.0 + 0.5 * np.tanh(r), lower=0.5, upper=1.5)
+             if nonlinear else 0.8)
+    asm = forms.Assembler(mops, make_spec(mesh, 2, conductivity=kappa))
+    gen = np.random.default_rng(8)
+    phi, u = gen.normal(size=asm.N), gen.normal(size=2 * asm.N)
+    A, C, L3 = asm.diffusion_block(phi), asm.convection_block(u), asm.L3
+    before = A.data.tobytes()
+    K = asm.build_transport(u, phi)
+    assert K.format == "csr"
+    assert np.array_equal(K.indptr, L3.indptr) and np.array_equal(K.indices, L3.indices)
+    assert K.data.tobytes() == ((A.data + C.data) + L3.data).tobytes()
+    assert K.data.tobytes() != (A.data + (C.data + L3.data)).tobytes()
+    assert (asm.A_TT_const is None) == nonlinear
+    assert asm.diffusion_block(phi).data.tobytes() == before
 
 
 def test_viscosity_bounds_error_names_lowest_cell():

@@ -195,37 +195,37 @@ def unstabilized_saddle():
     mesh = generate_mesh("voronoi", case.domain, 1 / 8, seed=42)
     spec = case.problem_spec(mesh, 2, c1=0.0, c2=0.0, c3=0.0)
     asm = forms.Assembler(eo.build_mesh_ops(mesh, 2), spec)
-    return asm.build_stokes(np.zeros(asm.N)), asm.N
+    return asm, asm.build_stokes(np.zeros(asm.N))
 
 
-def _stokes_solver(system, regularize):
+def _stokes_solver(asm, system, regularize):
     """A standalone Stokes solver of ``system``, plain or regularized, and its
     factorization."""
-    stokes = solver._StokesSweeps(system)
+    stokes = solver._StokesSweeps(asm)
     stokes.regularize = regularize
-    stokes.fill_system(system)
+    stokes.fill_viscous(system.A_uu)
     return stokes, stokes.factor()
 
 
 def test_failed_stokes_solve_falls_back_to_regularized_system(unstabilized_saddle):
-    system, N = unstabilized_saddle
-    rhs = np.concatenate([system.rhs_momentum, np.zeros(N)])
-    plain, lu = _stokes_solver(system, regularize=False)
+    asm, system = unstabilized_saddle
+    rhs = np.concatenate([asm.rhs_momentum, np.zeros(asm.N)])
+    plain, lu = _stokes_solver(asm, system, regularize=False)
     with pytest.raises(solver.SolverError, match=r"^Stokes system: relative residual"):
-        plain.solve_exact(lu, plain.free_rhs(rhs))
+        plain.solve_exact(lu, rhs[plain.free] - plain.shift())
     with pytest.warns(UserWarning, match="pressure block regularized"):
-        u, p, rec = solver.solve_stokes(system)
+        u, p, rec = solver.solve_stokes(system, solver._StokesSweeps(asm))
     assert rec.action == "regularized" and rec.residual <= solver.RESIDUAL_FLOOR
     assert np.all(np.isfinite(u)) and np.all(np.isfinite(p))
 
 
 def test_failed_regularized_stokes_solve_raises(unstabilized_saddle, monkeypatch):
-    system, N = unstabilized_saddle
+    asm, system = unstabilized_saddle
     monkeypatch.setattr(solver, "RESIDUAL_FLOOR", 0.0)
     with pytest.warns(UserWarning, match="pressure block regularized"):
         with pytest.raises(solver.SolverError,
                            match=r"^regularized Stokes system: relative residual \S+ above"):
-            solver.solve_stokes(system)
+            solver.solve_stokes(system, solver._StokesSweeps(asm))
 
 
 def test_unstabilized_run_no_longer_fails_silently():
@@ -283,7 +283,7 @@ def test_stokes_system_factored_in_symmetric_mode_with_less_fill():
     case = bm.make_case("ex3")
     mesh = generate_mesh("distorted_square", case.domain, 1 / 9)
     asm = forms.Assembler(eo.build_mesh_ops(mesh, 2), case.problem_spec(mesh, 2))
-    stokes, lu = _stokes_solver(asm.build_stokes(np.zeros(asm.N)), regularize=False)
+    stokes, lu = _stokes_solver(asm, asm.build_stokes(np.zeros(asm.N)), regularize=False)
     assert stokes.ordering == "symmetric"
     colamd = splu(stokes.Kff)
     assert lu.L.nnz + lu.U.nnz < colamd.L.nnz + colamd.U.nnz
@@ -295,19 +295,20 @@ def test_zero_pressure_block_takes_colamd_and_regularized_answer(unstabilized_sa
     velocity 1.35% off.  The zero diagonal sends it to COLAMD, whose solve
     fails the floor, and the regularized system answers."""
     from scipy.sparse.linalg import splu
-    system, N = unstabilized_saddle
-    assert _stokes_solver(system, regularize=False)[0].ordering == "colamd"
+    asm, system = unstabilized_saddle
+    N = asm.N
+    assert _stokes_solver(asm, system, regularize=False)[0].ordering == "colamd"
     with pytest.warns(UserWarning, match="pressure block regularized"):
-        u, p, _ = solver.solve_stokes(system)
-    reg, _ = _stokes_solver(system, regularize=True)
+        u, p, _ = solver.solve_stokes(system, solver._StokesSweeps(asm))
+    reg, _ = _stokes_solver(asm, system, regularize=True)
     assert np.abs(p).max() < 1e3
     # the regularized system's velocity from a COLAMD factorization, with the
     # zero-mean multiplier substituted into the continuity rows
-    du = system.dirichlet_u
+    du = asm.dirichlet_u
     lam = (-float(np.sum(system.B[:, du.fixed] @ du.values[du.fixed]))
-           / float(system.mean_row.sum()))
-    rhs = np.concatenate([system.rhs_momentum, -lam * system.mean_row])
-    ref = reg.full(splu(reg.Kff).solve(reg.free_rhs(rhs)))
+           / float(asm.mean_row.sum()))
+    rhs = np.concatenate([asm.rhs_momentum, -lam * asm.mean_row])
+    ref = reg.full(splu(reg.Kff).solve(rhs[reg.free] - reg.shift()))
     assert np.abs(u - ref[:2 * N]).max() <= 1e-10 * np.abs(ref[:2 * N]).max()
 
 
@@ -321,14 +322,32 @@ def test_singular_unstabilized_channel_reaches_symmetric_regularized_system():
     asm = forms.Assembler(eo.build_mesh_ops(mesh, 1), spec)
     system = asm.build_stokes(np.zeros(asm.N))
     with pytest.raises(solver.SolverError, match=r"^Stokes system: singular factorization"):
-        _stokes_solver(system, regularize=False)
-    stokes = solver._StokesSweeps(system)
+        _stokes_solver(asm, system, regularize=False)
+    stokes = solver._StokesSweeps(asm)
     with pytest.warns(UserWarning, match="pressure block regularized"):
         _, _, rec = solver.solve_stokes(system, stokes)
     assert stokes.regularize and rec.action == "regularized"
     # only a symmetric-mode factorization is kept; the singular plain one,
     # which raised, is not counted
     assert stokes.lu is not None and rec.factorizations == 1
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_fresh_sweeps_factor_and_solve_exactly(exact):
+    """A fresh ``_StokesSweeps(asm)`` and fresh transport sweeps keep no
+    factorization, so each first solve factors and is exact whatever
+    ``exact`` asks (ex3, distorted squares, k=2, h=1/4, a random
+    temperature iterate)."""
+    case = bm.make_case("ex3")
+    mesh = generate_mesh("distorted_square", case.domain, 1 / 4, seed=1)
+    asm = forms.Assembler(eo.build_mesh_ops(mesh, 2), case.problem_spec(mesh, 2))
+    phi = np.random.default_rng(12).normal(size=asm.N)
+    u, _, s = solver.solve_stokes(asm.build_stokes(phi), solver._StokesSweeps(asm), exact)
+    _, h = solver.solve_temperature(asm.build_transport(u, phi), solver._transport_sweeps(asm),
+                                    exact)
+    for rec in (s, h):
+        assert (rec.action, rec.steps, rec.factorizations) == ("factored", 0, 1)
+        assert rec.residual <= 1e-12
 
 
 def _ex1_assembler(family, k):
@@ -364,13 +383,13 @@ def test_pressure_is_shifted_by_a_constant_to_zero_mean(family, k, monkeypatch):
     solved = {}
     solve = solver._StokesSweeps.solve
 
-    def spy(self, rhs, exact):
-        x, record = solve(self, rhs, exact)
+    def spy(self, exact):
+        x, record = solve(self, exact)
         solved["p"] = x[2 * asm.N:].copy()
         return x, record
     monkeypatch.setattr(solver._StokesSweeps, "solve", spy)
     system = asm.build_stokes(interpolate_scalar(asm.mops, lambda x, y: x * y))
-    _, p, _ = solver.solve_stokes(system)
+    _, p, _ = solver.solve_stokes(system, solver._StokesSweeps(asm))
     assert abs(asm.mean_row @ p) <= 1e-13 * np.abs(p).max()
     shift, lay = solved["p"] - p, asm.mops.layout
     moments = shift[lay.n_point:].reshape(asm.mops.mesh.n_cells, lay.n_moment_per_cell)
@@ -379,11 +398,11 @@ def test_pressure_is_shifted_by_a_constant_to_zero_mean(family, k, monkeypatch):
     assert np.ptp(rest) <= 1e-13 * np.abs(solved["p"]).max() and rest[0] != 0.0
 
 
-def _assert_filled_like(Kff, shift, system, regularize=False):
+def _assert_filled_like(Kff, shift, asm, blocks, regularize=False):
     """``Kff`` and ``shift`` equal the sparse-sum reference bit for bit, signed
     zeros included; the entries the reference drops, which sum to exactly
     zero, hold zero."""
-    ref, ref_shift = reference_eliminated(system, regularize)
+    ref, ref_shift = reference_eliminated(asm, blocks, regularize)
     assert np.array_equal(shift.view(np.int64), ref_shift.view(np.int64))
 
     def keys(A):   # (column, row) of each stored entry, as one sorted key
@@ -409,48 +428,47 @@ def test_filled_systems_match_sparse_sum_reference(case_id, family, k, stab):
     gen = np.random.default_rng(7)
     phi, u = gen.normal(size=asm.N), gen.normal(size=2 * asm.N)
     system = asm.build_stokes(phi)
-    stokes = solver._StokesSweeps(system)
+    stokes = solver._StokesSweeps(asm)
     for regularize in (False, True):
         stokes.regularize = regularize
-        stokes.fill_system(system)
-        _assert_filled_like(stokes.Kff, stokes.shift(), system, regularize)
-    transport = asm.build_transport(u, phi)
-    heat = solver._HeatSweeps(transport)
-    heat.fill((transport.A_TT.data + transport.C.data) + transport.L3.data)
-    _assert_filled_like(heat.Kff, heat.shift(), transport)
+        stokes.fill_viscous(system.A_uu)
+        _assert_filled_like(stokes.Kff, stokes.shift(), asm, system, regularize)
+    heat = solver._transport_sweeps(asm)
+    heat.fill(asm.build_transport(u, phi).data)
+    _assert_filled_like(heat.Kff, heat.shift(), asm,
+                        (asm.diffusion_block(phi), asm.convection_block(u), asm.L3))
 
 
 def test_exactly_singular_symmetric_factorization_names_the_system():
     stokes = solver._Sweeps("Stokes", np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1]),
-                            np.arange(2), np.zeros(2), solver.LAG_RESIDUAL, symmetric_mode=True)
+                            np.arange(2), np.zeros(2), np.zeros(2), solver.LAG_RESIDUAL,
+                            symmetric_mode=True)
     stokes.fill(np.ones(4))
     with pytest.raises(solver.SolverError, match=r"^Stokes system: singular factorization"):
         stokes.factor()
 
 
-def _transport(K, fixed, values, rhs):
-    from types import SimpleNamespace
-    zero = 0.0 * K
-    free = np.setdiff1d(np.arange(K.shape[0]), fixed)
-    return SimpleNamespace(A_TT=K, C=zero, L3=zero, rhs_heat=rhs,
-                           dirichlet_phi=SimpleNamespace(fixed=fixed, free=free, values=values))
+def _standalone_sweeps(K, rhs):
+    """Standalone transport sweeps of ``K`` with no Dirichlet dofs."""
+    n = K.shape[0]
+    return solver._Sweeps("temperature", *solver._csr_entries(K), np.arange(n), np.zeros(n),
+                          rhs, solver.HEAT_LAG_RESIDUAL)
 
 
 def test_temperature_solve_failures_name_the_system(monkeypatch):
     import scipy.sparse as sps
-    no_fixed = np.array([], dtype=int)
     # a subnormal pivot: the factorization succeeds, the solution overflows
-    tiny = _transport(sps.diags([1e-320, 1.0]).tocsr(), no_fixed, np.zeros(2), np.ones(2))
+    tiny = sps.diags([1e-320, 1.0]).tocsr()
     with pytest.raises(solver.SolverError, match=r"^temperature system: non-finite"), \
             np.errstate(all="ignore"):
-        solver.solve_temperature(tiny)
-    healthy = _transport(sps.diags([2.0, 3.0]).tocsr() + sps.csr_matrix(np.ones((2, 2))),
-                         no_fixed, np.zeros(2), np.array([1.0, 0.3]))
-    phi, rec = solver.solve_temperature(healthy)
+        solver.solve_temperature(tiny, _standalone_sweeps(tiny, np.ones(2)))
+    healthy = sps.diags([2.0, 3.0]).tocsr() + sps.csr_matrix(np.ones((2, 2)))
+    rhs = np.array([1.0, 0.3])
+    phi, rec = solver.solve_temperature(healthy, _standalone_sweeps(healthy, rhs))
     assert rec.action == "factored" and rec.residual <= solver.RESIDUAL_FLOOR
     monkeypatch.setattr(solver, "RESIDUAL_FLOOR", -1.0)
     with pytest.raises(solver.SolverError, match=r"^temperature system: relative residual"):
-        solver.solve_temperature(healthy)
+        solver.solve_temperature(healthy, _standalone_sweeps(healthy, rhs))
 
 
 @pytest.fixture(scope="module")
@@ -627,13 +645,13 @@ def test_lagged_solve_with_zero_rhs_is_not_taken_as_converged():
     below the acceptance one, so the system is factored again and solved
     exactly (x = 0)."""
     heat = solver._Sweeps("temperature", np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1]),
-                          np.arange(2), np.zeros(2), solver.HEAT_LAG_RESIDUAL)
+                          np.arange(2), np.zeros(2), np.zeros(2), solver.HEAT_LAG_RESIDUAL)
     heat.fill(np.array([2.0, 1.0, 1.0, 3.0]))
-    x, rec = heat.solve(np.zeros(2), exact=True)
+    x, rec = heat.solve(exact=True)
     assert rec.action == "factored" and not x.any() and heat.lu is not None
     heat.x = np.array([1.0, -1.0])
     heat.fill(np.array([2.2, 1.0, 1.0, 3.0]))
-    x, rec = heat.solve(np.zeros(2), exact=False)
+    x, rec = heat.solve(exact=False)
     assert (rec.action, rec.steps) == ("refactored", solver.LAG_STEPS)
     assert not x.any() and rec.residual == 0.0
 
