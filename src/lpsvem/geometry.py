@@ -9,7 +9,6 @@ built once per mesh, one vertex-count group at a time (``CellGroup``).
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -433,9 +432,10 @@ _WALL_AXIS = np.array([0, 0, 1, 1])   # left, right, bottom, top
 
 
 def _images(points, domain: Rectangle, band):
-    """The points of ``_mirror``, with the index of the seed each one copies
-    and the wall it is reflected in (-1 for the seed itself, then 0-3 for
-    left, right, bottom, top)."""
+    """Seeds plus wall reflections of the seeds within ``band`` of each wall
+    (the seeds lie in the domain), wall by wall: left, right, bottom, top;
+    with the index of the seed each point copies and the wall it is
+    reflected in (-1 for the seed itself, then 0-3 in that order)."""
     walls = np.array([domain.x0, domain.x1, domain.y0, domain.y1])
     near = [np.flatnonzero(np.abs(points[:, axis] - at) < band)
             for axis, at in zip(_WALL_AXIS, walls)]
@@ -446,31 +446,6 @@ def _images(points, domain: Rectangle, band):
     axis = _WALL_AXIS[wall[img]]
     out[img, axis] = 2 * walls[wall[img]] - out[img, axis]
     return out, src, wall
-
-
-def _mirror(points, domain: Rectangle, band):
-    """Seeds plus wall reflections of the seeds within `band` of each wall
-    (the seeds lie in the domain), wall by wall: left, right, bottom, top."""
-    return _images(points, domain, band)[0]
-
-
-def _voronoi_regions(points, domain, band):
-    """Voronoi diagram of ``points`` and their wall reflections within
-    ``band``: its vertices, and the regions of ``points`` as vertex-index
-    loops stored one after another, with their lengths.
-
-    Reflected seeds bisect exactly along the walls, so with a wide enough
-    band each region is the seed's Voronoi cell clipped to the rectangle.
-    """
-    from scipy.spatial import Voronoi    # only the Voronoi generator needs scipy.spatial
-    vor = Voronoi(_mirror(points, domain, band))
-    regions = [vor.regions[r] for r in vor.point_region[:len(points)]]
-    lens = np.array([len(r) for r in regions])
-    loops = np.fromiter(itertools.chain.from_iterable(regions), dtype=int, count=lens.sum())
-    bad = lens < 3
-    bad[np.repeat(np.arange(len(lens)), lens)[loops < 0]] = True
-    _check_regions(bad)
-    return vor.vertices, loops, lens
 
 
 def _check_regions(bad):
@@ -490,11 +465,12 @@ class _Fans:
     The first ``n`` points are the seeds.  ``seed``, ``b``, ``c`` list the
     corners of the triangles at the seeds, each the counter-clockwise
     triangle (seed, b, c), with the corners of a seed in counter-clockwise
-    order around it; ``next`` is the position of the following corner of the
-    same seed.  ``quads`` holds, for every edge that can meet the rectangle
-    (an end is a seed, or the ends are reflected in different walls), its
-    triangles (c, e1, e2) and (e2, e1, d) as the rows c, e1, e2, d.  ``src``
-    is the ``_images`` index of the points triangulated.
+    order around it, and ``tri`` the index of that triangle; ``next`` is the
+    position of the following corner of the same seed.  ``quads`` holds, for
+    every edge that can meet the rectangle (an end is a seed, or the ends
+    are reflected in different walls), its triangles (c, e1, e2) and
+    (e2, e1, d) as the rows c, e1, e2, d.  ``src`` is the ``_images`` index
+    of the points triangulated.
     """
 
     def __init__(self, mirrored, n, src, wall):
@@ -512,7 +488,7 @@ class _Fans:
         mid = 0.5 * (mirrored[b] + mirrored[c]) - mirrored[seed]   # inside the corner
         order = np.lexsort((np.arctan2(mid[:, 1], mid[:, 0]), seed))
         self.src = src
-        self.seed, self.b, self.c = seed[order], b[order], c[order]
+        self.seed, self.b, self.c, self.tri = seed[order], b[order], c[order], t[order]
         self.next = _loop_next(np.bincount(seed, minlength=n))
         t, k = np.nonzero(nbr > np.arange(len(simp))[:, None])   # each inner edge once
         u = nbr[t, k]
@@ -550,18 +526,21 @@ class _Fans:
 
 
 def _lloyd(points, domain, band):
-    """Move each seed to the centroid of its region, _LLOYD_ITERS times.
+    """Move each seed to the centroid of its region, _LLOYD_ITERS times;
+    returns the seeds, the ``_Fans`` of their mirrored set and the region
+    vertex of every corner of the fans, relative to its seed.
 
     The regions come from one Delaunay triangulation of the mirrored seeds
     (``_Fans``), in which every image moves with its seed: the region of a
     seed is the polygon of the circumcentres of the triangles around it.
-    Before each step the triangulation is made again, by the same code, when
-    it is stale: when another set of seeds lies within ``band`` of a wall,
-    when a triangle on an edge that can meet the rectangle has turned over,
-    when such an edge fails the incircle test by more than ``_DELAUNAY_TOL``
-    times the fourth power of its size (the squared distances from the
-    apex, summed and squared), or when a region vertex has left the
-    rectangle by more than ``_DELAUNAY_TOL`` of its size.
+    Before each step, and once more for the regions of the seeds returned,
+    the triangulation is made again, by the same code, when it is stale:
+    when another set of seeds lies within ``band`` of a wall, when a
+    triangle on an edge that can meet the rectangle has turned over, when
+    such an edge fails the incircle test by more than ``_DELAUNAY_TOL`` times
+    the fourth power of its size (the squared distances from the apex,
+    summed and squared), or when a region vertex has left the rectangle by
+    more than ``_DELAUNAY_TOL`` of its size.
 
     These edges are enough.  A region is right when no point lies inside the
     circumcircle of a triangle of its fan.  The centre lies in the
@@ -572,7 +551,7 @@ def _lloyd(points, domain, band):
     triangles passed does not grow: it would start negative and end at zero.
     """
     pts, fans = points, None
-    for _ in range(_LLOYD_ITERS):
+    for step in range(_LLOYD_ITERS + 1):
         mirrored, src, wall = _images(pts, domain, band)
         cen = None
         if fans is not None and np.array_equal(src, fans.src):
@@ -580,6 +559,8 @@ def _lloyd(points, domain, band):
         if cen is None:
             fans = _Fans(mirrored, len(pts), src, wall)
             cen = fans.centres(mirrored, domain, check=False)
+        if step == _LLOYD_ITERS:
+            return pts, fans, cen
         # shoelace centroid of every fan polygon, about its seed
         ux, uy = cen
         vx, vy = ux[fans.next], uy[fans.next]
@@ -587,28 +568,41 @@ def _lloyd(points, domain, band):
         area2, cx, cy = (np.bincount(fans.seed, w, minlength=len(pts))
                          for w in (cross, (ux + vx) * cross, (uy + vy) * cross))
         pts = pts + np.column_stack([cx, cy]) / (3.0 * area2[:, None])
-    return pts
 
 
 def _voronoi(domain, h, seed):
     """Lloyd-smoothed Voronoi cells of hexagonal seeds (``seed`` is not
-    read).  Every loop is counter-clockwise and starts at its lowest vertex
-    (by y, then x; vertices within rounding of a wall are put on it first),
-    so the cells do not depend on the order in which Qhull lists them."""
+    read), read from the fans of the last Lloyd triangulation.
+
+    A vertex is the circumcentre of a triangle of the fans, taken from one
+    corner, so that the cells around it share its coordinates; the two
+    triangles of a cocircular quad (a seed, a neighbour and their
+    reflections in a wall) follow each other in a fan within ``tol`` and
+    make one vertex.  The fans turn counter-clockwise, and every loop starts
+    at its lowest vertex (by y, then x; vertices within ``tol`` of a wall
+    are put on it first)."""
     seeds, s = _hex_seeds(domain, h)
-    verts, loops, lens = _voronoi_regions(_lloyd(seeds, domain, 3.0 * s), domain, 3.0 * s)
+    pts, fans, (ux, uy) = _lloyd(seeds, domain, 3.0 * s)
     tol = 1e-6 * s
+    _, first, corner = np.unique(fans.tri, return_index=True, return_inverse=True)
+    verts = pts[fans.seed[first]] + np.column_stack([ux[first], uy[first]])
+    nxt = corner[fans.next]
+    close = np.hypot(*(verts[corner] - verts[nxt]).T) < tol
+    # each set of merged triangles takes its least index; a set is a pair,
+    # or a chain where more than four points share a circle
+    label, a, b = np.arange(len(first)), corner[close], nxt[close]
+    while np.any(label[a] != label[b]):
+        np.minimum.at(label, a, label[b])
+        np.minimum.at(label, b, label[a])
+    keep = ~np.isin(np.arange(len(corner)), fans.next[close])
+    loops, own = label[corner[keep]], fans.seed[keep]
+    lens = np.bincount(own, minlength=len(pts))
+    _check_regions(lens < 3)
     lo = np.array([domain.x0, domain.y0])
     hi = np.array([domain.x1, domain.y1])
     verts = np.where(np.abs(verts - lo) < tol, lo, np.where(np.abs(verts - hi) < tol, hi, verts))
-    # turn every loop counter-clockwise (shoelace about its first vertex)
-    own = np.repeat(np.arange(len(lens)), lens)
     start = np.cumsum(lens) - lens
-    rel = verts[loops] - verts[loops[start]][own]
-    nxt = rel[_loop_next(lens)]
-    area2 = np.bincount(own, rel[:, 0] * nxt[:, 1] - nxt[:, 0] * rel[:, 1])
     at = np.arange(len(loops)) - start[own]                    # place in the loop
-    loops = np.where((area2 < 0)[own], loops[(start + lens - 1)[own] - at], loops)
     lowest = np.lexsort((verts[loops, 0], verts[loops, 1], own))[start] - start
     loops = loops[start[own] + (at + lowest[own]) % lens[own]]
     # number the vertices by first appearance in the loops

@@ -102,9 +102,8 @@ class SweepRecord:
 
 @dataclass
 class PicardReport:
-    """The sweeps of a Picard loop; ``iterations``, the increments
-    ``residual_history`` and the factorization sums are read off them, the
-    residuals off the last sweep (0 when no sweep ran)."""
+    """The sweeps of a Picard loop; ``iterations`` and the factorization
+    sums are read off them."""
     converged: bool
     pressure_mean_rel: float
     sweeps: list[SweepRecord]
@@ -112,18 +111,6 @@ class PicardReport:
     @property
     def iterations(self) -> int:
         return len(self.sweeps)
-
-    @property
-    def residual_history(self) -> list[float]:
-        return [s.increment for s in self.sweeps]
-
-    @property
-    def stokes_residual(self) -> float:
-        return self.sweeps[-1].stokes.residual if self.sweeps else 0.0
-
-    @property
-    def heat_residual(self) -> float:
-        return self.sweeps[-1].heat.residual if self.sweeps else 0.0
 
     @property
     def stokes_factorizations(self) -> int:

@@ -10,9 +10,10 @@ and of the global assembly that the grouped ``build_mesh_ops`` and
 ``forms.Assembler`` are checked against, the sparse-sum construction of the
 eliminated systems that the solver's fixed patterns are checked against, and
 the loop-by-loop mesh topology and generators (with the bisector-clipping
-Voronoi cells) and the one-polygon ear clipping that the array-based
-``geometry`` is checked against.  It also holds the helpers only tests use:
-observed rates, energy norms, interpolation and shape-regularity checks.
+Voronoi cells and those of a second Qhull diagram) and the one-polygon ear
+clipping that the array-based ``geometry`` is checked against.  It also
+holds the helpers only tests use: observed rates, energy norms,
+interpolation, the consistency residual and shape-regularity checks.
 """
 from __future__ import annotations
 
@@ -1199,6 +1200,22 @@ def pressure_stability_spectrum(asm, with_L2: bool = True) -> np.ndarray:
     return eigh(reflected(0.5 * (S + S.T)), reflected(M), eigvals_only=True)
 
 
+def momentum_consistency_residual(asm, exact) -> float:
+    """The momentum residual of the interpolated exact fields in the discrete
+    H^-1 norm: r = A_uu u_I - B^T p_I - f on the free velocity dofs, with
+    A_uu from ``build_stokes(phi_I)`` and u_I, p_I, phi_I the interpolants of
+    ``exact``; returns sqrt(r^T A_lap^-1 r), A_lap the unit diffusion
+    ``h1_surrogate`` on each velocity component."""
+    from scipy.sparse.linalg import splu
+    mops = asm.mops
+    u = interpolate_vector(mops, lambda x, y: exact.u(x, y)[0], lambda x, y: exact.u(x, y)[1])
+    st = asm.build_stokes(interpolate_scalar(mops, exact.phi))
+    free = asm.dirichlet_u.free
+    r = (st.A_uu @ u - st.B.T @ interpolate_scalar(mops, exact.p) - asm.rhs_momentum)[free]
+    lap = sparse.block_diag([asm.h1_surrogate, asm.h1_surrogate], format="csr")
+    return math.sqrt(r @ splu(lap[free][:, free].tocsc()).solve(r))
+
+
 def triple_up(asm, u: np.ndarray, p: np.ndarray) -> float:
     """Energy-surrogate norm of (u, p): mu.lower |u|_1^2 + |Pi0_k p|_0^2 + the
     LPS terms L1 and L2."""
@@ -1581,7 +1598,7 @@ def reference_lloyd(points, domain, iters, band):
     n = len(points)
     pts = points.copy()
     for _ in range(iters):
-        vor = Voronoi(geometry._mirror(pts, domain, band))
+        vor = Voronoi(geometry._images(pts, domain, band)[0])
         flat, owner = [], []
         for i in range(n):
             reg = vor.regions[vor.point_region[i]]
@@ -1607,6 +1624,37 @@ def reference_lloyd(points, domain, iters, band):
         new[ok, 1] += cy[ok] / (3.0 * area2[ok])
         pts = new
     return pts
+
+
+def reference_qhull_voronoi(domain, h):
+    """The Lloyd-smoothed Voronoi mesh read from a second Qhull diagram:
+    ``scipy.spatial.Voronoi`` of the seeds of ``geometry._lloyd`` and their
+    wall reflections, each region turned counter-clockwise by the sign of
+    its area, vertices within 1e-6 * s of a wall put on it, every loop
+    started at its lowest vertex (by y, then x) and the vertices numbered by
+    first appearance; the markers and checks are those of every generator."""
+    from scipy.spatial import Voronoi
+    seeds, s = reference_hex_seeds(domain, h)
+    seeds = geometry._lloyd(seeds, domain, band=3.0 * s)[0]
+    vor = Voronoi(geometry._images(seeds, domain, 3.0 * s)[0])
+    tol = 1e-6 * s
+    verts = vor.vertices.copy()
+    for axis, (lo, hi) in enumerate([(domain.x0, domain.x1), (domain.y0, domain.y1)]):
+        col = verts[:, axis]
+        col[np.abs(col - lo) < tol] = lo
+        col[np.abs(col - hi) < tol] = hi
+    number: dict[int, int] = {}
+    cells = []
+    for i in range(len(seeds)):
+        region = vor.regions[vor.point_region[i]]
+        if -1 in region or len(region) < 3:
+            raise GeometryError(f"voronoi region of seed {i} is unbounded "
+                                "or has fewer than 3 vertices")
+        if polygon_signed_area(verts[region]) < 0:
+            region = region[::-1]
+        low = min(range(len(region)), key=lambda j: (verts[region[j], 1], verts[region[j], 0]))
+        cells.append([number.setdefault(v, len(number)) for v in region[low:] + region[:low]])
+    return geometry._finish(verts[list(number)], cells, domain, tol)
 
 
 def _clip_halfplane(poly, px, py, qx, qy):
@@ -1636,7 +1684,7 @@ def reference_voronoi(domain, h):
     rounding (``reference_lloyd`` checks the seeds)."""
     from scipy.spatial import KDTree
     seeds, s = reference_hex_seeds(domain, h)
-    seeds = geometry._lloyd(seeds, domain, band=3.0 * s)
+    seeds = geometry._lloyd(seeds, domain, band=3.0 * s)[0]
     tree = KDTree(seeds)
     box = [(domain.x0, domain.y0), (domain.x1, domain.y0),
            (domain.x1, domain.y1), (domain.x0, domain.y1)]

@@ -289,20 +289,32 @@ def test_study_needs_at_least_one_thread(monkeypatch, capsys, threads):
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("h", ["1/0", "abc"])
+_SCRIPT_BAD_H = {"1/0": "invalid mesh size '1/0'", "abc": "invalid mesh size 'abc'",
+                 "0": "h_target must be positive and finite, got 0.0",
+                 "inf": "h_target must be positive and finite, got inf",
+                 "-1": "h_target must be positive and finite, got -1.0"}
+
+
+@pytest.mark.parametrize("h", list(_SCRIPT_BAD_H))
 def test_stabilization_script_bad_mesh_size_is_a_usage_error(monkeypatch, capsys, h):
-    """``scripts/stabilization_effect.py`` parses ``--h`` with the CLI's mesh
-    size parser: a bad value exits 2 with a usage message, not a traceback."""
+    """``scripts/stabilization_effect.py`` and ``scripts/kappa_sweep.py``
+    parse ``--h`` with the CLI's mesh size parser: a bad value exits 2 with
+    the message ``lpsvem`` prints, not a traceback, before any mesh is
+    solved on.  Both scripts once ended ``--h 0`` in a traceback, and the
+    kappa sweep refused ``--h 1/20``."""
     import runpy
     from pathlib import Path
-    _no_point(monkeypatch)
-    script = Path(__file__).resolve().parents[1] / "scripts" / "stabilization_effect.py"
-    monkeypatch.setattr("sys.argv", [str(script), "--h", h])
-    with pytest.raises(SystemExit) as exc:
-        runpy.run_path(str(script), run_name="__main__")
-    assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert err.startswith("usage: ") and "argument --h: invalid" in err and repr(h) in err
+
+    def build_mesh_ops(*a, **kw):
+        raise AssertionError("a mesh was solved on")
+    monkeypatch.setattr(bench, "build_mesh_ops", build_mesh_ops)
+    for name in ("stabilization_effect.py", "kappa_sweep.py"):
+        script = Path(__file__).resolve().parents[1] / "scripts" / name
+        monkeypatch.setattr("sys.argv", [str(script), "--h", h])
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_path(str(script), run_name="__main__")
+        assert exc.value.code == 2, name
+        assert capsys.readouterr() == ("", f"error: {_SCRIPT_BAD_H[h]}\n"), name
 
 
 def test_study_repeated_mesh_size_exits_2(monkeypatch, capsys):

@@ -11,8 +11,8 @@ from lpsvem import element_ops as eo
 from lpsvem import geometry
 from oracles import (cell_areas, check_regularity, ear_clip, polygon_kernel,
                      polygon_signed_area, reference_hex_seeds, reference_lloyd,
-                     reference_rect_markers, reference_structured_mesh, reference_topology,
-                     reference_voronoi)
+                     reference_qhull_voronoi, reference_rect_markers, reference_structured_mesh,
+                     reference_topology, reference_voronoi)
 
 FAMILIES = ("uniform_square", "distorted_square", "voronoi", "nonconvex", "triangular")
 
@@ -404,7 +404,7 @@ def test_voronoi_cells_match_clipping_reference(h):
     ref_seeds, _ = reference_hex_seeds(UNIT_SQUARE, h)
     assert np.array_equal(seeds, ref_seeds)
     # measured: 1.3e-15 s at h=1/5 and 1/10, 5.1e-15 s at h=1/20
-    assert np.max(np.abs(geometry._lloyd(seeds, UNIT_SQUARE, 3.0 * s)
+    assert np.max(np.abs(geometry._lloyd(seeds, UNIT_SQUARE, 3.0 * s)[0]
                          - reference_lloyd(ref_seeds, UNIT_SQUARE, 20, 3.0 * s))) <= 1e-13 * s
     mesh = generate_mesh("voronoi", UNIT_SQUARE, h)
     verts, cells = reference_voronoi(UNIT_SQUARE, h)
@@ -473,7 +473,7 @@ def test_lloyd_remakes_a_stale_triangulation(monkeypatch):
     with the incircle test skipped they are off by 1.9e-2)."""
     delaunay = _Counted(monkeypatch, "Delaunay")
     pts = np.random.default_rng(0).random((60, 2))
-    moved = geometry._lloyd(pts, UNIT_SQUARE, 0.3)
+    moved = geometry._lloyd(pts, UNIT_SQUARE, 0.3)[0]
     assert 1 < delaunay.calls < geometry._LLOYD_ITERS
     assert np.max(np.abs(moved - reference_lloyd(pts, UNIT_SQUARE, 20, 0.3))) <= 1e-13
 
@@ -489,16 +489,41 @@ def test_fans_stale_when_a_region_vertex_leaves_the_rectangle():
 @pytest.mark.parametrize("h", [1 / 5, 1 / 10, 1 / 20])
 def test_voronoi_mesh_triangulates_once(monkeypatch, h):
     """A Voronoi mesh of the convergence ladder takes one Delaunay
-    triangulation for all Lloyd steps and one Voronoi diagram for its cells."""
+    triangulation for all Lloyd steps and reads its cells from the same
+    fans, with no Voronoi diagram; at h=1/20 the seeds of the last step
+    make it stale, and the cells come from one more triangulation."""
     delaunay, voronoi = _Counted(monkeypatch, "Delaunay"), _Counted(monkeypatch, "Voronoi")
     geometry._voronoi(UNIT_SQUARE, h, 42)
-    assert (delaunay.calls, voronoi.calls) == (1, 1)
+    assert (delaunay.calls, voronoi.calls) == ({1 / 5: 1, 1 / 10: 1, 1 / 20: 2}[h], 0)
+
+
+@pytest.mark.parametrize("domain", [UNIT_SQUARE, Rectangle(-1.0, 2.0, 3.0, 2.5)])
+@pytest.mark.parametrize("h", [1 / 4, 1 / 5, 1 / 9, 1 / 10, 1 / 16, 1 / 20, 1 / 40])
+def test_voronoi_mesh_matches_qhull_reference(domain, h):
+    """The cells read from the Lloyd fans are those of a second Qhull
+    diagram of the same seeds (``scipy.spatial.Voronoi``): the same loops,
+    markers, cell groups and ear-clip triangles, and vertices within one ulp
+    of the domain's largest coordinate (measured: at most that, 2.2e-16 on
+    the unit square and 4.4e-16 on the box)."""
+    mesh = generate_mesh("voronoi", domain, h)
+    ref = reference_qhull_voronoi(domain, h)
+    assert len(mesh.cells) == len(ref.cells)
+    assert all(np.array_equal(a, b) for a, b in zip(mesh.cells, ref.cells))
+    assert list(mesh.boundary_markers) == list(ref.boundary_markers)
+    assert all(np.array_equal(mesh.boundary_markers[k], ref.boundary_markers[k])
+               for k in ref.boundary_markers)
+    assert len(mesh.cell_groups) == len(ref.cell_groups)
+    for g, r in zip(mesh.cell_groups, ref.cell_groups):
+        assert np.array_equal(g.cell_ids, r.cell_ids) and np.array_equal(g.triangles, r.triangles)
+    ulp = np.spacing(max(abs(domain.x0), abs(domain.x1), abs(domain.y0), abs(domain.y1)))
+    assert mesh.vertices.shape == ref.vertices.shape
+    assert np.max(np.abs(mesh.vertices - ref.vertices)) <= ulp
 
 
 @pytest.mark.parametrize("domain", [UNIT_SQUARE, Rectangle(-1.0, 2.0, 3.0, 2.5)])
 def test_voronoi_loops_start_at_lowest_vertex(domain):
-    """Every Voronoi cell starts at its lowest vertex (by y, then x), whatever
-    order Qhull lists the region in."""
+    """Every Voronoi cell starts at its lowest vertex (by y, then x), not
+    where its fan happens to begin."""
     for h in (1 / 5, 1 / 10):
         mesh = generate_mesh("voronoi", domain, h)
         for cell in mesh.cells:

@@ -1,11 +1,15 @@
-"""Inf-sup stability of the equal-order pair as an operator-level property:
-the local projection term L2 gives the pressure Schur complement a positive
-smallest eigenvalue, uniform in h, on every mesh family and order, and
-without L2 that eigenvalue is zero."""
+"""Stability and consistency of the equal-order pair as operator-level
+properties, on every mesh family and order: the local projection term L2
+gives the pressure Schur complement a positive smallest eigenvalue, uniform
+in h, and without L2 that eigenvalue is zero; the momentum residual of the
+interpolated exact fields falls as h^k; the temperature term L3 has the
+kernel that its order predicts."""
+import math
+
 import numpy as np
 import pytest
 
-from oracles import pressure_stability_spectrum
+from oracles import momentum_consistency_residual, pressure_stability_spectrum
 from lpsvem import benchmarks as bm
 from lpsvem import element_ops as eo
 from lpsvem import forms
@@ -46,3 +50,58 @@ def test_pressure_schur_complement_is_stable_with_L2_only(family, k):
         plain = pressure_stability_spectrum(asm, with_L2=False)
         assert abs(plain[0]) <= ZERO_REL * plain[-1], (h, plain[0], plain[-1])
     assert smallest[1] >= 0.8 * smallest[0], smallest
+
+
+# momentum residual of the interpolated ex1 fields in the discrete H^-1 norm
+# at h = 1/4, 1/8, 1/16 (mesh seed 1), measured:
+#   distorted squares  k=1: 5.873e-1, 2.643e-1, 1.300e-1
+#                      k=2: 3.094e-1, 7.101e-2, 1.601e-2
+#                      k=3: 7.084e-2, 9.024e-3, 1.081e-3
+#   Voronoi            k=1: 1.259,    3.186e-1, 1.003e-1
+#                      k=2: 5.190e-1, 1.349e-1, 3.558e-2
+#                      k=3: 1.203e-1, 1.303e-2, 1.711e-3
+# The last-step rates over the five families are at least 0.97, 1.97 and
+# 2.91 at k = 1, 2, 3.
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("family", MESH_FAMILIES)
+def test_momentum_residual_of_interpolant_falls_as_h_to_the_k(family, k):
+    """The VEM forms are consistent: put the interpolants of the exact ex1
+    fields in the Stokes system, and the momentum residual falls at least
+    at rate k - 0.3 from h = 1/8 to 1/16, the rate taken on the realized
+    mesh ratio sqrt(cells_fine / cells_coarse)."""
+    exact = bm.make_case("ex1").fields.exact()
+    res, cells = [], []
+    for h in (1 / 4, 1 / 8, 1 / 16):
+        asm = _ex1_assembler(family, k, h)
+        res.append(momentum_consistency_residual(asm, exact))
+        cells.append(asm.mops.mesh.n_cells)
+    rate = math.log(res[1] / res[2]) / math.log(math.sqrt(cells[2] / cells[1]))
+    assert rate >= k - 0.3, (res, cells, rate)
+
+
+# the dimension of the kernel of L3 on the free temperature dofs at h = 1/10:
+# at k=2 the continuous piecewise-P2 functions.  Voronoi at k=2 is left out:
+# its smallest eigenvalues lie between 6e-11 and 3.3e-9 of the largest, so a
+# count there would be decided by rounding.
+L3_KERNEL = {1: dict.fromkeys(MESH_FAMILIES, 0),
+             2: {"uniform_square": 81, "distorted_square": 253, "nonconvex": 61,
+                 "triangular": 361}}
+
+
+@pytest.mark.parametrize("k, family", [(k, f) for k in L3_KERNEL for f in L3_KERNEL[k]])
+def test_L3_kernel_dimension(family, k):
+    """The eigenvalues of L3 at or below 1e-10 of the largest number the
+    measured kernel (empty at k=1), and a gap separates them from the rest:
+    the kernel's values are at most 1e-12 of the largest (measured at most
+    7.7e-16) and the next is at least 1e-7 (measured at least 4.3e-6, and at
+    least 4.5e-5 at k=1)."""
+    asm = _ex1_assembler(family, k, 1 / 10)
+    free = asm.dirichlet_phi.free
+    L3 = asm.L3[free][:, free].toarray()
+    ev = np.linalg.eigvalsh(0.5 * (L3 + L3.T))
+    rel = ev / ev[-1]
+    n0 = int(np.sum(rel <= 1e-10))
+    assert n0 == L3_KERNEL[k][family]
+    assert np.all(np.abs(rel[:n0]) <= 1e-12) and rel[n0] >= 1e-7, (rel[:n0], rel[n0])
