@@ -17,21 +17,25 @@ sparsity of its free-free block never changes either, so a sweep gathers
 only the blocks that change straight into it: the velocity block A_uu of
 ``build_stokes``, or the transport matrix (A_TT + C) + L3 of
 ``build_transport``.  It keeps its last factorization and solution.  The
-discrete solution is the fixed point of a
-contraction, so only the sweep the loop stops on needs exact solves.  Every
-other sweep may solve either system *lagged*: from the previous solution it
-takes correction steps ``x += LU_old \\ (b - K_new x)`` with the kept
-factorization, while each step shrinks the residual by at least the factor
-``LAG_CONTRACTION``, up to ``LAG_STEPS`` steps.  The lagged solve is accepted
-when its residual ends at most ``LAG_CONTRACTION`` times the starting one and
-its relative residual at most the system's acceptance residual
-(``LAG_RESIDUAL`` for Stokes, ``HEAT_LAG_RESIDUAL`` for the temperature);
-otherwise the old factorization is dropped before the new system is
-factored.  An exact solve takes the same correction steps with a fresh
-factorization (iterative refinement).  The loop never stops on a lagged
-sweep: the sweep after one whose increment meets ``tol``, or after one whose
-contraction predicts that the next increment will, solves both systems
-exactly, and so does the last sweep ``max_iter`` allows.  A symmetric-mode
+discrete solution is the fixed point of a contraction, so only the sweep the
+loop stops on needs exact solves, and every other sweep need only be as
+accurate as its increment (the inexact fixed-point iteration behind the
+forcing terms of Eisenstat and Walker).  Such a sweep may solve either
+system *lagged*: by GMRES (Saad and Schultz) on the new matrix,
+right-preconditioned with the kept factorization of an earlier one and
+started from the previous solution, up to ``LAG_STEPS`` iterations, until
+its residual estimate falls to the smaller of |b| times the system's
+acceptance residual (``LAG_RESIDUAL`` for Stokes, ``HEAT_LAG_RESIDUAL`` for
+the temperature) and ``LAG_REDUCTION`` times the starting residual.  The
+lagged solve is accepted when the residual recomputed from its result is at
+most ``LAG_CONTRACTION`` times the starting one and its relative residual at
+most the acceptance residual; otherwise the old factorization is dropped
+before the new system is factored.  An exact solve takes correction steps
+``x += LU \\ (b - K x)`` with a fresh factorization (iterative refinement).
+The loop never stops on a lagged sweep: the sweep after one whose increment
+meets ``tol``, or after one whose contraction predicts that the next
+increment will, solves both systems exactly, and so does the last sweep
+``max_iter`` allows.  A symmetric-mode
 Stokes factorization and a COLAMD temperature factorization are kept; the
 COLAMD factorization of a plain unstabilized saddle is never reused.  Before
 a Stokes factorization the kept temperature factorization is dropped too, so
@@ -72,15 +76,18 @@ class SolveRecord:
     "lagged", "refactored" (a lagged solve was rejected), "regularized" (the
     plain Stokes system failed, in its factorization or in its solve, and the
     regularized one was factored) or "reused" (the previous sweep's solution
-    of an identical system); ``steps`` counts the lagged correction steps
-    taken and ``factorizations`` the factorizations made (a "regularized"
-    solve makes 2 when the plain system was factored and its solve failed, 1
-    when its factorization failed); ``factor_s`` is their time, which takes
-    no part in comparisons or the repr."""
+    of an identical system); ``steps`` counts the GMRES iterations of a
+    lagged solve, accepted or not, ``factorizations`` the factorizations made
+    (a "regularized" solve makes 2 when the plain system was factored and its
+    solve failed, 1 when its factorization failed) and ``refinements`` the
+    iterative refinement steps of the exact solve that gave the answer;
+    ``factor_s`` is the factorizations' time, which takes no part in
+    comparisons or the repr."""
     action: str
     steps: int
     factorizations: int
     residual: float
+    refinements: int = 0
     factor_s: float = field(default=0.0, compare=False, repr=False)
 
 
@@ -131,17 +138,24 @@ RESIDUAL_FLOOR = 1e-8
 # value (at least one refinement pass is always taken).
 REFINE_TOL = 1e-15
 
-# A lagged solve takes correction steps with the previous sweep's
-# factorization while each brings the residual to at most LAG_CONTRACTION
-# times the one before, up to LAG_STEPS steps.  It is accepted when they
-# bring the residual to at most LAG_CONTRACTION times the starting one and
-# the relative residual to at most the system's acceptance residual.  Stokes
-# accepts at LAG_RESIDUAL.  A temperature accepted there too leaves the fields
-# of ex3 (k=2, distorted squares, h=1/9 and 1/18) up to 2.3e-8 of their size
-# from those of exact solves on every sweep; at HEAT_LAG_RESIDUAL they stay
-# within 4.6e-11.  With LAG_STEPS = 3 in place of 6 the same sweeps factor,
-# but the fields move 3.8e-10 from the exact ones.
-LAG_STEPS = 6
+# A lagged solve runs GMRES, right-preconditioned with the previous sweep's
+# factorization, for at most LAG_STEPS iterations; it stops once the Arnoldi
+# estimate of the residual is at most min(accept |b|, LAG_REDUCTION r0), r0
+# the starting residual, and is accepted when the residual recomputed after
+# the update is at most LAG_CONTRACTION r0 and the relative residual at most
+# the system's acceptance residual: LAG_RESIDUAL for Stokes,
+# HEAT_LAG_RESIDUAL for the temperature.  Measured on ex3 (k=2, distorted
+# squares, h=1/9 and 1/18) and ex1 (k=1, Voronoi, h=1/5, 1/10, 1/20), seed 1:
+# with these values ex3 takes 11 sweeps and 2 factorizations of each system,
+# at most 16 iterations a solve, and ex1 takes 5, 6 and 6 sweeps.
+# LAG_REDUCTION = 1e-2 takes 6 sweeps on ex1 at h=1/5; 1e-3 and 1e-4 factor
+# as often with 10% and 40% more iterations; without it (the target accept
+# |b| alone) a start already within it takes no step, and ex3 factors each
+# system 6 times.  LAG_STEPS = 15 factors the temperature 3 times at h=1/18.
+# The ex3 fields end up to 4.7e-10 of their size from those of exact solves
+# on every sweep; a temperature accepted at LAG_RESIDUAL leaves 1.2e-9.
+LAG_STEPS = 20
+LAG_REDUCTION = 3e-3
 LAG_CONTRACTION = 0.3
 LAG_RESIDUAL = 1e-3
 HEAT_LAG_RESIDUAL = 1e-8
@@ -259,29 +273,53 @@ class _Sweeps:
         except RuntimeError as exc:
             raise SolverError(f"{self.name} system: singular factorization: {exc}") from exc
 
-    def correct(self, lu, b: np.ndarray, x: np.ndarray, steps: int, tol: float,
-                contraction: float | None = None):
-        """Correction steps ``x += lu \\ (b - Kff x)`` on the free dofs, in
-        place.  ``lu`` factors ``Kff`` (iterative refinement) or an earlier
-        matrix of the same pattern (a lagged solve).  Takes at least one step
-        and at most ``steps``; stops once the relative residual is at most
-        ``tol``, or after a step that does not bring the residual to at most
-        ``contraction`` times the one before.
+    def lagged(self, b: np.ndarray):
+        """A lagged solve (see the module docstring): GMRES on ``Kff`` from the
+        last solution ``x``, right-preconditioned with the kept ``lu``; modified
+        Gram-Schmidt with the preconditioned vectors kept, Givens rotations for
+        the residual estimate, no restart.  A non-finite value, a breakdown
+        short of the target or ``LAG_STEPS`` iterations rejects it.
 
-        Returns (|b|, steps taken, residual norm before the first step, after
-        the last).
+        Returns (x on the free dofs, or None when rejected; iterations taken;
+        relative residual).
         """
+        K, lu, m = self.Kff, self.lu, LAG_STEPS
+        x = self.x.copy()
         nb = _norm(b)
-        r = b - self.Kff @ x
-        r0 = rn = _norm(r)
-        for step in range(1, steps + 1):
-            x += lu.solve(r)
-            r = b - self.Kff @ x
-            prev, rn = rn, _norm(r)
-            if _relative(rn, nb) <= tol or (contraction is not None
-                                            and not rn <= contraction * prev):
-                break
-        return nb, step, r0, rn
+        w = b - K @ x
+        r0 = h = _norm(w)
+        target = min(self.accept * nb, LAG_REDUCTION * r0)
+        V, Z = np.empty((m, len(b))), np.empty((m, len(b)))
+        H, rot, g = np.zeros((m + 1, m)), np.zeros((m, 2)), np.zeros(m + 1)
+        g[0] = r0
+        k = 0
+        while not abs(g[k]) <= target:   # g[k]: the estimate of |b - K x_k|
+            if k == m or not (np.isfinite(h) and h > 0):
+                return None, k, np.inf
+            V[k] = w / h
+            Z[k] = lu.solve(V[k])
+            w = K @ Z[k]
+            col = H[:k + 2, k]
+            for i in range(k + 1):
+                # einsum, not a BLAS dot product (see _norm)
+                col[i] = np.einsum("i,i->", V[i], w)
+                w -= col[i] * V[i]
+            col[k + 1] = h = _norm(w)
+            for i in range(k):
+                c, s = rot[i]
+                col[i], col[i + 1] = c * col[i] + s * col[i + 1], c * col[i + 1] - s * col[i]
+            d = np.hypot(col[k], h)
+            c, s = rot[k] = col[k] / d, h / d
+            col[k], col[k + 1] = d, 0.0
+            g[k], g[k + 1] = c * g[k], -s * g[k]
+            k += 1
+        if k:
+            x += np.einsum("j,ji->i", np.linalg.solve(H[:k, :k], g[:k]), Z[:k])
+        rn = _norm(b - K @ x)
+        # a non-finite iterate meets neither bound
+        if rn <= LAG_CONTRACTION * r0 and _relative(rn, nb) <= self.accept:
+            return x, k, _relative(rn, nb)
+        return None, k, _relative(rn, nb)
 
     def fall_back(self) -> bool:
         """Switch to a fallback system after a failed factorization or solve;
@@ -289,23 +327,30 @@ class _Sweeps:
         return False
 
     def solve_exact(self, lu, b: np.ndarray):
-        """LU solve with iterative refinement down to the conditioning floor:
-        (x on the free dofs, relative residual).
+        """LU solve with iterative refinement ``x += lu \\ (b - Kff x)`` down to
+        the conditioning floor: (x on the free dofs, relative residual,
+        refinement steps).
 
         Raises SolverError when the result is non-finite or its relative
         residual stays above ``RESIDUAL_FLOOR``.
         """
         x = lu.solve(b)
-        # at least one refinement pass; it sharpens the forward error even
-        # when the first residual already looks small
-        nb, _, _, rn = self.correct(lu, b, x, 4, REFINE_TOL)
-        res = _relative(rn, nb)
+        nb = _norm(b)
+        r = b - self.Kff @ x
+        # at least one refinement pass, at most 4; it sharpens the forward
+        # error even when the first residual already looks small
+        for steps in range(1, 5):
+            x += lu.solve(r)
+            r = b - self.Kff @ x
+            res = _relative(_norm(r), nb)
+            if res <= REFINE_TOL:
+                break
         if not np.all(np.isfinite(x)):
             raise SolverError(f"{self.name} system: non-finite values in the linear solve")
         if not res <= RESIDUAL_FLOOR:
             raise SolverError(f"{self.name} system: relative residual {res:.3e} "
                               f"above the floor {RESIDUAL_FLOOR:g}")
-        return x, res
+        return x, res, steps
 
     def solve(self, exact: bool):
         """(x on every dof, ``SolveRecord``) of the filled system; lagged when
@@ -317,12 +362,10 @@ class _Sweeps:
         b = self.rhs[self.free] - self.shift()
         action, steps, factorizations, factor_s = "factored", 0, 0, 0.0
         if self.lu is not None and not exact:
-            x = self.x.copy()
-            nb, steps, r0, rn = self.correct(self.lu, b, x, LAG_STEPS, 0.0, LAG_CONTRACTION)
-            # a non-finite iterate never reaches the acceptance residual
-            if rn <= LAG_CONTRACTION * r0 and _relative(rn, nb) <= self.accept:
+            x, steps, res = self.lagged(b)
+            if x is not None:
                 self.x = x
-                return self.full(x), SolveRecord("lagged", steps, 0, _relative(rn, nb))
+                return self.full(x), SolveRecord("lagged", steps, 0, res)
             action = "refactored"
         # no reference to an old factorization may outlive this point: a new
         # one made while it is alive raises the peak memory by its size
@@ -337,7 +380,7 @@ class _Sweeps:
                 finally:
                     factor_s += time.perf_counter() - t
                 factorizations += 1
-                x, res = self.solve_exact(lu, b)
+                x, res, refinements = self.solve_exact(lu, b)
                 break
             except SolverError:
                 # adding to Kff makes no factorization: the failed one, which
@@ -349,7 +392,8 @@ class _Sweeps:
         if self.ordering == ("symmetric" if self.symmetric_mode else "colamd"):
             self.lu = lu
         self.x = x
-        return self.full(x), SolveRecord(action, steps, factorizations, res, factor_s)
+        return self.full(x), SolveRecord(action, steps, factorizations, res, refinements,
+                                         factor_s)
 
 
 def _csr_entries(A: sp.csr_matrix):

@@ -484,10 +484,10 @@ def ex3_coarse():
 
 
 def test_lagged_picard_matches_exact_reference(ex3_coarse):
-    """Lagged sweeps: 4 Stokes and 5 temperature factorizations over 11
-    sweeps, the last one factored.  Measured against the reference loop:
-    fields within 2.1e-11 of their largest value, error norms within 1.1e-8
-    relative (e_phi_l2); the bounds are 1e-9 and 1e-6."""
+    """Lagged sweeps: 2 Stokes and 2 temperature factorizations over 11
+    sweeps, the first and the last sweep factored.  Measured against the
+    reference loop: fields within 4.7e-10 of their largest value (u), error
+    norms within 4.8e-7 relative (e_phi_l2); the bounds are 1e-9 and 1e-6."""
     from lpsvem.postprocess import compute_errors
     case, mesh, mops, spec, (ref, ref_history) = ex3_coarse
     state, rep = solver.picard_solve(spec, mops)
@@ -545,11 +545,28 @@ def test_lagged_temperature_with_constant_viscosity_matches_reference(mesh5, mop
         assert np.abs(got - want).max() <= 1e-9 * np.abs(want).max(), name
 
 
+def test_krylov_lag_factors_each_system_twice(ex3_coarse):
+    """The coarse picard_k2 point: GMRES on the first sweep's factorizations
+    solves every sweep but the first and the last, so each system is factored
+    twice over the 11 sweeps and no lag is rejected.  No solve takes more
+    than LAG_STEPS iterations; an exact solve records its refinement steps
+    (at most 4) and no iterations."""
+    _, _, mops, spec, _ = ex3_coarse
+    _, rep = solver.picard_solve(spec, mops)
+    assert rep.iterations == 11
+    assert rep.stokes_factorizations == rep.heat_factorizations == 2
+    assert "refactored" not in [s.stokes.action for s in rep.sweeps]
+    for rec in [s.stokes for s in rep.sweeps] + [s.heat for s in rep.sweeps]:
+        assert 1 <= rec.steps <= solver.LAG_STEPS if rec.action == "lagged" else rec.steps == 0
+        assert (1 <= rec.refinements <= 4) == (rec.factorizations > 0)
+
+
 def test_rejected_lag_refactors(ex3_coarse, monkeypatch):
     """With a contraction no lagged solve can reach, every sweep after the
-    first ends its Stokes correction after one step, drops the kept LUs and
-    factors its own systems, which reproduces the reference loop bit for bit.
-    The temperature never lags: each Stokes factorization drops its LU."""
+    first runs GMRES to its target, rejects the result on its true residual,
+    drops the kept LUs and factors its own systems, which reproduces the
+    reference loop bit for bit.  The temperature never lags: each Stokes
+    factorization drops its LU."""
     case, mesh, mops, spec, (ref, ref_history) = ex3_coarse
     monkeypatch.setattr(solver, "LAG_CONTRACTION", 0.0)
     state, rep = solver.picard_solve(spec, mops)
@@ -557,7 +574,8 @@ def test_rejected_lag_refactors(ex3_coarse, monkeypatch):
     # the last sweep, predicted to converge, factors without trying a lag
     assert lus == ["factored"] + ["refactored"] * (rep.iterations - 2) + ["factored"]
     steps = [s.stokes.steps for s in rep.sweeps]
-    assert steps == [0] + [1] * (rep.iterations - 2) + [0]
+    assert steps[0] == steps[-1] == 0
+    assert all(1 <= n < solver.LAG_STEPS for n in steps[1:-1])
     assert [(s.heat.action, s.heat.steps) for s in rep.sweeps] == [("factored", 0)] * rep.iterations
     assert rep.stokes_factorizations == rep.heat_factorizations == rep.iterations
     assert [s.increment for s in rep.sweeps] == ref_history
@@ -566,14 +584,16 @@ def test_rejected_lag_refactors(ex3_coarse, monkeypatch):
 
 
 def test_non_finite_lagged_correction_refactors(ex3_coarse, monkeypatch):
-    """A non-finite iterate never reaches the acceptance residual.  Every LU
-    solves NaN once the sweep that made it is over (the next sweep starts
-    with ``build_stokes``), so every lagged correction comes back NaN: each
-    such sweep must record "refactored", and the run must equal, bit for bit,
-    one in which every lag is rejected."""
+    """A non-finite iterate is never accepted.  Every LU solves NaN once the
+    sweep that made it is over (the next sweep starts with ``build_stokes``),
+    so every lagged solve meets NaN in its first iteration: each such sweep
+    must record "refactored" after one iteration, and the run must equal,
+    bit for bit, one in which every lag is rejected at a cap of one
+    iteration."""
     case, mesh, mops, spec, _ = ex3_coarse
     with monkeypatch.context() as m:
-        m.setattr(solver, "LAG_CONTRACTION", 0.0)
+        m.setattr(solver, "LAG_STEPS", 1)
+        m.setattr(solver, "LAG_REDUCTION", 0.0)
         rejected, rejected_rep = solver.picard_solve(spec, mops)
     real, made = solver.splu, []
     build_stokes = forms.Assembler.build_stokes
@@ -599,6 +619,7 @@ def test_non_finite_lagged_correction_refactors(ex3_coarse, monkeypatch):
     state, rep = solver.picard_solve(spec, mops)
     lus = [s.stokes.action for s in rep.sweeps] + [s.heat.action for s in rep.sweeps]
     assert "refactored" in lus and "lagged" not in lus
+    assert {s.stokes.steps for s in rep.sweeps if s.stokes.action == "refactored"} == {1}
     assert rep.sweeps == rejected_rep.sweeps
     for name in ("u", "p", "phi"):
         assert np.array_equal(getattr(state, name), getattr(rejected, name)), name
@@ -610,9 +631,12 @@ def test_no_earlier_stokes_factorization_alive_when_factoring(ex3_coarse, monkey
     Stokes factors, and no earlier temperature LU when the temperature
     factors.  SuperLU objects take no weak references, so splu hands out
     proxies, and each factorization counts the earlier proxies still alive:
-    there must be none."""
+    there must be none.  A cap of 6 iterations rejects some lags of both
+    systems (3 Stokes and 4 temperature factorizations), so that later ones
+    run on a factorization made after a rejection."""
     import weakref
     case, mesh, mops, spec, _ = ex3_coarse
+    monkeypatch.setattr(solver, "LAG_STEPS", 6)
     real, made, alive = solver.splu, {"stokes": [], "heat": []}, []
 
     class Proxy:
@@ -632,27 +656,100 @@ def test_no_earlier_stokes_factorization_alive_when_factoring(ex3_coarse, monkey
     monkeypatch.setattr(solver, "splu", proxy_splu)
     _, rep = solver.picard_solve(spec, mops)
     assert any(s.stokes.action == "refactored" for s in rep.sweeps)
+    assert any(s.heat.action == "refactored" for s in rep.sweeps)
     assert any(s.heat.action == "lagged" for s in rep.sweeps)
     assert len(made["stokes"]) == rep.stokes_factorizations > 2
     assert len(made["heat"]) == rep.heat_factorizations > 2
     assert alive == [0] * len(alive)
 
 
+def _small_sweeps(K: np.ndarray, rhs: np.ndarray, accept: float = solver.HEAT_LAG_RESIDUAL):
+    """Sweeps of the dense matrix ``K`` with no Dirichlet dofs, filled and
+    solved exactly, so that they keep a factorization of ``K``."""
+    n = len(K)
+    rows, cols = np.nonzero(np.ones((n, n)))
+    sweeps = solver._Sweeps("temperature", rows, cols, np.arange(n), np.zeros(n), rhs, accept)
+    sweeps.fill(K[rows, cols])
+    _, rec = sweeps.solve(exact=True)
+    assert rec.action == "factored" and sweeps.lu is not None
+    return sweeps, rows, cols
+
+
 def test_lagged_solve_with_zero_rhs_is_not_taken_as_converged():
-    """A zero right-hand side and a nonzero start: the lagged correction
-    leaves a small nonzero residual, which is no relative residual at or
-    below the acceptance one, so the system is factored again and solved
-    exactly (x = 0)."""
+    """A zero right-hand side and a nonzero start make a lag target of zero.
+    GMRES meets it (measured: its estimate underflows to zero after 3
+    iterations) and leaves a small nonzero residual, which is no relative
+    residual at or below the acceptance one, so the system is factored again
+    and solved exactly (x = 0)."""
     heat = solver._Sweeps("temperature", np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1]),
                           np.arange(2), np.zeros(2), np.zeros(2), solver.HEAT_LAG_RESIDUAL)
     heat.fill(np.array([2.0, 1.0, 1.0, 3.0]))
     x, rec = heat.solve(exact=True)
     assert rec.action == "factored" and not x.any() and heat.lu is not None
-    heat.x = np.array([1.0, -1.0])
+    heat.x = np.array([0.3, -0.7])
     heat.fill(np.array([2.2, 1.0, 1.0, 3.0]))
     x, rec = heat.solve(exact=False)
-    assert (rec.action, rec.steps) == ("refactored", solver.LAG_STEPS)
+    assert rec.action == "refactored" and 1 <= rec.steps <= solver.LAG_STEPS
     assert not x.any() and rec.residual == 0.0
+
+
+class _CountingLU:
+    """A stand-in for a kept factorization: ``solve`` applies ``apply`` and
+    counts its calls."""
+
+    def __init__(self, apply):
+        self.apply, self.calls = apply, 0
+
+    def solve(self, b):
+        self.calls += 1
+        return self.apply(b)
+
+
+def test_lag_with_a_non_finite_factorization_is_rejected():
+    """A kept LU that solves NaN: the lag stops at its first iteration, is
+    rejected, and the system is factored and solved exactly."""
+    K = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]])
+    sweeps, rows, cols = _small_sweeps(K, np.ones(3))
+    sweeps.lu = _CountingLU(lambda b: np.full_like(b, np.nan))
+    K[0, 0] = 4.5
+    sweeps.fill(K[rows, cols])
+    x, rec = sweeps.solve(exact=False)
+    assert (rec.action, rec.steps, rec.factorizations) == ("refactored", 1, 1)
+    assert np.allclose(x, np.linalg.solve(K, np.ones(3)), rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("cap", [1, 7, solver.LAG_STEPS])
+def test_lag_runs_at_most_lag_steps_iterations(cap, monkeypatch):
+    """The 1-D Laplacian of order 100, shifted by 0.1 on the diagonal, with the
+    identity as the kept "factorization": unpreconditioned GMRES needs far more
+    than LAG_STEPS iterations here, so the lag stops at the cap, is rejected,
+    and the kept LU solved exactly ``cap`` times."""
+    monkeypatch.setattr(solver, "LAG_STEPS", cap)
+    n = 100
+    K = 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+    sweeps, rows, cols = _small_sweeps(K, np.ones(n))
+    sweeps.lu = identity = _CountingLU(lambda b: b.copy())
+    sweeps.fill((K + 0.1 * np.eye(n))[rows, cols])
+    _, rec = sweeps.solve(exact=False)
+    assert (rec.action, rec.steps, identity.calls) == ("refactored", cap, cap)
+
+
+def test_lag_accepts_on_the_recomputed_residual_not_the_estimate():
+    """The Hilbert matrix of order 8 (condition number 1.5e10), a right-hand
+    side of ones and an acceptance residual of 1e-14; the kept LU factors it
+    before its first entry grows by a relative 1e-9.  After one iteration the
+    Arnoldi estimate reads 6.3e-20, below the target of 2.8e-14, but the
+    residual recomputed from the updated solution (entries up to 2.2e5)
+    stays at its rounding floor, 3.1e-12 relative, so the lag is rejected and
+    the system factored.  The gap between the two residuals is rounding,
+    measured at more than 100 times on either side of the target."""
+    i = np.arange(8)
+    K = 1.0 / (i[:, None] + i[None, :] + 1)
+    sweeps, rows, cols = _small_sweeps(K, np.ones(8), accept=1e-14)
+    K[0, 0] *= 1 + 1e-9
+    sweeps.fill(K[rows, cols])
+    _, rec = sweeps.solve(exact=False)
+    assert (rec.action, rec.steps, rec.factorizations) == ("refactored", 1, 1)
 
 
 def test_unstabilized_nonconstant_run_warns_once():
