@@ -431,21 +431,27 @@ def _hex_seeds(domain: Rectangle, h):
 _WALL_AXIS = np.array([0, 0, 1, 1])   # left, right, bottom, top
 
 
-def _images(points, domain: Rectangle, band):
-    """Seeds plus wall reflections of the seeds within ``band`` of each wall
-    (the seeds lie in the domain), wall by wall: left, right, bottom, top;
-    with the index of the seed each point copies and the wall it is
-    reflected in (-1 for the seed itself, then 0-3 in that order)."""
-    walls = np.array([domain.x0, domain.x1, domain.y0, domain.y1])
-    near = [np.flatnonzero(np.abs(points[:, axis] - at) < band)
-            for axis, at in zip(_WALL_AXIS, walls)]
-    src = np.concatenate([np.arange(len(points)), *near])
-    wall = np.repeat(np.arange(-1, 4), [len(points)] + [len(i) for i in near])
-    out = points[src]
-    img = np.flatnonzero(wall >= 0)
-    axis = _WALL_AXIS[wall[img]]
-    out[img, axis] = 2 * walls[wall[img]] - out[img, axis]
-    return out, src, wall
+def _walls(domain: Rectangle):
+    """The coordinates of the left, right, bottom and top walls."""
+    return np.array([domain.x0, domain.x1, domain.y0, domain.y1])
+
+
+def _near_walls(points, domain: Rectangle, band):
+    """(4, n) mask of the seeds within ``band`` of each wall: left, right,
+    bottom, top."""
+    return np.abs(points[:, _WALL_AXIS].T - _walls(domain)[:, None]) < band
+
+
+def _images(points, domain: Rectangle, near):
+    """Seeds plus the wall reflections that the ``_near_walls`` mask ``near``
+    marks, wall by wall: left, right, bottom, top; with the wall each point
+    is reflected in (-1 for the seed itself, then 0-3 in that order)."""
+    walls = _walls(domain)
+    wall, seed = np.nonzero(near)
+    out = np.concatenate([points, points[seed]])
+    axis = _WALL_AXIS[wall]
+    out[len(points) + np.arange(len(seed)), axis] = 2 * walls[wall] - points[seed, axis]
+    return out, np.concatenate([np.full(len(points), -1), wall])
 
 
 def _check_regions(bad):
@@ -456,38 +462,188 @@ def _check_regions(bad):
 
 
 _LLOYD_ITERS = 20
-_DELAUNAY_TOL = 1e-12   # relative slack of the staleness tests
+_DELAUNAY_TOL = 1e-12   # relative slack of the incircle tests
+
+
+def _hilbert_order(points):
+    """Indices of ``points`` along a Hilbert curve through their bounding
+    square, on a grid of 2**16 cells a side; stable, so points in one cell
+    keep their order."""
+    bits = 16
+    lo = points.min(axis=0)
+    side = (1 << bits) - 1
+    span = float(np.max(points.max(axis=0) - lo)) or 1.0
+    x, y = np.floor((points - lo) * (side / span)).astype(np.int64).T
+    key = np.zeros(len(points), dtype=np.int64)
+    s = 1 << (bits - 1)
+    while s:
+        rx, ry = (x & s) > 0, (y & s) > 0
+        key += s * s * ((3 * rx) ^ ry)
+        flip = rx & ~ry
+        x, y = np.where(flip, side - x, x), np.where(flip, side - y, y)
+        x, y = np.where(ry, x, y), np.where(ry, y, x)
+        s >>= 1
+    return np.argsort(key, kind="stable")
+
+
+def _ghost_takes(ax, ay, bx, by):
+    """Whether the ghost of the hull edge (a, b), whose outside is on its
+    left, takes a point, given a and b relative to it: the point lies beyond
+    the edge, or on it between its ends (to ``_DELAUNAY_TOL`` of the squared
+    distances)."""
+    left = ax * by - ay * bx
+    slack = _DELAUNAY_TOL * (ax * ax + ay * ay + bx * bx + by * by)
+    return left > slack or (left >= -slack and ax * bx + ay * by < 0.0)
+
+
+def _circle_takes(ax, ay, bx, by, cx, cy):
+    """Whether the counter-clockwise triangle (a, b, c) takes a point, given
+    its corners relative to it: the point lies inside the circumcircle by
+    more than ``_DELAUNAY_TOL`` times the fourth power of the size (the
+    squared distances, summed and squared), as ``_Fans.centres`` measures."""
+    la, lb, lc = ax * ax + ay * ay, bx * bx + by * by, cx * cx + cy * cy
+    return (la * (bx * cy - cx * by) + lb * (cx * ay - ax * cy) + lc * (ax * by - bx * ay)
+            > _DELAUNAY_TOL * (la + lb + lc) ** 2)
+
+
+def _delaunay(points):
+    """Delaunay triangulation of the (n, 2) ``points``: ``simplices`` (m, 3),
+    each counter-clockwise, and ``neighbors`` (m, 3), the triangle opposite
+    each corner, -1 on the hull.
+
+    Bowyer-Watson insertion (Bowyer 1981, Watson 1981) along a Hilbert curve
+    (``_hilbert_order``), into the triangle of the first point, the next
+    point apart from it and the first point off their line.  Every hull
+    edge carries a ghost triangle with a corner at infinity, so the
+    triangles cover the convex hull.  A point is found by a walk from the
+    last triangle made; the triangles whose circumcircle holds it, by more
+    than the slack (``_circle_takes``), make a cavity, and the fan of the
+    point over the cavity's rim replaces them.  A ghost takes the points beyond
+    its hull edge and those on it (``_ghost_takes``); a walk that leaves the
+    hull next to a point on the line of a hull edge, past its end, goes on
+    along the hull.  A point that coincides with one inserted already (the
+    earlier in the given order) is left out: the triangle it lies in does
+    not take it.
+    """
+    order = _hilbert_order(points)
+    d = points[order] - points[order[0]]
+    apart = np.flatnonzero(np.any(d != 0.0, axis=1))[:1]
+    off = np.flatnonzero(_orient(d[0], d[apart], d)) if len(apart) else apart
+    if not len(off):
+        raise GeometryError("cannot triangulate points on one line")
+    a, b, c = order[[0, apart[0], off[0]]].tolist()
+    if _orient(points[a], points[b], points[c]) < 0:
+        b, c = c, b
+    # triangle 0 and the ghosts (c, b), (a, c), (b, a) of its edges; a ghost
+    # keeps its corner at infinity (-1) last, and has the outside on its left
+    tv = [a, b, c, c, b, -1, a, c, -1, b, a, -1]
+    tn = [1, 2, 3, 3, 2, 0, 1, 3, 0, 2, 1, 0]
+    xs, ys = points[:, 0].tolist(), points[:, 1].tolist()
+    last, first = 0, (a, b, c)
+    for i in order.tolist():
+        if i in first:
+            continue
+        px, py = xs[i], ys[i]
+        t, came = last, -1
+        while True:   # to the triangle holding the point, or a ghost that takes it
+            o = 3 * t
+            v0, v1, v2 = tv[o], tv[o + 1], tv[o + 2]
+            ax, ay, bx, by = xs[v0] - px, ys[v0] - py, xs[v1] - px, ys[v1] - py
+            if v2 < 0:
+                if _ghost_takes(ax, ay, bx, by):
+                    break
+                # on the line of the edge, past one end: on to the ghost there,
+                # unless that turns back (the point is at the corner between)
+                step = tn[o] if bx * (ax - bx) + by * (ay - by) > 0.0 else tn[o + 1]
+                if step == came:
+                    t = -1
+                    break
+                t, came = step, t
+                continue
+            cx, cy = xs[v2] - px, ys[v2] - py
+            if bx * cy - by * cx < 0.0:
+                t = tn[o]
+            elif cx * ay - cy * ax < 0.0:
+                t = tn[o + 1]
+            elif ax * by - ay * bx < 0.0:
+                t = tn[o + 2]
+            else:
+                if not _circle_takes(ax, ay, bx, by, cx, cy):
+                    t = -1
+                break
+        if t < 0:   # the point coincides with one inserted
+            continue
+        cavity, rim, todo = {t}, [], [t]
+        while todo:
+            s = todo.pop()
+            o = 3 * s
+            for k in range(3):
+                u = tn[o + k]
+                if u in cavity:
+                    continue
+                q = 3 * u
+                v0, v1 = tv[q], tv[q + 1]
+                ax, ay, bx, by = xs[v0] - px, ys[v0] - py, xs[v1] - px, ys[v1] - py
+                v2 = tv[q + 2]
+                if (_ghost_takes(ax, ay, bx, by) if v2 < 0 else
+                        _circle_takes(ax, ay, bx, by, xs[v2] - px, ys[v2] - py)):
+                    cavity.add(u)
+                    todo.append(u)
+                else:   # with the place in u that points back to s
+                    rim.append((tv[o + (k + 1) % 3], tv[o + (k + 2) % 3], u,
+                                q + tn[q:q + 3].index(s)))
+        # the fan: one triangle (v, w, i) per rim edge (v, w), in the slots
+        # of the cavity and then new ones; ghosts turned to keep -1 last
+        new = len(rim) - len(cavity)
+        slots = list(cavity) + list(range(len(tv) // 3, len(tv) // 3 + new))
+        tv.extend([0] * (3 * new))
+        tn.extend([0] * (3 * new))
+        starts, ends = {}, {}
+        for (v, w, _, back), t in zip(rim, slots):
+            starts[v], ends[w], tn[back] = t, t, t
+        for (v, w, out, _), t in zip(rim, slots):
+            o, after, before = 3 * t, starts[w], ends[v]
+            if v < 0:
+                tv[o:o + 3], tn[o:o + 3] = (w, i, -1), (before, out, after)
+            elif w < 0:
+                tv[o:o + 3], tn[o:o + 3] = (i, v, -1), (out, after, before)
+            else:
+                tv[o:o + 3], tn[o:o + 3] = (v, w, i), (after, before, out)
+                last = t
+    tv, tn = np.array(tv).reshape(-1, 3), np.array(tn).reshape(-1, 3)
+    real = tv[:, 2] >= 0
+    number = np.where(real, np.cumsum(real) - 1, -1)
+    return tv[real], number[tn[real]]
 
 
 class _Fans:
-    """Delaunay triangulation of mirrored seeds, read around the seeds.
+    """Delaunay triangulation (``_delaunay``) of mirrored seeds, read around
+    the seeds.
 
-    The first ``n`` points are the seeds.  ``seed``, ``b``, ``c`` list the
+    The first ``n`` points are the seeds; the region guard names a seed
+    whose fan meets the hull, or that has no fan because ``_delaunay`` left
+    it out as a repeat of an earlier point.  ``seed``, ``b``, ``c`` list the
     corners of the triangles at the seeds, each the counter-clockwise
     triangle (seed, b, c), with the corners of a seed in counter-clockwise
     order around it, and ``tri`` the index of that triangle; ``next`` is the
     position of the following corner of the same seed.  ``quads`` holds, for
     every edge that can meet the rectangle (an end is a seed, or the ends
     are reflected in different walls), its triangles (c, e1, e2) and
-    (e2, e1, d) as the rows c, e1, e2, d.  ``src`` is the ``_images`` index
-    of the points triangulated.
+    (e2, e1, d) as the rows c, e1, e2, d.
     """
 
-    def __init__(self, mirrored, n, src, wall):
-        from scipy.spatial import Delaunay    # only the Voronoi generator needs scipy.spatial
-        tri = Delaunay(mirrored)
-        simp, nbr = tri.simplices, tri.neighbors     # counter-clockwise
+    def __init__(self, mirrored, n, wall):
+        simp, nbr = _delaunay(mirrored)
         t, k = np.nonzero(nbr < 0)                   # hull edges end in open fans
         ends = np.concatenate([simp[t, (k + 1) % 3], simp[t, (k + 2) % 3]])
         bad = np.ones(n, dtype=bool)
-        bad[simp[simp < n]] = False                  # a seed Qhull dropped has no fan
+        bad[simp[simp < n]] = False                  # a repeat left out has no fan
         bad[ends[ends < n]] = True
         _check_regions(bad)
         t, k = np.nonzero(simp < n)
         seed, b, c = simp[t, k], simp[t, (k + 1) % 3], simp[t, (k + 2) % 3]
         mid = 0.5 * (mirrored[b] + mirrored[c]) - mirrored[seed]   # inside the corner
         order = np.lexsort((np.arctan2(mid[:, 1], mid[:, 0]), seed))
-        self.src = src
         self.seed, self.b, self.c, self.tri = seed[order], b[order], c[order], t[order]
         self.next = _loop_next(np.bincount(seed, minlength=n))
         t, k = np.nonzero(nbr > np.arange(len(simp))[:, None])   # each inner edge once
@@ -530,17 +686,21 @@ def _lloyd(points, domain, band):
     returns the seeds, the ``_Fans`` of their mirrored set and the region
     vertex of every corner of the fans, relative to its seed.
 
-    The regions come from one Delaunay triangulation of the mirrored seeds
-    (``_Fans``), in which every image moves with its seed: the region of a
-    seed is the polygon of the circumcentres of the triangles around it.
-    Before each step, and once more for the regions of the seeds returned,
-    the triangulation is made again, by the same code, when it is stale:
-    when another set of seeds lies within ``band`` of a wall, when a
-    triangle on an edge that can meet the rectangle has turned over, when
-    such an edge fails the incircle test by more than ``_DELAUNAY_TOL`` times
-    the fourth power of its size (the squared distances from the apex,
-    summed and squared), or when a region vertex has left the rectangle by
-    more than ``_DELAUNAY_TOL`` of its size.
+    The regions come from one Delaunay triangulation (``_delaunay``) of the
+    seeds and their reflections in the walls they lie within ``band`` of,
+    in which every image moves with its seed: the region of a seed is the
+    polygon of the circumcentres of the triangles around it.  An image once
+    triangulated is kept, even when its seed has left the band: an image is
+    never closer to a point of the rectangle than the seed it reflects, so
+    an extra image changes no region.  Before each step, and once more for
+    the regions of the seeds returned, the triangulation is made again, of
+    the kept images and the step's, when it is stale: when a seed has come
+    within ``band`` of a wall whose image of it is not kept, when a triangle
+    on an edge that can meet the rectangle has turned over, when such an
+    edge fails the incircle test by more than ``_DELAUNAY_TOL`` times the
+    fourth power of its size (the squared distances from the apex, summed
+    and squared), or when a region vertex has left the rectangle by more
+    than ``_DELAUNAY_TOL`` of its size.
 
     These edges are enough.  A region is right when no point lies inside the
     circumcircle of a triangle of its fan.  The centre lies in the
@@ -550,14 +710,17 @@ def _lloyd(points, domain, band):
     edges, the power of the seed with respect to the circumcircles of the
     triangles passed does not grow: it would start negative and end at zero.
     """
-    pts, fans = points, None
+    pts, fans, kept = points, None, np.zeros((4, len(points)), dtype=bool)
     for step in range(_LLOYD_ITERS + 1):
-        mirrored, src, wall = _images(pts, domain, band)
+        near = _near_walls(pts, domain, band)
         cen = None
-        if fans is not None and np.array_equal(src, fans.src):
+        if fans is not None and not np.any(near & ~kept):
+            mirrored = _images(pts, domain, kept)[0]
             cen = fans.centres(mirrored, domain)
         if cen is None:
-            fans = _Fans(mirrored, len(pts), src, wall)
+            kept |= near
+            mirrored, wall = _images(pts, domain, kept)
+            fans = _Fans(mirrored, len(pts), wall)
             cen = fans.centres(mirrored, domain, check=False)
         if step == _LLOYD_ITERS:
             return pts, fans, cen
@@ -630,7 +793,8 @@ def generate_mesh(family: str, domain, h_target: float, seed: int = 42) -> PolyM
     (family, domain, h_target, seed); only ``distorted_square`` reads
     ``seed`` (its random node shifts), and ``uniform_square``, ``voronoi``,
     ``nonconvex`` and ``triangular`` build the same mesh for every seed.
-    Results are memoized and must be treated as read-only.
+    Results are memoized and read-only: every array of the mesh and of its
+    cell groups refuses an in-place write.
     """
     if not 0 < h_target < np.inf:
         raise GeometryError(f"h_target must be positive and finite, got {h_target}")
@@ -644,6 +808,10 @@ def generate_mesh(family: str, domain, h_target: float, seed: int = 42) -> PolyM
     mesh = _GENERATORS[family](domain, float(h_target), seed)
     if not (mesh.h <= 2.0 * h_target + 1e-12):
         raise GeometryError(f"generator produced h={mesh.h:g} > 2*h_target")
+    groups = (a for g in mesh.cell_groups for a in vars(g).values())
+    for a in (mesh.vertices, mesh.edges, mesh.edge_cells, *mesh.cells, *mesh.cell_edges,
+              *mesh.boundary_markers.values(), *groups):
+        a.flags.writeable = False
     _MESH_MEMO[key] = mesh
     return mesh
 

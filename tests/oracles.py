@@ -1598,7 +1598,7 @@ def reference_lloyd(points, domain, iters, band):
     n = len(points)
     pts = points.copy()
     for _ in range(iters):
-        vor = Voronoi(geometry._images(pts, domain, band)[0])
+        vor = Voronoi(geometry._images(pts, domain, geometry._near_walls(pts, domain, band))[0])
         flat, owner = [], []
         for i in range(n):
             reg = vor.regions[vor.point_region[i]]
@@ -1636,7 +1636,8 @@ def reference_qhull_voronoi(domain, h):
     from scipy.spatial import Voronoi
     seeds, s = reference_hex_seeds(domain, h)
     seeds = geometry._lloyd(seeds, domain, band=3.0 * s)[0]
-    vor = Voronoi(geometry._images(seeds, domain, 3.0 * s)[0])
+    vor = Voronoi(geometry._images(seeds, domain,
+                                   geometry._near_walls(seeds, domain, 3.0 * s))[0])
     tol = 1e-6 * s
     verts = vor.vertices.copy()
     for axis, (lo, hi) in enumerate([(domain.x0, domain.x1), (domain.y0, domain.y1)]):

@@ -1,4 +1,9 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -453,35 +458,192 @@ def test_structured_meshes_match_loop_reference(family, domain, h, seed):
     assert np.array_equal(mesh.edges, reference_topology(verts, cells)[0])
 
 
-class _Counted:
-    """Counts the constructions of a scipy.spatial class."""
+def _count_triangulations(monkeypatch):
+    """The list of point counts of the ``geometry._delaunay`` calls made."""
+    calls, triangulate = [], geometry._delaunay
 
-    def __init__(self, monkeypatch, name):
-        import scipy.spatial
-        self.calls, cls = 0, getattr(scipy.spatial, name)
-
-        def make(*args, **kwargs):
-            self.calls += 1
-            return cls(*args, **kwargs)
-        monkeypatch.setattr(scipy.spatial, name, make)
+    def counted(points):
+        calls.append(len(points))
+        return triangulate(points)
+    monkeypatch.setattr(geometry, "_delaunay", counted)
+    return calls
 
 
 def test_lloyd_remakes_a_stale_triangulation(monkeypatch):
     """Random seeds move far in their first Lloyd steps, so the triangulation
     goes stale and is made again; the seeds still follow a fresh Voronoi
-    diagram per step to rounding (measured 1.2e-15 after 15 triangulations;
-    with the incircle test skipped they are off by 1.9e-2)."""
-    delaunay = _Counted(monkeypatch, "Delaunay")
+    diagram per step to rounding (measured 8.0e-16 after 13 triangulations;
+    with the incircle test skipped, a remake finds the region of seed 16
+    unbounded)."""
+    calls = _count_triangulations(monkeypatch)
     pts = np.random.default_rng(0).random((60, 2))
     moved = geometry._lloyd(pts, UNIT_SQUARE, 0.3)[0]
-    assert 1 < delaunay.calls < geometry._LLOYD_ITERS
+    assert 1 < len(calls) < geometry._LLOYD_ITERS
     assert np.max(np.abs(moved - reference_lloyd(pts, UNIT_SQUARE, 20, 0.3))) <= 1e-13
+
+
+BOX = Rectangle(-1.0, 2.0, 3.0, 2.5)
+
+
+def _triangulation_inputs():
+    """Seeded random points; a grid, whose rows are collinear and whose
+    squares are exact cocircular quads, and the same grid scaled, where they
+    are cocircular to rounding; the hex seeds and their wall images."""
+    cases = [pytest.param(np.random.default_rng(seed).random((n, 2)), id=f"random{n}")
+             for seed, n in ((0, 3), (1, 4), (2, 50), (3, 300))]
+    grid = np.stack(np.meshgrid(np.arange(9.0), np.arange(6.0)), axis=-1).reshape(-1, 2)
+    cases += [pytest.param(grid, id="grid"), pytest.param(0.1 * grid + 0.3, id="scaled_grid")]
+    for label, domain in (("unit_square", UNIT_SQUARE), ("box", BOX)):
+        for n in (4, 5, 9, 10, 16, 20, 40):
+            seeds, s = geometry._hex_seeds(domain, 1 / n)
+            pts = geometry._images(seeds, domain, geometry._near_walls(seeds, domain, 3.0 * s))[0]
+            cases.append(pytest.param(pts, id=f"hex-{label}-1/{n}"))
+    return cases
+
+
+def _incircle(points, tri, q):
+    """The incircle determinant of the points ``q`` against the triangles
+    ``tri`` (rows of corner ids), relative to the fourth power of the size
+    as ``geometry._delaunay`` measures it: positive inside."""
+    (ax, ay), (bx, by), (cx, cy) = ((points[tri[:, j]] - points[q]).T for j in range(3))
+    la, lb, lc = ax * ax + ay * ay, bx * bx + by * by, cx * cx + cy * cy
+    det = la * (bx * cy - cx * by) + lb * (cx * ay - ax * cy) + lc * (ax * by - bx * ay)
+    return det / (la + lb + lc) ** 2
+
+
+def _merged_edges(points, simp, nbr):
+    """The Delaunay edges, as sorted pairs, without those between two
+    cocircular triangles (to ``_DELAUNAY_TOL``): a cocircular pair makes one
+    region vertex, so its diagonal is no edge of the merged fans."""
+    t, k = np.indices(nbr.shape).reshape(2, -1)
+    u = nbr[t, k]
+    e = np.sort(np.stack([simp[t, (k + 1) % 3], simp[t, (k + 2) % 3]], axis=1), axis=1)
+    inner = u >= 0
+    apex = simp[u[inner], np.argmax(nbr[u[inner]] == t[inner, None], axis=1)]
+    cocircular = np.zeros(len(t), dtype=bool)
+    cocircular[inner] = np.abs(_incircle(points, simp[t[inner]], apex)) <= geometry._DELAUNAY_TOL
+    return set(map(tuple, e[~cocircular].tolist()))
+
+
+@pytest.mark.parametrize("points", _triangulation_inputs())
+def test_delaunay_matches_qhull(points):
+    """The numpy triangulation against ``scipy.spatial.Delaunay``: every
+    triangle turns counter-clockwise, the neighbours agree edge by edge and
+    the hull is one loop, no point lies inside a circumcircle beyond the
+    slack, and the triangle count and the edges of the merged fans are
+    Qhull's (Qhull breaks cocircular ties its own way)."""
+    from scipy.spatial import Delaunay, cKDTree
+    simp, nbr = geometry._delaunay(points)
+    assert simp.shape == nbr.shape and simp.shape[1] == 3
+    assert np.all(geometry._orient(*(points[simp[:, j]] for j in range(3))) > 0)
+    t, k = np.nonzero(nbr >= 0)
+    u = nbr[t, k]
+    back = nbr[u] == t[:, None]
+    assert np.all(back.sum(axis=1) == 1)
+    kk = np.argmax(back, axis=1)
+    assert np.array_equal(simp[t, (k + 1) % 3], simp[u, (kk + 2) % 3])
+    assert np.array_equal(simp[t, (k + 2) % 3], simp[u, (kk + 1) % 3])
+    t, k = np.nonzero(nbr < 0)
+    after = dict(zip(simp[t, (k + 1) % 3].tolist(), simp[t, (k + 2) % 3].tolist()))
+    loop = [next(iter(after))]
+    while len(loop) <= len(t) and after[loop[-1]] != loop[0]:
+        loop.append(after[loop[-1]])
+    assert len(after) == len(t) and len(loop) == len(t)     # the hull edges make one loop
+    # the points within each circumcircle, found by a k-d tree
+    a, b, c = (points[simp[:, j]] - points[simp[:, 0]] for j in range(3))
+    lb, lc = (b * b).sum(1), (c * c).sum(1)
+    det = 2.0 * (b[:, 0] * c[:, 1] - b[:, 1] * c[:, 0])
+    centre = (np.stack([c[:, 1] * lb - b[:, 1] * lc, b[:, 0] * lc - c[:, 0] * lb], axis=1)
+              / det[:, None])
+    radius = np.hypot(*centre.T)
+    near = cKDTree(points).query_ball_point(centre + points[simp[:, 0]], radius * (1 + 1e-9))
+    tri = np.repeat(np.arange(len(simp)), [len(q) for q in near])
+    q = np.concatenate([np.asarray(q, dtype=int) for q in near])
+    assert np.max(_incircle(points, simp[tri], q)) <= geometry._DELAUNAY_TOL
+    ref = Delaunay(points)
+    assert len(simp) == len(ref.simplices)
+    assert _merged_edges(points, simp, nbr) == _merged_edges(points, ref.simplices, ref.neighbors)
+
+
+def test_delaunay_splits_a_grid_collinear_to_rounding_into_half_squares():
+    """Shuffled grids whose points are moved by rounding-level noise put
+    points on a hull edge's line to rounding only: such a point joins the
+    hull within the edge or past its end, and every grid square splits into
+    two triangles, none flat.  Qhull leaves flat and inverted triangles on
+    these inputs (relative orientations down to -1.5e-16), and so did a walk
+    that took the first ghost it reached (2e-17)."""
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        nx, ny = rng.integers(3, 8, size=2)
+        grid = np.stack(np.meshgrid(0.05 + 0.1 * np.arange(nx), 0.05 + 0.1 * np.arange(ny)),
+                        axis=-1).reshape(-1, 2)
+        grid += rng.normal(scale=1e-16, size=grid.shape) * (rng.random(grid.shape) < 0.5)
+        rng.shuffle(grid)
+        simp, _ = geometry._delaunay(grid)
+        assert len(simp) == 2 * (nx - 1) * (ny - 1)
+        area2 = geometry._orient(*(grid[simp[:, j]] for j in range(3)))
+        assert np.allclose(area2, 0.01, rtol=1e-12, atol=0.0)
+
+
+def test_delaunay_leaves_a_repeat_out_and_the_guard_names_its_seed():
+    """A seed given twice is triangulated once, from its first copy, and so
+    are its images; the region guard names the second copy, whose fan is
+    empty."""
+    seeds, s = geometry._hex_seeds(UNIT_SQUARE, 1 / 5)
+    seeds = np.insert(seeds, 7, seeds[3], axis=0)        # seed 7 repeats seed 3
+    pts = geometry._images(seeds, UNIT_SQUARE, geometry._near_walls(seeds, UNIT_SQUARE, 3.0 * s))[0]
+    first = np.unique(pts, axis=0, return_index=True)[1]
+    assert 7 not in first and len(first) < len(pts) - 1   # the images of seed 7 repeat too
+    simp, _ = geometry._delaunay(pts)
+    assert np.array_equal(np.unique(simp), np.sort(first))
+    with pytest.raises(GeometryError, match=r"^voronoi region of seed 7 is unbounded"):
+        geometry._lloyd(seeds, UNIT_SQUARE, 3.0 * s)
+
+
+def test_voronoi_generator_loads_no_scipy_spatial():
+    """The Voronoi meshes of the convergence ladder are made without
+    scipy.spatial, and so without scipy.special (measured together: 0.08 s
+    of import time and 7.6 MB)."""
+    code = textwrap.dedent("""
+        import sys
+        from lpsvem.geometry import UNIT_SQUARE, generate_mesh
+        for h in (1 / 5, 1 / 10, 1 / 20):
+            generate_mesh("voronoi", UNIT_SQUARE, h)
+        print([m for m in ("scipy.spatial", "scipy.special") if m in sys.modules])
+    """)
+    src = str(Path(geometry.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]"]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_memoized_mesh_is_read_only(family):
+    """Every caller of ``generate_mesh`` gets the same memoized mesh, so an
+    in-place write to any of its arrays, or to those of its cell groups,
+    raises, and the next call returns the mesh as it was built."""
+    mesh = generate_mesh(family, UNIT_SQUARE, 1 / 5)
+    vertices, cells = mesh.vertices.copy(), [c.copy() for c in mesh.cells]
+    group = mesh.cell_groups[0]
+    for a in (mesh.vertices, mesh.cells[0], mesh.edges, mesh.edge_cells, mesh.cell_edges[0],
+              mesh.boundary_markers["left"], group.cell_ids, group.vertices, group.area,
+              group.centroid, group.diameter, group.edge_lengths, group.edge_normals,
+              group.triangles):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] += 1
+    again = generate_mesh(family, UNIT_SQUARE, 1 / 5)
+    assert again is mesh and np.array_equal(again.vertices, vertices)
+    assert all(np.array_equal(a, b) for a, b in zip(again.cells, cells))
 
 
 def test_fans_stale_when_a_region_vertex_leaves_the_rectangle():
     seeds, s = geometry._hex_seeds(UNIT_SQUARE, 1 / 5)
-    mirrored, src, wall = geometry._images(seeds, UNIT_SQUARE, 3.0 * s)
-    fans = geometry._Fans(mirrored, len(seeds), src, wall)
+    mirrored, wall = geometry._images(seeds, UNIT_SQUARE,
+                                      geometry._near_walls(seeds, UNIT_SQUARE, 3.0 * s))
+    fans = geometry._Fans(mirrored, len(seeds), wall)
     assert fans.centres(mirrored, UNIT_SQUARE) is not None
     assert fans.centres(mirrored, Rectangle(0.0, 0.0, 0.99, 1.0)) is None
 
@@ -490,11 +652,11 @@ def test_fans_stale_when_a_region_vertex_leaves_the_rectangle():
 def test_voronoi_mesh_triangulates_once(monkeypatch, h):
     """A Voronoi mesh of the convergence ladder takes one Delaunay
     triangulation for all Lloyd steps and reads its cells from the same
-    fans, with no Voronoi diagram; at h=1/20 the seeds of the last step
-    make it stale, and the cells come from one more triangulation."""
-    delaunay, voronoi = _Counted(monkeypatch, "Delaunay"), _Counted(monkeypatch, "Voronoi")
+    fans; at h=1/20 the seeds of the last step leave the band of two
+    images, which the kept triangulation still holds."""
+    calls = _count_triangulations(monkeypatch)
     geometry._voronoi(UNIT_SQUARE, h, 42)
-    assert (delaunay.calls, voronoi.calls) == ({1 / 5: 1, 1 / 10: 1, 1 / 20: 2}[h], 0)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("domain", [UNIT_SQUARE, Rectangle(-1.0, 2.0, 3.0, 2.5)])
